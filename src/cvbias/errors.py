@@ -79,3 +79,7 @@ class ConfigError(CvBiasError, ValueError):
 
 class InvalidBlocking(CvBiasError, ValueError):
     """Predictor count is not compatible with the block structure."""
+
+
+class InvalidParameter(CvBiasError, ValueError):
+    """A parameter lies outside its admissible domain."""

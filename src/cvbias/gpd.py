@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveExceedance, TooFewSamples, TooFewTailSamples
+from .errors import (
+    InvalidParameter,
+    NonPositiveExceedance,
+    TooFewSamples,
+    TooFewTailSamples,
+)
 
 MIN_TAIL_SIZE = 5
 KHAT_CAP = 0.7
@@ -121,7 +126,7 @@ def khat_threshold(sample_size: int) -> float:
     ``min(1 - 1/log10(sample_size), 0.7)``; -inf for a single point.
     """
     if sample_size < 1:
-        raise ValueError("sample_size must be >= 1")
+        raise InvalidParameter("sample_size must be >= 1")
     if sample_size == 1:
         return float("-inf")
     return min(1.0 - 1.0 / math.log10(sample_size), KHAT_CAP)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import gpd
-from .errors import NonPositiveSigma, TooFewModels
+from .errors import InvalidParameter, NonPositiveSigma, TooFewModels
 from .psisloo import ElpdDiff, ElpdEstimate, elpd_diff
 
 DEFAULT_ALPHA = 0.5
@@ -43,9 +43,9 @@ def blom_max(K: int, alpha: float = DEFAULT_ALPHA) -> float:
     conservative end of the admissible [0.39, 0.5] interval.
     """
     if K < 1:
-        raise ValueError("K must be >= 1")
+        raise InvalidParameter("K must be >= 1")
     if not 0.39 <= alpha <= 0.5:
-        raise ValueError("alpha must lie in [0.39, 0.5]")
+        raise InvalidParameter(f"alpha must lie in [0.39, 0.5], got {alpha}")
     return float(ndtri((K - alpha) / (K - 2.0 * alpha + 1.0)))
 
 
@@ -115,6 +115,8 @@ def bias_estimate(
     """
     if sigma_hat < 0:
         raise NonPositiveSigma("sigma_hat must be >= 0")
+    if not multiplier >= 0:
+        raise InvalidParameter(f"multiplier must be >= 0, got {multiplier}")
     return float(multiplier * blom_max(K, alpha) * sigma_hat)
 
 
@@ -234,6 +236,8 @@ def build_comparison(
     """
     if len(estimates) < 2:
         raise TooFewModels("comparison needs at least 2 models")
+    if not multiplier >= 0:
+        raise InvalidParameter(f"multiplier must be >= 0, got {multiplier}")
     if baseline == "median":
         baseline_id, diffs = median_baseline(estimates)
     else:

@@ -14,10 +14,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred_dataset
+from .conjlm import (
+    Dataset,
+    NigPrior,
+    elpd_loo_exact,
+    elpd_loo_extensions,
+    fit,
+    log_pred_dataset,
+)
 from .errors import (
     EmptyCandidateSet,
     IncompletePath,
+    InvalidParameter,
     MissingCandidateDiffs,
     SchemaMismatch,
 )
@@ -59,7 +67,6 @@ class SearchPath:
     multiplier: float | None = None
     alpha: float | None = None
     test_mlpd_base: float | None = None
-    reference_mlpd: float | None = None
 
     @property
     def n_obs(self) -> int:
@@ -156,25 +163,28 @@ def forward_search(
     """Greedy forward search maximizing the LOO elpd point estimate.
 
     ``scorer(cols)`` must return an ElpdEstimate for the model on predictor
-    subset ``cols``; the default scores with exact conjugate LOO. Ties break
-    to the lowest predictor index.
+    subset ``cols``. By default each step scores all its candidates with
+    exact conjugate LOO in one ``elpd_loo_extensions`` call: one
+    factorization of the current model plus one BLAS-3 pass over the
+    candidate columns. Ties break to the lowest predictor index.
     """
     p = data.p
     if max_size > p:
         raise EmptyCandidateSet(f"max_size {max_size} exceeds {p} predictors")
     if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    if scorer is None:
-        scorer = lambda cols: elpd_loo_exact(data.subset(cols), prior)
+        raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
 
-    base = scorer(())
+    base = scorer(()) if scorer is not None else elpd_loo_exact(data.subset(()), prior)
     prev = base
-    current: list[int] = []
+    current: tuple[int, ...] = ()
     steps: list[SearchStep] = []
     corrected_diffs: list[float] = []
     for _ in range(max_size):
         cands = [j for j in range(p) if j not in current]
-        ests = [scorer(tuple(current) + (j,)) for j in cands]
+        if scorer is None:
+            ests = elpd_loo_extensions(data, prior, current, cands)
+        else:
+            ests = [scorer(current + (j,)) for j in cands]
         diffs = np.array([e.estimate - prev.estimate for e in ests])
         ses = np.array(
             [elpd_se(e.pointwise - prev.pointwise) for e in ests]
@@ -196,7 +206,7 @@ def forward_search(
                 pointwise=choice.pointwise,
             )
         )
-        current.append(cands[best])
+        current += (cands[best],)
         prev = choice
 
     return SearchPath(
@@ -234,7 +244,9 @@ def correct_path(
     cancel real signal, so the size convention is the default.
     """
     if k_convention not in ("size", "candidates", "constant"):
-        raise ValueError("k_convention must be 'size', 'candidates' or 'constant'")
+        raise InvalidParameter("k_convention must be 'size', 'candidates' or 'constant'")
+    if not multiplier >= 0:
+        raise InvalidParameter(f"multiplier must be >= 0, got {multiplier}")
     if any(s.candidate_diffs is None for s in path.steps):
         raise MissingCandidateDiffs(
             "path steps lack candidate diffs; rerun forward_search"

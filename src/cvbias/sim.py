@@ -16,8 +16,15 @@ from dataclasses import asdict, dataclass, replace as dc_replace
 
 import numpy as np
 
-from .conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred_dataset
-from .errors import InvalidBlocking
+from .conjlm import (
+    Dataset,
+    NigPrior,
+    elpd_loo_exact,
+    elpd_loo_extensions,
+    fit,
+    log_pred_dataset,
+)
+from .errors import InvalidBlocking, InvalidParameter
 from .orderstats import blom_max, halfnormal_sigma
 from .psisloo import elpd_se
 from .search import correct_path, evaluate_test, forward_search, stopping_rules
@@ -61,11 +68,11 @@ class NestedDgpSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.beta_delta < 1.0:
-            raise ValueError("beta_delta must lie in [0, 1)")
+            raise InvalidParameter("beta_delta must lie in [0, 1)")
         if self.K < 2:
-            raise ValueError("K must be >= 2")
+            raise InvalidParameter("K must be >= 2")
         if self.n < 2:
-            raise ValueError("n must be >= 2")
+            raise InvalidParameter("n must be >= 2")
 
     @property
     def sigma2(self) -> float:
@@ -107,9 +114,9 @@ class BlockDgpSpec:
                 f"p={self.p} is not divisible by block_size={self.block_size}"
             )
         if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
+            raise InvalidParameter("rho must lie in [0, 1)")
         if not 0 < self.n_relevant <= self.p:
-            raise ValueError("n_relevant must lie in (0, p]")
+            raise InvalidParameter("n_relevant must lie in (0, p]")
 
     def weights_vector(self) -> np.ndarray:
         w = np.zeros(self.p)
@@ -152,8 +159,9 @@ def run_many_k(
 ) -> list[dict]:
     """Replicate the many-candidate null experiment over a spec grid.
 
-    For each cell and replication: fit the baseline and the K - 1 single
-    predictor candidates with exact LOO, record the maximum elpd difference,
+    For each cell and replication: score the baseline and, in one
+    ``elpd_loo_extensions`` call, the K - 1 single-predictor candidates with
+    exact LOO, record the maximum elpd difference,
     the half-normal scale of the diffs, the predicted expected-maximum
     threshold ``blom_max(K, alpha) * sigma_hat``, and test elpds (scaled to
     n) of the selected and true models on a fresh draw.
@@ -167,7 +175,7 @@ def run_many_k(
     the summary's ``mean_recentred_max`` show the recentred picture.
     """
     if replications < 2:
-        raise ValueError("replications must be >= 2")
+        raise InvalidParameter("replications must be >= 2")
     prior = prior or NigPrior.diffuse()
     rows: list[dict] = []
     for spec in specs:
@@ -183,9 +191,7 @@ def run_many_k(
                 )
             )
             base_est = elpd_loo_exact(ds.subset(()), prior)
-            cand_ests = [
-                elpd_loo_exact(ds.subset((j,)), prior) for j in range(spec.K - 1)
-            ]
+            cand_ests = elpd_loo_extensions(ds, prior, (), range(spec.K - 1))
             diffs = np.array([e.estimate - base_est.estimate for e in cand_ests])
             selected = int(np.argmax(diffs))
             if diffs.size >= 2:
@@ -282,18 +288,18 @@ def run_forward_experiment(
     if guard:
         for s in specs:
             if s.p > GUARD_MAX_P or s.n > GUARD_MAX_N:
-                raise ValueError(
+                raise InvalidParameter(
                     f"desk-scale guard: p <= {GUARD_MAX_P} and n <= {GUARD_MAX_N} "
                     "(pass guard=False to override)"
                 )
         if replications > GUARD_MAX_REPS:
-            raise ValueError(
+            raise InvalidParameter(
                 f"desk-scale guard: replications <= {GUARD_MAX_REPS} "
                 "(pass guard=False to override)"
             )
     for name in priors:
         if name not in PRIOR_PRESETS:
-            raise ValueError(f"unknown prior preset {name!r}")
+            raise InvalidParameter(f"unknown prior preset {name!r}")
 
     run_rows: list[dict] = []
     path_rows: list[dict] = []

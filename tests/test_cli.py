@@ -25,6 +25,12 @@ def write_dataset(path: Path, data: Dataset, target: str = "y") -> Path:
     return path
 
 
+def assert_one_line_error(capsys, word):
+    err = capsys.readouterr().err
+    assert err.startswith("cvbias: error:") and word in err
+    assert err.count("\n") == 1
+
+
 @pytest.fixture
 def toy_block(tmp_path):
     train, test = gen_block(
@@ -90,6 +96,13 @@ class TestCompare:
         b = write_pointwise(tmp_path / "b.csv", np.zeros(12))
         assert main(["compare", str(a), str(b)]) == 1
 
+    def test_negative_multiplier_rejected(self, tmp_path, capsys):
+        paths = [
+            write_pointwise(tmp_path / f"m{i}.csv", np.full(5, float(i))) for i in range(3)
+        ]
+        assert main(["compare", *map(str, paths), "--multiplier", "-1"]) == 1
+        assert_one_line_error(capsys, "multiplier")
+
     def test_csv_output(self, tmp_path):
         rng = np.random.default_rng(94)
         paths = [
@@ -124,6 +137,20 @@ class TestForward:
         train, _ = toy_block
         assert main(["forward", str(train), "--target", "zzz"]) == 1
         assert "zzz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, word",
+        [
+            (["--max-size", "0"], "max_size"),
+            (["--max-size", "-3"], "max_size"),
+            (["--alpha", "0.9"], "alpha"),
+            (["--multiplier", "-1"], "multiplier"),
+        ],
+    )
+    def test_invalid_flags_fail_with_one_line(self, toy_block, capsys, flags, word):
+        train, _ = toy_block
+        assert main(["forward", str(train), "--target", "y", *flags]) == 1
+        assert_one_line_error(capsys, word)
 
     def test_output_files_and_determinism(self, toy_block, tmp_path):
         train, test = toy_block
@@ -205,6 +232,23 @@ class TestSimulate:
             per = list(csv.DictReader((out / f"forward_path_m{m}.csv").open()))
             assert len(per) == 2 * 11  # 2 reps x sizes 0..10
             assert {r["multiplier"] for r in per} == {m}
+
+    @pytest.mark.parametrize(
+        "config, word",
+        [
+            ({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 1}, "replications"),
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [1.5],
+                 "replications": 1},
+                "rho",
+            ),
+        ],
+    )
+    def test_invalid_config_values_fail_with_one_line(self, tmp_path, capsys, config, word):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        assert_one_line_error(capsys, word)
 
     def test_bundled_configs_well_formed(self):
         root = Path(__file__).resolve().parent.parent / "configs"

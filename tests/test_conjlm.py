@@ -1,22 +1,31 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cvbias import conjlm
 from cvbias.conjlm import (
     Dataset,
     NigPrior,
     draw_posterior,
     elpd_loo_exact,
+    elpd_loo_extensions,
     fit,
     log_pred,
     log_pred_dataset,
     pointwise_loglik,
 )
 from cvbias.errors import (
+    CvBiasError,
     DimensionMismatch,
+    InvalidParameter,
     NonFiniteInput,
     TooFewObservations,
 )
+from cvbias.psisloo import elpd_se
 
 
 @pytest.fixture
@@ -44,6 +53,55 @@ class TestDataset:
     def test_subset_keeps_column_names(self):
         d = Dataset(np.ones((3, 3)), np.zeros(3), columns=("a", "b", "c"))
         assert d.subset((2, 0)).columns == ("c", "a")
+
+
+class TestNigPrior:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        v0=st.floats(allow_nan=False, max_value=1e6),
+        a0=st.floats(allow_nan=False, max_value=1e6),
+        b0=st.floats(allow_nan=False, max_value=1e6),
+    )
+    def test_scalar_domains(self, v0, a0, b0):
+        if v0 > 0 and a0 > 0 and b0 > 0:
+            NigPrior(v0=v0, a0=a0, b0=b0)
+        else:
+            with pytest.raises(InvalidParameter):
+                NigPrior(v0=v0, a0=a0, b0=b0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
+    def test_diagonal_domain(self, diag):
+        if min(diag) > 0:
+            NigPrior(v0=np.array(diag))
+        else:
+            with pytest.raises(InvalidParameter):
+                NigPrior(v0=np.array(diag))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(-3.0, 3.0),
+    )
+    def test_matrix_domain(self, d, seed, shift):
+        B = np.random.default_rng(seed).standard_normal((d, d))
+        sym = B @ B.T / d + shift * np.eye(d)
+        if np.linalg.eigvalsh(sym).min() > 1e-8:
+            NigPrior(v0=sym)
+        elif np.linalg.eigvalsh(sym).min() < -1e-8:
+            with pytest.raises(InvalidParameter):
+                NigPrior(v0=sym)
+        if d > 1:
+            asym = sym + 10.0 * np.triu(np.ones((d, d)), 1)
+            with pytest.raises(InvalidParameter):
+                NigPrior(v0=asym)
+
+    def test_errors_are_cvbias_value_errors(self):
+        for kwargs in ({"v0": -1.0}, {"a0": -1.0}, {"b0": 0.0}, {"v0": np.ones((2, 3))}):
+            with pytest.raises(CvBiasError) as info:
+                NigPrior(**kwargs)
+            assert isinstance(info.value, ValueError)
 
 
 class TestFit:
@@ -158,6 +216,68 @@ class TestElpdLooExact:
             elpd_loo_exact(
                 Dataset(np.ones((2, 1)), np.zeros(2)), NigPrior.diffuse()
             )
+
+
+def _dataset(n, p, intercept, seed, duplicate):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    if duplicate:
+        X[:, -1] = X[:, 0]
+    y = 0.5 * X[:, 0] + rng.standard_normal(n)
+    return Dataset(X, y, intercept=intercept)
+
+
+class TestElpdLooExtensions:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(5, 30),
+        p=st.integers(2, 6),
+        n_current=st.integers(0, 3),
+        intercept=st.booleans(),
+        duplicate=st.booleans(),
+        tight=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_refit(self, n, p, n_current, intercept, duplicate, tight, seed):
+        data = _dataset(n, p, intercept, seed, duplicate)
+        prior = NigPrior.tight() if tight else NigPrior.diffuse()
+        current = tuple(range(min(n_current, p - 1)))
+        cands = [j for j in range(p) if j not in current]
+        ests = elpd_loo_extensions(data, prior, current, cands)
+        assert len(ests) == len(cands)
+        for j, est in zip(cands, ests):
+            ref = elpd_loo_exact(data.subset(current + (j,)), prior, method="refit")
+            assert np.max(np.abs(est.pointwise - ref.pointwise)) <= 1e-9
+            assert est.estimate == math.fsum(est.pointwise)
+            assert est.se == elpd_se(est.pointwise)
+
+    def test_other_priors_score_one_by_one(self):
+        data = _dataset(25, 4, True, 5, False)
+        prior = NigPrior(mean=0.3)
+        ests = elpd_loo_extensions(data, prior, (1,), [0, 2, 3])
+        for j, est in zip([0, 2, 3], ests):
+            ref = elpd_loo_exact(data.subset((1, j)), prior)
+            assert np.array_equal(est.pointwise, ref.pointwise)
+
+    def test_leverage_guard_scores_through_elpd_loo_exact(self, monkeypatch):
+        # a column that singles out row 0 gives that row leverage ~1 under a
+        # near-flat prior: the closed form cannot hold there
+        rng = np.random.default_rng(29)
+        X = np.column_stack([rng.standard_normal(12), np.eye(12)[0]])
+        data = Dataset(X, rng.standard_normal(12), columns=("x", "spike"))
+        prior = NigPrior(v0=1e12)
+        scored = []
+        original = conjlm.elpd_loo_exact
+
+        def spy(sub, prior_, *args, **kwargs):
+            scored.append(sub.columns)
+            return original(sub, prior_, *args, **kwargs)
+
+        monkeypatch.setattr(conjlm, "elpd_loo_exact", spy)
+        ests = elpd_loo_extensions(data, prior, (), [0, 1])
+        assert scored == [("spike",)]
+        ref = original(data.subset((1,)), prior, method="refit")
+        assert np.max(np.abs(ests[1].pointwise - ref.pointwise)) <= 1e-9
 
 
 class TestDrawPosterior:

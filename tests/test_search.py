@@ -107,6 +107,24 @@ class TestForwardSearch:
             hits += path.steps[0].predictor_added == 0
         assert hits >= 19
 
+    @pytest.mark.parametrize(
+        "prior", [PRIOR, NigPrior.tight(), NigPrior(mean=0.3)], ids=["diffuse", "tight", "mean"]
+    )
+    def test_batched_steps_match_per_candidate_path(self, prior):
+        train, _ = gen_block(BlockDgpSpec(n=60, p=10, rho=0.6, seed=35))
+        batched = forward_search(train, prior, max_size=10)
+        per_candidate = forward_search(
+            train, prior, max_size=10,
+            scorer=lambda cols: elpd_loo_exact(train.subset(cols), prior),
+        )
+        assert batched.predictors() == per_candidate.predictors()
+        assert stopping_rules(correct_path(batched)) == stopping_rules(
+            correct_path(per_candidate)
+        )
+        for a, b in zip(batched.steps, per_candidate.steps):
+            for field in ("candidate_diffs", "candidate_ses", "pointwise"):
+                assert np.max(np.abs(getattr(a, field) - getattr(b, field))) <= 1e-9
+
     def test_custom_scorer(self):
         # scorer that prefers predictor 2 regardless of data
         data = Dataset(np.random.default_rng(34).standard_normal((10, 3)), np.zeros(10))
