@@ -20,9 +20,7 @@ from .errors import ConfigError, CvBiasError, SchemaMismatch
 from .io import (
     dump_json,
     read_dataset_csv,
-    read_loglik_csv,
     read_matrix_csv,
-    read_pointwise_csv,
     sha256_file,
     write_rows_csv,
 )
@@ -74,17 +72,24 @@ def _provenance(args, inputs: list) -> dict:
 
 
 def _load_estimates(paths, kind: str):
+    """One estimate per CSV, each file read once.
+
+    ``kind="auto"`` takes a single-column file as pointwise elpds and any
+    wider one as a draws-by-observations log-likelihood matrix.
+    """
     estimates = []
     for p in paths:
         model_id = Path(p).stem
-        resolved = kind
-        if kind == "auto":
-            values, _ = read_matrix_csv(p)
-            resolved = "pointwise" if values.shape[1] == 1 else "loglik"
-        if resolved == "pointwise":
-            estimates.append(from_pointwise(read_pointwise_csv(p), model_id))
+        values, _ = read_matrix_csv(p)
+        cols = values.shape[1]
+        if kind == "pointwise" and cols != 1:
+            raise SchemaMismatch(
+                f"{p}: pointwise input must have exactly 1 column, got {cols}"
+            )
+        if kind == "pointwise" or (kind == "auto" and cols == 1):
+            estimates.append(from_pointwise(values[:, 0], model_id))
         else:
-            estimates.append(elpd_loo_psis(read_loglik_csv(p), model_id))
+            estimates.append(elpd_loo_psis(values, model_id))
     n_obs = {e.n_obs for e in estimates}
     if len(n_obs) != 1:
         raise SchemaMismatch(f"inputs disagree on observation count: {sorted(n_obs)}")
@@ -208,10 +213,44 @@ def _write_forward(bundle: dict, args) -> None:
         print(dump_json(bundle))
 
 
-def _require(config: dict, key: str, path):
-    if key not in config:
+_REQUIRED = object()
+
+
+def _require(config: dict, key: str, path, default=_REQUIRED):
+    if key in config:
+        return config[key]
+    if default is _REQUIRED:
         raise ConfigError(f"{path}: missing required key {key!r}")
-    return config[key]
+    return default
+
+
+def _convert(value, kind, key: str, path):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"{path}: {key} must be {kind.__name__.lstrip('_')}, got {value!r}"
+        ) from None
+
+
+def _number(value):
+    """A JSON number as given: an int stays an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return value
+
+
+def _value(config: dict, key: str, path, kind, default=_REQUIRED):
+    """``config[key]`` converted by ``kind``; ConfigError if it does not convert."""
+    return _convert(_require(config, key, path, default), kind, key, path)
+
+
+def _values(config: dict, key: str, path, kind, default=_REQUIRED):
+    """The list ``config[key]`` with every item converted by ``kind``."""
+    values = _require(config, key, path, default)
+    if not isinstance(values, list):
+        raise ConfigError(f"{path}: {key} must be a list, got {values!r}")
+    return [_convert(v, kind, key, path) for v in values]
 
 
 def cmd_simulate(args) -> dict:
@@ -228,51 +267,49 @@ def cmd_simulate(args) -> dict:
     experiment = _require(config, "experiment", path)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_seed = int(args.seed if args.seed is not None else config.get("base_seed", 0))
-    alpha = float(config.get("alpha", 0.5))
+    seed = args.seed
+    base_seed = seed if seed is not None else _value(config, "base_seed", path, int, 0)
+    alpha = _value(config, "alpha", path, float, 0.5)
 
     if experiment == "many_k":
+        n = _value(config, "n", path, int)
+        beta_delta = _value(config, "beta_delta", path, float, 0.0)
         specs = [
-            NestedDgpSpec(
-                n=int(_require(config, "n", path)),
-                K=int(k),
-                beta_delta=float(config.get("beta_delta", 0.0)),
-                seed=base_seed,
-            )
-            for k in _require(config, "k_grid", path)
+            NestedDgpSpec(n=n, K=k, beta_delta=beta_delta, seed=base_seed)
+            for k in _values(config, "k_grid", path, int)
         ]
         rows = run_many_k(
             specs,
-            replications=int(_require(config, "replications", path)),
+            replications=_value(config, "replications", path, int),
             alpha=alpha,
-            n_test=int(config.get("n_test", 1000)),
+            n_test=_value(config, "n_test", path, int, 1000),
         )
         summary = summarize_many_k(rows)
         write_rows_csv(out_dir / "many_k_runs.csv", rows)
         write_rows_csv(out_dir / "many_k_summary.csv", summary)
         result = {"experiment": experiment, "cells": summary}
     elif experiment == "forward":
+        shared = dict(
+            p=_value(config, "p", path, int),
+            block_size=_value(config, "block_size", path, int, 5),
+            xi=_value(config, "xi", path, float, 0.59),
+            sigma2=_value(config, "sigma2", path, float, 1.0),
+            n_relevant=_value(config, "n_relevant", path, int, 6),
+            n_test=_value(config, "n_test", path, int, 1000),
+            seed=base_seed,
+        )
+        rhos = _values(config, "rho_grid", path, float)
         specs = [
-            BlockDgpSpec(
-                n=int(n),
-                p=int(_require(config, "p", path)),
-                rho=float(rho),
-                block_size=int(config.get("block_size", 5)),
-                xi=float(config.get("xi", 0.59)),
-                sigma2=float(config.get("sigma2", 1.0)),
-                n_relevant=int(config.get("n_relevant", 6)),
-                n_test=int(config.get("n_test", 1000)),
-                seed=base_seed,
-            )
-            for n in _require(config, "n_grid", path)
-            for rho in _require(config, "rho_grid", path)
+            BlockDgpSpec(n=n, rho=rho, **shared)
+            for n in _values(config, "n_grid", path, int)
+            for rho in rhos
         ]
-        multipliers = tuple(config.get("multipliers", [1.5]))
+        multipliers = tuple(_values(config, "multipliers", path, _number, [1.5]))
         run_rows, path_rows = run_forward_experiment(
             specs,
             multipliers=multipliers,
-            priors=tuple(config.get("priors", ["diffuse"])),
-            replications=int(_require(config, "replications", path)),
+            priors=tuple(_values(config, "priors", path, str, ["diffuse"])),
+            replications=_value(config, "replications", path, int),
             alpha=alpha,
             guard=bool(config.get("guard", True)),
         )

@@ -48,22 +48,6 @@ def read_matrix_csv(path):
     return values, header
 
 
-def read_loglik_csv(path) -> np.ndarray:
-    """Log-likelihood matrix: rows are draws, columns observations."""
-    values, _ = read_matrix_csv(path)
-    return values
-
-
-def read_pointwise_csv(path) -> np.ndarray:
-    """Pointwise elpd vector: a single CSV column (header optional)."""
-    values, _ = read_matrix_csv(path)
-    if values.shape[1] != 1:
-        raise SchemaMismatch(
-            f"{path}: pointwise input must have exactly 1 column, got {values.shape[1]}"
-        )
-    return values[:, 0]
-
-
 def read_dataset_csv(path, target: str) -> Dataset:
     """Dataset CSV with a header row; ``target`` names the response column."""
     values, header = read_matrix_csv(path)

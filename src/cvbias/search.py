@@ -166,7 +166,8 @@ def forward_search(
     subset ``cols``. By default each step scores all its candidates with
     exact conjugate LOO in one ``elpd_loo_extensions`` call: one
     factorization of the current model plus one BLAS-3 pass over the
-    candidate columns. Ties break to the lowest predictor index.
+    candidate columns. Ties break to the lowest predictor index. Each
+    step's corrected fields hold its raw values until ``correct_path``.
     """
     p = data.p
     if max_size > p:
@@ -178,7 +179,6 @@ def forward_search(
     prev = base
     current: tuple[int, ...] = ()
     steps: list[SearchStep] = []
-    corrected_diffs: list[float] = []
     for _ in range(max_size):
         cands = [j for j in range(p) if j not in current]
         if scorer is None:
@@ -191,7 +191,6 @@ def forward_search(
         )
         best = int(np.argmax(diffs))
         choice = ests[best]
-        corrected_diffs.append(float(diffs[best]))
         steps.append(
             SearchStep(
                 predictor_added=cands[best],
@@ -200,7 +199,7 @@ def forward_search(
                 elpd_after=choice.estimate,
                 se_diff=float(ses[best]),
                 corrected_diff=float(diffs[best]),
-                corrected_elpd_after=math.fsum([base.estimate] + corrected_diffs),
+                corrected_elpd_after=choice.estimate,
                 candidate_diffs=diffs,
                 candidate_ses=ses,
                 pointwise=choice.pointwise,

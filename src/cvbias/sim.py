@@ -284,6 +284,8 @@ def run_forward_experiment(
     Returns ``(run_rows, path_rows)``: one summary row per run/multiplier
     and one long-format row per model size.
     """
+    if replications < 1:
+        raise InvalidParameter("replications must be >= 1")
     specs = list(specs)
     if guard:
         for s in specs:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvbias import cli, io
 from cvbias.cli import main
 from cvbias.conjlm import Dataset, NigPrior, draw_posterior, fit, pointwise_loglik
 from cvbias.sim import BlockDgpSpec, gen_block
@@ -90,6 +91,27 @@ class TestCompare:
         report = json.loads(capsys.readouterr().out)
         names = {d["name"] for d in report["diagnostics"]}
         assert "psis_khat:m2" in names
+
+    def test_each_input_read_once(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(94)
+        paths = [write_pointwise(tmp_path / "pw.csv", rng.standard_normal(10))]
+        ll = tmp_path / "ll.csv"
+        draws = rng.standard_normal((200, 10)).tolist()
+        ll.write_text("\n".join(",".join(map(repr, row)) for row in draws))
+        paths.append(ll)
+        reads = []
+        original = io.read_matrix_csv
+
+        def spy(path):
+            reads.append(str(path))
+            return original(path)
+
+        monkeypatch.setattr(io, "read_matrix_csv", spy)
+        monkeypatch.setattr(cli, "read_matrix_csv", spy)
+        assert main(["compare", *map(str, paths), "--baseline", "pw"]) == 0
+        assert sorted(reads) == sorted(map(str, paths))
+        assert main(["compare", *map(str, paths), "--kind", "pointwise"]) == 1
+        assert_one_line_error(capsys, "exactly 1 column")
 
     def test_inconsistent_lengths_fail(self, tmp_path, capsys):
         a = write_pointwise(tmp_path / "a.csv", np.zeros(10))
@@ -241,6 +263,12 @@ class TestSimulate:
                 {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [1.5],
                  "replications": 1},
                 "rho",
+            ),
+            ({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": "x"}, "replications"),
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                 "multipliers": "ab", "replications": 1},
+                "multipliers",
             ),
         ],
     )

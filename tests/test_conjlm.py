@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import cho_solve
+from scipy.stats import t as student_t
 
 from cvbias import conjlm
 from cvbias.conjlm import (
@@ -55,6 +57,12 @@ class TestDataset:
         assert d.subset((2, 0)).columns == ("c", "a")
 
 
+_TINY = Dataset(
+    np.random.default_rng(20).standard_normal((8, 2)),
+    np.random.default_rng(21).standard_normal(8),
+)
+
+
 class TestNigPrior:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -62,40 +70,16 @@ class TestNigPrior:
         a0=st.floats(allow_nan=False, max_value=1e6),
         b0=st.floats(allow_nan=False, max_value=1e6),
     )
+    @example(v0=5e-324, a0=1.0, b0=1.0)
+    @example(v0=1e-310, a0=1.0, b0=1.0)
     def test_scalar_domains(self, v0, a0, b0):
-        if v0 > 0 and a0 > 0 and b0 > 0:
-            NigPrior(v0=v0, a0=a0, b0=b0)
+        # every accepted prior must also fit: 1/v0 enters the posterior precision
+        if v0 > 0 and math.isfinite(1.0 / v0) and a0 > 0 and b0 > 0:
+            prior = NigPrior(v0=v0, a0=a0, b0=b0)
+            assert np.isfinite(elpd_loo_exact(_TINY, prior).estimate)
         else:
             with pytest.raises(InvalidParameter):
                 NigPrior(v0=v0, a0=a0, b0=b0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
-    def test_diagonal_domain(self, diag):
-        if min(diag) > 0:
-            NigPrior(v0=np.array(diag))
-        else:
-            with pytest.raises(InvalidParameter):
-                NigPrior(v0=np.array(diag))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        d=st.integers(1, 4),
-        seed=st.integers(0, 2**32 - 1),
-        shift=st.floats(-3.0, 3.0),
-    )
-    def test_matrix_domain(self, d, seed, shift):
-        B = np.random.default_rng(seed).standard_normal((d, d))
-        sym = B @ B.T / d + shift * np.eye(d)
-        if np.linalg.eigvalsh(sym).min() > 1e-8:
-            NigPrior(v0=sym)
-        elif np.linalg.eigvalsh(sym).min() < -1e-8:
-            with pytest.raises(InvalidParameter):
-                NigPrior(v0=sym)
-        if d > 1:
-            asym = sym + 10.0 * np.triu(np.ones((d, d)), 1)
-            with pytest.raises(InvalidParameter):
-                NigPrior(v0=asym)
 
     def test_errors_are_cvbias_value_errors(self):
         for kwargs in ({"v0": -1.0}, {"a0": -1.0}, {"b0": 0.0}, {"v0": np.ones((2, 3))}):
@@ -120,11 +104,6 @@ class TestFit:
         y = X @ np.array([2.0, -1.0]) + rng.standard_normal(50)
         post = fit(Dataset(X, y), NigPrior(v0=1e-12))
         assert np.max(np.abs(post.mean_n)) < 1e-6
-
-    def test_log_marginal_finite(self):
-        rng = np.random.default_rng(24)
-        data = Dataset(rng.standard_normal((20, 3)), rng.standard_normal(20))
-        assert np.isfinite(fit(data, NigPrior.diffuse()).log_marginal)
 
     def test_posterior_a_n(self, small_data):
         post = fit(small_data, NigPrior(a0=1.5))
@@ -160,6 +139,27 @@ class TestLogPred:
             2 * sigma**2
         )
         assert log_pred(post, x, y_new) == pytest.approx(plugin, abs=1e-2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 30),
+        p=st.integers(1, 6),
+        tight=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_student_t_from_inverse_precision(self, n, p, tight, seed):
+        prior = NigPrior.tight() if tight else NigPrior.diffuse()
+        train = _dataset(n, p, False, seed, False)
+        test = _dataset(n, p, False, seed + 1, False)
+        X, y = train.X, train.y
+        V = np.linalg.inv(X.T @ X + np.eye(p) / prior.v0)
+        mean = V @ X.T @ y
+        a_n = prior.a0 + n / 2.0
+        b_n = prior.b0 + 0.5 * (np.sum((y - X @ mean) ** 2) + mean @ mean / prior.v0)
+        scale2 = b_n / a_n * (1.0 + np.einsum("ij,jk,ik->i", test.X, V, test.X))
+        ref = student_t.logpdf(test.y, 2.0 * a_n, loc=test.X @ mean, scale=np.sqrt(scale2))
+        got = log_pred_dataset(fit(train, prior), test)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_dimension_mismatch(self, small_data):
         post = fit(small_data, NigPrior.diffuse())
@@ -251,14 +251,6 @@ class TestElpdLooExtensions:
             assert est.estimate == math.fsum(est.pointwise)
             assert est.se == elpd_se(est.pointwise)
 
-    def test_other_priors_score_one_by_one(self):
-        data = _dataset(25, 4, True, 5, False)
-        prior = NigPrior(mean=0.3)
-        ests = elpd_loo_extensions(data, prior, (1,), [0, 2, 3])
-        for j, est in zip([0, 2, 3], ests):
-            ref = elpd_loo_exact(data.subset((1, j)), prior)
-            assert np.array_equal(est.pointwise, ref.pointwise)
-
     def test_leverage_guard_scores_through_elpd_loo_exact(self, monkeypatch):
         # a column that singles out row 0 gives that row leverage ~1 under a
         # near-flat prior: the closed form cannot hold there
@@ -284,7 +276,8 @@ class TestDrawPosterior:
     def test_mean_recovered(self, small_data):
         post = fit(small_data, NigPrior.diffuse())
         draws = draw_posterior(post, 100000, seed=1)
-        mc_se = np.sqrt(np.diag(post.v_n) * np.mean(draws.sigma2)) / np.sqrt(1e5)
+        v_n = cho_solve(post.chol, np.eye(post.dim))
+        mc_se = np.sqrt(np.diag(v_n) * np.mean(draws.sigma2)) / np.sqrt(1e5)
         assert np.all(
             np.abs(draws.coefficients.mean(axis=0) - post.mean_n) < 3.5 * mc_se
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvbias.conjlm import NigPrior, elpd_loo_exact
-from cvbias.errors import InvalidBlocking
+from cvbias.errors import InvalidBlocking, InvalidParameter
 from cvbias.search import forward_search
 from cvbias.sim import (
     BlockDgpSpec,
@@ -152,6 +152,12 @@ class TestRunForwardExperiment:
                 train.subset(cols), NigPrior.diffuse(), method="refit"
             )
             assert r["corrected_max_loo_se"] == pytest.approx(loo.se / 50, rel=1e-9)
+
+    def test_zero_replications_rejected(self):
+        with pytest.raises(InvalidParameter, match="replications"):
+            run_forward_experiment(
+                [BlockDgpSpec(n=40, p=10, rho=0.0, seed=0)], replications=0
+            )
 
     def test_desk_scale_guard(self):
         with pytest.raises(ValueError, match="guard"):
