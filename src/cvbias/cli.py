@@ -24,7 +24,7 @@ from .io import (
     sha256_file,
     write_rows_csv,
 )
-from .orderstats import build_comparison
+from .orderstats import build_comparison, check_alpha, check_multiplier
 from .psisloo import elpd_loo_psis, from_pointwise
 from .search import correct_path, evaluate_test, forward_search, stopping_rules
 from .sim import (
@@ -97,6 +97,8 @@ def _load_estimates(paths, kind: str):
 
 
 def cmd_compare(args) -> dict:
+    check_alpha(args.alpha)
+    check_multiplier(args.multiplier)
     estimates = _load_estimates(args.inputs, args.kind)
     comparison = build_comparison(
         estimates,
@@ -169,6 +171,9 @@ def _write_compare(bundle: dict, args) -> None:
 
 
 def cmd_forward(args) -> dict:
+    # the search runs long before correct_path would reject these
+    check_alpha(args.alpha)
+    check_multiplier(args.multiplier)
     data = read_dataset_csv(args.data, args.target)
     prior = PRIOR_PRESETS[args.prior]()
     max_size = args.max_size if args.max_size is not None else data.p
@@ -240,16 +245,26 @@ def _number(value):
     return value
 
 
+def _boolean(value):
+    """A JSON boolean only: ``bool("false")`` would be True."""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
 def _value(config: dict, key: str, path, kind, default=_REQUIRED):
     """``config[key]`` converted by ``kind``; ConfigError if it does not convert."""
     return _convert(_require(config, key, path, default), kind, key, path)
 
 
 def _values(config: dict, key: str, path, kind, default=_REQUIRED):
-    """The list ``config[key]`` with every item converted by ``kind``."""
+    """The non-empty list ``config[key]`` with every item converted by ``kind``.
+
+    An empty list would run no cell and write header-only tables.
+    """
     values = _require(config, key, path, default)
-    if not isinstance(values, list):
-        raise ConfigError(f"{path}: {key} must be a list, got {values!r}")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{path}: {key} must be a non-empty list, got {values!r}")
     return [_convert(v, kind, key, path) for v in values]
 
 
@@ -311,7 +326,7 @@ def cmd_simulate(args) -> dict:
             priors=tuple(_values(config, "priors", path, str, ["diffuse"])),
             replications=_value(config, "replications", path, int),
             alpha=alpha,
-            guard=bool(config.get("guard", True)),
+            guard=_value(config, "guard", path, _boolean, True),
         )
         write_rows_csv(out_dir / "forward_runs.csv", run_rows)
         write_rows_csv(out_dir / "forward_path.csv", path_rows)

@@ -6,13 +6,13 @@ posterior (verified against per-observation refits), giving LOO elpds with
 zero Monte-Carlo error at negligible cost.
 
 The prior is centred at zero with scale ``v0 * I``, so every model has one
-posterior representation: the Cholesky factor of its posterior precision
-P = A'A + I/v0. Fitting and exact LOO work from that factor; the
-predictive density and ``draw_posterior`` solve it for the d x d P^-1.
+posterior representation: the d x d inverse P^-1 of its posterior precision
+P = A'A + I/v0, formed once per fit. The posterior mean, the leverages, the
+predictive density and ``draw_posterior`` all read that one matrix.
 
 ``elpd_loo_extensions`` scores every one-column extension of a model in one
-call, as a forward-search step needs: one Cholesky factorization of the
-current model, one BLAS-3 pass that updates leverages, fitted values and
+call, as a forward-search step needs: one inverse of the current model's
+precision, one BLAS-3 pass that updates leverages, fitted values and
 scale for all candidate columns at once (block-inverse identity), and the
 closed-form LOO on the n x c block.
 """
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammaln
 
 from .errors import (
     DimensionMismatch,
@@ -110,12 +108,12 @@ class NigPrior:
 class PosteriorFit:
     """Posterior state: beta | s2, y ~ N(mean_n, s2*P^-1), s2 ~ IG(a_n, b_n).
 
-    ``chol`` is the ``cho_factor`` Cholesky factor of the posterior
-    precision P.
+    ``cov`` is the inverse P^-1 of the posterior precision P, so the
+    coefficients' posterior covariance given s2 is ``s2 * cov``.
     """
 
     mean_n: np.ndarray
-    chol: tuple[np.ndarray, bool]
+    cov: np.ndarray
     a_n: float
     b_n: float
 
@@ -128,40 +126,39 @@ def fit(data: Dataset, prior: NigPrior) -> PosteriorFit:
     """Conjugate update of the normal-inverse-gamma prior on ``data``."""
     if data.n < 2:
         raise TooFewObservations("fitting needs at least 2 observations")
-    cf, mean_n, _, b_n = _posterior(data.design(), data.y, prior)
+    cov, mean_n, _, b_n = _posterior(data.design(), data.y, prior)
     return PosteriorFit(
         mean_n=mean_n,
-        chol=cf,
+        cov=cov,
         a_n=float(prior.a0 + data.n / 2.0),
         b_n=float(b_n),
     )
 
 
 def _posterior(A: np.ndarray, y: np.ndarray, prior: NigPrior):
-    """Factor the posterior precision P = A'A + I/v0 of design ``A`` once.
+    """Invert the posterior precision P = A'A + I/v0 of design ``A`` once.
 
-    Returns its Cholesky factor, ``mean_n``, the residuals ``y - A mean_n``
-    and ``b_n``.
+    Returns P^-1, ``mean_n``, the residuals ``y - A mean_n`` and ``b_n``.
     """
     P = A.T @ A
     P[np.diag_indices_from(P)] += 1.0 / prior.v0
-    cf = cho_factor(P)
-    mean_n = cho_solve(cf, A.T @ y)
+    cov = np.linalg.inv(P)
+    mean_n = cov @ (A.T @ y)
     resid = y - A @ mean_n
     b_n = prior.b0 + 0.5 * (resid @ resid + mean_n @ mean_n / prior.v0)
-    return cf, mean_n, resid, b_n
+    return cov, mean_n, resid, b_n
 
 
-def _leverages(A: np.ndarray, cf) -> np.ndarray:
-    """Diagonal of ``A P^-1 A'`` for the Cholesky factor ``cf`` of P."""
-    return np.einsum("ij,ji->i", A, cho_solve(cf, A.T))
+def _leverages(A: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Diagonal of ``A P^-1 A'`` for ``cov`` = P^-1."""
+    return np.einsum("ij,ij->i", A @ cov, A)
 
 
 def _student_t_logpdf(y, loc, scale2, df):
     z2 = (y - loc) ** 2 / scale2
     return (
-        gammaln((df + 1.0) / 2.0)
-        - gammaln(df / 2.0)
+        math.lgamma((df + 1.0) / 2.0)
+        - math.lgamma(df / 2.0)
         - 0.5 * np.log(df * np.pi * scale2)
         - (df + 1.0) / 2.0 * np.log1p(z2 / df)
     )
@@ -180,11 +177,7 @@ def log_pred(fit_: PosteriorFit, x_new, y_new):
         )
     y = np.asarray(y_new, dtype=float)
     loc = x @ fit_.mean_n
-    # x P^-1 x' through the d x d P^-1: solving P against x' (d x rows) wakes
-    # the BLAS threads on every call, which costs more CPU than it saves on
-    # the small models most calls score
-    q = np.einsum("ij,ij->i", x @ cho_solve(fit_.chol, np.eye(fit_.dim)), x)
-    scale2 = (fit_.b_n / fit_.a_n) * (1.0 + q)
+    scale2 = (fit_.b_n / fit_.a_n) * (1.0 + _leverages(x, fit_.cov))
     out = _student_t_logpdf(y, loc, scale2, 2.0 * fit_.a_n)
     if np.ndim(y_new) == 0 and np.ndim(x_new) == 1:
         return float(out[0])
@@ -229,10 +222,11 @@ def elpd_loo_extensions(
 
     Returns what ``elpd_loo_exact(data.subset(current + (j,)), prior)``
     returns for every ``j`` in ``candidates`` (pointwise within 1e-9), from
-    one factorization of the current design A. With the hat matrix
-    H = A P^-1 A', e = x - H x and s = x'e + 1/v0, adding column x moves the
-    leverages to h + e^2/s, the fitted values to mu + e (e'y)/s and b_n to
-    b_n - (e'y)^2/(2s); all candidates go through one BLAS-3 pass.
+    one inverse of the current model's posterior precision P. With the hat
+    matrix H = A P^-1 A', e = x - H x and s = x'e + 1/v0, adding column x
+    moves the leverages to h + e^2/s, the fitted values to mu + e (e'y)/s
+    and b_n to b_n - (e'y)^2/(2s); all candidates go through one BLAS-3
+    pass.
     Only candidates whose extended model breaches the closed form's guard
     (leverage >= 1 - 1e-10, a downdated scale <= 0, or s <= 0 from
     rounding) are scored on their own, by ``elpd_loo_exact``.
@@ -243,12 +237,12 @@ def elpd_loo_extensions(
         raise TooFewObservations("exact LOO needs at least 3 observations")
     A = data.subset(current).design()
     y = data.y
-    cf, _, resid, b_n = _posterior(A, y, prior)
-    h = _leverages(A, cf)
+    cov, _, resid, b_n = _posterior(A, y, prior)
+    h = _leverages(A, cov)
     Xc = data.X[:, candidates]
     # in-place updates keep at most three n x c arrays alive at once, so
     # peak memory stays near that of a single-candidate fit
-    E = A @ cho_solve(cf, A.T @ Xc)
+    E = A @ (cov @ (A.T @ Xc))
     np.subtract(Xc, E, out=E)
     s = np.einsum("ij,ij->j", Xc, E) + 1.0 / prior.v0
     del Xc
@@ -309,15 +303,15 @@ def _loo_closed_form(resid, omh, b_n, a_n):
         np.log(b_i, out=b_i)
         b_i *= 0.5
         q -= b_i
-    q += gammaln(a_i + 0.5) - gammaln(a_i)
+    q += math.lgamma(a_i + 0.5) - math.lgamma(a_i)
     return q, ok
 
 
 def _loo_downdate(data: Dataset, prior: NigPrior) -> np.ndarray:
     X = data.design()
-    cf, _, resid, b_n = _posterior(X, data.y, prior)
+    cov, _, resid, b_n = _posterior(X, data.y, prior)
     pointwise, ok = _loo_closed_form(
-        resid, 1.0 - _leverages(X, cf), b_n, prior.a0 + data.n / 2.0
+        resid, 1.0 - _leverages(X, cov), b_n, prior.a0 + data.n / 2.0
     )
     return pointwise if ok else _loo_refit(data, prior)
 
@@ -345,7 +339,7 @@ def draw_posterior(fit_: PosteriorFit, S: int, seed=None) -> PosteriorDraws:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sigma2 = fit_.b_n / rng.gamma(fit_.a_n, 1.0, size=S)
     z = rng.standard_normal((S, fit_.dim))
-    chol = np.linalg.cholesky(cho_solve(fit_.chol, np.eye(fit_.dim)))
+    chol = np.linalg.cholesky(fit_.cov)
     coefficients = fit_.mean_n + (z @ chol.T) * np.sqrt(sigma2)[:, None]
     return PosteriorDraws(coefficients=coefficients, sigma2=sigma2)
 

@@ -13,17 +13,6 @@ from .conjlm import Dataset
 from .errors import SchemaMismatch, UnreadableInput
 
 
-def _read_cells(path) -> list[list[str]]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise UnreadableInput(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise UnreadableInput(f"{path} is empty")
-    return rows
-
-
 def _is_float(cell: str) -> bool:
     try:
         float(cell)
@@ -33,18 +22,31 @@ def _is_float(cell: str) -> bool:
 
 
 def read_matrix_csv(path):
-    """Read a numeric CSV; returns (values, header-or-None)."""
-    rows = _read_cells(path)
+    """Read a numeric CSV; returns (values, header-or-None).
+
+    The first non-blank line is a header unless every cell of it parses as
+    a float. The data rows are parsed by ``np.loadtxt``: cells may be
+    quoted, blank lines are skipped and ``#`` is an ordinary cell. A
+    non-numeric cell or a ragged row raises UnreadableInput.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip("\r\n")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise UnreadableInput(f"{path} is empty")
+    first = next(csv.reader(lines[:1]))
     header = None
-    if not all(_is_float(c) for c in rows[0]):
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
+    if not all(_is_float(c) for c in first):
+        header = [c.strip() for c in first]
+        lines = lines[1:]
+    if not lines:
         raise UnreadableInput(f"{path} has a header but no data rows")
     try:
-        values = np.array([[float(c) for c in row] for row in rows])
+        values = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
     except ValueError as exc:
-        raise UnreadableInput(f"{path}: non-numeric cell ({exc})") from exc
+        raise UnreadableInput(f"{path}: {exc}") from exc
     return values, header
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import gpd
 from .errors import InvalidParameter, NonPositiveSigma, TooFewModels
@@ -36,6 +36,18 @@ EQUIV_TOL = 1e-12
 MIN_MODELS_FOR_DIAGNOSTIC = 10
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise InvalidParameter unless alpha lies in the admissible [0.39, 0.5]."""
+    if not 0.39 <= alpha <= 0.5:
+        raise InvalidParameter(f"alpha must lie in [0.39, 0.5], got {alpha}")
+
+
+def check_multiplier(multiplier: float) -> None:
+    """Raise InvalidParameter unless the bias multiplier is >= 0."""
+    if not multiplier >= 0:
+        raise InvalidParameter(f"multiplier must be >= 0, got {multiplier}")
+
+
 def blom_max(K: int, alpha: float = DEFAULT_ALPHA) -> float:
     """Approximate expected maximum of K iid standard normal draws.
 
@@ -44,9 +56,8 @@ def blom_max(K: int, alpha: float = DEFAULT_ALPHA) -> float:
     """
     if K < 1:
         raise InvalidParameter("K must be >= 1")
-    if not 0.39 <= alpha <= 0.5:
-        raise InvalidParameter(f"alpha must lie in [0.39, 0.5], got {alpha}")
-    return float(ndtri((K - alpha) / (K - 2.0 * alpha + 1.0)))
+    check_alpha(alpha)
+    return NormalDist().inv_cdf((K - alpha) / (K - 2.0 * alpha + 1.0))
 
 
 class HalfNormalFit(NamedTuple):
@@ -115,8 +126,7 @@ def bias_estimate(
     """
     if sigma_hat < 0:
         raise NonPositiveSigma("sigma_hat must be >= 0")
-    if not multiplier >= 0:
-        raise InvalidParameter(f"multiplier must be >= 0, got {multiplier}")
+    check_multiplier(multiplier)
     return float(multiplier * blom_max(K, alpha) * sigma_hat)
 
 
@@ -167,7 +177,7 @@ def prob_select_suboptimal(mu: float, sigma: float) -> float:
     """
     if sigma <= 0:
         raise NonPositiveSigma("sigma must be > 0")
-    return float(ndtr(-mu / sigma))
+    return 0.5 * math.erfc(mu / (sigma * math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -236,8 +246,7 @@ def build_comparison(
     """
     if len(estimates) < 2:
         raise TooFewModels("comparison needs at least 2 models")
-    if not multiplier >= 0:
-        raise InvalidParameter(f"multiplier must be >= 0, got {multiplier}")
+    check_multiplier(multiplier)
     if baseline == "median":
         baseline_id, diffs = median_baseline(estimates)
     else:

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import gpd
 from .errors import (
@@ -172,6 +171,12 @@ def smooth_log_weights(log_ratios, max_tail_fraction: float = 0.2):
     return out, float(fit.k_hat)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))), shifted by the maximum so that no term overflows."""
+    m = a.max()
+    return m + math.log(np.exp(a - m).sum())
+
+
 def _elpd_column(ll, max_tail_fraction: float):
     """LOO elpd and k-hat for one observation's log-likelihood column."""
     if ll.max() == ll.min():
@@ -180,7 +185,7 @@ def _elpd_column(ll, max_tail_fraction: float):
     order = np.argsort(-ll, kind="stable")
     ll_sorted = ll[order]
     lw, khat = smooth_log_weights(-ll_sorted, max_tail_fraction)
-    value = float(logsumexp(lw + ll_sorted) - logsumexp(lw))
+    value = float(_logsumexp(lw + ll_sorted) - _logsumexp(lw))
     if not np.isfinite(value):
         raise DegenerateWeights("importance weights failed to normalize")
     return value, khat

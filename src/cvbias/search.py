@@ -29,7 +29,7 @@ from .errors import (
     MissingCandidateDiffs,
     SchemaMismatch,
 )
-from .orderstats import blom_max, halfnormal_sigma
+from .orderstats import blom_max, check_multiplier, halfnormal_sigma
 from .psisloo import ElpdEstimate, elpd_se
 
 
@@ -244,8 +244,7 @@ def correct_path(
     """
     if k_convention not in ("size", "candidates", "constant"):
         raise InvalidParameter("k_convention must be 'size', 'candidates' or 'constant'")
-    if not multiplier >= 0:
-        raise InvalidParameter(f"multiplier must be >= 0, got {multiplier}")
+    check_multiplier(multiplier)
     if any(s.candidate_diffs is None for s in path.steps):
         raise MissingCandidateDiffs(
             "path steps lack candidate diffs; rerun forward_search"

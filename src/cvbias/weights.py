@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit, ndtr, roots_hermite
 
 from .errors import NonPositiveSE
 
@@ -22,16 +22,28 @@ def prob_better_normal(delta: float, se: float) -> float:
     """
     if se <= 0:
         raise NonPositiveSE("se must be > 0")
-    return float(ndtr(delta / se))
+    return 0.5 * math.erfc(-delta / (se * math.sqrt(2.0)))
 
 
 def pseudo_bma(delta: float) -> float:
     """Pseudo-BMA weight of the model with elpd advantage ``delta``."""
-    return float(expit(delta))
+    return float(_logistic(delta))
+
+
+def _logistic(x):
+    # the usual expit formula: below about -709 exp(-x) overflows to inf
+    # and the result is 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @lru_cache(maxsize=16)
 def _hermgauss(n: int):
+    # imported here, so that pseudo-BMA+ is the one caller that pays for the
+    # import: numpy's hermgauss takes far too long at the thousands of nodes
+    # large se needs, and the rest of the package runs on numpy alone
+    from scipy.special import roots_hermite
+
     return roots_hermite(n)
 
 
@@ -52,7 +64,7 @@ def pseudo_bma_plus(delta: float, se: float, n_nodes: int | None = None) -> floa
         raise NonPositiveSE("se must be > 0")
     nodes, w = _hermgauss(n_nodes if n_nodes is not None else _auto_nodes(se))
     z = np.sqrt(2.0) * se * nodes
-    return float(np.sum(w * expit(delta + z)) / np.sqrt(np.pi))
+    return float(np.sum(w * _logistic(delta + z)) / np.sqrt(np.pi))
 
 
 def rule_of_four(delta: float) -> bool:

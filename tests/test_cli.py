@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvbias
 from cvbias import cli, io
 from cvbias.cli import main
 from cvbias.conjlm import Dataset, NigPrior, draw_posterior, fit, pointwise_loglik
@@ -125,6 +129,21 @@ class TestCompare:
         assert main(["compare", *map(str, paths), "--multiplier", "-1"]) == 1
         assert_one_line_error(capsys, "multiplier")
 
+    @pytest.mark.parametrize(
+        "flags, word", [(["--alpha", "0.9"], "alpha"), (["--multiplier", "-1"], "multiplier")]
+    )
+    def test_invalid_flags_rejected_before_any_read(
+        self, tmp_path, monkeypatch, capsys, flags, word
+    ):
+        paths = [
+            write_pointwise(tmp_path / f"m{i}.csv", np.full(5, float(i))) for i in range(3)
+        ]
+        reads = []
+        monkeypatch.setattr(cli, "read_matrix_csv", lambda path: reads.append(path))
+        assert main(["compare", *map(str, paths), *flags]) == 1
+        assert reads == []
+        assert_one_line_error(capsys, word)
+
     def test_csv_output(self, tmp_path):
         rng = np.random.default_rng(94)
         paths = [
@@ -172,6 +191,20 @@ class TestForward:
     def test_invalid_flags_fail_with_one_line(self, toy_block, capsys, flags, word):
         train, _ = toy_block
         assert main(["forward", str(train), "--target", "y", *flags]) == 1
+        assert_one_line_error(capsys, word)
+
+    @pytest.mark.parametrize(
+        "flags, word", [(["--alpha", "0.9"], "alpha"), (["--multiplier", "-1"], "multiplier")]
+    )
+    def test_invalid_flags_rejected_before_search(
+        self, toy_block, monkeypatch, capsys, flags, word
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "forward_search", lambda *a, **k: calls.append("search"))
+        monkeypatch.setattr(cli, "read_dataset_csv", lambda *a, **k: calls.append("read"))
+        train, _ = toy_block
+        assert main(["forward", str(train), "--target", "y", *flags]) == 1
+        assert calls == []
         assert_one_line_error(capsys, word)
 
     def test_output_files_and_determinism(self, toy_block, tmp_path):
@@ -270,6 +303,12 @@ class TestSimulate:
                  "multipliers": "ab", "replications": 1},
                 "multipliers",
             ),
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [], "rho_grid": [0.0],
+                 "replications": 1},
+                "n_grid",
+            ),
+            ({"experiment": "many_k", "n": 30, "k_grid": [], "replications": 2}, "k_grid"),
         ],
     )
     def test_invalid_config_values_fail_with_one_line(self, tmp_path, capsys, config, word):
@@ -277,6 +316,28 @@ class TestSimulate:
         cfg.write_text(json.dumps(config))
         assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
         assert_one_line_error(capsys, word)
+
+    @pytest.mark.parametrize("guard", ["false", "true", 0, None])
+    def test_guard_must_be_json_boolean(self, tmp_path, capsys, guard):
+        cfg = tmp_path / "fw.json"
+        cfg.write_text(json.dumps({
+            "experiment": "forward", "p": 35, "n_grid": [40], "rho_grid": [0.0],
+            "replications": 1, "n_test": 40, "guard": guard,
+        }))
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        assert_one_line_error(capsys, "guard must be boolean")
+
+    def test_guard_false_lifts_desk_scale_guard(self, tmp_path, capsys):
+        config = {
+            "experiment": "forward", "p": 35, "n_grid": [40], "rho_grid": [0.0],
+            "replications": 1, "n_test": 40,
+        }
+        cfg = tmp_path / "fw.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        assert_one_line_error(capsys, "desk-scale guard")
+        cfg.write_text(json.dumps({**config, "guard": False}))
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 0
 
     def test_bundled_configs_well_formed(self):
         root = Path(__file__).resolve().parent.parent / "configs"
@@ -313,3 +374,41 @@ class TestSimulate:
         assert (out1 / "many_k_runs.csv").read_bytes() == (
             out2 / "many_k_runs.csv"
         ).read_bytes()
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+import cvbias.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+train, test, config, out = sys.argv[1:]
+assert cvbias.cli.main(["forward", train, "--target", "y", "--test", test,
+                        "--max-size", "4", "--output", out + "/fwd"]) == 0
+loaded["forward"] = scipy_modules()
+assert cvbias.cli.main(["simulate", config, "--output", out + "/sim"]) == 0
+loaded["simulate"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_forward_and_simulate_never_import_scipy(toy_block, tmp_path):
+    train, test = toy_block
+    config = tmp_path / "mk.json"
+    config.write_text(json.dumps(
+        {"experiment": "many_k", "base_seed": 5, "n": 30, "k_grid": [3],
+         "replications": 2, "n_test": 30}
+    ))
+    src = str(Path(cvbias.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(train), str(test), str(config),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "forward": [], "simulate": []}

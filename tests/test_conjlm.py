@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.linalg import cho_solve
 from scipy.stats import t as student_t
 
 from cvbias import conjlm
@@ -276,8 +275,7 @@ class TestDrawPosterior:
     def test_mean_recovered(self, small_data):
         post = fit(small_data, NigPrior.diffuse())
         draws = draw_posterior(post, 100000, seed=1)
-        v_n = cho_solve(post.chol, np.eye(post.dim))
-        mc_se = np.sqrt(np.diag(v_n) * np.mean(draws.sigma2)) / np.sqrt(1e5)
+        mc_se = np.sqrt(np.diag(post.cov) * np.mean(draws.sigma2)) / np.sqrt(1e5)
         assert np.all(
             np.abs(draws.coefficients.mean(axis=0) - post.mean_n) < 3.5 * mc_se
         )

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import ndtr, ndtri
 
 from cvbias.errors import NonPositiveSigma, TooFewModels
 from cvbias.gpd import khat_threshold
@@ -42,6 +43,12 @@ class TestBlomMax:
             blom_max(5, alpha=0.2)
         with pytest.raises(ValueError):
             blom_max(0)
+
+    @given(st.integers(min_value=1, max_value=10**7), st.floats(0.39, 0.5))
+    @settings(max_examples=300)
+    def test_matches_scipy_ndtri(self, k, alpha):
+        p = (k - alpha) / (k - 2.0 * alpha + 1.0)
+        assert abs(blom_max(k, alpha) - ndtri(p)) <= 1e-14
 
 
 class TestHalfnormalSigma:
@@ -192,6 +199,11 @@ class TestProbSelectSuboptimal:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(NonPositiveSigma):
             prob_select_suboptimal(1.0, 0.0)
+
+    @given(st.floats(-40, 40), st.floats(1e-3, 1e3))
+    @settings(max_examples=300)
+    def test_matches_scipy_ndtr(self, mu, sigma):
+        assert abs(prob_select_suboptimal(mu, sigma) - ndtr(-mu / sigma)) <= 1e-15
 
 
 class TestBuildComparison:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
-from cvbias import conjlm
+from cvbias import conjlm, psisloo
 from cvbias.errors import (
     EmptyVector,
     NonFiniteInput,
@@ -103,6 +104,13 @@ class TestLogLikMatrix:
     def test_warns_on_few_draws(self):
         with pytest.warns(UserWarning, match="draws"):
             elpd_loo_psis(np.zeros((50, 3)) - 1.0)
+
+
+class TestLogSumExp:
+    @given(hnp.arrays(np.float64, st.integers(1, 200), elements=st.floats(-1e3, 1e3)))
+    @settings(max_examples=300)
+    def test_matches_scipy(self, a):
+        assert abs(psisloo._logsumexp(a) - logsumexp(a)) <= 1e-12
 
 
 class TestSmoothing:

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
+from scipy.special import expit, ndtr
 from scipy.stats import norm
 
+from cvbias import weights
 from cvbias.errors import NonPositiveSE
 from cvbias.weights import (
     prob_better_normal,
@@ -29,6 +34,11 @@ class TestProbBetterNormal:
         with pytest.raises(NonPositiveSE):
             prob_better_normal(1.0, 0.0)
 
+    @given(st.floats(-40, 40), st.floats(1e-3, 1e3))
+    @settings(max_examples=300)
+    def test_matches_scipy_ndtr(self, delta, se):
+        assert abs(prob_better_normal(delta, se) - ndtr(delta / se)) <= 1e-15
+
 
 class TestPseudoBma:
     def test_weight_at_four(self):
@@ -43,6 +53,14 @@ class TestPseudoBma:
     def test_overflow_safe(self):
         assert pseudo_bma(1e4) == 1.0
         assert pseudo_bma(-1e4) == 0.0
+
+    @given(hnp.arrays(np.float64, st.integers(1, 50), elements=st.floats(-800, 800)))
+    @settings(max_examples=300)
+    def test_logistic_matches_scipy_expit_without_warning(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(weights._logistic(x), expit(x), rtol=1e-14, atol=0)
+            assert pseudo_bma(x[0]) == pytest.approx(expit(x[0]), rel=1e-14, abs=0)
 
     @given(st.floats(-30, 30, allow_nan=False))
     def test_weights_sum_to_one(self, delta):
