@@ -13,6 +13,7 @@ from .errors import NonPositiveSE
 RULE_OF_FOUR_CUTOFF = 4.0
 GH_NODES = 61
 GH_NODES_CAP = 4001
+NEWTON_NODES_MAX = 150  # larger rules come from roots_hermite's asymptotic route
 
 
 def prob_better_normal(delta: float, se: float) -> float:
@@ -39,12 +40,53 @@ def _logistic(x):
 
 @lru_cache(maxsize=16)
 def _hermgauss(n: int):
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if n <= NEWTON_NODES_MAX:
+        return _newton_hermgauss(n)
     # imported here, so that pseudo-BMA+ is the one caller that pays for the
     # import: numpy's hermgauss takes far too long at the thousands of nodes
     # large se needs, and the rest of the package runs on numpy alone
     from scipy.special import roots_hermite
 
     return roots_hermite(n)
+
+
+def _orthonormal_hermite(n: int, x):
+    """p_{n-1}(x) and p_n(x), Hermite polynomials orthonormal under exp(-x^2)."""
+    prev, cur = np.zeros_like(x), np.full_like(x, np.pi**-0.25)
+    for k in range(n):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+    return prev, cur
+
+
+def _newton_hermgauss(n: int):
+    """The n-point Gauss-Hermite rule by Newton's method on elementwise numpy.
+
+    ``roots_hermite`` builds rules of up to 150 nodes with an eigensolver
+    from a linear-algebra package it imports only then. That made the peak
+    memory of ``compare`` depend on whether some pair had a small se, by
+    about 7 MiB.
+
+    Newton starts from Tricomi's asymptotic positive nodes, as the large
+    rules of ``roots_hermite`` do; the weights are 1 / (n p_{n-1}(x)^2).
+    """
+    m, nu = n // 2, 2.0 * n + 1.0
+    c = (4.0 * m - 4.0 * np.arange(1, m + 1) + 3.0) * np.pi / nu
+    tau = np.full(m, 0.5 * np.pi)
+    for _ in range(6):  # tau - sin(tau) = c
+        tau -= (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
+    s = np.cos(0.5 * tau) ** 2
+    x = np.sqrt(nu * s - (1.25 / (1.0 - s) ** 2 - 1.0 / (1.0 - s) - 0.25) / (3.0 * nu))
+    for _ in range(10):
+        prev, cur = _orthonormal_hermite(n, x)
+        step = cur / (math.sqrt(2.0 * n) * prev)
+        x = x - step
+        if not np.any(np.abs(step) > 1e-15 * np.maximum(x, 1.0)):
+            break
+    x = np.concatenate([-x[::-1], np.zeros(n % 2), x])
+    prev, _ = _orthonormal_hermite(n, x)
+    return x, 1.0 / (n * prev**2)
 
 
 def _auto_nodes(se: float) -> int:

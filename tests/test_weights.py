@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
-from scipy.special import expit, ndtr
+from scipy.special import expit, ndtr, roots_hermite
 from scipy.stats import norm
 
+import cvbias
 from cvbias import weights
 from cvbias.errors import NonPositiveSE
 from cvbias.weights import (
@@ -105,6 +110,34 @@ class TestPseudoBmaPlus:
     def test_rejects_nonpositive_se(self):
         with pytest.raises(NonPositiveSE):
             pseudo_bma_plus(1.0, -1.0)
+
+    def test_small_rules_match_scipy_roots_hermite(self):
+        for n in range(1, weights.NEWTON_NODES_MAX + 1):
+            nodes, w = weights._hermgauss.__wrapped__(n)
+            ref_nodes, ref_w = roots_hermite(n)
+            np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-13, err_msg=f"n={n}")
+            np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-15, err_msg=f"n={n}")
+
+    def test_rejects_zero_nodes(self):
+        with pytest.raises(ValueError):
+            pseudo_bma_plus(1.0, 2.0, n_nodes=0)
+
+    def test_never_imports_scipy_linalg(self):
+        # one small rule (61 nodes) and one large (2401): peak memory must
+        # not depend on which rules the compared pairs need
+        script = (
+            "import sys\n"
+            "from cvbias.weights import pseudo_bma_plus\n"
+            "pseudo_bma_plus(1.0, 0.5)\n"
+            "pseudo_bma_plus(1.0, 10.0)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        )
+        src = str(Path(cvbias.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestRuleOfFour:
