@@ -139,10 +139,18 @@ def _posterior(A: np.ndarray, y: np.ndarray, prior: NigPrior):
     """Invert the posterior precision P = A'A + I/v0 of design ``A`` once.
 
     Returns P^-1, ``mean_n``, the residuals ``y - A mean_n`` and ``b_n``.
+    Raises ``InvalidParameter`` when P is singular in floating point, as
+    with duplicate predictor columns so large that 1/v0 is lost beside A'A.
     """
     P = A.T @ A
     P[np.diag_indices_from(P)] += 1.0 / prior.v0
-    cov = np.linalg.inv(P)
+    try:
+        cov = np.linalg.inv(P)
+    except np.linalg.LinAlgError:
+        raise InvalidParameter(
+            "posterior precision is singular: predictors are collinear or too "
+            "large in scale for the prior"
+        ) from None
     mean_n = cov @ (A.T @ y)
     resid = y - A @ mean_n
     b_n = prior.b0 + 0.5 * (resid @ resid + mean_n @ mean_n / prior.v0)

@@ -223,7 +223,6 @@ def correct_path(
     path: SearchPath,
     multiplier: float = 1.5,
     alpha: float = 0.5,
-    k_convention: str = "size",
 ) -> SearchPath:
     """Apply the order-statistic bias correction along a search path.
 
@@ -233,17 +232,9 @@ def correct_path(
     raw-path bulge are left uncorrected and flagged, since beyond it
     over-fitting is already evident.
 
-    ``k_convention`` picks what K counts: ``"size"`` (default) uses the
-    model size, so the allowance grows as selection decisions compound and
-    the first step is never corrected; ``"candidates"`` uses the number of
-    candidates evaluated at the step; ``"constant"`` uses the total
-    predictor count. With few predictors and strongly correlated signal,
-    the candidate-count conventions inflate the threshold past genuine
-    gains (several near-duplicate winners dominate sigma_hat) and wrongly
-    cancel real signal, so the size convention is the default.
+    K is the model size, so the allowance grows as selection decisions
+    compound and the first step is never corrected.
     """
-    if k_convention not in ("size", "candidates", "constant"):
-        raise InvalidParameter("k_convention must be 'size', 'candidates' or 'constant'")
     check_multiplier(multiplier)
     if any(s.candidate_diffs is None for s in path.steps):
         raise MissingCandidateDiffs(
@@ -256,17 +247,11 @@ def correct_path(
     corrected_diffs: list[float] = []
     for idx, s in enumerate(path.steps):
         size = idx + 1
-        if k_convention == "size":
-            k_step = size
-        elif k_convention == "candidates":
-            k_step = s.candidates_evaluated
-        else:
-            k_step = path.n_predictors
-        if k_step >= 2 and s.candidate_diffs.size >= 2:
+        if size >= 2 and s.candidate_diffs.size >= 2:
             sigma_hat = halfnormal_sigma(s.candidate_diffs).sigma_hat
         else:
             sigma_hat = 0.0
-        thr = blom_max(k_step, alpha) * sigma_hat
+        thr = blom_max(size, alpha) * sigma_hat
         bias = multiplier * thr
         post_bulge = size > bulge_size
         if post_bulge or abs(s.raw_diff) >= thr:

@@ -269,7 +269,6 @@ def run_forward_experiment(
     priors=("diffuse",),
     replications: int = 20,
     alpha: float = 0.5,
-    k_convention: str = "size",
     guard: bool = True,
 ):
     """Forward-search experiment over a block-DGP grid.
@@ -333,12 +332,7 @@ def run_forward_experiment(
                     "spec_hash": spec_hash(cell),
                 }
                 for multiplier in multipliers:
-                    cp = correct_path(
-                        path,
-                        multiplier=multiplier,
-                        alpha=alpha,
-                        k_convention=k_convention,
-                    )
+                    cp = correct_path(path, multiplier=multiplier, alpha=alpha)
                     verdicts = stopping_rules(cp)
                     raw_mlpd = cp.raw_elpds() / spec.n
                     corr_mlpd = cp.corrected_elpds() / spec.n

@@ -174,6 +174,19 @@ class TestForward:
         verdicts = report["verdicts"]
         assert all(0 <= verdicts[k] <= 3 for k in verdicts)
 
+    def test_singular_posterior_fails_with_one_line(self, tmp_path, capsys):
+        # two identical columns of scale 1e9: 1/v0 is lost beside A'A, so
+        # the posterior precision of {a, b} is singular in floating point
+        rng = np.random.default_rng(96)
+        a = 1e9 * rng.standard_normal(20)
+        data_csv = write_dataset(
+            tmp_path / "dup.csv",
+            Dataset(np.column_stack([a, a]), rng.standard_normal(20), columns=("a", "b")),
+        )
+        argv = ["forward", str(data_csv), "--target", "y", "--test", str(data_csv)]
+        assert main(argv) == 1
+        assert_one_line_error(capsys, "singular")
+
     def test_missing_target_column(self, toy_block, capsys):
         train, _ = toy_block
         assert main(["forward", str(train), "--target", "zzz"]) == 1
@@ -378,37 +391,53 @@ class TestSimulate:
 
 NO_SCIPY_SCRIPT = """
 import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, BlockScipy())
 import cvbias.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-loaded = {"import": scipy_modules()}
-train, test, config, out = sys.argv[1:]
+train, test, config, a, b, c, out = sys.argv[1:]
 assert cvbias.cli.main(["forward", train, "--target", "y", "--test", test,
                         "--max-size", "4", "--output", out + "/fwd"]) == 0
-loaded["forward"] = scipy_modules()
 assert cvbias.cli.main(["simulate", config, "--output", out + "/sim"]) == 0
-loaded["simulate"] = scipy_modules()
-print(json.dumps(loaded))
+assert cvbias.cli.main(["compare", a, b, c, "--baseline", "a",
+                        "--output", out + "/cmp.json"]) == 0
+with open(out + "/cmp.json") as fh:
+    weights = json.load(fh)["weights"]
+print(json.dumps({w["model"]: [w["se"], w["pseudo_bma_plus"]] for w in weights}))
 """
 
 
 def test_forward_and_simulate_never_import_scipy(toy_block, tmp_path):
+    # every subcommand must run with scipy missing; compare covers both
+    # pseudo-BMA+ rules, with one pair of se < 1 and one of se > 1000
     train, test = toy_block
     config = tmp_path / "mk.json"
     config.write_text(json.dumps(
         {"experiment": "many_k", "base_seed": 5, "n": 30, "k_grid": [3],
          "replications": 2, "n_test": 30}
     ))
+    rng = np.random.default_rng(97)
+    pw = rng.standard_normal(25) - 1.0
+    models = [
+        write_pointwise(tmp_path / "a.csv", pw),
+        write_pointwise(tmp_path / "b.csv", pw + 0.05 * rng.standard_normal(25)),
+        write_pointwise(tmp_path / "c.csv", pw + 500.0 * rng.standard_normal(25)),
+    ]
     src = str(Path(cvbias.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": pythonpath}
+    (tmp_path / "out").mkdir()
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, str(train), str(test), str(config),
-         str(tmp_path / "out")],
+         *map(str, models), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "forward": [], "simulate": []}
+    weights = json.loads(proc.stdout.splitlines()[-1])
+    assert weights["b"][0] < 1.0 and weights["c"][0] > 1000.0
+    assert all(0.0 < w < 1.0 for _, w in weights.values())

@@ -221,14 +221,6 @@ class TestCorrectPath:
             deltas.append(out.corrected_elpds()[-1] - out.base_elpd)
         assert np.median(deltas) <= 0.0
 
-    def test_k_convention_variants(self, block_path):
-        path, _, _ = block_path
-        for mode in ("size", "candidates", "constant"):
-            out = correct_path(path, k_convention=mode)
-            assert len(out.steps) == len(path.steps)
-        with pytest.raises(ValueError):
-            correct_path(path, k_convention="bogus")
-
 
 class TestStoppingRules:
     def test_monotone_path_bulge_at_max(self):
