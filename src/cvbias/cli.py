@@ -75,8 +75,14 @@ def _load_estimates(paths, kind: str):
     """One estimate per CSV, each file read once.
 
     ``kind="auto"`` takes a single-column file as pointwise elpds and any
-    wider one as a draws-by-observations log-likelihood matrix.
+    wider one as a draws-by-observations log-likelihood matrix. A file's
+    stem is its model id, so stems must be unique.
     """
+    stems = [Path(p).stem for p in paths]
+    for model_id in stems:
+        if stems.count(model_id) > 1:
+            same = ", ".join(str(p) for p in paths if Path(p).stem == model_id)
+            raise SchemaMismatch(f"model id {model_id!r} names several inputs: {same}")
     estimates = []
     for p in paths:
         model_id = Path(p).stem

@@ -217,7 +217,14 @@ def elpd_loo_exact(
         pointwise = _loo_downdate(data, prior)
     else:
         raise InvalidParameter(f"unknown method {method!r}")
-    return _estimate(pointwise, model_id)
+    # fsum over Python floats: the same correctly rounded sum, without one
+    # numpy scalar per element
+    return ElpdEstimate(
+        pointwise=pointwise,
+        estimate=math.fsum(pointwise.tolist()),
+        se=elpd_se(pointwise),
+        model_id=model_id,
+    )
 
 
 def elpd_loo_extensions(
@@ -225,16 +232,17 @@ def elpd_loo_extensions(
     prior: NigPrior,
     current: Sequence[int],
     candidates: Sequence[int],
-) -> list[ElpdEstimate]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact LOO elpd of the model on ``current`` extended by each candidate.
 
-    Returns what ``elpd_loo_exact(data.subset(current + (j,)), prior)``
-    returns for every ``j`` in ``candidates`` (pointwise within 1e-9), from
-    one inverse of the current model's posterior precision P. With the hat
-    matrix H = A P^-1 A', e = x - H x and s = x'e + 1/v0, adding column x
-    moves the leverages to h + e^2/s, the fitted values to mu + e (e'y)/s
-    and b_n to b_n - (e'y)^2/(2s); all candidates go through one BLAS-3
-    pass.
+    Returns ``(pointwise, estimates)``: column k of the n x c block
+    ``pointwise`` is what ``elpd_loo_exact(data.subset(current + (j,)),
+    prior).pointwise`` returns for the k-th candidate j (within 1e-9), and
+    ``estimates[k]`` is its ``math.fsum``. All come from one inverse of the
+    current model's posterior precision P. With the hat matrix
+    H = A P^-1 A', e = x - H x and s = x'e + 1/v0, adding column x moves the
+    leverages to h + e^2/s, the fitted values to mu + e (e'y)/s and b_n to
+    b_n - (e'y)^2/(2s); all candidates go through one BLAS-3 pass.
     Only candidates whose extended model breaches the closed form's guard
     (leverage >= 1 - 1e-10, a downdated scale <= 0, or s <= 0 from
     rounding) are scored on their own, by ``elpd_loo_exact``.
@@ -264,23 +272,15 @@ def elpd_loo_extensions(
         resid_ext, omh, b_n - ey**2 / (2.0 * s), prior.a0 + data.n / 2.0
     )
     ok &= s > 0
-    return [
-        _estimate(pointwise[:, k].copy())
-        if ok[k]
-        else elpd_loo_exact(data.subset(current + (j,)), prior)
-        for k, j in enumerate(candidates)
-    ]
-
-
-def _estimate(pointwise: np.ndarray, model_id: str = "model") -> ElpdEstimate:
-    # fsum over Python floats: the same correctly rounded sum, without one
-    # numpy scalar per element
-    return ElpdEstimate(
-        pointwise=pointwise,
-        estimate=math.fsum(pointwise.tolist()),
-        se=elpd_se(pointwise),
-        model_id=model_id,
+    for k in np.flatnonzero(~ok):
+        sub = data.subset(current + (candidates[k],))
+        pointwise[:, k] = elpd_loo_exact(sub, prior).pointwise
+    # fsum over Python floats, one column at a time: the correctly rounded
+    # sum keeps near-ties in a search's argmax stable
+    estimates = np.array(
+        [math.fsum(pointwise[:, k].tolist()) for k in range(len(candidates))]
     )
+    return pointwise, estimates
 
 
 def _loo_closed_form(resid, omh, b_n, a_n):

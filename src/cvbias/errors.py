@@ -53,10 +53,6 @@ class DegenerateWeights(CvBiasError, ValueError):
     """Importance weights could not be normalized."""
 
 
-class MissingCandidateDiffs(CvBiasError, ValueError):
-    """Search path lacks the per-step candidate diffs needed for correction."""
-
-
 class IncompletePath(CvBiasError, ValueError):
     """Stopping rule requires a search path run to its full size."""
 

@@ -55,6 +55,9 @@ def read_dataset_csv(path, target: str) -> Dataset:
     values, header = read_matrix_csv(path)
     if header is None:
         raise SchemaMismatch(f"{path}: dataset CSV needs a header row")
+    dups = sorted({c for c in header if header.count(c) > 1})
+    if dups:
+        raise SchemaMismatch(f"{path}: duplicate column names: {', '.join(dups)}")
     if target not in header:
         raise SchemaMismatch(
             f"{path}: target column {target!r} not found (columns: {', '.join(header)})"

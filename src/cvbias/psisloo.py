@@ -93,13 +93,19 @@ class ElpdDiff:
     se_diff: float
 
 
-def elpd_se(pointwise) -> float:
-    """Standard error of a pointwise elpd vector: sqrt(n/(n-1) * sum((x-mean)^2))."""
-    x = np.asarray(pointwise, dtype=float)
-    n = x.size
+def elpd_se(pointwise):
+    """Standard error of a pointwise elpd vector: sqrt(n/(n-1) * sum((x-mean)^2)).
+
+    A 2-d array (n x c) gives the c standard errors of its columns.
+    """
+    x = np.atleast_1d(np.asarray(pointwise, dtype=float))
+    n = x.shape[0]
     if n < 2:
         raise TooFewObservations("standard error needs at least 2 observations")
-    return float(np.sqrt(n / (n - 1.0) * np.sum((x - x.mean()) ** 2)))
+    # squaring in place keeps one centred copy alive, not two
+    d = x - x.mean(axis=0)
+    se = np.sqrt(n / (n - 1.0) * np.sum(np.square(d, out=d), axis=0))
+    return float(se) if x.ndim == 1 else se
 
 
 def mlpd(pointwise) -> float:

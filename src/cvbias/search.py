@@ -26,11 +26,10 @@ from .errors import (
     EmptyCandidateSet,
     IncompletePath,
     InvalidParameter,
-    MissingCandidateDiffs,
     SchemaMismatch,
 )
 from .orderstats import blom_max, check_multiplier, halfnormal_sigma
-from .psisloo import ElpdEstimate, elpd_se
+from .psisloo import elpd_se
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,11 @@ class SearchStep:
     candidates_evaluated: int
     raw_diff: float
     elpd_after: float
-    se_diff: float
     corrected_diff: float
     corrected_elpd_after: float
-    candidate_diffs: np.ndarray | None = None
-    candidate_ses: np.ndarray | None = None
-    pointwise: np.ndarray | None = None
+    candidate_diffs: np.ndarray
+    candidate_ses: np.ndarray
+    pointwise: np.ndarray
     threshold_at_step: float = 0.0
     bias_at_step: float = 0.0
     test_mlpd_after: float | None = None
@@ -63,9 +61,6 @@ class SearchPath:
     data: Dataset
     prior: NigPrior
     max_size: int
-    n_predictors: int
-    multiplier: float | None = None
-    alpha: float | None = None
     test_mlpd_base: float | None = None
 
     @property
@@ -154,20 +149,15 @@ class StopVerdicts:
         }
 
 
-def forward_search(
-    data: Dataset,
-    prior: NigPrior,
-    max_size: int,
-    scorer=None,
-) -> SearchPath:
-    """Greedy forward search maximizing the LOO elpd point estimate.
+def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
+    """Greedy forward search maximizing the exact LOO elpd point estimate.
 
-    ``scorer(cols)`` must return an ElpdEstimate for the model on predictor
-    subset ``cols``. By default each step scores all its candidates with
-    exact conjugate LOO in one ``elpd_loo_extensions`` call: one
-    factorization of the current model plus one BLAS-3 pass over the
-    candidate columns. Ties break to the lowest predictor index. Each
-    step's corrected fields hold its raw values until ``correct_path``.
+    Each step scores all its candidates in one ``elpd_loo_extensions``
+    call: one factorization of the current model plus one BLAS-3 pass over
+    the candidate columns. The diffs against the current model and their
+    paired standard errors come from that n x c block; only the chosen
+    column is kept. Ties break to the lowest predictor index. Each step's
+    corrected fields hold its raw values until ``correct_path``.
     """
     p = data.p
     if max_size > p:
@@ -175,38 +165,37 @@ def forward_search(
     if max_size < 1:
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
 
-    base = scorer(()) if scorer is not None else elpd_loo_exact(data.subset(()), prior)
-    prev = base
+    base = elpd_loo_exact(data.subset(()), prior)
+    prev_elpd, prev_pointwise = base.estimate, base.pointwise
     current: tuple[int, ...] = ()
     steps: list[SearchStep] = []
     for _ in range(max_size):
         cands = [j for j in range(p) if j not in current]
-        if scorer is None:
-            ests = elpd_loo_extensions(data, prior, current, cands)
-        else:
-            ests = [scorer(current + (j,)) for j in cands]
-        diffs = np.array([e.estimate - prev.estimate for e in ests])
-        ses = np.array(
-            [elpd_se(e.pointwise - prev.pointwise) for e in ests]
-        )
+        pointwise, estimates = elpd_loo_extensions(data, prior, current, cands)
+        diffs = estimates - prev_elpd
         best = int(np.argmax(diffs))
-        choice = ests[best]
+        # a copy, so that no step keeps the n x c block alive
+        chosen = pointwise[:, best].copy()
+        pointwise -= prev_pointwise[:, None]
+        ses = elpd_se(pointwise)
+        # free the block before the next step's kernel builds its own
+        del pointwise
+        elpd_after = float(estimates[best])
         steps.append(
             SearchStep(
                 predictor_added=cands[best],
                 candidates_evaluated=len(cands),
                 raw_diff=float(diffs[best]),
-                elpd_after=choice.estimate,
-                se_diff=float(ses[best]),
+                elpd_after=elpd_after,
                 corrected_diff=float(diffs[best]),
-                corrected_elpd_after=choice.estimate,
+                corrected_elpd_after=elpd_after,
                 candidate_diffs=diffs,
                 candidate_ses=ses,
-                pointwise=choice.pointwise,
+                pointwise=chosen,
             )
         )
         current += (cands[best],)
-        prev = choice
+        prev_elpd, prev_pointwise = elpd_after, chosen
 
     return SearchPath(
         steps=tuple(steps),
@@ -215,7 +204,6 @@ def forward_search(
         data=data,
         prior=prior,
         max_size=max_size,
-        n_predictors=p,
     )
 
 
@@ -236,10 +224,6 @@ def correct_path(
     compound and the first step is never corrected.
     """
     check_multiplier(multiplier)
-    if any(s.candidate_diffs is None for s in path.steps):
-        raise MissingCandidateDiffs(
-            "path steps lack candidate diffs; rerun forward_search"
-        )
     raw = path.raw_elpds()
     bulge_size = int(np.argmax(raw))
 
@@ -269,9 +253,7 @@ def correct_path(
                 post_bulge=post_bulge,
             )
         )
-    return replace(
-        path, steps=tuple(new_steps), multiplier=multiplier, alpha=alpha
-    )
+    return replace(path, steps=tuple(new_steps))
 
 
 def stopping_rules(path: SearchPath) -> StopVerdicts:
@@ -291,8 +273,6 @@ def stopping_rules(path: SearchPath) -> StopVerdicts:
     corrected_max_size = int(np.argmax(path.corrected_elpds()))
 
     pointwise = [path.base_pointwise] + [s.pointwise for s in path.steps]
-    if any(pw is None for pw in pointwise):
-        raise MissingCandidateDiffs("path steps lack pointwise elpds")
     bulge_pw = pointwise[bulge_size]
     two_sigma_size = bulge_size
     for size in range(bulge_size + 1):
@@ -303,8 +283,6 @@ def stopping_rules(path: SearchPath) -> StopVerdicts:
 
     def first_stop(m: float) -> int:
         for idx, s in enumerate(path.steps):
-            if s.candidate_diffs is None:
-                raise MissingCandidateDiffs("incremental rules need candidate diffs")
             if not np.any(s.candidate_diffs - m * s.candidate_ses >= 0.0):
                 return idx
         return len(path.steps)
@@ -319,11 +297,21 @@ def stopping_rules(path: SearchPath) -> StopVerdicts:
 
 
 def evaluate_test(path: SearchPath, test_data: Dataset) -> SearchPath:
-    """Fill per-size test mlpd by refitting each step's model on full training data."""
+    """Fill per-size test mlpd by refitting each step's model on full training data.
+
+    Predictors are matched by position, so when both datasets carry column
+    names they must be the same names in the same order.
+    """
     if test_data.p != path.data.p:
         raise SchemaMismatch(
             f"test data has {test_data.p} predictors, training had {path.data.p}"
         )
+    names = zip(path.data.columns or (), test_data.columns or ())
+    for i, (a, b) in enumerate(names, start=1):
+        if a != b:
+            raise SchemaMismatch(
+                f"test predictor {i} is {b!r} where training has {a!r}"
+            )
     cols: list[int] = []
     base_fit = fit(path.data.subset(()), path.prior)
     base_mlpd = float(np.mean(log_pred_dataset(base_fit, test_data.subset(()))))

@@ -191,8 +191,8 @@ def run_many_k(
                 )
             )
             base_est = elpd_loo_exact(ds.subset(()), prior)
-            cand_ests = elpd_loo_extensions(ds, prior, (), range(spec.K - 1))
-            diffs = np.array([e.estimate - base_est.estimate for e in cand_ests])
+            _, estimates = elpd_loo_extensions(ds, prior, (), range(spec.K - 1))
+            diffs = estimates - base_est.estimate
             selected = int(np.argmax(diffs))
             if diffs.size >= 2:
                 sigma_hat = halfnormal_sigma(diffs).sigma_hat

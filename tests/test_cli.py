@@ -144,6 +144,16 @@ class TestCompare:
         assert reads == []
         assert_one_line_error(capsys, word)
 
+    def test_duplicate_model_ids_fail(self, tmp_path, capsys):
+        paths = []
+        for i in range(3):
+            (tmp_path / f"m{i}").mkdir()
+            paths.append(
+                write_pointwise(tmp_path / f"m{i}" / "model.csv", np.full(5, float(i)))
+            )
+        assert main(["compare", *map(str, paths), "--baseline", "model"]) == 1
+        assert_one_line_error(capsys, "'model'")
+
     def test_csv_output(self, tmp_path):
         rng = np.random.default_rng(94)
         paths = [
@@ -186,6 +196,31 @@ class TestForward:
         argv = ["forward", str(data_csv), "--target", "y", "--test", str(data_csv)]
         assert main(argv) == 1
         assert_one_line_error(capsys, "singular")
+
+    def test_reordered_test_columns_fail(self, tmp_path, capsys):
+        rng = np.random.default_rng(97)
+        X = rng.standard_normal((60, 3))
+        y = X @ np.array([1.0, 0.5, 0.0]) + rng.standard_normal(60)
+        train = write_dataset(tmp_path / "train.csv", Dataset(X, y, columns=("a", "b", "c")))
+        test = write_dataset(
+            tmp_path / "test_perm.csv", Dataset(X[:, ::-1], y, columns=("c", "b", "a"))
+        )
+        argv = ["forward", str(train), "--target", "y", "--test", str(test)]
+        assert main(argv) == 1
+        assert_one_line_error(capsys, "'c'")
+
+    def test_duplicated_header_fails(self, tmp_path, capsys):
+        rng = np.random.default_rng(98)
+        X = rng.standard_normal((30, 2))
+        y = X[:, 0] + rng.standard_normal(30)
+        data_csv = tmp_path / "dup.csv"
+        with open(data_csv, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["a", "y", "b", "y"])
+            for row, yv in zip(X, y):
+                w.writerow([repr(float(v)) for v in (row[0], yv, row[1], yv)])
+        assert main(["forward", str(data_csv), "--target", "y"]) == 1
+        assert_one_line_error(capsys, "duplicate column names: y")
 
     def test_missing_target_column(self, toy_block, capsys):
         train, _ = toy_block

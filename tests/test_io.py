@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cvbias.errors import UnreadableInput
-from cvbias.io import read_matrix_csv
+from cvbias.errors import SchemaMismatch, UnreadableInput
+from cvbias.io import read_dataset_csv, read_matrix_csv
 
 
 def read_text(tmp_path, text, newline=None):
@@ -94,3 +94,12 @@ class TestReadMatrixCsv:
         got, _ = read_matrix_csv(path)
         assert got.shape == values.shape
         assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
+
+
+class TestReadDatasetCsv:
+    def test_duplicate_names_rejected(self, tmp_path):
+        # a second "y" would otherwise become a predictor: the target leaks
+        path = tmp_path / "d.csv"
+        path.write_text("a,y,b,y,b\n1,2,3,2,3\n4,5,6,5,6\n")
+        with pytest.raises(SchemaMismatch, match="duplicate column names: b, y"):
+            read_dataset_csv(path, "y")

@@ -9,9 +9,10 @@ from cvbias.errors import (
     IncompletePath,
     SchemaMismatch,
 )
-from cvbias.psisloo import ElpdEstimate, elpd_se
+from cvbias.psisloo import elpd_se
 from cvbias.search import (
     SearchPath,
+    SearchStep,
     correct_path,
     evaluate_test,
     forward_search,
@@ -32,8 +33,6 @@ def block_path():
 
 def synthetic_path(raw_diffs, candidate_diffs, base=0.0, ses=None):
     """Hand-built SearchPath for rule tests (no data refits needed)."""
-    from cvbias.search import SearchStep
-
     n_obs = 4
     steps = []
     cum = base
@@ -47,7 +46,6 @@ def synthetic_path(raw_diffs, candidate_diffs, base=0.0, ses=None):
                 candidates_evaluated=cd.size,
                 raw_diff=float(rd),
                 elpd_after=cum,
-                se_diff=1.0,
                 corrected_diff=float(rd),
                 corrected_elpd_after=cum,
                 candidate_diffs=cd,
@@ -63,7 +61,49 @@ def synthetic_path(raw_diffs, candidate_diffs, base=0.0, ses=None):
         data=data,
         prior=PRIOR,
         max_size=len(raw_diffs),
-        n_predictors=len(raw_diffs),
+    )
+
+
+def refit_search(data, prior, max_size):
+    """Greedy forward search over per-candidate refit LOO: the slow reference.
+
+    Every candidate model is scored on its own by ``elpd_loo_exact`` with
+    ``method="refit"`` (n refits each), so nothing here shares code with the
+    batched kernel beyond ``fit`` and ``log_pred``.
+    """
+    prev = elpd_loo_exact(data.subset(()), prior, method="refit")
+    base, current, steps = prev, (), []
+    for _ in range(max_size):
+        cands = [j for j in range(data.p) if j not in current]
+        ests = [
+            elpd_loo_exact(data.subset(current + (j,)), prior, method="refit")
+            for j in cands
+        ]
+        diffs = np.array([e.estimate - prev.estimate for e in ests])
+        ses = np.array([elpd_se(e.pointwise - prev.pointwise) for e in ests])
+        best = int(np.argmax(diffs))
+        prev = ests[best]
+        steps.append(
+            SearchStep(
+                predictor_added=cands[best],
+                candidates_evaluated=len(cands),
+                raw_diff=float(diffs[best]),
+                elpd_after=prev.estimate,
+                corrected_diff=float(diffs[best]),
+                corrected_elpd_after=prev.estimate,
+                candidate_diffs=diffs,
+                candidate_ses=ses,
+                pointwise=prev.pointwise,
+            )
+        )
+        current += (cands[best],)
+    return SearchPath(
+        steps=tuple(steps),
+        base_elpd=base.estimate,
+        base_pointwise=base.pointwise,
+        data=data,
+        prior=prior,
+        max_size=max_size,
     )
 
 
@@ -111,10 +151,7 @@ class TestForwardSearch:
     def test_batched_steps_match_per_candidate_path(self, prior):
         train, _ = gen_block(BlockDgpSpec(n=60, p=10, rho=0.6, seed=35))
         batched = forward_search(train, prior, max_size=10)
-        per_candidate = forward_search(
-            train, prior, max_size=10,
-            scorer=lambda cols: elpd_loo_exact(train.subset(cols), prior),
-        )
+        per_candidate = refit_search(train, prior, max_size=10)
         assert batched.predictors() == per_candidate.predictors()
         # before correct_path the corrected fields hold the raw values
         assert np.array_equal(batched.corrected_elpds(), batched.raw_elpds())
@@ -126,21 +163,12 @@ class TestForwardSearch:
             for field in ("candidate_diffs", "candidate_ses", "pointwise"):
                 assert np.max(np.abs(getattr(a, field) - getattr(b, field))) <= 1e-9
 
-    def test_custom_scorer(self):
-        # scorer that prefers predictor 2 regardless of data
-        data = Dataset(np.random.default_rng(34).standard_normal((10, 3)), np.zeros(10))
-
-        def scorer(cols):
-            score = 10.0 * (2 in cols) - len(cols)
-            return ElpdEstimate(
-                pointwise=np.full(10, score / 10.0),
-                estimate=score,
-                se=0.0,
-                model_id=str(cols),
-            )
-
-        path = forward_search(data, PRIOR, max_size=2, scorer=scorer)
-        assert path.steps[0].predictor_added == 2
+    def test_steps_keep_no_view_of_the_candidate_block(self, block_path):
+        # a view would keep each step's whole n x c block alive
+        path, _, _ = block_path
+        for s in path.steps:
+            assert s.pointwise.base is None
+            assert s.pointwise.shape == (path.n_obs,)
 
 
 class TestCorrectPath:
