@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -134,10 +135,13 @@ def cmd_compare(args) -> dict:
     ]
     for e in estimates:
         if e.khat_per_obs is not None:
+            # JSON has no infinities: an unfittable tail (+inf, "fail") or an
+            # all-constant model (-inf, "pass") is written as null
+            khat = float(np.max(e.khat_per_obs))
             diagnostics.append(
                 {
                     "name": f"psis_khat:{e.model_id}",
-                    "value": float(np.max(e.khat_per_obs)),
+                    "value": khat if math.isfinite(khat) else None,
                     "status": "pass" if e.reliable else "fail",
                 }
             )

@@ -244,8 +244,9 @@ def elpd_loo_extensions(
     leverages to h + e^2/s, the fitted values to mu + e (e'y)/s and b_n to
     b_n - (e'y)^2/(2s); all candidates go through one BLAS-3 pass.
     Only candidates whose extended model breaches the closed form's guard
-    (leverage >= 1 - 1e-10, a downdated scale <= 0, or s <= 0 from
-    rounding) are scored on their own, by ``elpd_loo_exact``.
+    (leverage >= 1 - 1e-10, a downdated scale <= 0, or s <= n*eps*x'x,
+    where s is rounding noise) are scored on their own, by
+    ``elpd_loo_exact``, which factorizes that model's precision.
     """
     current = tuple(current)
     candidates = list(candidates)
@@ -261,6 +262,8 @@ def elpd_loo_extensions(
     E = A @ (cov @ (A.T @ Xc))
     np.subtract(Xc, E, out=E)
     s = np.einsum("ij,ij->j", Xc, E) + 1.0 / prior.v0
+    # s >= 1/v0 in exact arithmetic; below n*eps*x'x it is rounding noise
+    s_floor = data.n * np.finfo(float).eps * np.einsum("ij,ij->j", Xc, Xc)
     del Xc
     ey = E.T @ y
     resid_ext = E * (ey / s)
@@ -271,7 +274,7 @@ def elpd_loo_extensions(
     pointwise, ok = _loo_closed_form(
         resid_ext, omh, b_n - ey**2 / (2.0 * s), prior.a0 + data.n / 2.0
     )
-    ok &= s > 0
+    ok &= s > s_floor
     for k in np.flatnonzero(~ok):
         sub = data.subset(current + (candidates[k],))
         pointwise[:, k] = elpd_loo_exact(sub, prior).pointwise

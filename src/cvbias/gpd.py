@@ -26,7 +26,8 @@ KHAT_CAP = 0.7
 # k-hat toward 0.5; both stabilise small tails without moving large ones.
 _PROFILE_PRIOR = 3.0
 _KHAT_PRIOR_DRAWS = 10.0
-_GRID_CHUNK = 512
+# doubles (128 KiB) in the profile grid's one working buffer
+_GRID_BUFFER = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,34 +67,54 @@ def fit_gpd(exceedances, cutoff: float = 0.0) -> GpdFit:
         )
     if x[0] <= 0 or not np.isfinite(x[-1]):
         raise NonPositiveExceedance("exceedances must be finite and > 0")
-
-    m = 30 * math.ceil(math.sqrt(n))
-    quartile = x[int(n / 4 + 0.5) - 1]
-    theta = 1.0 / x[-1] + (
-        1.0 - np.sqrt(m / (np.arange(1.0, m + 1) - 0.5))
-    ) / (_PROFILE_PRIOR * quartile)
-
-    # mean log1p(-theta*x) per grid point, chunked to bound memory
-    k_grid = np.empty(m)
-    for lo in range(0, m, _GRID_CHUNK):
-        hi = min(lo + _GRID_CHUNK, m)
-        k_grid[lo:hi] = np.log1p(-theta[lo:hi, None] * x).mean(axis=1)
-
-    log_lik = n * (np.log(-theta / k_grid) - k_grid - 1.0)
-    log_lik -= log_lik.max()
-    weights = np.exp(log_lik)
-    weights /= weights.sum()
-
-    theta_hat = float(np.sum(theta * weights))
-    k_hat = float(np.mean(np.log1p(-theta_hat * x)))
-    sigma_hat = -k_hat / theta_hat
-    k_hat = (n * k_hat + _KHAT_PRIOR_DRAWS * 0.5) / (n + _KHAT_PRIOR_DRAWS)
+    k_hat, sigma_hat = _fit_rows(x[None, :])
     return GpdFit(
-        k_hat=float(k_hat),
-        sigma_hat=float(sigma_hat),
+        k_hat=float(k_hat[0]),
+        sigma_hat=float(sigma_hat[0]),
         tail_size=int(n),
         cutoff=float(cutoff),
     )
+
+
+def _fit_rows(x: np.ndarray):
+    """``fit_gpd``'s (k_hat, sigma_hat) for every row of ``x``.
+
+    ``x`` is r x n: each row holds n ascending, finite, positive
+    exceedances. Row i gets exactly the floating-point operations that
+    ``fit_gpd(x[i])`` would, so its estimates are bit-identical.
+    """
+    r, n = x.shape
+    m = 30 * math.ceil(math.sqrt(n))
+    quartile = x[:, int(n / 4 + 0.5) - 1]
+    theta = 1.0 / x[:, -1:] + (
+        1.0 - np.sqrt(m / (np.arange(1.0, m + 1) - 0.5))
+    ) / (_PROFILE_PRIOR * quartile[:, None])
+
+    # mean log1p(-theta*x) per grid point, a few grid points at a time
+    # through one buffer that stays in cache
+    step = min(m, max(1, _GRID_BUFFER // n))
+    buf = np.empty(step * n)
+    neg_theta = -theta
+    k_grid = np.empty((r, m))
+    for i in range(r):
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            block = buf[: (hi - lo) * n].reshape(hi - lo, n)
+            np.multiply(neg_theta[i, lo:hi, None], x[i], out=block)
+            np.log1p(block, out=block)
+            np.add.reduce(block, axis=1, out=k_grid[i, lo:hi])
+    k_grid /= n
+
+    log_lik = n * (np.log(-theta / k_grid) - k_grid - 1.0)
+    log_lik -= log_lik.max(axis=1, keepdims=True)
+    weights = np.exp(log_lik)
+    weights /= weights.sum(axis=1, keepdims=True)
+
+    theta_hat = np.sum(theta * weights, axis=1)
+    k_hat = np.mean(np.log1p(-theta_hat[:, None] * x), axis=1)
+    sigma_hat = -k_hat / theta_hat
+    k_hat = (n * k_hat + _KHAT_PRIOR_DRAWS * 0.5) / (n + _KHAT_PRIOR_DRAWS)
+    return k_hat, sigma_hat
 
 
 def tail_cutoff(sample, max_tail_fraction: float = 0.2):
@@ -132,9 +153,14 @@ def khat_threshold(sample_size: int) -> float:
     return min(1.0 - 1.0 / math.log10(sample_size), KHAT_CAP)
 
 
-def gpd_quantile(p, k_hat: float, sigma_hat: float):
-    """Inverse CDF of the generalized Pareto distribution (location 0)."""
+def gpd_quantile(p, k_hat, sigma_hat):
+    """Inverse CDF of the generalized Pareto distribution (location 0).
+
+    ``k_hat`` and ``sigma_hat`` may be arrays that broadcast against ``p``.
+    """
     p = np.asarray(p, dtype=float)
-    if k_hat == 0.0:
-        return -sigma_hat * np.log1p(-p)
-    return sigma_hat * np.expm1(-k_hat * np.log1p(-p)) / k_hat
+    k = np.asarray(k_hat, dtype=float)
+    log_surv = np.log1p(-p)
+    zero = k == 0.0
+    q = sigma_hat * np.expm1(-k * log_surv) / np.where(zero, 1.0, k)
+    return np.where(zero, -sigma_hat * log_surv, q)

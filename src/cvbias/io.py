@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,26 +27,30 @@ def read_matrix_csv(path):
     """Read a numeric CSV; returns (values, header-or-None).
 
     The first non-blank line is a header unless every cell of it parses as
-    a float. The data rows are parsed by ``np.loadtxt``: cells may be
-    quoted, blank lines are skipped and ``#`` is an ordinary cell. A
-    non-numeric cell or a ragged row raises UnreadableInput.
+    a float; a UTF-8 byte-order mark before it is dropped. The rest of the
+    open file streams into ``np.loadtxt``: cells may be quoted, blank lines
+    are skipped and ``#`` is an ordinary cell. A non-numeric cell, a ragged
+    row or a file without data rows raises UnreadableInput.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip("\r\n")]
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            first = next((line for line in fh if line.strip("\r\n")), "")
+            cells = next(csv.reader([first]))
+            header = None
+            rows = itertools.chain([first], fh)
+            if not all(_is_float(c) for c in cells):
+                header = [c.strip() for c in cells]
+                rows = fh
+            with warnings.catch_warnings():
+                # loadtxt's only warning: the input held no data rows
+                warnings.simplefilter("error", UserWarning)
+                values = np.loadtxt(
+                    rows, delimiter=",", quotechar='"', comments=None, ndmin=2
+                )
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableInput(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise UnreadableInput(f"{path} is empty")
-    first = next(csv.reader(lines[:1]))
-    header = None
-    if not all(_is_float(c) for c in first):
-        header = [c.strip() for c in first]
-        lines = lines[1:]
-    if not lines:
-        raise UnreadableInput(f"{path} has a header but no data rows")
-    try:
-        values = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except UserWarning:
+        raise UnreadableInput(f"{path} has no data rows") from None
     except ValueError as exc:
         raise UnreadableInput(f"{path}: {exc}") from exc
     return values, header

@@ -22,7 +22,6 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     TooFewObservations,
-    TooFewSamples,
 )
 
 MIN_DRAWS_FOR_PSIS = 100
@@ -160,41 +159,51 @@ def smooth_log_weights(log_ratios, max_tail_fraction: float = 0.2):
     lw = lr - lr[-1]
     if lw[0] == lw[-1]:
         return lw, float("-inf")
-    w = np.exp(lw)
-    try:
-        cutoff, exceedances = gpd.tail_cutoff(w, max_tail_fraction)
-    except TooFewSamples:
-        return lw, float("inf")
-    m = exceedances.size
-    if m < gpd.MIN_TAIL_SIZE:
-        return lw, float("inf")
-    fit = gpd.fit_gpd(exceedances, cutoff=cutoff)
-    probs = (np.arange(m) + 0.5) / m
-    smoothed = cutoff + gpd.gpd_quantile(probs, fit.k_hat, fit.sigma_hat)
-    smoothed = np.minimum(smoothed, w[-1])
-    out = lw.copy()
-    out[-m:] = np.log(smoothed)
-    return out, float(fit.k_hat)
+    khat = _smooth_rows(lw[None, :], max_tail_fraction)
+    return lw, float(khat[0])
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))), shifted by the maximum so that no term overflows."""
-    m = a.max()
-    return m + math.log(np.exp(a - m).sum())
+def _smooth_rows(lw: np.ndarray, max_tail_fraction: float) -> np.ndarray:
+    """Pareto-smooth every row of ``lw`` in place; returns each row's k-hat.
+
+    Rows hold ascending log weights that end at 0. A row whose tail has
+    fewer than ``gpd.MIN_TAIL_SIZE`` exceedances (or that has fewer than 10
+    draws) is left as it is, with k-hat ``+inf``. Only the M + 1 largest
+    weights of a row, cutoff included, are exponentiated.
+    """
+    r, S = lw.shape
+    khat = np.full(r, np.inf)
+    if S < 10:
+        return khat
+    M = math.ceil(min(max_tail_fraction * S, 3.0 * math.sqrt(S)))
+    w = np.exp(lw[:, S - M - 1 :])
+    cutoff, tail = w[:, :1], w[:, 1:]
+    # ascending rows: the exceedances are a suffix, and ties at the cutoff
+    # shorten it
+    exceed = np.count_nonzero(tail > cutoff, axis=1)
+    for m in np.unique(exceed[exceed >= gpd.MIN_TAIL_SIZE]).tolist():
+        rows = np.flatnonzero(exceed == m)
+        c = cutoff[rows]
+        k, sigma = gpd._fit_rows(tail[rows, -m:] - c)
+        probs = (np.arange(m) + 0.5) / m
+        smoothed = c + gpd.gpd_quantile(probs, k[:, None], sigma[:, None])
+        np.minimum(smoothed, tail[rows, -1:], out=smoothed)
+        lw[rows, -m:] = np.log(smoothed)
+        khat[rows] = k
+    return khat
 
 
-def _elpd_column(ll, max_tail_fraction: float):
-    """LOO elpd and k-hat for one observation's log-likelihood column."""
-    if ll.max() == ll.min():
-        # constant integrand: importance weights are irrelevant
-        return float(ll[0]), float("-inf")
-    order = np.argsort(-ll, kind="stable")
-    ll_sorted = ll[order]
-    lw, khat = smooth_log_weights(-ll_sorted, max_tail_fraction)
-    value = float(_logsumexp(lw + ll_sorted) - _logsumexp(lw))
-    if not np.isfinite(value):
-        raise DegenerateWeights("importance weights failed to normalize")
-    return value, khat
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) of every row, shifted by its maximum; overwrites ``a``."""
+    top = a.max(axis=1, keepdims=True)
+    a -= top
+    np.exp(a, out=a)
+    return top[:, 0] + np.log(a.sum(axis=1))
+
+
+# draws x observations per block: each block's sorted copy and temporaries
+# stay small whatever the matrix size
+_BLOCK = 1 << 15
 
 
 def elpd_loo_psis(
@@ -205,8 +214,10 @@ def elpd_loo_psis(
     Per observation i the raw ratios exp(-loglik[:, i]) are normalized in
     log space, their largest weights Pareto-smoothed and truncated at the
     raw maximum, and elpd_i computed as the log of the self-normalized
-    importance-sampling estimate. Observations whose tail cannot be fit
-    carry ``khat = +inf`` instead of failing.
+    importance-sampling estimate. Each observation's draws are sorted
+    first, so the result does not depend on their order. Observations
+    whose tail cannot be fit carry ``khat = +inf`` instead of failing;
+    constant ones are exact and carry ``khat = -inf``.
     """
     if not isinstance(loglik, LogLikMatrix):
         loglik = LogLikMatrix(np.asarray(loglik, dtype=float), model_id or "model")
@@ -218,11 +229,27 @@ def elpd_loo_psis(
             f"use at least {MIN_DRAWS_FOR_PSIS}",
             stacklevel=2,
         )
-    n = loglik.n_obs
+    S, n = loglik.values.shape
     pointwise = np.empty(n)
     khat = np.empty(n)
-    for i in range(n):
-        pointwise[i], khat[i] = _elpd_column(loglik.values[:, i], max_tail_fraction)
+    width = max(1, _BLOCK // S)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        # ascending log ratios, one row per observation
+        lr = np.negative(loglik.values[:, lo:hi].T, order="C")
+        lr.sort(axis=1)
+        # a constant integrand needs no weights: elpd_i is its value
+        const = np.flatnonzero(lr[:, 0] == lr[:, -1])
+        exact = -lr[const, 0]
+        lw = lr - lr[:, -1:]
+        khat[lo:hi] = _smooth_rows(lw, max_tail_fraction)
+        # log weights plus log-likelihoods, into the ratios' buffer
+        np.subtract(lw, lr, out=lr)
+        pointwise[lo:hi] = _logsumexp_rows(lr) - _logsumexp_rows(lw)
+        pointwise[lo + const] = exact
+        khat[lo + const] = -np.inf
+    if not np.all(np.isfinite(pointwise)):
+        raise DegenerateWeights("importance weights failed to normalize")
     return ElpdEstimate(
         pointwise=pointwise,
         estimate=float(math.fsum(pointwise)),

@@ -36,6 +36,17 @@ def assert_one_line_error(capsys, word):
     assert err.count("\n") == 1
 
 
+def write_duplicate_columns(tmp_path: Path, seed: int) -> Path:
+    # two identical columns of scale 1e9: 1/v0 is lost beside A'A, so the
+    # posterior precision of {a, b} is singular in floating point
+    rng = np.random.default_rng(seed)
+    a = 1e9 * rng.standard_normal(20)
+    return write_dataset(
+        tmp_path / "dup.csv",
+        Dataset(np.column_stack([a, a]), rng.standard_normal(20), columns=("a", "b")),
+    )
+
+
 @pytest.fixture
 def toy_block(tmp_path):
     train, test = gen_block(
@@ -154,6 +165,30 @@ class TestCompare:
         assert main(["compare", *map(str, paths), "--baseline", "model"]) == 1
         assert_one_line_error(capsys, "'model'")
 
+    def test_non_finite_khat_written_as_null(self, tmp_path, capsys):
+        # one distinct low draw in 200 leaves a single exceedance: k-hat is
+        # +inf; a model of constant columns has k-hat -inf everywhere
+        rng = np.random.default_rng(99)
+        paths = []
+        for i in range(3):
+            ll = rng.standard_normal((200, 6)) * 0.2 - 1.0
+            ll[:, 2] = -1.0
+            ll[17 * i, 2] = -4.0 - i
+            paths.append(tmp_path / f"m{i}.csv")
+            paths[-1].write_text("\n".join(",".join(map(repr, r)) for r in ll.tolist()))
+        flat = np.tile(np.linspace(-1.5, -0.5, 6), (200, 1))
+        paths.append(tmp_path / "flat.csv")
+        paths[-1].write_text("\n".join(",".join(map(repr, r)) for r in flat.tolist()))
+        out = tmp_path / "compare.json"
+        assert main(["compare", *map(str, paths), "--output", str(out)]) == 0
+        diags = {d["name"]: d for d in json.loads(out.read_text())["diagnostics"]}
+        for i in range(3):
+            assert diags[f"psis_khat:m{i}"] == {
+                "name": f"psis_khat:m{i}", "value": None, "status": "fail"
+            }
+        assert diags["psis_khat:flat"]["value"] is None
+        assert diags["psis_khat:flat"]["status"] == "pass"
+
     def test_csv_output(self, tmp_path):
         rng = np.random.default_rng(94)
         paths = [
@@ -185,17 +220,23 @@ class TestForward:
         assert all(0 <= verdicts[k] <= 3 for k in verdicts)
 
     def test_singular_posterior_fails_with_one_line(self, tmp_path, capsys):
-        # two identical columns of scale 1e9: 1/v0 is lost beside A'A, so
-        # the posterior precision of {a, b} is singular in floating point
-        rng = np.random.default_rng(96)
-        a = 1e9 * rng.standard_normal(20)
-        data_csv = write_dataset(
-            tmp_path / "dup.csv",
-            Dataset(np.column_stack([a, a]), rng.standard_normal(20), columns=("a", "b")),
-        )
+        data_csv = write_duplicate_columns(tmp_path, seed=96)
         argv = ["forward", str(data_csv), "--target", "y", "--test", str(data_csv)]
         assert main(argv) == 1
         assert_one_line_error(capsys, "singular")
+
+    def test_singular_extension_fails_the_same_without_test(self, tmp_path, capsys):
+        # the LOO kernel must not score {a, b} from rounding noise in s while
+        # the test-set refit of that model finds its precision singular (at
+        # this seed s is positive but far below n*eps*x'x)
+        data_csv = write_duplicate_columns(tmp_path, seed=90)
+        argv = ["forward", str(data_csv), "--target", "y"]
+        errors = []
+        for extra in ([], ["--test", str(data_csv)]):
+            assert main(argv + extra) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("cvbias: error:") and "singular" in errors[0]
 
     def test_reordered_test_columns_fail(self, tmp_path, capsys):
         rng = np.random.default_rng(97)

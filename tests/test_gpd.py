@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvbias import gpd
 from cvbias.errors import NonPositiveExceedance, TooFewSamples, TooFewTailSamples
 from cvbias.gpd import (
     GpdFit,
@@ -16,6 +19,25 @@ from cvbias.gpd import (
 def sample_gpd(k, sigma, n, seed):
     rng = np.random.default_rng(seed)
     return gpd_quantile(rng.uniform(size=n), k, sigma)
+
+
+def unbuffered_fit(x):
+    """(k_hat, sigma_hat) with the whole profile grid in one temporary."""
+    x = np.sort(x)
+    n = x.size
+    m = 30 * math.ceil(math.sqrt(n))
+    quartile = x[int(n / 4 + 0.5) - 1]
+    theta = 1.0 / x[-1] + (1.0 - np.sqrt(m / (np.arange(1.0, m + 1) - 0.5))) / (
+        3.0 * quartile
+    )
+    k_grid = np.log1p(-theta[:, None] * x).mean(axis=1)
+    log_lik = n * (np.log(-theta / k_grid) - k_grid - 1.0)
+    log_lik -= log_lik.max()
+    weights = np.exp(log_lik)
+    weights /= weights.sum()
+    theta_hat = float(np.sum(theta * weights))
+    k_hat = float(np.mean(np.log1p(-theta_hat * x)))
+    return (n * k_hat + 10.0 * 0.5) / (n + 10.0), -k_hat / theta_hat
 
 
 class TestFitGpd:
@@ -62,6 +84,34 @@ class TestFitGpd:
             for s in range(25)
         )
         assert hits >= 24
+
+    @given(
+        st.integers(5, 3000),
+        st.floats(-0.5, 1.5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grid_buffer_changes_no_bit(self, n, k, seed):
+        # grids of up to 1650 x 3000 points pass through the 2^14-double buffer
+        x = sample_gpd(k, 1.0, n, seed)
+        x = x[x > 0]
+        if x.size < 5:
+            return
+        fit = fit_gpd(x)
+        assert (fit.k_hat, fit.sigma_hat) == unbuffered_fit(x)
+
+    @given(st.integers(5, 400), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_one_dimensional_fit(self, n, r, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(
+            gpd_quantile(rng.uniform(size=(r, n)), rng.uniform(-0.3, 1.2), 1.0),
+            axis=1,
+        ) + 1e-3
+        k_rows, sigma_rows = gpd._fit_rows(x)
+        for i in range(r):
+            fit = fit_gpd(x[i])
+            assert (k_rows[i], sigma_rows[i]) == (fit.k_hat, fit.sigma_hat)
 
     def test_records_cutoff_and_tail_size(self):
         x = sample_gpd(0.1, 1.0, 50, seed=5)
@@ -123,6 +173,16 @@ class TestGpdQuantile:
     def test_k0_matches_exponential(self):
         p = np.array([0.1, 0.5, 0.9])
         assert gpd_quantile(p, 0.0, 2.0) == pytest.approx(-2.0 * np.log1p(-p))
+
+    def test_array_shapes_match_scalar_calls(self):
+        p = (np.arange(7) + 0.5) / 7
+        k = np.array([[-0.3], [0.0], [0.45]])
+        sigma = np.array([[2.0], [0.5], [1.5]])
+        rows = gpd_quantile(p, k, sigma)
+        assert rows.shape == (3, 7)
+        for i in range(3):
+            one = gpd_quantile(p, float(k[i, 0]), float(sigma[i, 0]))
+            assert np.array_equal(rows[i], one)
 
     def test_inverse_of_cdf(self):
         # CDF(q(p)) == p for k != 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,19 @@ class TestReadMatrixCsv:
         with pytest.raises(UnreadableInput, match="m.csv"):
             read_text(tmp_path, text)
 
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,4\n5,6\n")
+        values, header = read_matrix_csv(path)
+        assert header is None
+        assert values.tolist() == [[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_empty_input_is_unreadable_not_a_warning(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnreadableInput, match="no data rows"):
+                read_text(tmp_path, "a,b\n\n")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(UnreadableInput, match="cannot read"):
             read_matrix_csv(tmp_path / "absent.csv")
@@ -97,6 +112,13 @@ class TestReadMatrixCsv:
 
 
 class TestReadDatasetCsv:
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes("x,y\n1,2\n3,5\n4,4\n".encode("utf-8-sig"))
+        data = read_dataset_csv(path, "x")
+        assert data.columns == ("y",)
+        assert data.y.tolist() == [1.0, 3.0, 4.0]
+
     def test_duplicate_names_rejected(self, tmp_path):
         # a second "y" would otherwise become a predictor: the target leaks
         path = tmp_path / "d.csv"

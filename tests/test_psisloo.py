@@ -1,3 +1,6 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
-from cvbias import conjlm, psisloo
+from cvbias import conjlm, gpd, psisloo
 from cvbias.errors import (
+    DegenerateWeights,
     EmptyVector,
     NonFiniteInput,
     ShapeMismatch,
     TooFewObservations,
+    TooFewSamples,
 )
 from cvbias.psisloo import (
     LogLikMatrix,
@@ -21,6 +26,107 @@ from cvbias.psisloo import (
     mlpd,
     smooth_log_weights,
 )
+
+
+def oracle_smooth(lr, max_tail_fraction=0.2):
+    """One column's Pareto smoothing through the 1-d tail and GPD calls."""
+    lw = lr - lr[-1]
+    if lw[0] == lw[-1]:
+        return lw, float("-inf")
+    w = np.exp(lw)
+    try:
+        cutoff, exceedances = gpd.tail_cutoff(w, max_tail_fraction)
+    except TooFewSamples:
+        return lw, float("inf")
+    m = exceedances.size
+    if m < gpd.MIN_TAIL_SIZE:
+        return lw, float("inf")
+    fit = gpd.fit_gpd(exceedances, cutoff=cutoff)
+    probs = (np.arange(m) + 0.5) / m
+    smoothed = cutoff + gpd.gpd_quantile(probs, fit.k_hat, fit.sigma_hat)
+    out = lw.copy()
+    out[-m:] = np.log(np.minimum(smoothed, w[-1]))
+    return out, fit.k_hat
+
+
+def oracle_logsumexp(a):
+    m = a.max()
+    return m + math.log(np.exp(a - m).sum())
+
+
+def oracle_column(ll, max_tail_fraction=0.2):
+    """PSIS-LOO elpd and k-hat of one column, one observation at a time."""
+    if ll.max() == ll.min():
+        return float(ll[0]), float("-inf")
+    ll_sorted = ll[np.argsort(-ll, kind="stable")]
+    lw, khat = oracle_smooth(-ll_sorted, max_tail_fraction)
+    value = float(oracle_logsumexp(lw + ll_sorted) - oracle_logsumexp(lw))
+    if not np.isfinite(value):
+        raise DegenerateWeights("importance weights failed to normalize")
+    return value, khat
+
+
+def oracle_psis(ll, max_tail_fraction=0.2):
+    cols = [oracle_column(ll[:, i], max_tail_fraction) for i in range(ll.shape[1])]
+    return np.array([c[0] for c in cols]), np.array([c[1] for c in cols])
+
+
+def assert_same_bits(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+def assert_matches_oracle(ll, max_tail_fraction=0.2):
+    """The block kernel and the column loop agree, or both raise.
+
+    Returns the block kernel's estimate, or None when both raised.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            pointwise, khat = oracle_psis(ll, max_tail_fraction)
+        except DegenerateWeights:
+            # e.g. a tail of tied exceedances puts theta = 0 on the GPD grid
+            with pytest.raises(DegenerateWeights):
+                elpd_loo_psis(ll, max_tail_fraction=max_tail_fraction)
+            return None
+        est = elpd_loo_psis(ll, max_tail_fraction=max_tail_fraction)
+    np.testing.assert_allclose(est.pointwise, pointwise, rtol=0.0, atol=1e-12)
+    assert_same_bits(est.khat_per_obs, khat)
+    return est
+
+
+def heavy_tailed_column(S=1000):
+    """Log-likelihoods whose tail weights reach down to subnormal numbers.
+
+    The largest weight is 1 and most exceedances are subnormal, so the GPD
+    grid's 1/quartile overflows and the smoothed weights are NaN.
+    """
+    lr = np.full(S, -1000.0)
+    lr[-95:-40] = -740.0
+    lr[-40:] = np.linspace(-10.0, 0.0, 40)
+    return -lr
+
+
+@st.composite
+def loglik_matrices(draw):
+    """Draws x observations with ties, constant columns and heavy tails."""
+    S = draw(st.integers(100, 600))
+    n = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    df = draw(st.sampled_from([1.0, 3.0, 30.0]))
+    ll = rng.standard_t(df, size=(S, n)) * draw(st.floats(0.01, 5.0)) - 1.0
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    if decimals is not None:
+        # coarse rounding ties the largest weights, so tails shorten
+        ll = np.round(ll, decimals)
+    constant = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ll[:, constant] = ll[0, constant]
+    return ll
+
 
 finite_vectors = hnp.arrays(
     np.float64,
@@ -119,7 +225,10 @@ class TestLogSumExp:
     @given(hnp.arrays(np.float64, st.integers(1, 200), elements=st.floats(-1e3, 1e3)))
     @settings(max_examples=300)
     def test_matches_scipy(self, a):
-        assert abs(psisloo._logsumexp(a) - logsumexp(a)) <= 1e-12
+        rows = np.stack([a, a[::-1], a - 7.5])
+        expected = [logsumexp(r) for r in rows]
+        got = psisloo._logsumexp_rows(rows.copy())
+        assert np.all(np.abs(got - expected) <= 1e-12)
 
 
 class TestSmoothing:
@@ -138,6 +247,17 @@ class TestSmoothing:
     def test_tiny_sample_flagged_plus_inf(self):
         _, khat = smooth_log_weights(np.arange(8.0))
         assert khat == np.inf
+
+    @given(loglik_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_column_oracle(self, ll):
+        for i in range(ll.shape[1]):
+            lr = np.sort(-ll[:, i])
+            with np.errstate(all="ignore"):
+                lw, khat = smooth_log_weights(lr)
+                lw_ref, khat_ref = oracle_smooth(lr)
+            assert_same_bits(lw, lw_ref)
+            assert_same_bits(khat, khat_ref)
 
 
 class TestElpdLooPsis:
@@ -174,6 +294,66 @@ class TestElpdLooPsis:
         obs_perm = rng.permutation(6)
         perm_obs = elpd_loo_psis(ll[:, obs_perm])
         assert perm_obs.pointwise == pytest.approx(base.pointwise[obs_perm], rel=1e-12)
+
+    @given(loglik_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_block_kernel_matches_column_loop(self, ll):
+        assert_matches_oracle(ll)
+
+    @given(loglik_matrices(), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_that_split_a_wide_matrix(self, ll, width):
+        # blocks of `width` observations, the last one possibly narrower
+        with mock.patch.object(psisloo, "_BLOCK", width * ll.shape[0]):
+            assert_matches_oracle(ll)
+
+    @given(loglik_matrices(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_draw_permutation_changes_no_bit(self, ll, seed):
+        shuffled = ll[np.random.default_rng(seed).permutation(ll.shape[0])]
+        with np.errstate(all="ignore"):
+            try:
+                base = elpd_loo_psis(ll)
+            except DegenerateWeights:
+                with pytest.raises(DegenerateWeights):
+                    elpd_loo_psis(shuffled)
+                return
+            perm = elpd_loo_psis(shuffled)
+        assert_same_bits(perm.pointwise, base.pointwise)
+        assert_same_bits(perm.khat_per_obs, base.khat_per_obs)
+
+    def test_tied_tails_shorten_the_fit(self):
+        # 200 tied draws at the cutoff leave 60 of M = 190 exceedances
+        rng = np.random.default_rng(7)
+        S = 4000
+        ll = rng.standard_normal((S, 3)) - 1.0
+        ll[:, 1] = 0.0
+        ll[:60, 1] = -5.0 - rng.exponential(size=60)
+        ll[60:260, 1] = -5.0
+        lr = np.sort(-ll[:, 1])
+        w = np.exp(lr - lr[-1])
+        _, exceedances = gpd.tail_cutoff(w)
+        assert exceedances.size == 60
+        est = assert_matches_oracle(ll)
+        assert np.isfinite(est.khat_per_obs).all()
+
+    @pytest.mark.parametrize("S", [8, 15])
+    def test_too_few_draws_or_exceedances_are_plus_inf(self, S):
+        # S < 10 has no tail cutoff; at S = 15 the tail holds M = 3 < 5
+        ll = np.random.default_rng(S).standard_normal((S, 4))
+        ll[:, 2] = -2.0
+        with pytest.warns(UserWarning, match="draws"):
+            est = assert_matches_oracle(ll)
+        assert est.khat_per_obs.tolist() == [np.inf, np.inf, -np.inf, np.inf]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_subnormal_tail_raises_on_both_paths(self):
+        ll = np.random.default_rng(8).standard_normal((1000, 3))
+        ll[:, 1] = heavy_tailed_column(1000)
+        with pytest.raises(DegenerateWeights):
+            oracle_column(ll[:, 1])
+        with pytest.raises(DegenerateWeights):
+            elpd_loo_psis(ll)
 
     def test_agrees_with_exact_loo(self):
         # conjugate model: PSIS on analytic-posterior draws vs exact LOO
