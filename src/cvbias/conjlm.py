@@ -11,10 +11,12 @@ P = A'A + I/v0, formed once per fit. The posterior mean, the leverages, the
 predictive density and ``draw_posterior`` all read that one matrix.
 
 ``elpd_loo_extensions`` scores every one-column extension of a model in one
-call, as a forward-search step needs: one inverse of the current model's
-precision, one BLAS-3 pass that updates leverages, fitted values and
-scale for all candidate columns at once (block-inverse identity), and the
-closed-form LOO on the n x c block.
+call, as a forward-search step needs: one BLAS-3 pass over the current
+model's P^-1 that updates leverages, fitted values and scale for all
+candidate columns at once (block-inverse identity), and the closed-form
+LOO on the n x c block. A forward search carries the chosen extension's
+posterior to the next step by bordering P^-1 with that column's terms, so
+only its starting model is factorized.
 """
 
 from __future__ import annotations
@@ -76,7 +78,12 @@ class Dataset:
     def subset(self, cols: Sequence[int]) -> "Dataset":
         cols = tuple(cols)
         names = tuple(self.columns[c] for c in cols) if self.columns else None
-        return Dataset(self.X[:, cols], self.y, self.intercept, names)
+        # columns of a validated dataset are finite: skip __post_init__
+        sub = object.__new__(Dataset)
+        sub.__dict__.update(
+            X=self.X[:, cols], y=self.y, intercept=self.intercept, columns=names
+        )
+        return sub
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,11 @@ def _leverages(A: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A @ cov, A)
 
 
-def _student_t_logpdf(y, loc, scale2, df):
+def _predictive_logpdf(y, loc, leverage, a_n, b_n):
+    """Student-t posterior predictive log density of ``y`` at design rows
+    with location x'mean_n ``loc`` and leverage x'P^-1x ``leverage``."""
+    scale2 = (b_n / a_n) * (1.0 + leverage)
+    df = 2.0 * a_n
     z2 = (y - loc) ** 2 / scale2
     return (
         math.lgamma((df + 1.0) / 2.0)
@@ -185,8 +196,7 @@ def log_pred(fit_: PosteriorFit, x_new, y_new):
         )
     y = np.asarray(y_new, dtype=float)
     loc = x @ fit_.mean_n
-    scale2 = (fit_.b_n / fit_.a_n) * (1.0 + _leverages(x, fit_.cov))
-    out = _student_t_logpdf(y, loc, scale2, 2.0 * fit_.a_n)
+    out = _predictive_logpdf(y, loc, _leverages(x, fit_.cov), fit_.a_n, fit_.b_n)
     if np.ndim(y_new) == 0 and np.ndim(x_new) == 1:
         return float(out[0])
     return out
@@ -238,52 +248,160 @@ def elpd_loo_extensions(
     Returns ``(pointwise, estimates)``: column k of the n x c block
     ``pointwise`` is what ``elpd_loo_exact(data.subset(current + (j,)),
     prior).pointwise`` returns for the k-th candidate j (within 1e-9), and
-    ``estimates[k]`` is its ``math.fsum``. All come from one inverse of the
-    current model's posterior precision P. With the hat matrix
-    H = A P^-1 A', e = x - H x and s = x'e + 1/v0, adding column x moves the
-    leverages to h + e^2/s, the fitted values to mu + e (e'y)/s and b_n to
-    b_n - (e'y)^2/(2s); all candidates go through one BLAS-3 pass.
-    Only candidates whose extended model breaches the closed form's guard
-    (leverage >= 1 - 1e-10, a downdated scale <= 0, or s <= n*eps*x'x,
-    where s is rounding noise) are scored on their own, by
-    ``elpd_loo_exact``, which factorizes that model's precision.
+    ``estimates[k]`` is its ``math.fsum``, bit for bit. One inverse of the
+    current model's posterior precision P serves all candidates (see
+    ``_score_extensions``).
     """
-    current = tuple(current)
-    candidates = list(candidates)
     if data.n < 3:
         raise TooFewObservations("exact LOO needs at least 3 observations")
-    A = data.subset(current).design()
-    y = data.y
-    cov, _, resid, b_n = _posterior(A, y, prior)
-    h = _leverages(A, cov)
+    model = _factorize(data, prior, current)
+    pointwise, estimates, *_ = _score_extensions(data, prior, model, candidates)
+    return pointwise, estimates
+
+
+class _Model(NamedTuple):
+    """One model's posterior, carried from one forward-search step to the next.
+
+    ``cols`` are its predictors, ``A`` its design, ``cov`` the inverse
+    P^-1 of its posterior precision, ``h`` the leverages diag(A P^-1 A')
+    and ``resid`` the residuals y - A mean_n.
+    """
+
+    cols: tuple[int, ...]
+    A: np.ndarray
+    cov: np.ndarray
+    mean_n: np.ndarray
+    h: np.ndarray
+    resid: np.ndarray
+    b_n: float
+
+
+def _factorize(data: Dataset, prior: NigPrior, cols: Sequence[int]) -> _Model:
+    """The model on ``cols`` from one inverse of its posterior precision."""
+    cols = tuple(cols)
+    A = data.subset(cols).design()
+    cov, mean_n, resid, b_n = _posterior(A, data.y, prior)
+    return _Model(cols, A, cov, mean_n, _leverages(A, cov), resid, b_n)
+
+
+def _border_terms(model: _Model, X: np.ndarray, y: np.ndarray, prior: NigPrior):
+    """Terms of extending ``model`` by each column x of ``X``.
+
+    Returns U = P^-1 A'X, E = X - A U (columns e = x - H x for the hat
+    matrix H), s = x'e + 1/v0, E'y, and where s is rounding noise: s >= 1/v0
+    in exact arithmetic, so s <= n*eps*x'x means the extended precision is
+    singular in floating point.
+    """
+    U = model.cov @ (model.A.T @ X)
+    E = model.A @ U
+    np.subtract(X, E, out=E)
+    s = np.einsum("ij,ij->j", X, E) + 1.0 / prior.v0
+    noise = s <= X.shape[0] * np.finfo(float).eps * np.einsum("ij,ij->j", X, X)
+    return U, E, s, E.T @ y, noise
+
+
+def _border(model: _Model, j: int, x: np.ndarray, u, s, ey) -> _Model:
+    """``model`` extended by predictor ``j`` with column ``x``, by bordering.
+
+    With u = P^-1 A'x, e = x - A u and g = e'y/s: P^-1 gains u u'/s, -u/s
+    and 1/s, the mean becomes (mean_n - u g, g), the leverages h + e^2/s,
+    the residuals r - e g and b_n falls by (e'y)^2/(2s).
+    """
+    e = x - model.A @ u
+    g = ey / s
+    d = u.size
+    cov = np.empty((d + 1, d + 1))
+    cov[:d, :d] = np.outer(u, u)
+    cov[:d, :d] /= s
+    cov[:d, :d] += model.cov
+    cov[:d, d] = cov[d, :d] = -u / s
+    cov[d, d] = 1.0 / s
+    return _Model(
+        cols=model.cols + (j,),
+        A=np.column_stack([model.A, x]),
+        cov=cov,
+        mean_n=np.append(model.mean_n - u * g, g),
+        h=model.h + e**2 / s,
+        resid=model.resid - e * g,
+        b_n=model.b_n - ey**2 / (2.0 * s),
+    )
+
+
+def _score_extensions(
+    data: Dataset, prior: NigPrior, model: _Model, candidates: Sequence[int]
+):
+    """Exact LOO of ``model`` extended by each candidate, from its P^-1.
+
+    Returns ``(pointwise, estimates, U, s, ey, ok)``: the n x c block, its
+    column sums and, per candidate, ``_border_terms``' U, s and e'y and
+    whether the closed form held. Adding column x moves the leverages to
+    h + e^2/s, the residuals to r - e (e'y)/s and b_n to b_n - (e'y)^2/(2s);
+    all candidates go through one BLAS-3 pass. Only candidates whose
+    extended model breaches the closed form's guard (leverage >= 1 - 1e-10,
+    a downdated scale <= 0, or s rounding noise) are scored on their own,
+    by ``elpd_loo_exact``, which factorizes that model's precision.
+    """
+    candidates = list(candidates)
     Xc = data.X[:, candidates]
+    U, E, s, ey, noise = _border_terms(model, Xc, data.y, prior)
     # in-place updates keep at most three n x c arrays alive at once, so
     # peak memory stays near that of a single-candidate fit
-    E = A @ (cov @ (A.T @ Xc))
-    np.subtract(Xc, E, out=E)
-    s = np.einsum("ij,ij->j", Xc, E) + 1.0 / prior.v0
-    # s >= 1/v0 in exact arithmetic; below n*eps*x'x it is rounding noise
-    s_floor = data.n * np.finfo(float).eps * np.einsum("ij,ij->j", Xc, Xc)
     del Xc
-    ey = E.T @ y
     resid_ext = E * (ey / s)
-    np.subtract(resid[:, None], resid_ext, out=resid_ext)
+    np.subtract(model.resid[:, None], resid_ext, out=resid_ext)
     omh = np.square(E, out=E)
     omh /= s
-    np.subtract((1.0 - h)[:, None], omh, out=omh)
+    np.subtract((1.0 - model.h)[:, None], omh, out=omh)
     pointwise, ok = _loo_closed_form(
-        resid_ext, omh, b_n - ey**2 / (2.0 * s), prior.a0 + data.n / 2.0
+        resid_ext, omh, model.b_n - ey**2 / (2.0 * s), prior.a0 + data.n / 2.0
     )
-    ok &= s > s_floor
+    ok &= ~noise
+    del E, omh
     for k in np.flatnonzero(~ok):
-        sub = data.subset(current + (candidates[k],))
+        sub = data.subset(model.cols + (candidates[k],))
         pointwise[:, k] = elpd_loo_exact(sub, prior).pointwise
-    # fsum over Python floats, one column at a time: the correctly rounded
-    # sum keeps near-ties in a search's argmax stable
-    estimates = np.array(
-        [math.fsum(pointwise[:, k].tolist()) for k in range(len(candidates))]
-    )
-    return pointwise, estimates
+    return pointwise, _column_fsums(pointwise), U, s, ey, ok
+
+
+def _column_fsums(block: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every column of ``block``, bit for bit, in one pass.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 2008): with
+    sigma = 2^(ceil(log2 max|col|) + ceil(log2(n + 2))), the high parts
+    q = (sigma + x) - sigma of a column sum exactly in any order, and
+    x - q is exact. Passes repeat on the remainders until they are all
+    zero; ``math.fsum`` of a column's few exact partial sums is then the
+    correctly rounded total. Non-finite columns, and columns whose sigma
+    would overflow, are summed by ``math.fsum`` directly.
+    """
+    n, c = block.shape
+    shift = math.ceil(math.log2(n + 2))
+    out = np.empty(c)
+
+    def ceil_log2(top):
+        mant, expo = np.frexp(top)
+        return expo - (mant == 0.5)
+
+    top = np.max(np.abs(block), axis=0)
+    fast = np.isfinite(top)
+    fast[fast] = ceil_log2(top[fast]) + shift <= 1023
+    for k in np.flatnonzero(~fast):
+        out[k] = math.fsum(block[:, k].tolist())
+    cols = np.flatnonzero(fast)
+    r = block[:, cols]
+    q = np.empty_like(r)
+    top = top[cols]
+    partials = [np.zeros(cols.size)]
+    while top.any():
+        sigma = np.ldexp(1.0, ceil_log2(top) + shift)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        partials.append(q.sum(axis=0))
+        top = np.abs(r, out=q).max(axis=0)
+    out[cols] = [math.fsum(col) for col in np.array(partials).T.tolist()]
+    return out
 
 
 def _loo_closed_form(resid, omh, b_n, a_n):

@@ -52,6 +52,10 @@ def fit_gpd(exceedances, cutoff: float = 0.0) -> GpdFit:
     weighted by profile likelihood, then (k, sigma) are recovered from the
     posterior-mean theta.
 
+    A tail that cannot be fitted in floating point, such as one whose
+    lower quartile is subnormal, gets ``k_hat = +inf`` and
+    ``sigma_hat = nan``.
+
     Raises
     ------
     TooFewTailSamples
@@ -81,39 +85,55 @@ def _fit_rows(x: np.ndarray):
 
     ``x`` is r x n: each row holds n ascending, finite, positive
     exceedances. Row i gets exactly the floating-point operations that
-    ``fit_gpd(x[i])`` would, so its estimates are bit-identical.
+    ``fit_gpd(x[i])`` would, so its estimates are bit-identical. A row that
+    cannot be fitted in floating point (a subnormal quartile) gets
+    k_hat = +inf and sigma_hat = nan.
     """
     r, n = x.shape
     m = 30 * math.ceil(math.sqrt(n))
     quartile = x[:, int(n / 4 + 0.5) - 1]
-    theta = 1.0 / x[:, -1:] + (
-        1.0 - np.sqrt(m / (np.arange(1.0, m + 1) - 0.5))
-    ) / (_PROFILE_PRIOR * quartile[:, None])
+    # a subnormal quartile overflows theta: its row is reported unfittable
+    # below, so no floating-point warning escapes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        theta = 1.0 / x[:, -1:] + (
+            1.0 - np.sqrt(m / (np.arange(1.0, m + 1) - 0.5))
+        ) / (_PROFILE_PRIOR * quartile[:, None])
 
-    # mean log1p(-theta*x) per grid point, a few grid points at a time
-    # through one buffer that stays in cache
-    step = min(m, max(1, _GRID_BUFFER // n))
-    buf = np.empty(step * n)
-    neg_theta = -theta
-    k_grid = np.empty((r, m))
-    for i in range(r):
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            block = buf[: (hi - lo) * n].reshape(hi - lo, n)
-            np.multiply(neg_theta[i, lo:hi, None], x[i], out=block)
-            np.log1p(block, out=block)
-            np.add.reduce(block, axis=1, out=k_grid[i, lo:hi])
-    k_grid /= n
+        # mean log1p(-theta*x) per grid point, a few grid points at a time
+        # through one buffer that stays in cache
+        step = min(m, max(1, _GRID_BUFFER // n))
+        buf = np.empty(step * n)
+        neg_theta = -theta
+        k_grid = np.empty((r, m))
+        for i in range(r):
+            for lo in range(0, m, step):
+                hi = min(lo + step, m)
+                block = buf[: (hi - lo) * n].reshape(hi - lo, n)
+                np.multiply(neg_theta[i, lo:hi, None], x[i], out=block)
+                np.log1p(block, out=block)
+                np.add.reduce(block, axis=1, out=k_grid[i, lo:hi])
+        k_grid /= n
 
-    log_lik = n * (np.log(-theta / k_grid) - k_grid - 1.0)
-    log_lik -= log_lik.max(axis=1, keepdims=True)
-    weights = np.exp(log_lik)
-    weights /= weights.sum(axis=1, keepdims=True)
+        rate = -theta / k_grid
+        # at theta = 0 (a tied tail can put a grid point there) -theta/k is
+        # 0/0; its limit is 1/mean(x), the exponential tail
+        at_zero = theta == 0.0
+        if at_zero.any():
+            limit = np.broadcast_to(1.0 / x.mean(axis=1, keepdims=True), rate.shape)
+            rate[at_zero] = limit[at_zero]
+        log_lik = n * (np.log(rate) - k_grid - 1.0)
+        log_lik -= log_lik.max(axis=1, keepdims=True)
+        weights = np.exp(log_lik)
+        weights /= weights.sum(axis=1, keepdims=True)
 
-    theta_hat = np.sum(theta * weights, axis=1)
-    k_hat = np.mean(np.log1p(-theta_hat[:, None] * x), axis=1)
-    sigma_hat = -k_hat / theta_hat
+        theta_hat = np.sum(theta * weights, axis=1)
+        k_hat = np.mean(np.log1p(-theta_hat[:, None] * x), axis=1)
+        sigma_hat = -k_hat / theta_hat
     k_hat = (n * k_hat + _KHAT_PRIOR_DRAWS * 0.5) / (n + _KHAT_PRIOR_DRAWS)
+    # a row whose estimates are not finite cannot be fitted in floating point
+    unfit = ~(np.isfinite(k_hat) & np.isfinite(sigma_hat))
+    k_hat[unfit] = np.inf
+    sigma_hat[unfit] = np.nan
     return k_hat, sigma_hat
 
 

@@ -74,7 +74,11 @@ def halfnormal_sigma(diff_points) -> HalfNormalFit:
     K = d.size
     if K < 2:
         raise TooFewModels("half-normal scale needs at least 2 difference points")
-    m = float(np.median(d))
+    # np.median's value, summed from +0.0 as its mean is, by sorting:
+    # np.median would import numpy.ma
+    srt = np.sort(d)
+    mid = srt[K // 2]
+    m = float(0.0 + mid if K % 2 else (0.0 + srt[K // 2 - 1] + mid) / 2)
     upper = d[d >= m] - m
     return HalfNormalFit(float(np.sqrt(2.0 / K * np.sum(upper**2))), m)
 

@@ -168,8 +168,9 @@ def _smooth_rows(lw: np.ndarray, max_tail_fraction: float) -> np.ndarray:
 
     Rows hold ascending log weights that end at 0. A row whose tail has
     fewer than ``gpd.MIN_TAIL_SIZE`` exceedances (or that has fewer than 10
-    draws) is left as it is, with k-hat ``+inf``. Only the M + 1 largest
-    weights of a row, cutoff included, are exponentiated.
+    draws), or whose tail cannot be fitted, is left as it is, with k-hat
+    ``+inf``. Only the M + 1 largest weights of a row, cutoff included, are
+    exponentiated.
     """
     r, S = lw.shape
     khat = np.full(r, np.inf)
@@ -181,15 +182,19 @@ def _smooth_rows(lw: np.ndarray, max_tail_fraction: float) -> np.ndarray:
     # ascending rows: the exceedances are a suffix, and ties at the cutoff
     # shorten it
     exceed = np.count_nonzero(tail > cutoff, axis=1)
-    for m in np.unique(exceed[exceed >= gpd.MIN_TAIL_SIZE]).tolist():
+    # a set, not np.unique, which would import numpy.ma
+    for m in sorted(set(exceed[exceed >= gpd.MIN_TAIL_SIZE].tolist())):
         rows = np.flatnonzero(exceed == m)
         c = cutoff[rows]
         k, sigma = gpd._fit_rows(tail[rows, -m:] - c)
+        khat[rows] = k
+        # an unfittable tail (k-hat +inf) stays unsmoothed
+        fitted = np.isfinite(k)
+        rows, c, k, sigma = rows[fitted], c[fitted], k[fitted], sigma[fitted]
         probs = (np.arange(m) + 0.5) / m
         smoothed = c + gpd.gpd_quantile(probs, k[:, None], sigma[:, None])
         np.minimum(smoothed, tail[rows, -1:], out=smoothed)
         lw[rows, -m:] = np.log(smoothed)
-        khat[rows] = k
     return khat
 
 

@@ -17,10 +17,13 @@ import numpy as np
 from .conjlm import (
     Dataset,
     NigPrior,
+    _border,
+    _border_terms,
+    _factorize,
+    _leverages,
+    _predictive_logpdf,
+    _score_extensions,
     elpd_loo_exact,
-    elpd_loo_extensions,
-    fit,
-    log_pred_dataset,
 )
 from .errors import (
     EmptyCandidateSet,
@@ -152,11 +155,13 @@ class StopVerdicts:
 def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
     """Greedy forward search maximizing the exact LOO elpd point estimate.
 
-    Each step scores all its candidates in one ``elpd_loo_extensions``
-    call: one factorization of the current model plus one BLAS-3 pass over
-    the candidate columns. The diffs against the current model and their
-    paired standard errors come from that n x c block; only the chosen
-    column is kept. Ties break to the lowest predictor index. Each step's
+    Each step scores all its candidates from the current model's carried
+    posterior in one BLAS-3 pass (``conjlm._score_extensions``). The diffs
+    against the current model and their paired standard errors come from
+    that n x c block; only the chosen column is kept. The chosen model's
+    posterior is then bordered from its column's terms: only the starting
+    model, and a chosen candidate that breached the closed form's guard,
+    are factorized. Ties break to the lowest predictor index. Each step's
     corrected fields hold its raw values until ``correct_path``.
     """
     p = data.p
@@ -167,11 +172,13 @@ def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
 
     base = elpd_loo_exact(data.subset(()), prior)
     prev_elpd, prev_pointwise = base.estimate, base.pointwise
-    current: tuple[int, ...] = ()
+    model = _factorize(data, prior, ())
     steps: list[SearchStep] = []
     for _ in range(max_size):
-        cands = [j for j in range(p) if j not in current]
-        pointwise, estimates = elpd_loo_extensions(data, prior, current, cands)
+        cands = [j for j in range(p) if j not in model.cols]
+        pointwise, estimates, U, s, ey, ok = _score_extensions(
+            data, prior, model, cands
+        )
         diffs = estimates - prev_elpd
         best = int(np.argmax(diffs))
         # a copy, so that no step keeps the n x c block alive
@@ -181,9 +188,10 @@ def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
         # free the block before the next step's kernel builds its own
         del pointwise
         elpd_after = float(estimates[best])
+        j = cands[best]
         steps.append(
             SearchStep(
-                predictor_added=cands[best],
+                predictor_added=j,
                 candidates_evaluated=len(cands),
                 raw_diff=float(diffs[best]),
                 elpd_after=elpd_after,
@@ -194,7 +202,10 @@ def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
                 pointwise=chosen,
             )
         )
-        current += (cands[best],)
+        if ok[best]:
+            model = _border(model, j, data.X[:, j], U[:, best], s[best], ey[best])
+        else:
+            model = _factorize(data, prior, model.cols + (j,))
         prev_elpd, prev_pointwise = elpd_after, chosen
 
     return SearchPath(
@@ -297,28 +308,54 @@ def stopping_rules(path: SearchPath) -> StopVerdicts:
 
 
 def evaluate_test(path: SearchPath, test_data: Dataset) -> SearchPath:
-    """Fill per-size test mlpd by refitting each step's model on full training data.
+    """Fill per-size test mlpd of each step's model fitted on the training data.
+
+    The training posterior is carried along the path by the same bordering
+    as ``forward_search``; with the added column's u = P^-1 A'x, s and
+    g = e'y/s, each test row's location grows by e_t g and its leverage by
+    e_t^2/s, where e_t = x_t - a_t'u. A step whose s is rounding noise is
+    refactorized instead, and so fails as a refit of a singular model does.
 
     Predictors are matched by position, so when both datasets carry column
     names they must be the same names in the same order.
     """
-    if test_data.p != path.data.p:
+    train, prior = path.data, path.prior
+    if test_data.p != train.p:
         raise SchemaMismatch(
-            f"test data has {test_data.p} predictors, training had {path.data.p}"
+            f"test data has {test_data.p} predictors, training had {train.p}"
         )
-    names = zip(path.data.columns or (), test_data.columns or ())
+    if test_data.intercept != train.intercept:
+        raise SchemaMismatch("test and training data differ in the intercept")
+    names = zip(train.columns or (), test_data.columns or ())
     for i, (a, b) in enumerate(names, start=1):
         if a != b:
             raise SchemaMismatch(
                 f"test predictor {i} is {b!r} where training has {a!r}"
             )
-    cols: list[int] = []
-    base_fit = fit(path.data.subset(()), path.prior)
-    base_mlpd = float(np.mean(log_pred_dataset(base_fit, test_data.subset(()))))
+    a_n = prior.a0 + train.n / 2.0
+    model = _factorize(train, prior, ())
+    At = test_data.subset(()).design()
+    loc, lev = At @ model.mean_n, _leverages(At, model.cov)
+
+    def test_mlpd(loc, lev, b_n) -> float:
+        return float(np.mean(_predictive_logpdf(test_data.y, loc, lev, a_n, b_n)))
+
+    base_mlpd = test_mlpd(loc, lev, model.b_n)
     new_steps = []
-    for s in path.steps:
-        cols.append(s.predictor_added)
-        f = fit(path.data.subset(cols), path.prior)
-        m = float(np.mean(log_pred_dataset(f, test_data.subset(cols))))
-        new_steps.append(replace(s, test_mlpd_after=m))
+    for step in path.steps:
+        j = step.predictor_added
+        x, xt = train.X[:, j], test_data.X[:, j]
+        U, _, s, ey, noise = _border_terms(model, x[:, None], train.y, prior)
+        At_next = np.column_stack([At, xt])
+        if noise[0]:
+            model = _factorize(train, prior, model.cols + (j,))
+            loc, lev = At_next @ model.mean_n, _leverages(At_next, model.cov)
+        else:
+            et = xt - At @ U[:, 0]
+            loc = loc + et * (ey[0] / s[0])
+            lev = lev + et**2 / s[0]
+            model = _border(model, j, x, U[:, 0], s[0], ey[0])
+        At = At_next
+        m = test_mlpd(loc, lev, model.b_n)
+        new_steps.append(replace(step, test_mlpd_after=m))
     return replace(path, steps=tuple(new_steps), test_mlpd_base=base_mlpd)

@@ -195,8 +195,7 @@ def run_many_k(
             diffs = estimates - base_est.estimate
             selected = int(np.argmax(diffs))
             if diffs.size >= 2:
-                sigma_hat = halfnormal_sigma(diffs).sigma_hat
-                median_diff = float(np.median(diffs))
+                sigma_hat, median_diff = halfnormal_sigma(diffs)
             else:
                 sigma_hat = 0.0
                 median_diff = float(diffs[0])
@@ -231,6 +230,22 @@ def run_many_k(
     return rows
 
 
+def _percentile(srt: np.ndarray, q: float) -> float:
+    """``np.percentile(x, q)`` of ascending ``srt``, bit for bit.
+
+    numpy's default linear rule, with its ``_lerp`` rounding, but without
+    the import of numpy.ma that ``np.percentile`` makes. (A zero result may
+    differ in sign: numpy's partition may order 0.0 and -0.0 otherwise.)
+    """
+    top = srt.size - 1
+    v = top * (q / 100)
+    lo = math.floor(v) if v < top else -1
+    t = v - lo
+    a, b = srt[lo], srt[lo + 1 if lo >= 0 else -1]
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
 def summarize_many_k(rows: list[dict]) -> list[dict]:
     """Aggregate per-replication rows into one row per (K, beta_delta, n) cell."""
     cells: dict[tuple, list[dict]] = {}
@@ -242,7 +257,8 @@ def summarize_many_k(rows: list[dict]) -> list[dict]:
         sigmas = np.array([r["sigma_hat"] for r in cell_rows])
         preds = np.array([r["predicted_threshold"] for r in cell_rows])
         medians = np.array([r["median_diff"] for r in cell_rows])
-        q25, q50, q75 = np.percentile(maxes, [25.0, 50.0, 75.0])
+        srt = np.sort(maxes)
+        q25, q50, q75 = (_percentile(srt, q) for q in (25.0, 50.0, 75.0))
         out.append(
             {
                 "K": K,

@@ -20,6 +20,11 @@ def write_pointwise(path: Path, values) -> Path:
     return path
 
 
+def write_loglik(path: Path, matrix) -> Path:
+    path.write_text("\n".join(",".join(map(repr, row)) for row in np.asarray(matrix).tolist()))
+    return path
+
+
 def write_dataset(path: Path, data: Dataset, target: str = "y") -> Path:
     cols = data.columns or tuple(f"x{i}" for i in range(data.p))
     with open(path, "w", newline="") as fh:
@@ -188,6 +193,43 @@ class TestCompare:
             }
         assert diags["psis_khat:flat"]["value"] is None
         assert diags["psis_khat:flat"]["status"] == "pass"
+
+    @pytest.mark.filterwarnings("error")
+    def test_tied_tail_with_theta_zero_on_the_gpd_grid(self, tmp_path, capsys):
+        # column 1 of the first model: 105 tied lowest log-likelihoods above
+        # 30 distinct ones fill the 135-draw tail; ceil(sqrt(135)) = 12 puts
+        # one GPD grid point at theta = 0
+        rng = np.random.default_rng(1)
+        col = np.concatenate(
+            [np.full(105, -5.0), -4.0 - rng.uniform(0, 0.9, 30), -rng.uniform(0, 1, 1865)]
+        )
+        rng.shuffle(col)
+        ll = rng.normal(-1.0, 0.3, (2000, 4))
+        ll[:, 1] = col
+        paths = [write_loglik(tmp_path / "a.csv", ll)]
+        for name in ("b", "c"):
+            paths.append(write_loglik(tmp_path / f"{name}.csv", rng.normal(-1.0, 0.3, (2000, 4))))
+        assert main(["compare", *map(str, paths)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_tail_is_reported_unfittable(self, tmp_path, capsys):
+        # log-likelihoods 1000 (x905), 740 (x55) and 10..0 (x40): the tail's
+        # lower quartile is a subnormal weight, so its GPD fit is undefined
+        rng = np.random.default_rng(2)
+        ll = rng.normal(-1.0, 0.3, (1000, 3))
+        ll[:, 0] = np.concatenate(
+            [np.full(905, 1000.0), np.full(55, 740.0), np.linspace(10.0, 0.0, 40)]
+        )
+        paths = [write_loglik(tmp_path / "a.csv", ll)]
+        for name in ("b", "c"):
+            paths.append(write_loglik(tmp_path / f"{name}.csv", rng.normal(-1.0, 0.3, (1000, 3))))
+        out = tmp_path / "compare.json"
+        assert main(["compare", *map(str, paths), "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        diags = {d["name"]: d for d in json.loads(out.read_text())["diagnostics"]}
+        assert diags["psis_khat:a"] == {"name": "psis_khat:a", "value": None, "status": "fail"}
+        assert diags["psis_khat:b"]["status"] == "pass"
 
     def test_csv_output(self, tmp_path):
         rng = np.random.default_rng(94)
@@ -517,3 +559,44 @@ def test_forward_and_simulate_never_import_scipy(toy_block, tmp_path):
     weights = json.loads(proc.stdout.splitlines()[-1])
     assert weights["b"][0] < 1.0 and weights["c"][0] > 1000.0
     assert all(0.0 < w < 1.0 for _, w in weights.values())
+
+
+NO_NUMPY_MA_SCRIPT = """
+import sys
+import cvbias.cli
+
+train, test, config, a, b, c, out = sys.argv[1:]
+assert cvbias.cli.main(["forward", train, "--target", "y", "--test", test,
+                        "--output", out + "/fwd"]) == 0
+assert cvbias.cli.main(["simulate", config, "--output", out + "/sim"]) == 0
+assert cvbias.cli.main(["compare", a, b, c, "--output", out + "/cmp.json"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_never_import_numpy_ma(toy_block, tmp_path):
+    # np.median, np.percentile and np.unique import numpy.ma (~15 ms in a
+    # fresh process); forward, simulate and compare use none of them
+    train, test = toy_block
+    config = tmp_path / "mk.json"
+    config.write_text(json.dumps(
+        {"experiment": "many_k", "base_seed": 5, "n": 30, "k_grid": [3, 4],
+         "replications": 3, "n_test": 30}
+    ))
+    rng = np.random.default_rng(98)
+    models = []
+    for name in ("a", "b", "c"):
+        ll = rng.normal(-1.0, 0.3, (300, 5))
+        ll[:, 0] = -np.abs(rng.standard_t(2.0, 300))  # a heavy tail to smooth
+        models.append(write_loglik(tmp_path / f"{name}.csv", ll))
+    src = str(Path(cvbias.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    (tmp_path / "out").mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_MA_SCRIPT, str(train), str(test), str(config),
+         *map(str, models), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.stats import t as student_t
 
@@ -37,6 +38,20 @@ def small_data():
 
 
 class TestDataset:
+    def test_subset_builds_without_rechecking(self, monkeypatch):
+        data = Dataset(np.arange(12.0).reshape(4, 3), np.ones(4), columns=("a", "b", "c"))
+
+        def fail(self):
+            raise AssertionError("subset re-ran the dataset checks")
+
+        monkeypatch.setattr(Dataset, "__post_init__", fail)
+        sub = data.subset((2, 0))
+        assert np.array_equal(sub.X, data.X[:, [2, 0]]) and sub.y is data.y
+        assert (sub.intercept, sub.columns, sub.p) == (True, ("c", "a"), 2)
+        monkeypatch.undo()
+        with pytest.raises(NonFiniteInput):
+            Dataset(np.array([[1.0], [np.nan]]), np.zeros(2))
+
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFiniteInput):
             Dataset(np.array([[1.0], [np.nan]]), np.array([0.0, 1.0]))
@@ -269,6 +284,77 @@ class TestElpdLooExtensions:
         ref = original(data.subset((1,)), prior, method="refit")
         assert np.max(np.abs(pointwise[:, 1] - ref.pointwise)) <= 1e-9
         assert estimates[1] == math.fsum(pointwise[:, 1])
+
+
+def _fsum_or_error(column):
+    try:
+        return math.fsum(column)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def sum_blocks(draw):
+    """n x c blocks whose columns stress exact summation."""
+    n = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(
+            st.sampled_from(["any", "wide", "subnormal", "cancel", "zeros", "huge", "special"])
+        )
+        if kind == "any":
+            elements = st.floats(allow_nan=False, allow_infinity=False)
+        elif kind == "wide":
+            elements = st.builds(
+                lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)
+            )
+        elif kind == "subnormal":
+            elements = st.floats(-2.3e-308, 2.3e-308)
+        elif kind == "zeros":
+            elements = st.sampled_from([0.0, -0.0])
+        elif kind == "huge":
+            elements = st.floats(-1.7976931348623157e308, 1.7976931348623157e308).map(
+                lambda x: math.copysign(max(abs(x), 1e307), x)
+            )
+        elif kind == "special":
+            elements = st.sampled_from([1.0, -2.5, math.inf, -math.inf, math.nan])
+        if kind == "cancel":
+            half = draw(hnp.arrays(np.float64, (n + 1) // 2, elements=st.floats(-1e200, 1e200)))
+            col = np.concatenate([half, -half[: n // 2]])
+            if n % 2:
+                col[n // 2] = -col[n // 2]
+                col[-1] = 0.0
+            col = col[draw(st.permutations(range(n)))]
+        else:
+            col = draw(hnp.arrays(np.float64, n, elements=elements))
+        columns.append(col)
+    return np.column_stack(columns)
+
+
+class TestColumnFsums:
+    @settings(max_examples=300, deadline=None)
+    @given(sum_blocks())
+    @example(np.zeros((1, 1)))
+    @example(np.full((3, 1), -0.0))
+    @example(np.array([[1e308], [1e308], [-1e308]]))
+    @example(np.array([[2.0**-1074], [-(2.0**-1074)], [2.0**-1074]]))
+    @example(np.array([[1e300, 1.0], [1.0, 1e-300], [-1e300, -1.0]]))
+    def test_matches_fsum_bit_for_bit(self, block):
+        expected = [_fsum_or_error(block[:, k].tolist()) for k in range(block.shape[1])]
+        if any(isinstance(e, type) for e in expected):
+            with pytest.raises((OverflowError, ValueError)):
+                conjlm._column_fsums(block)
+            return
+        got = conjlm._column_fsums(block)
+        # exact equality (NaN matches NaN), and the same sign of zero
+        np.testing.assert_array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_leaves_the_block_unchanged(self):
+        block = np.random.default_rng(3).standard_normal((50, 4))
+        before = block.copy()
+        conjlm._column_fsums(block)
+        assert np.array_equal(block, before)
 
 
 class TestDrawPosterior:

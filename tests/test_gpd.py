@@ -113,6 +113,28 @@ class TestFitGpd:
             fit = fit_gpd(x[i])
             assert (k_rows[i], sigma_rows[i]) == (fit.k_hat, fit.sigma_hat)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tied_tail_with_a_grid_point_at_theta_zero(self):
+        # the top three quarters tie and ceil(sqrt(12)) = 4: grid point 23 of
+        # 120 is theta = 1/x_max - 1/quartile = 0, where -theta/k is 0/0
+        fit = fit_gpd([0.1, 0.2] + [1.0] * 10)
+        assert math.isfinite(fit.k_hat) and math.isfinite(fit.sigma_hat)
+        # the limit 1/mean(x) taken at theta = 0 is continuous: moving x_max
+        # by 1e-9 moves that grid point off zero and the fit by ~1e-9
+        near = fit_gpd([0.1, 0.2] + [1.0] * 9 + [1.0 + 1e-9])
+        assert near.k_hat == pytest.approx(fit.k_hat, rel=1e-6)
+        assert near.sigma_hat == pytest.approx(fit.sigma_hat, rel=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_quartile_is_unfittable(self):
+        fit = fit_gpd([1e-310, 2e-310, 3e-310, 4e-310, 5e-310, 1.0, 2.0])
+        assert fit.k_hat == math.inf and math.isnan(fit.sigma_hat)
+        # a fittable row beside it keeps its own bits
+        rows = np.array([[1e-310, 2e-310, 3e-310, 4e-310, 5e-310, 1.0, 2.0],
+                         np.arange(1.0, 8.0)])
+        k_rows, _ = gpd._fit_rows(rows)
+        assert k_rows[0] == math.inf and k_rows[1] == fit_gpd(rows[1]).k_hat
+
     def test_records_cutoff_and_tail_size(self):
         x = sample_gpd(0.1, 1.0, 50, seed=5)
         fit = fit_gpd(x, cutoff=2.5)

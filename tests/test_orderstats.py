@@ -69,6 +69,23 @@ class TestHalfnormalSigma:
         with pytest.raises(TooFewModels):
             halfnormal_sigma([1.0])
 
+    @settings(max_examples=300)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(2, 40),
+            elements=st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 1.5, -1.5, 5e-324]),
+            ),
+        )
+    )
+    def test_median_is_numpys_bit_for_bit(self, d):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.median(d)
+            m = np.float64(halfnormal_sigma(d).median_hat)
+        assert m.view(np.uint64) == expected.view(np.uint64)
+
     @given(diff_vectors, st.floats(-100, 100, allow_nan=False))
     def test_translation_invariant(self, d, c):
         assert halfnormal_sigma(d + c).sigma_hat == pytest.approx(

@@ -42,6 +42,9 @@ def oracle_smooth(lr, max_tail_fraction=0.2):
     if m < gpd.MIN_TAIL_SIZE:
         return lw, float("inf")
     fit = gpd.fit_gpd(exceedances, cutoff=cutoff)
+    if fit.k_hat == np.inf:
+        # a tail that cannot be fitted stays unsmoothed
+        return lw, fit.k_hat
     probs = (np.arange(m) + 0.5) / m
     smoothed = cutoff + gpd.gpd_quantile(probs, fit.k_hat, fit.sigma_hat)
     out = lw.copy()
@@ -89,7 +92,6 @@ def assert_matches_oracle(ll, max_tail_fraction=0.2):
         try:
             pointwise, khat = oracle_psis(ll, max_tail_fraction)
         except DegenerateWeights:
-            # e.g. a tail of tied exceedances puts theta = 0 on the GPD grid
             with pytest.raises(DegenerateWeights):
                 elpd_loo_psis(ll, max_tail_fraction=max_tail_fraction)
             return None
@@ -103,7 +105,7 @@ def heavy_tailed_column(S=1000):
     """Log-likelihoods whose tail weights reach down to subnormal numbers.
 
     The largest weight is 1 and most exceedances are subnormal, so the GPD
-    grid's 1/quartile overflows and the smoothed weights are NaN.
+    grid's 1/quartile overflows and the tail cannot be fitted.
     """
     lr = np.full(S, -1000.0)
     lr[-95:-40] = -740.0
@@ -346,14 +348,15 @@ class TestElpdLooPsis:
             est = assert_matches_oracle(ll)
         assert est.khat_per_obs.tolist() == [np.inf, np.inf, -np.inf, np.inf]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_subnormal_tail_raises_on_both_paths(self):
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_tail_is_unfittable_on_both_paths(self):
         ll = np.random.default_rng(8).standard_normal((1000, 3))
         ll[:, 1] = heavy_tailed_column(1000)
-        with pytest.raises(DegenerateWeights):
-            oracle_column(ll[:, 1])
-        with pytest.raises(DegenerateWeights):
-            elpd_loo_psis(ll)
+        value, khat = oracle_column(ll[:, 1])
+        est = elpd_loo_psis(ll)
+        assert khat == est.khat_per_obs[1] == np.inf
+        assert est.pointwise[1] == pytest.approx(value, rel=0.0, abs=1e-12)
+        assert not est.reliable
 
     def test_agrees_with_exact_loo(self):
         # conjugate model: PSIS on analytic-posterior draws vs exact LOO

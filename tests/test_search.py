@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact
+from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred_dataset
 from cvbias.errors import (
     EmptyCandidateSet,
     IncompletePath,
+    InvalidParameter,
     SchemaMismatch,
 )
 from cvbias.psisloo import elpd_se
@@ -171,6 +175,97 @@ class TestForwardSearch:
             assert s.pointwise.shape == (path.n_obs,)
 
 
+def random_design(n, p, seed, kind="plain"):
+    """Correlated predictors and a response with two active columns.
+
+    ``"collinear"`` makes the last column the first plus 1e-7 noise;
+    ``"scaled"`` multiplies every row of the predictors by 1e6 after the
+    response is drawn, so that the prior's 1/v0 is lost beside A'A.
+    (Both at once leave the twin's s at twice its rounding floor, where no
+    factorization has a correct digit.)
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p)) + 0.5 * rng.standard_normal((n, 1))
+    if kind == "collinear":
+        X[:, -1] = X[:, 0] + 1e-7 * rng.standard_normal(n)
+    y = X[:, 0] - 0.5 * X[:, 1] + rng.standard_normal(n)
+    return Dataset(1e6 * X if kind == "scaled" else X, y)
+
+
+def assert_close(a, b, rel):
+    """|a - b| <= rel * max(1, |b|), elementwise."""
+    b = np.asarray(b)
+    assert np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b)))
+
+
+class TestCarriedPosterior:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(8, 30),
+        p=st.integers(2, 6),
+        kind=st.sampled_from(["plain", "collinear", "scaled"]),
+        tight=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_forward_search_matches_per_step_factorization(self, n, p, kind, tight, seed):
+        # every candidate model of every step factorized on its own, against
+        # the bordered posterior the search carries
+        data = random_design(n, p, seed, kind)
+        prior = NigPrior.tight() if tight else PRIOR
+        path = forward_search(data, prior, max_size=p)
+        prev = path.base_elpd
+        current = ()
+        for step in path.steps:
+            cands = [j for j in range(p) if j not in current]
+            refs = [elpd_loo_exact(data.subset(current + (j,)), prior) for j in cands]
+            estimates = np.array([r.estimate for r in refs])
+            best = int(np.argmax(estimates))
+            assert step.predictor_added == cands[best]
+            assert_close(step.pointwise, refs[best].pointwise, 1e-9)
+            assert_close(step.candidate_diffs, estimates - prev, 1e-9 * max(1.0, abs(prev)))
+            current += (cands[best],)
+            prev = estimates[best]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(8, 40),
+        n_test=st.integers(1, 30),
+        p=st.integers(2, 6),
+        tight=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evaluate_test_matches_refits(self, n, n_test, p, tight, seed):
+        data = random_design(n + n_test, p, seed)
+        train = Dataset(data.X[:n], data.y[:n])
+        test = Dataset(data.X[n:], data.y[n:])
+        prior = NigPrior.tight() if tight else PRIOR
+        out = evaluate_test(forward_search(train, prior, max_size=p), test)
+        cols = [()] + [tuple(out.predictors()[:k]) for k in range(1, p + 1)]
+        refits = [
+            np.mean(log_pred_dataset(fit(train.subset(c), prior), test.subset(c)))
+            for c in cols
+        ]
+        assert np.max(np.abs(out.test_mlpds() - refits)) <= 1e-10
+
+    def test_evaluate_test_refits_a_step_whose_s_is_noise(self):
+        # a path that adds a duplicate of a column of scale 1e9 has s at
+        # rounding level: that step is refactorized, and fails as fit does
+        rng = np.random.default_rng(90)
+        a = 1e9 * rng.standard_normal(20)
+        data = Dataset(np.column_stack([a, a]), rng.standard_normal(20))
+        path = forward_search(data, PRIOR, max_size=1)
+        step = path.steps[0]
+        twice = replace(
+            path,
+            steps=(step, replace(step, predictor_added=1 - step.predictor_added)),
+            max_size=2,
+        )
+        with pytest.raises(InvalidParameter, match="singular"):
+            fit(data, PRIOR)
+        with pytest.raises(InvalidParameter, match="singular"):
+            evaluate_test(twice, data)
+
+
 class TestCorrectPath:
     def test_all_diffs_above_threshold_identity(self):
         path = synthetic_path(
@@ -318,6 +413,11 @@ class TestEvaluateTest:
         path, train, test = block_path
         with pytest.raises(SchemaMismatch):
             evaluate_test(path, Dataset(test.X[:, :4], test.y))
+
+    def test_intercept_mismatch(self, block_path):
+        path, train, test = block_path
+        with pytest.raises(SchemaMismatch, match="intercept"):
+            evaluate_test(path, Dataset(test.X, test.y, intercept=False))
 
     def test_rows_roundtrip(self, block_path):
         path, _, _ = block_path

@@ -2,10 +2,14 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cvbias.conjlm import NigPrior, elpd_loo_exact
 from cvbias.errors import InvalidBlocking, InvalidParameter
 from cvbias.search import forward_search
+from cvbias import sim
 from cvbias.sim import (
     BlockDgpSpec,
     NestedDgpSpec,
@@ -92,6 +96,24 @@ class TestSeeds:
         b = NestedDgpSpec(n=10, K=3, beta_delta=0.0, seed=2)
         assert spec_hash(a) != spec_hash(b)
         assert len(spec_hash(a)) == 12
+
+
+class TestPercentile:
+    @settings(max_examples=300)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(1, 30),
+            elements=st.one_of(
+                st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 2.5, 5e-324])
+            ),
+        ),
+        st.one_of(st.sampled_from([0.0, 25.0, 50.0, 75.0, 100.0]), st.floats(0.0, 100.0)),
+    )
+    def test_is_numpys_bit_for_bit(self, x, q):
+        # equal floats: the same bits, up to the sign of a zero result, since
+        # numpy's partition and a sort may order 0.0 and -0.0 differently
+        assert sim._percentile(np.sort(x), q) == np.percentile(x, q)
 
 
 class TestRunManyK:
