@@ -270,12 +270,16 @@ def _value(config: dict, key: str, path, kind, default=_REQUIRED):
 def _values(config: dict, key: str, path, kind, default=_REQUIRED):
     """The non-empty list ``config[key]`` with every item converted by ``kind``.
 
-    An empty list would run no cell and write header-only tables.
+    An empty list would run no cell and write header-only tables; a
+    repeated value would run its cells twice with the same seeds.
     """
     values = _require(config, key, path, default)
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{path}: {key} must be a non-empty list, got {values!r}")
-    return [_convert(v, kind, key, path) for v in values]
+    out = [_convert(v, kind, key, path) for v in values]
+    if len(set(out)) < len(out):
+        raise ConfigError(f"{path}: {key} must not repeat a value, got {values!r}")
+    return out
 
 
 def cmd_simulate(args) -> dict:

@@ -207,6 +207,11 @@ def log_pred_dataset(fit_: PosteriorFit, data: Dataset) -> np.ndarray:
     return log_pred(fit_, data.design(), data.y)
 
 
+def _require_loo_rows(n: int) -> None:
+    if n < 3:
+        raise TooFewObservations("exact LOO needs at least 3 observations")
+
+
 def elpd_loo_exact(
     data: Dataset,
     prior: NigPrior,
@@ -219,12 +224,11 @@ def elpd_loo_exact(
     closed form; ``"refit"`` refits n times and is kept as the slow
     reference (the two agree to well below 1e-8).
     """
-    if data.n < 3:
-        raise TooFewObservations("exact LOO needs at least 3 observations")
+    _require_loo_rows(data.n)
     if method == "refit":
         pointwise = _loo_refit(data, prior)
     elif method == "downdate":
-        pointwise = _loo_downdate(data, prior)
+        pointwise = _model_loo(data, prior, _factorize(data, prior, range(data.p)))
     else:
         raise InvalidParameter(f"unknown method {method!r}")
     # fsum over Python floats: the same correctly rounded sum, without one
@@ -252,8 +256,7 @@ def elpd_loo_extensions(
     current model's posterior precision P serves all candidates (see
     ``_score_extensions``).
     """
-    if data.n < 3:
-        raise TooFewObservations("exact LOO needs at least 3 observations")
+    _require_loo_rows(data.n)
     model = _factorize(data, prior, current)
     pointwise, estimates, *_ = _score_extensions(data, prior, model, candidates)
     return pointwise, estimates
@@ -284,20 +287,22 @@ def _factorize(data: Dataset, prior: NigPrior, cols: Sequence[int]) -> _Model:
     return _Model(cols, A, cov, mean_n, _leverages(A, cov), resid, b_n)
 
 
-def _border_terms(model: _Model, X: np.ndarray, y: np.ndarray, prior: NigPrior):
-    """Terms of extending ``model`` by each column x of ``X``.
+def _border_terms(A: np.ndarray, cov: np.ndarray, X: np.ndarray, prior: NigPrior):
+    """Terms of extending the model with design ``A`` and P^-1 ``cov`` by
+    each column x of ``X``.
 
     Returns U = P^-1 A'X, E = X - A U (columns e = x - H x for the hat
-    matrix H), s = x'e + 1/v0, E'y, and where s is rounding noise: s >= 1/v0
-    in exact arithmetic, so s <= n*eps*x'x means the extended precision is
-    singular in floating point.
+    matrix H), s = x'e + 1/v0, and where s is rounding noise: s >= 1/v0 in
+    exact arithmetic, so s <= n*eps*x'x means the extended precision is
+    singular in floating point. A zero column extends the model to itself
+    (e = 0, s = 1/v0).
     """
-    U = model.cov @ (model.A.T @ X)
-    E = model.A @ U
+    U = cov @ (A.T @ X)
+    E = A @ U
     np.subtract(X, E, out=E)
     s = np.einsum("ij,ij->j", X, E) + 1.0 / prior.v0
     noise = s <= X.shape[0] * np.finfo(float).eps * np.einsum("ij,ij->j", X, X)
-    return U, E, s, E.T @ y, noise
+    return U, E, s, noise
 
 
 def _border(model: _Model, j: int, x: np.ndarray, u, s, ey) -> _Model:
@@ -333,34 +338,52 @@ def _score_extensions(
     """Exact LOO of ``model`` extended by each candidate, from its P^-1.
 
     Returns ``(pointwise, estimates, U, s, ey, ok)``: the n x c block, its
-    column sums and, per candidate, ``_border_terms``' U, s and e'y and
-    whether the closed form held. Adding column x moves the leverages to
-    h + e^2/s, the residuals to r - e (e'y)/s and b_n to b_n - (e'y)^2/(2s);
-    all candidates go through one BLAS-3 pass. Only candidates whose
-    extended model breaches the closed form's guard (leverage >= 1 - 1e-10,
-    a downdated scale <= 0, or s rounding noise) are scored on their own,
-    by ``elpd_loo_exact``, which factorizes that model's precision.
+    column sums and, per candidate, ``_border_terms``' U and s, e'y and
+    whether the closed form held. All candidates go through one BLAS-3
+    pass and ``_extension_loo``. Only candidates whose extended model
+    breaches the closed form's guard (leverage >= 1 - 1e-10, a downdated
+    scale <= 0, or s rounding noise) are scored on their own, by
+    ``elpd_loo_exact``, which factorizes that model's precision.
     """
     candidates = list(candidates)
     Xc = data.X[:, candidates]
-    U, E, s, ey, noise = _border_terms(model, Xc, data.y, prior)
-    # in-place updates keep at most three n x c arrays alive at once, so
-    # peak memory stays near that of a single-candidate fit
+    U, E, s, noise = _border_terms(model.A, model.cov, Xc, prior)
     del Xc
-    resid_ext = E * (ey / s)
-    np.subtract(model.resid[:, None], resid_ext, out=resid_ext)
-    omh = np.square(E, out=E)
-    omh /= s
-    np.subtract((1.0 - model.h)[:, None], omh, out=omh)
-    pointwise, ok = _loo_closed_form(
-        resid_ext, omh, model.b_n - ey**2 / (2.0 * s), prior.a0 + data.n / 2.0
+    ey = E.T @ data.y
+    pointwise, ok = _extension_loo(
+        model.resid[:, None],
+        (1.0 - model.h)[:, None],
+        model.b_n,
+        prior.a0 + data.n / 2.0,
+        E,
+        s,
+        ey,
     )
     ok &= ~noise
-    del E, omh
+    del E
     for k in np.flatnonzero(~ok):
         sub = data.subset(model.cols + (candidates[k],))
         pointwise[:, k] = elpd_loo_exact(sub, prior).pointwise
     return pointwise, _column_fsums(pointwise), U, s, ey, ok
+
+
+def _extension_loo(resid, omh, b_n, a_n, E, s, ey):
+    """Closed-form exact LOO of a model extended by each column e of ``E``.
+
+    ``resid``, ``omh`` (1 - h) and ``b_n`` are the model's, shaped to
+    broadcast against ``E`` and, for ``b_n``, against ``s`` and ``ey``
+    (e'y). Adding a column moves the residuals to r - e (e'y)/s, the
+    leverages to h + e^2/s and b_n to b_n - (e'y)^2/(2s). Returns
+    ``_loo_closed_form``'s densities and guard, and overwrites ``E``: with
+    in-place updates at most three arrays of E's size are alive at once,
+    so peak memory stays near that of a single-candidate fit.
+    """
+    resid_ext = E * (ey / s)
+    np.subtract(resid, resid_ext, out=resid_ext)
+    omh_ext = np.square(E, out=E)
+    omh_ext /= s
+    np.subtract(omh, omh_ext, out=omh_ext)
+    return _loo_closed_form(resid_ext, omh_ext, b_n - ey**2 / (2.0 * s), a_n)
 
 
 def _column_fsums(block: np.ndarray) -> np.ndarray:
@@ -436,13 +459,16 @@ def _loo_closed_form(resid, omh, b_n, a_n):
     return q, ok
 
 
-def _loo_downdate(data: Dataset, prior: NigPrior) -> np.ndarray:
-    X = data.design()
-    cov, _, resid, b_n = _posterior(X, data.y, prior)
+def _model_loo(data: Dataset, prior: NigPrior, model: _Model) -> np.ndarray:
+    """Exact-LOO pointwise elpd of ``model``, factorized on ``data``.
+
+    The closed form from the model's residuals, leverages and b_n; every
+    row is refit when its guard breaks.
+    """
     pointwise, ok = _loo_closed_form(
-        resid, 1.0 - _leverages(X, cov), b_n, prior.a0 + data.n / 2.0
+        model.resid.copy(), 1.0 - model.h, model.b_n, prior.a0 + data.n / 2.0
     )
-    return pointwise if ok else _loo_refit(data, prior)
+    return pointwise if ok else _loo_refit(data.subset(model.cols), prior)
 
 
 def _loo_refit(data: Dataset, prior: NigPrior) -> np.ndarray:

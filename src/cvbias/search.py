@@ -21,9 +21,10 @@ from .conjlm import (
     _border_terms,
     _factorize,
     _leverages,
+    _model_loo,
     _predictive_logpdf,
+    _require_loo_rows,
     _score_extensions,
-    elpd_loo_exact,
 )
 from .errors import (
     EmptyCandidateSet,
@@ -160,9 +161,10 @@ def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
     against the current model and their paired standard errors come from
     that n x c block; only the chosen column is kept. The chosen model's
     posterior is then bordered from its column's terms: only the starting
-    model, and a chosen candidate that breached the closed form's guard,
-    are factorized. Ties break to the lowest predictor index. Each step's
-    corrected fields hold its raw values until ``correct_path``.
+    model, whose factorization also gives the base LOO, and a chosen
+    candidate that breached the closed form's guard, are factorized. Ties
+    break to the lowest predictor index. Each step's corrected fields hold
+    its raw values until ``correct_path``.
     """
     p = data.p
     if max_size > p:
@@ -170,9 +172,11 @@ def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
     if max_size < 1:
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
 
-    base = elpd_loo_exact(data.subset(()), prior)
-    prev_elpd, prev_pointwise = base.estimate, base.pointwise
+    _require_loo_rows(data.n)
     model = _factorize(data, prior, ())
+    base_pointwise = _model_loo(data, prior, model)
+    base_elpd = math.fsum(base_pointwise.tolist())
+    prev_elpd, prev_pointwise = base_elpd, base_pointwise
     steps: list[SearchStep] = []
     for _ in range(max_size):
         cands = [j for j in range(p) if j not in model.cols]
@@ -210,8 +214,8 @@ def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
 
     return SearchPath(
         steps=tuple(steps),
-        base_elpd=base.estimate,
-        base_pointwise=base.pointwise,
+        base_elpd=base_elpd,
+        base_pointwise=base_pointwise,
         data=data,
         prior=prior,
         max_size=max_size,
@@ -345,7 +349,8 @@ def evaluate_test(path: SearchPath, test_data: Dataset) -> SearchPath:
     for step in path.steps:
         j = step.predictor_added
         x, xt = train.X[:, j], test_data.X[:, j]
-        U, _, s, ey, noise = _border_terms(model, x[:, None], train.y, prior)
+        U, E, s, noise = _border_terms(model.A, model.cov, x[:, None], prior)
+        ey = E.T @ train.y
         At_next = np.column_stack([At, xt])
         if noise[0]:
             model = _factorize(train, prior, model.cols + (j,))

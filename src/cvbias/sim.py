@@ -13,20 +13,27 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace as dc_replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .conjlm import (
     Dataset,
     NigPrior,
+    _border_terms,
+    _column_fsums,
+    _extension_loo,
+    _factorize,
+    _leverages,
+    _predictive_logpdf,
+    _require_loo_rows,
     elpd_loo_exact,
-    elpd_loo_extensions,
     fit,
     log_pred_dataset,
 )
 from .errors import InvalidBlocking, InvalidParameter
 from .orderstats import blom_max, halfnormal_sigma
-from .psisloo import elpd_se
+from .psisloo import _BLOCK, elpd_se
 from .search import correct_path, evaluate_test, forward_search, stopping_rules
 
 PRIOR_PRESETS = {
@@ -34,9 +41,10 @@ PRIOR_PRESETS = {
     "tight": NigPrior.tight,
 }
 
-# desk-scale guard for the forward experiment
-GUARD_MAX_P = 30
-GUARD_MAX_N = 400
+# desk-scale guard for the forward experiment: one replication at the
+# limits (n=1000, p=60) takes about 0.2 s on 2 CPUs
+GUARD_MAX_P = 60
+GUARD_MAX_N = 1000
 GUARD_MAX_REPS = 20
 
 
@@ -145,9 +153,110 @@ def gen_block(spec: BlockDgpSpec):
     return draw(spec.n), draw(spec.n_test)
 
 
-def _test_elpd(model_fit, test: Dataset, scale_to: int) -> float:
-    """Test-set elpd rescaled to ``scale_to`` observations."""
-    return scale_to * float(np.mean(log_pred_dataset(model_fit, test)))
+class _ManyKBlock(NamedTuple):
+    """The scored replications of one many-K block, one row per replication.
+
+    Column 0 of ``estimates``, ``U``, ``s``, ``ey`` and ``noise`` is the
+    intercept-only baseline and column k the model with predictor k - 1;
+    ``h`` is the baseline leverage, which every row shares, and ``mean``
+    and ``b_n`` are the baselines' posterior mean and scale.
+    """
+
+    estimates: np.ndarray
+    h: float
+    mean: np.ndarray
+    b_n: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    ey: np.ndarray
+    noise: np.ndarray
+
+
+def _score_many_k(datasets: list[Dataset], prior: NigPrior) -> _ManyKBlock:
+    """Exact LOO of the baseline and every single-predictor model of each
+    dataset, all with the same n and predictor count.
+
+    The baseline design is the intercept column for every dataset, so one
+    P^-1 and one leverage serve the block; its means, residuals and b_n
+    are per dataset. Each dataset's columns follow a zero column, which
+    extends the baseline to itself, so the baselines and all candidates go
+    through one ``_border_terms`` pass, one ``_extension_loo`` and one
+    ``_column_fsums``. A model that breaches the closed form's guard is
+    scored on its own by ``elpd_loo_exact``.
+    """
+    m = len(datasets)
+    n, K = datasets[0].n, datasets[0].p + 1
+    _require_loo_rows(n)
+    X = np.zeros((n, m, K))
+    Y = np.empty((n, m))
+    for r, ds in enumerate(datasets):
+        X[:, r, 1:] = ds.X
+        Y[:, r] = ds.y
+    A = np.ones((n, 1))
+    cov = np.linalg.inv(A.T @ A + 1.0 / prior.v0)
+    h = float(cov[0, 0])
+    mean = h * Y.sum(axis=0)
+    R = Y - mean
+    b_n = prior.b0 + 0.5 * (np.einsum("ij,ij->j", R, R) + mean**2 / prior.v0)
+    U, E, s, noise = _border_terms(A, cov, X.reshape(n, m * K), prior)
+    del X
+    E = E.reshape(n, m, K)
+    ey = np.einsum("irk,ir->rk", E, Y)
+    s, noise = s.reshape(m, K), noise.reshape(m, K)
+    pointwise, ok = _extension_loo(
+        R[:, :, None], 1.0 - h, b_n[:, None], prior.a0 + n / 2.0, E, s, ey
+    )
+    ok &= ~noise
+    del E
+    for r, k in zip(*np.nonzero(~ok)):
+        sub = datasets[r].subset(() if k == 0 else (k - 1,))
+        pointwise[:, r, k] = elpd_loo_exact(sub, prior).pointwise
+    estimates = _column_fsums(pointwise.reshape(n, m * K)).reshape(m, K)
+    return _ManyKBlock(estimates, h, mean, b_n, U.reshape(m, K), s, ey, noise)
+
+
+def _many_k_test_elpds(
+    block: _ManyKBlock,
+    datasets: list[Dataset],
+    selected: np.ndarray,
+    y_test: np.ndarray,
+    x_true: np.ndarray,
+    x_selected: np.ndarray,
+    prior: NigPrior,
+):
+    """Test elpds, scaled to n, of each dataset's baseline, selected and
+    true (predictor 0) models; row r of ``y_test``, ``x_true`` and
+    ``x_selected`` holds dataset r's test responses and predictor values.
+
+    The baseline's posterior is bordered by the model's column: with its
+    u, s and e'y, e_t = x_t - u and g = e'y/s, each test location is
+    mean + e_t g, each leverage h + e_t^2/s and b_n falls by
+    (e'y)^2/(2s). A model whose s is rounding noise is factorized
+    instead, and so fails as ``fit`` does.
+    """
+    n = datasets[0].n
+    a_n = prior.a0 + n / 2.0
+    rows = np.arange(len(datasets))
+
+    def scaled_mean(loc, lev, b_n):
+        # one replication per row: each mean is one contiguous reduction
+        return n * np.mean(_predictive_logpdf(y_test, loc, lev, a_n, b_n), axis=1)
+
+    out = [scaled_mean(block.mean[:, None], block.h, block.b_n[:, None])]
+    for cols, x in ((selected, x_selected), (np.zeros_like(selected), x_true)):
+        k = cols + 1
+        u, s, ey = block.U[rows, k], block.s[rows, k], block.ey[rows, k]
+        et = x - u[:, None]
+        loc = block.mean[:, None] + et * (ey / s)[:, None]
+        lev = block.h + et**2 / s[:, None]
+        b_n = (block.b_n - ey**2 / (2.0 * s))[:, None]
+        for r in np.flatnonzero(block.noise[rows, k]):
+            model = _factorize(datasets[r], prior, (cols[r],))
+            At = np.column_stack([np.ones(x.shape[1]), x[r]])
+            loc[r], lev[r] = At @ model.mean_n, _leverages(At, model.cov)
+            b_n[r] = model.b_n
+        out.append(scaled_mean(loc, lev, b_n))
+    return out
 
 
 def run_many_k(
@@ -159,12 +268,22 @@ def run_many_k(
 ) -> list[dict]:
     """Replicate the many-candidate null experiment over a spec grid.
 
-    For each cell and replication: score the baseline and, in one
-    ``elpd_loo_extensions`` call, the K - 1 single-predictor candidates with
-    exact LOO, record the maximum elpd difference,
-    the half-normal scale of the diffs, the predicted expected-maximum
-    threshold ``blom_max(K, alpha) * sigma_hat``, and test elpds (scaled to
-    n) of the selected and true models on a fresh draw.
+    For each cell and replication: score the baseline and the K - 1
+    single-predictor candidates with exact LOO, record the maximum elpd
+    difference, the half-normal scale of the diffs, the predicted
+    expected-maximum threshold ``blom_max(K, alpha) * sigma_hat``, and
+    test elpds (scaled to n) of the selected and true models on a fresh
+    draw.
+
+    A cell's replications are scored together (``_score_many_k``), in
+    blocks whose training block (n x K values per replication) and test
+    arrays (n_test values per replication) hold up to 2^15 values, from one
+    shared baseline factorization; no model is fit on its own unless the
+    closed form's guard breaks. Test elpds border the same baseline posterior with the
+    chosen column (``_many_k_test_elpds``). Each replication's training
+    and test sets have seeds of their own, so the test sets are drawn
+    after the block is scored and only their response, first predictor and
+    selected predictor are kept.
 
     The threshold counts K models (baseline included) although it is taken
     over the K - 1 differences, whereas ``orderstats.threshold`` passes the
@@ -179,54 +298,60 @@ def run_many_k(
     prior = prior or NigPrior.diffuse()
     rows: list[dict] = []
     for spec in specs:
-        for rep in range(replications):
-            seed = derive_seed("many_k", spec.seed, spec.n, spec.K, spec.beta_delta, rep)
-            cell = dc_replace(spec, seed=seed)
-            ds = gen_nested(cell)
-            test = gen_nested(
-                dc_replace(
-                    cell,
-                    n=n_test,
-                    seed=derive_seed("many_k_test", spec.seed, spec.n, spec.K, spec.beta_delta, rep),
+        key = (spec.seed, spec.n, spec.K, spec.beta_delta)
+        cells = [
+            dc_replace(spec, seed=derive_seed("many_k", *key, rep))
+            for rep in range(replications)
+        ]
+        tests = [
+            dc_replace(cell, n=n_test, seed=derive_seed("many_k_test", *key, rep))
+            for rep, cell in enumerate(cells)
+        ]
+        # the test arrays are replications x n_test, so they bound the block too
+        width = max(1, _BLOCK // max(spec.n * spec.K, n_test))
+        for lo in range(0, replications, width):
+            datasets = [gen_nested(cell) for cell in cells[lo : lo + width]]
+            block = _score_many_k(datasets, prior)
+            diffs = block.estimates[:, 1:] - block.estimates[:, :1]
+            selected = np.argmax(diffs, axis=1)
+            m = len(datasets)
+            y_test = np.empty((m, n_test))
+            x_true = np.empty((m, n_test))
+            x_selected = np.empty((m, n_test))
+            for r, test in enumerate(map(gen_nested, tests[lo : lo + m])):
+                y_test[r] = test.y
+                x_true[r] = test.X[:, 0]
+                x_selected[r] = test.X[:, selected[r]]
+            base_test, sel_test, true_test = _many_k_test_elpds(
+                block, datasets, selected, y_test, x_true, x_selected, prior
+            )
+            s_k = blom_max(spec.K, alpha)
+            for r, cell in enumerate(cells[lo : lo + m]):
+                d = diffs[r]
+                if d.size >= 2:
+                    sigma_hat, median_diff = halfnormal_sigma(d)
+                else:
+                    sigma_hat, median_diff = 0.0, float(d[0])
+                sel = int(selected[r])
+                rows.append(
+                    {
+                        "experiment": "many_k",
+                        "K": spec.K,
+                        "beta_delta": spec.beta_delta,
+                        "n": spec.n,
+                        "rep": lo + r,
+                        "seed": cell.seed,
+                        "spec_hash": spec_hash(cell),
+                        "max_diff": float(d.max()),
+                        "median_diff": median_diff,
+                        "sigma_hat": float(sigma_hat),
+                        "predicted_threshold": float(s_k * sigma_hat),
+                        "selected_index": sel,
+                        "selected_is_true": sel == 0,
+                        "diff_selected_test": float(sel_test[r]) - float(base_test[r]),
+                        "diff_true_test": float(true_test[r]) - float(base_test[r]),
+                    }
                 )
-            )
-            base_est = elpd_loo_exact(ds.subset(()), prior)
-            _, estimates = elpd_loo_extensions(ds, prior, (), range(spec.K - 1))
-            diffs = estimates - base_est.estimate
-            selected = int(np.argmax(diffs))
-            if diffs.size >= 2:
-                sigma_hat, median_diff = halfnormal_sigma(diffs)
-            else:
-                sigma_hat = 0.0
-                median_diff = float(diffs[0])
-            predicted = blom_max(spec.K, alpha) * sigma_hat
-
-            base_fit = fit(ds.subset(()), prior)
-            base_test = _test_elpd(base_fit, test.subset(()), spec.n)
-            sel_fit = fit(ds.subset((selected,)), prior)
-            sel_test = _test_elpd(sel_fit, test.subset((selected,)), spec.n)
-            true_fit = fit(ds.subset((0,)), prior)
-            true_test = _test_elpd(true_fit, test.subset((0,)), spec.n)
-
-            rows.append(
-                {
-                    "experiment": "many_k",
-                    "K": spec.K,
-                    "beta_delta": spec.beta_delta,
-                    "n": spec.n,
-                    "rep": rep,
-                    "seed": seed,
-                    "spec_hash": spec_hash(cell),
-                    "max_diff": float(diffs.max()),
-                    "median_diff": median_diff,
-                    "sigma_hat": float(sigma_hat),
-                    "predicted_threshold": float(predicted),
-                    "selected_index": selected,
-                    "selected_is_true": selected == 0,
-                    "diff_selected_test": sel_test - base_test,
-                    "diff_true_test": true_test - base_test,
-                }
-            )
     return rows
 
 

@@ -440,6 +440,27 @@ class TestSimulate:
                 "n_grid",
             ),
             ({"experiment": "many_k", "n": 30, "k_grid": [], "replications": 2}, "k_grid"),
+            ({"experiment": "many_k", "n": 100, "k_grid": [3, 3], "replications": 3}, "k_grid"),
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [50, 50], "rho_grid": [0.0],
+                 "replications": 1},
+                "n_grid",
+            ),
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.5, 0.5],
+                 "replications": 1},
+                "rho_grid",
+            ),
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                 "multipliers": [1, 1.0], "replications": 1},
+                "multipliers",
+            ),
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                 "priors": ["tight", "diffuse", "tight"], "replications": 1},
+                "priors",
+            ),
         ],
     )
     def test_invalid_config_values_fail_with_one_line(self, tmp_path, capsys, config, word):
@@ -460,7 +481,7 @@ class TestSimulate:
 
     def test_guard_false_lifts_desk_scale_guard(self, tmp_path, capsys):
         config = {
-            "experiment": "forward", "p": 35, "n_grid": [40], "rho_grid": [0.0],
+            "experiment": "forward", "p": 65, "n_grid": [40], "rho_grid": [0.0],
             "replications": 1, "n_test": 40,
         }
         cfg = tmp_path / "fw.json"

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cvbias.conjlm import NigPrior, elpd_loo_exact
-from cvbias.errors import InvalidBlocking, InvalidParameter
+from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred_dataset
+from cvbias.errors import InvalidBlocking, InvalidParameter, TooFewObservations
+from cvbias.orderstats import blom_max, halfnormal_sigma
 from cvbias.search import forward_search
 from cvbias import sim
 from cvbias.sim import (
@@ -155,6 +156,157 @@ class TestRunManyK:
         assert rows == rerun
 
 
+def many_k_reference(specs, replications, prior, n_test, alpha=0.5):
+    """``run_many_k`` rows, one replication and one model at a time: an
+    ``elpd_loo_exact`` per model, a ``fit`` and ``log_pred_dataset`` per
+    test elpd."""
+    rows = []
+    for spec in specs:
+        key = (spec.seed, spec.n, spec.K, spec.beta_delta)
+        for rep in range(replications):
+            cell = dc_replace(spec, seed=derive_seed("many_k", *key, rep))
+            ds = gen_nested(cell)
+            test = gen_nested(
+                dc_replace(cell, n=n_test, seed=derive_seed("many_k_test", *key, rep))
+            )
+            base = elpd_loo_exact(ds.subset(()), prior).estimate
+            diffs = np.array(
+                [elpd_loo_exact(ds.subset((j,)), prior).estimate for j in range(spec.K - 1)]
+            ) - base
+            sel = int(np.argmax(diffs))
+            if diffs.size >= 2:
+                sigma_hat, median_diff = halfnormal_sigma(diffs)
+            else:
+                sigma_hat, median_diff = 0.0, float(diffs[0])
+
+            def test_elpd(cols):
+                fit_ = fit(ds.subset(cols), prior)
+                return spec.n * float(np.mean(log_pred_dataset(fit_, test.subset(cols))))
+
+            rows.append(
+                {
+                    "experiment": "many_k",
+                    "K": spec.K,
+                    "beta_delta": spec.beta_delta,
+                    "n": spec.n,
+                    "rep": rep,
+                    "seed": cell.seed,
+                    "spec_hash": spec_hash(cell),
+                    "max_diff": float(diffs.max()),
+                    "median_diff": median_diff,
+                    "sigma_hat": sigma_hat,
+                    "predicted_threshold": blom_max(spec.K, alpha) * sigma_hat,
+                    "selected_index": sel,
+                    "selected_is_true": sel == 0,
+                    "diff_selected_test": test_elpd((sel,)) - test_elpd(()),
+                    "diff_true_test": test_elpd((0,)) - test_elpd(()),
+                }
+            )
+    return rows
+
+
+def assert_rows_match(rows, expected):
+    """Identical keys and non-float fields; floats within 1e-9 absolute."""
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        assert got.keys() == want.keys()
+        for k, v in want.items():
+            if isinstance(v, float):
+                assert type(got[k]) is float and got[k] == pytest.approx(v, rel=0, abs=1e-9), k
+            else:
+                assert type(got[k]) is type(v) and got[k] == v, k
+
+
+class TestManyKBlocks:
+    @pytest.mark.parametrize(
+        "specs, replications, prior, n_test",
+        [
+            # K = 2: one candidate per replication
+            ([NestedDgpSpec(n=50, K=2, beta_delta=0.0, seed=21)], 5, NigPrior.diffuse(), 200),
+            # sim._BLOCK // (40 * 30) = 27 replications per block: 30 leave a
+            # partial last block
+            ([NestedDgpSpec(n=40, K=30, beta_delta=0.0, seed=22)], 30, NigPrior.diffuse(), 100),
+            (
+                [NestedDgpSpec(n=60, K=k, beta_delta=0.5, seed=23) for k in (3, 8)],
+                6,
+                NigPrior.diffuse(),
+                80,
+            ),
+            (
+                [NestedDgpSpec(n=25, K=k, beta_delta=0.3, seed=24) for k in (2, 6)],
+                4,
+                NigPrior.tight(),
+                40,
+            ),
+        ],
+    )
+    def test_blocks_match_per_replication_reference(self, specs, replications, prior, n_test):
+        rows = run_many_k(specs, replications, prior=prior, n_test=n_test)
+        assert_rows_match(rows, many_k_reference(specs, replications, prior, n_test))
+
+    def test_crafted_block_falls_back_per_model(self, monkeypatch):
+        # v0 = 1e16: a column 1e-8 away from the intercept has s at rounding
+        # noise yet an invertible precision, and a 1e8 entry puts its row's
+        # leverage at 1
+        prior = NigPrior(v0=1e16)
+        rng = np.random.default_rng(5)
+        X0, X1 = rng.standard_normal((2, 8, 3))
+        X0[0, 1] = 1e8
+        X1[:, 0] = 1.0 + 1e-8 * np.arange(8)
+        datasets = [Dataset(X, rng.standard_normal(8)) for X in (X0, X1)]
+        calls = []
+
+        def recording(data, prior_):
+            calls.append(data)
+            return elpd_loo_exact(data, prior_)
+
+        monkeypatch.setattr(sim, "elpd_loo_exact", recording)
+        block = sim._score_many_k(datasets, prior)
+        assert [(c.X.tolist(), c.y.tolist()) for c in calls] == [
+            (X0[:, [1]].tolist(), datasets[0].y.tolist()),
+            (X1[:, [0]].tolist(), datasets[1].y.tolist()),
+        ]
+        assert block.noise.tolist() == [[False] * 4, [False, True, False, False]]
+        want = [
+            [elpd_loo_exact(ds.subset(c), prior).estimate for c in [(), (0,), (1,), (2,)]]
+            for ds in datasets
+        ]
+        assert block.estimates == pytest.approx(np.array(want), rel=1e-12, abs=0)
+        # the two fallbacks are elpd_loo_exact itself
+        assert block.estimates[0, 2] == want[0][2] and block.estimates[1, 1] == want[1][1]
+
+        y_test = rng.standard_normal((2, 30))
+        x_true, x_sel = rng.standard_normal((2, 2, 30))
+        elpds = sim._many_k_test_elpds(
+            block, datasets, np.array([2, 2]), y_test, x_true, x_sel, prior
+        )
+        for r, ds in enumerate(datasets):
+            test = Dataset(np.column_stack([x_true[r], x_sel[r], x_sel[r]]), y_test[r])
+            for got, cols in zip(elpds, [(), (2,), (0,)]):
+                fit_ = fit(ds.subset(cols), prior)
+                want = 8 * float(np.mean(log_pred_dataset(fit_, test.subset(cols))))
+                if r == 1 and cols == (0,):
+                    # the noise column is refit: the same arithmetic as fit
+                    assert got[r] == want
+                else:
+                    assert got[r] == pytest.approx(want, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize(
+        "n, n_test, error, match",
+        [
+            (30, 1, InvalidParameter, "n must be >= 2"),
+            (2, 1, InvalidParameter, "n must be >= 2"),
+            (2, 50, TooFewObservations, "at least 3 observations"),
+        ],
+    )
+    def test_invalid_sizes_fail_as_before(self, n, n_test, error, match):
+        # the test set's spec is checked before the training set is scored
+        with pytest.raises(error, match=match):
+            run_many_k(
+                [NestedDgpSpec(n=n, K=3, beta_delta=0.0, seed=25)], 2, n_test=n_test
+            )
+
+
 class TestRunForwardExperiment:
     def test_rho_cells_share_schema(self):
         specs = [
@@ -184,7 +336,7 @@ class TestRunForwardExperiment:
     def test_desk_scale_guard(self):
         with pytest.raises(ValueError, match="guard"):
             run_forward_experiment(
-                [BlockDgpSpec(n=1000, p=10, rho=0.0, seed=0)], replications=2
+                [BlockDgpSpec(n=1001, p=10, rho=0.0, seed=0)], replications=2
             )
         with pytest.raises(ValueError, match="guard"):
             run_forward_experiment(
