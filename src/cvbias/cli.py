@@ -27,7 +27,7 @@ from .io import (
 )
 from .orderstats import build_comparison, check_alpha, check_multiplier
 from .psisloo import elpd_loo_psis, from_pointwise
-from .search import correct_path, evaluate_test, forward_search, stopping_rules
+from .search import correct_path, forward_search, stopping_rules
 from .sim import (
     BlockDgpSpec,
     NestedDgpSpec,
@@ -185,12 +185,10 @@ def cmd_forward(args) -> dict:
     check_alpha(args.alpha)
     check_multiplier(args.multiplier)
     data = read_dataset_csv(args.data, args.target)
+    test = read_dataset_csv(args.test, args.target) if args.test else None
     prior = PRIOR_PRESETS[args.prior]()
     max_size = args.max_size if args.max_size is not None else data.p
-    path = forward_search(data, prior, max_size=max_size)
-    if args.test:
-        test = read_dataset_csv(args.test, args.target)
-        path = evaluate_test(path, test)
+    path = forward_search(data, prior, max_size=max_size, test=test)
     path = correct_path(path, multiplier=args.multiplier, alpha=args.alpha)
     verdicts = stopping_rules(path)
     inputs = [args.data] + ([args.test] if args.test else [])

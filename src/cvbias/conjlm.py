@@ -75,15 +75,18 @@ class Dataset:
             return np.hstack([np.ones((self.n, 1)), self.X])
         return self.X
 
+    @classmethod
+    def _trusted(cls, X, y, intercept=True, columns=None) -> "Dataset":
+        """A dataset from float arrays known to be finite and well shaped,
+        built without ``__post_init__``'s checks."""
+        data = object.__new__(cls)
+        data.__dict__.update(X=X, y=y, intercept=intercept, columns=columns)
+        return data
+
     def subset(self, cols: Sequence[int]) -> "Dataset":
         cols = tuple(cols)
         names = tuple(self.columns[c] for c in cols) if self.columns else None
-        # columns of a validated dataset are finite: skip __post_init__
-        sub = object.__new__(Dataset)
-        sub.__dict__.update(
-            X=self.X[:, cols], y=self.y, intercept=self.intercept, columns=names
-        )
-        return sub
+        return Dataset._trusted(self.X[:, cols], self.y, self.intercept, names)
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,16 @@ def check_alpha(alpha: float) -> None:
 
 
 def check_multiplier(multiplier: float) -> None:
-    """Raise InvalidParameter unless the bias multiplier is >= 0."""
-    if not multiplier >= 0:
-        raise InvalidParameter(f"multiplier must be >= 0, got {multiplier}")
+    """Raise InvalidParameter unless the bias multiplier is finite and >= 0."""
+    if not (multiplier >= 0 and math.isfinite(multiplier)):
+        raise InvalidParameter(f"multiplier must be finite and >= 0, got {multiplier}")
+
+
+def check_finite(value: float, what: str, multiplier: float) -> float:
+    """``value``, or InvalidParameter if the multiplier scaled it out of range."""
+    if not math.isfinite(value):
+        raise InvalidParameter(f"{what} is not finite with multiplier {multiplier}")
+    return value
 
 
 def blom_max(K: int, alpha: float = DEFAULT_ALPHA) -> float:
@@ -288,7 +295,7 @@ def build_comparison(
         median_hat=median_hat,
         s_k=s_k,
         threshold=thr,
-        bias_hat=float(multiplier * thr),
+        bias_hat=check_finite(float(multiplier * thr), "bias", multiplier),
         multiplier=multiplier,
         alpha=alpha,
         max_diff=mx,

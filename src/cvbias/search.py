@@ -18,7 +18,6 @@ from .conjlm import (
     Dataset,
     NigPrior,
     _border,
-    _border_terms,
     _factorize,
     _leverages,
     _model_loo,
@@ -32,8 +31,8 @@ from .errors import (
     InvalidParameter,
     SchemaMismatch,
 )
-from .orderstats import blom_max, check_multiplier, halfnormal_sigma
-from .psisloo import elpd_se
+from .orderstats import blom_max, check_finite, check_multiplier, halfnormal_sigma
+from .psisloo import elpd_se, mlpd
 
 
 @dataclass(frozen=True)
@@ -153,20 +152,36 @@ class StopVerdicts:
         }
 
 
-def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
+def forward_search(
+    data: Dataset, prior: NigPrior, max_size: int, test: Dataset | None = None
+) -> SearchPath:
     """Greedy forward search maximizing the exact LOO elpd point estimate.
 
     Each step scores all its candidates from the current model's carried
-    posterior in one BLAS-3 pass (``conjlm._score_extensions``). The diffs
-    against the current model and their paired standard errors come from
-    that n x c block; only the chosen column is kept. The chosen model's
-    posterior is then bordered from its column's terms: only the starting
-    model, whose factorization also gives the base LOO, and a chosen
-    candidate that breached the closed form's guard, are factorized. Ties
-    break to the lowest predictor index. Each step's corrected fields hold
-    its raw values until ``correct_path``.
+    posterior in one BLAS-3 pass (``conjlm._score_extensions``), giving the
+    diffs and paired standard errors; only the chosen column is kept. The
+    chosen column's u = P^-1 A'x, s and e'y border that posterior; only the
+    starting model and a chosen candidate that breached the closed form's
+    guard are factorized. Ties break to the lowest predictor index. Each
+    step's corrected fields hold its raw values until ``correct_path``.
+
+    A ``test`` set, matched to ``data`` by predictor position (and by name,
+    when both have names), is scored at every size from the same posterior:
+    each test location grows by e_t (e'y)/s and each leverage by e_t^2/s,
+    where e_t = x_t - a_t'u.
     """
     p = data.p
+    if test is not None:
+        if test.p != p:
+            raise SchemaMismatch(f"test data has {test.p} predictors, training had {p}")
+        if test.intercept != data.intercept:
+            raise SchemaMismatch("test and training data differ in the intercept")
+        names = zip(data.columns or (), test.columns or ())
+        for i, (a, b) in enumerate(names, start=1):
+            if a != b:
+                raise SchemaMismatch(
+                    f"test predictor {i} is {b!r} where training has {a!r}"
+                )
     if max_size > p:
         raise EmptyCandidateSet(f"max_size {max_size} exceeds {p} predictors")
     if max_size < 1:
@@ -176,6 +191,13 @@ def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
     model = _factorize(data, prior, ())
     base_pointwise = _model_loo(data, prior, model)
     base_elpd = math.fsum(base_pointwise.tolist())
+    test_mlpd = None
+    if test is not None:
+        a_n = prior.a0 + data.n / 2.0
+        At = test.subset(()).design()
+        loc, lev = At @ model.mean_n, _leverages(At, model.cov)
+        test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, a_n, model.b_n))
+    base_test_mlpd = test_mlpd
     prev_elpd, prev_pointwise = base_elpd, base_pointwise
     steps: list[SearchStep] = []
     for _ in range(max_size):
@@ -193,6 +215,19 @@ def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
         del pointwise
         elpd_after = float(estimates[best])
         j = cands[best]
+        if ok[best]:
+            model = _border(model, j, data.X[:, j], U[:, best], s[best], ey[best])
+        else:
+            model = _factorize(data, prior, model.cols + (j,))
+        if test is not None:
+            At = np.column_stack([At, test.X[:, j]])
+            if ok[best]:
+                et = At[:, -1] - At[:, :-1] @ U[:, best]
+                loc = loc + et * (ey[best] / s[best])
+                lev = lev + et**2 / s[best]
+            else:
+                loc, lev = At @ model.mean_n, _leverages(At, model.cov)
+            test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, a_n, model.b_n))
         steps.append(
             SearchStep(
                 predictor_added=j,
@@ -204,12 +239,9 @@ def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
                 candidate_diffs=diffs,
                 candidate_ses=ses,
                 pointwise=chosen,
+                test_mlpd_after=test_mlpd,
             )
         )
-        if ok[best]:
-            model = _border(model, j, data.X[:, j], U[:, best], s[best], ey[best])
-        else:
-            model = _factorize(data, prior, model.cols + (j,))
         prev_elpd, prev_pointwise = elpd_after, chosen
 
     return SearchPath(
@@ -219,6 +251,7 @@ def forward_search(data: Dataset, prior: NigPrior, max_size: int) -> SearchPath:
         data=data,
         prior=prior,
         max_size=max_size,
+        test_mlpd_base=base_test_mlpd,
     )
 
 
@@ -251,18 +284,23 @@ def correct_path(
         else:
             sigma_hat = 0.0
         thr = blom_max(size, alpha) * sigma_hat
-        bias = multiplier * thr
+        bias = check_finite(multiplier * thr, f"bias at size {size}", multiplier)
         post_bulge = size > bulge_size
         if post_bulge or abs(s.raw_diff) >= thr:
             corrected = s.raw_diff
         else:
             corrected = s.raw_diff - bias
         corrected_diffs.append(corrected)
+        try:
+            corrected_elpd = math.fsum([path.base_elpd] + corrected_diffs)
+        except OverflowError:  # finite terms whose sum leaves the float range
+            corrected_elpd = math.inf
+        what = f"corrected elpd at size {size}"
         new_steps.append(
             replace(
                 s,
                 corrected_diff=corrected,
-                corrected_elpd_after=math.fsum([path.base_elpd] + corrected_diffs),
+                corrected_elpd_after=check_finite(corrected_elpd, what, multiplier),
                 threshold_at_step=float(thr),
                 bias_at_step=float(bias),
                 post_bulge=post_bulge,
@@ -309,58 +347,3 @@ def stopping_rules(path: SearchPath) -> StopVerdicts:
         two_sigma_delta_size=first_stop(2.0),
         three_sigma_delta_size=first_stop(3.0),
     )
-
-
-def evaluate_test(path: SearchPath, test_data: Dataset) -> SearchPath:
-    """Fill per-size test mlpd of each step's model fitted on the training data.
-
-    The training posterior is carried along the path by the same bordering
-    as ``forward_search``; with the added column's u = P^-1 A'x, s and
-    g = e'y/s, each test row's location grows by e_t g and its leverage by
-    e_t^2/s, where e_t = x_t - a_t'u. A step whose s is rounding noise is
-    refactorized instead, and so fails as a refit of a singular model does.
-
-    Predictors are matched by position, so when both datasets carry column
-    names they must be the same names in the same order.
-    """
-    train, prior = path.data, path.prior
-    if test_data.p != train.p:
-        raise SchemaMismatch(
-            f"test data has {test_data.p} predictors, training had {train.p}"
-        )
-    if test_data.intercept != train.intercept:
-        raise SchemaMismatch("test and training data differ in the intercept")
-    names = zip(train.columns or (), test_data.columns or ())
-    for i, (a, b) in enumerate(names, start=1):
-        if a != b:
-            raise SchemaMismatch(
-                f"test predictor {i} is {b!r} where training has {a!r}"
-            )
-    a_n = prior.a0 + train.n / 2.0
-    model = _factorize(train, prior, ())
-    At = test_data.subset(()).design()
-    loc, lev = At @ model.mean_n, _leverages(At, model.cov)
-
-    def test_mlpd(loc, lev, b_n) -> float:
-        return float(np.mean(_predictive_logpdf(test_data.y, loc, lev, a_n, b_n)))
-
-    base_mlpd = test_mlpd(loc, lev, model.b_n)
-    new_steps = []
-    for step in path.steps:
-        j = step.predictor_added
-        x, xt = train.X[:, j], test_data.X[:, j]
-        U, E, s, noise = _border_terms(model.A, model.cov, x[:, None], prior)
-        ey = E.T @ train.y
-        At_next = np.column_stack([At, xt])
-        if noise[0]:
-            model = _factorize(train, prior, model.cols + (j,))
-            loc, lev = At_next @ model.mean_n, _leverages(At_next, model.cov)
-        else:
-            et = xt - At @ U[:, 0]
-            loc = loc + et * (ey[0] / s[0])
-            lev = lev + et**2 / s[0]
-            model = _border(model, j, x, U[:, 0], s[0], ey[0])
-        At = At_next
-        m = test_mlpd(loc, lev, model.b_n)
-        new_steps.append(replace(step, test_mlpd_after=m))
-    return replace(path, steps=tuple(new_steps), test_mlpd_base=base_mlpd)

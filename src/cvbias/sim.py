@@ -34,7 +34,7 @@ from .conjlm import (
 from .errors import InvalidBlocking, InvalidParameter
 from .orderstats import blom_max, halfnormal_sigma
 from .psisloo import _BLOCK, elpd_se
-from .search import correct_path, evaluate_test, forward_search, stopping_rules
+from .search import correct_path, forward_search, stopping_rules
 
 PRIOR_PRESETS = {
     "diffuse": NigPrior.diffuse,
@@ -93,7 +93,8 @@ def gen_nested(spec: NestedDgpSpec) -> Dataset:
     Z = rng.standard_normal((spec.n, spec.K - 1))
     eps = rng.standard_normal(spec.n) * math.sqrt(spec.sigma2)
     y = 1.0 + spec.beta_delta * Z[:, 0] + eps
-    return Dataset(Z, y, intercept=True)
+    # beta_delta lies in [0, 1), so normal draws give finite X and y
+    return Dataset._trusted(Z, y)
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,8 @@ class BlockDgpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.block_size >= 1:
+            raise InvalidParameter(f"block_size must be >= 1, got {self.block_size}")
         if self.p % self.block_size != 0:
             raise InvalidBlocking(
                 f"p={self.p} is not divisible by block_size={self.block_size}"
@@ -125,6 +128,12 @@ class BlockDgpSpec:
             raise InvalidParameter("rho must lie in [0, 1)")
         if not 0 < self.n_relevant <= self.p:
             raise InvalidParameter("n_relevant must lie in (0, p]")
+        if not self.n_test >= 1:
+            raise InvalidParameter(f"n_test must be >= 1, got {self.n_test}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise InvalidParameter(f"sigma2 must be finite and >= 0, got {self.sigma2}")
+        if not math.isfinite(self.xi):
+            raise InvalidParameter(f"xi must be finite, got {self.xi}")
 
     def weights_vector(self) -> np.ndarray:
         w = np.zeros(self.p)
@@ -454,8 +463,7 @@ def run_forward_experiment(
                 cell = dc_replace(spec, seed=seed)
                 train, test = gen_block(cell)
                 prior = PRIOR_PRESETS[prior_name]()
-                path = forward_search(train, prior, max_size=spec.p)
-                path = evaluate_test(path, test)
+                path = forward_search(train, prior, max_size=spec.p, test=test)
 
                 ref_fit = fit(train, NigPrior.tight())
                 ref_pointwise = log_pred_dataset(ref_fit, test)

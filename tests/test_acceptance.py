@@ -15,7 +15,7 @@ from cvbias.conjlm import pointwise_loglik
 from cvbias.gpd import fit_gpd, gpd_quantile
 from cvbias.orderstats import blom_max, halfnormal_sigma
 from cvbias.psisloo import elpd_diff, elpd_loo_psis, elpd_se, from_pointwise
-from cvbias.search import correct_path, evaluate_test, forward_search, stopping_rules
+from cvbias.search import correct_path, forward_search, stopping_rules
 from cvbias.sim import (
     BlockDgpSpec,
     NestedDgpSpec,

@@ -35,6 +35,11 @@ def write_dataset(path: Path, data: Dataset, target: str = "y") -> Path:
     return path
 
 
+def read_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def assert_one_line_error(capsys, word):
     err = capsys.readouterr().err
     assert err.startswith("cvbias: error:") and word in err
@@ -146,7 +151,12 @@ class TestCompare:
         assert_one_line_error(capsys, "multiplier")
 
     @pytest.mark.parametrize(
-        "flags, word", [(["--alpha", "0.9"], "alpha"), (["--multiplier", "-1"], "multiplier")]
+        "flags, word",
+        [
+            (["--alpha", "0.9"], "alpha"),
+            (["--multiplier", "-1"], "multiplier"),
+            (["--multiplier", "inf"], "multiplier"),
+        ],
     )
     def test_invalid_flags_rejected_before_any_read(
         self, tmp_path, monkeypatch, capsys, flags, word
@@ -242,7 +252,7 @@ class TestCompare:
             ["compare", *map(str, paths), "--format", "csv", "--output", str(out)]
         )
         assert rc == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = read_rows(out)
         assert len(rows) == 2
         assert set(rows[0]) >= {"model", "delta", "pseudo_bma"}
 
@@ -317,6 +327,7 @@ class TestForward:
             (["--max-size", "-3"], "max_size"),
             (["--alpha", "0.9"], "alpha"),
             (["--multiplier", "-1"], "multiplier"),
+            (["--multiplier", "inf"], "multiplier"),
         ],
     )
     def test_invalid_flags_fail_with_one_line(self, toy_block, capsys, flags, word):
@@ -338,6 +349,23 @@ class TestForward:
         assert calls == []
         assert_one_line_error(capsys, word)
 
+    @pytest.mark.parametrize("bad_test", ["missing", "no_target"])
+    def test_bad_test_csv_fails_before_search(
+        self, toy_block, tmp_path, monkeypatch, capsys, bad_test
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "forward_search", lambda *a, **k: calls.append(a))
+        train, test = toy_block
+        if bad_test == "no_target":
+            test = tmp_path / "no_target.csv"
+            test.write_text("x0,x1\n1.0,2.0\n")
+        else:
+            test = tmp_path / "absent.csv"
+        argv = ["forward", str(train), "--target", "y", "--test", str(test)]
+        assert main(argv) == 1
+        assert calls == []
+        assert_one_line_error(capsys, str(test) if bad_test == "missing" else "'y'")
+
     def test_output_files_and_determinism(self, toy_block, tmp_path):
         train, test = toy_block
         args = [
@@ -351,7 +379,7 @@ class TestForward:
         assert csv1 == csv2
         report = json.loads((tmp_path / "run1.report.json").read_text())
         assert report["provenance"]["tool_version"]
-        rows = list(csv.DictReader((tmp_path / "run1.path.csv").open()))
+        rows = read_rows(tmp_path / "run1.path.csv")
         assert len(rows) == 7
         assert rows[1]["test_mlpd"] != ""
 
@@ -385,10 +413,10 @@ class TestSimulate:
         )
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--output", str(out)]) == 0
-        summary = list(csv.DictReader((out / "many_k_summary.csv").open()))
+        summary = read_rows(out / "many_k_summary.csv")
         assert [int(r["K"]) for r in summary] == [2, 5]
         assert {"mean_max_diff", "predicted_threshold"} <= set(summary[0])
-        runs = list(csv.DictReader((out / "many_k_runs.csv").open()))
+        runs = read_rows(out / "many_k_runs.csv")
         assert len(runs) == 6
         assert all(r["seed"] and r["spec_hash"] for r in runs)
 
@@ -410,12 +438,12 @@ class TestSimulate:
         )
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--output", str(out)]) == 0
-        runs = list(csv.DictReader((out / "forward_runs.csv").open()))
+        runs = read_rows(out / "forward_runs.csv")
         assert len(runs) == 6  # 2 reps x 3 multipliers
         assert {r["multiplier"] for r in runs} == {"1.0", "1.5", "2.0"}
         assert (out / "summary.json").exists()
         for m in ("1.0", "1.5", "2.0"):
-            per = list(csv.DictReader((out / f"forward_path_m{m}.csv").open()))
+            per = read_rows(out / f"forward_path_m{m}.csv")
             assert len(per) == 2 * 11  # 2 reps x sizes 0..10
             assert {r["multiplier"] for r in per} == {m}
 
@@ -461,11 +489,35 @@ class TestSimulate:
                  "priors": ["tight", "diffuse", "tight"], "replications": 1},
                 "priors",
             ),
+            *[
+                (
+                    {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                     "replications": 1, key: value},
+                    key,
+                )
+                for key, value in [
+                    ("block_size", 0),
+                    ("block_size", -5),
+                    ("n_test", -3),
+                    ("sigma2", -1),
+                    ("xi", "nan"),
+                ]
+            ],
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                 "multipliers": [1e308], "replications": 1},
+                "multiplier",
+            ),
+            (
+                '{"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],'
+                ' "multipliers": [1e400], "replications": 1}',
+                "multiplier",
+            ),
         ],
     )
     def test_invalid_config_values_fail_with_one_line(self, tmp_path, capsys, config, word):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
         assert_one_line_error(capsys, word)
 

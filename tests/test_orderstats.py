@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr, ndtri
 
-from cvbias.errors import NonPositiveSigma, TooFewModels
+from cvbias.errors import InvalidParameter, NonPositiveSigma, TooFewModels
 from cvbias.gpd import khat_threshold
 from cvbias.orderstats import (
     bias_estimate,
@@ -256,6 +256,14 @@ class TestBuildComparison:
         assert cmp_.max_diff > cmp_.threshold
         best = max(cmp_.diffs, key=lambda d: d.estimate)
         assert best.model_a == "win"
+
+    @pytest.mark.parametrize("multiplier", [float("inf"), float("nan"), 1e308])
+    def test_bias_out_of_float_range_rejected(self, multiplier):
+        # the threshold here is about 3.2, so 1e308 times it is +inf
+        ests = [from_pointwise([0.0, 4.0 * i], f"m{i}") for i in range(4)]
+        assert build_comparison(ests, multiplier=1e307).bias_hat < float("inf")
+        with pytest.raises(InvalidParameter, match="multiplier"):
+            build_comparison(ests, multiplier=multiplier)
 
     def test_unknown_baseline(self):
         ests = [from_pointwise([1.0, 2.0], f"m{i}") for i in range(3)]

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +13,11 @@ from cvbias.errors import (
     SchemaMismatch,
 )
 from cvbias.psisloo import elpd_se
+from cvbias import search
 from cvbias.search import (
     SearchPath,
     SearchStep,
     correct_path,
-    evaluate_test,
     forward_search,
     stopping_rules,
 )
@@ -30,8 +29,7 @@ PRIOR = NigPrior.diffuse()
 @pytest.fixture(scope="module")
 def block_path():
     train, test = gen_block(BlockDgpSpec(n=100, p=10, rho=0.0, block_size=5, seed=31))
-    path = forward_search(train, PRIOR, max_size=10)
-    path = evaluate_test(path, test)
+    path = forward_search(train, PRIOR, max_size=10, test=test)
     return path, train, test
 
 
@@ -235,35 +233,60 @@ class TestCarriedPosterior:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_evaluate_test_matches_refits(self, n, n_test, p, tight, seed):
+        # the test mlpd of every size, scored from the carried posterior,
+        # against a fit of that model on its own
         data = random_design(n + n_test, p, seed)
         train = Dataset(data.X[:n], data.y[:n])
         test = Dataset(data.X[n:], data.y[n:])
         prior = NigPrior.tight() if tight else PRIOR
-        out = evaluate_test(forward_search(train, prior, max_size=p), test)
-        cols = [()] + [tuple(out.predictors()[:k]) for k in range(1, p + 1)]
-        refits = [
-            np.mean(log_pred_dataset(fit(train.subset(c), prior), test.subset(c)))
-            for c in cols
-        ]
-        assert np.max(np.abs(out.test_mlpds() - refits)) <= 1e-10
+        out = forward_search(train, prior, max_size=p, test=test)
+        assert_test_mlpds_match_refits(out, train, test, prior)
 
-    def test_evaluate_test_refits_a_step_whose_s_is_noise(self):
-        # a path that adds a duplicate of a column of scale 1e9 has s at
-        # rounding level: that step is refactorized, and fails as fit does
+    def test_refactorized_steps_score_the_test_set_afresh(self, monkeypatch):
+        # column 2 is zero but for a spike in row 0, so every model that holds
+        # it puts that row's leverage within 1e-10 of 1: the search chooses it
+        # last, breaching the closed form's guard, and refactorizes that model
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((40, 3))
+        X[:20, 2] = 0.0
+        X[0, 2] = 1e8
+        y = X[:, 0] - 0.5 * X[:, 1] + rng.standard_normal(40)
+        train = Dataset(X[:20], y[:20])
+        test = Dataset(X[20:], y[20:])
+        factorized = []
+        original = search._factorize
+
+        def spy(data, prior, cols):
+            factorized.append(tuple(cols))
+            return original(data, prior, cols)
+
+        monkeypatch.setattr(search, "_factorize", spy)
+        out = forward_search(train, PRIOR, max_size=3, test=test)
+        assert out.predictors()[-1] == 2
+        assert factorized == [(), tuple(out.predictors())]
+        assert_test_mlpds_match_refits(out, train, test, PRIOR)
+
+    def test_noise_level_duplicate_fails_as_fit_does(self):
+        # two copies of a column of scale 1e9 leave s at rounding level: the
+        # search factorizes {a, b} instead, and fails as fit does, with or
+        # without a test set
         rng = np.random.default_rng(90)
         a = 1e9 * rng.standard_normal(20)
         data = Dataset(np.column_stack([a, a]), rng.standard_normal(20))
-        path = forward_search(data, PRIOR, max_size=1)
-        step = path.steps[0]
-        twice = replace(
-            path,
-            steps=(step, replace(step, predictor_added=1 - step.predictor_added)),
-            max_size=2,
-        )
         with pytest.raises(InvalidParameter, match="singular"):
             fit(data, PRIOR)
-        with pytest.raises(InvalidParameter, match="singular"):
-            evaluate_test(twice, data)
+        for test in (None, data):
+            with pytest.raises(InvalidParameter, match="singular"):
+                forward_search(data, PRIOR, max_size=2, test=test)
+
+
+def assert_test_mlpds_match_refits(path, train, test, prior):
+    cols = [tuple(path.predictors()[:k]) for k in range(len(path.steps) + 1)]
+    refits = [
+        np.mean(log_pred_dataset(fit(train.subset(c), prior), test.subset(c)))
+        for c in cols
+    ]
+    assert np.max(np.abs(path.test_mlpds() - refits)) <= 1e-10
 
 
 class TestCorrectPath:
@@ -389,6 +412,8 @@ class TestStoppingRules:
 
 
 class TestEvaluateTest:
+    """Test-set scoring by ``forward_search(..., test=)``."""
+
     def test_fills_all_sizes(self, block_path):
         path, _, _ = block_path
         assert path.test_mlpd_base is not None
@@ -397,27 +422,38 @@ class TestEvaluateTest:
 
     def test_deterministic(self, block_path):
         path, train, test = block_path
-        again = evaluate_test(path, test)
-        assert again.test_mlpds() == pytest.approx(path.test_mlpds(), rel=0.0)
+        again = forward_search(train, PRIOR, max_size=10, test=test)
+        assert np.array_equal(again.test_mlpds(), path.test_mlpds())
+        without = forward_search(train, PRIOR, max_size=10)
+        assert without.test_mlpds() is None
+        assert np.array_equal(without.raw_elpds(), path.raw_elpds())
 
     def test_single_test_point_is_single_log_density(self, block_path):
         path, train, test = block_path
         one = Dataset(test.X[:1], test.y[:1])
-        out = evaluate_test(path, one)
-        from cvbias.conjlm import fit, log_pred_dataset
-
+        out = forward_search(train, PRIOR, max_size=10, test=one)
         expected = log_pred_dataset(fit(train.subset(()), PRIOR), one.subset(()))
         assert out.test_mlpd_base == pytest.approx(float(expected[0]))
 
-    def test_schema_mismatch(self, block_path):
+    def test_schema_mismatch(self, block_path, monkeypatch):
+        # the schema is checked before the search factorizes anything
         path, train, test = block_path
-        with pytest.raises(SchemaMismatch):
-            evaluate_test(path, Dataset(test.X[:, :4], test.y))
+        factorized = []
+        monkeypatch.setattr(search, "_factorize", lambda *a: factorized.append(a))
+        with pytest.raises(SchemaMismatch, match="4 predictors"):
+            forward_search(train, PRIOR, max_size=10, test=Dataset(test.X[:, :4], test.y))
+        named = Dataset(train.X[:, :2], train.y, columns=("a", "b"))
+        swapped = Dataset(test.X[:, :2], test.y, columns=("b", "a"))
+        with pytest.raises(SchemaMismatch, match="'b' where training has 'a'"):
+            forward_search(named, PRIOR, max_size=2, test=swapped)
+        assert factorized == []
 
     def test_intercept_mismatch(self, block_path):
         path, train, test = block_path
         with pytest.raises(SchemaMismatch, match="intercept"):
-            evaluate_test(path, Dataset(test.X, test.y, intercept=False))
+            forward_search(
+                train, PRIOR, max_size=10, test=Dataset(test.X, test.y, intercept=False)
+            )
 
     def test_rows_roundtrip(self, block_path):
         path, _, _ = block_path

@@ -49,6 +49,22 @@ class TestGenNested:
         with pytest.raises(ValueError):
             NestedDgpSpec(n=20, K=3, beta_delta=1.0, seed=0)
 
+    def test_builds_without_rechecking(self, monkeypatch):
+        # bounded beta_delta keeps the draws finite, so the checks are skipped
+        spec = NestedDgpSpec(n=30, K=4, beta_delta=0.5, seed=8)
+        checked = Dataset(gen_nested(spec).X, gen_nested(spec).y)
+
+        def fail(self):
+            raise AssertionError("gen_nested re-ran the dataset checks")
+
+        monkeypatch.setattr(Dataset, "__post_init__", fail)
+        data = gen_nested(spec)
+        assert data.X.dtype == data.y.dtype == np.float64
+        assert (data.X.shape, data.y.shape) == ((30, 3), (30,))
+        assert (data.intercept, data.columns) == (True, None)
+        assert data.X.tobytes() == checked.X.tobytes()
+        assert data.y.tobytes() == checked.y.tobytes()
+
 
 class TestGenBlock:
     def test_within_block_correlation(self):
@@ -85,6 +101,11 @@ class TestGenBlock:
     def test_invalid_blocking(self):
         with pytest.raises(InvalidBlocking):
             BlockDgpSpec(n=10, p=21, rho=0.0, seed=0)
+
+    def test_noise_free_design_is_valid(self):
+        spec = BlockDgpSpec(n=10, p=5, rho=0.0, n_relevant=3, sigma2=0.0, seed=0)
+        train, _ = gen_block(spec)
+        assert np.array_equal(train.y, train.X @ spec.weights_vector())
 
 
 class TestSeeds:
