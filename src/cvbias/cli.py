@@ -9,10 +9,20 @@ failures; only I/O and schema problems exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
+import pickle
+import signal
 import sys
+import warnings
 from pathlib import Path
+
+# OpenBLAS starts a spinning worker thread per CPU when numpy loads. The
+# matrices here are too small to gain from them, and ``_map_on_cpus`` forks
+# best with no BLAS threads to fork across. A caller's own value is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -72,8 +82,94 @@ def _provenance(args, inputs: list) -> dict:
     }
 
 
+def _estimate(path, kind: str):
+    """The elpd estimate of one input CSV; its stem is the model id."""
+    values, _ = read_matrix_csv(path)
+    cols = values.shape[1]
+    if kind == "pointwise" and cols != 1:
+        raise SchemaMismatch(
+            f"{path}: pointwise input must have exactly 1 column, got {cols}"
+        )
+    model_id = Path(path).stem
+    if kind == "pointwise" or (kind == "auto" and cols == 1):
+        return from_pointwise(values[:, 0], model_id)
+    return elpd_loo_psis(values, model_id)
+
+
+def _clean_results(func, items, indices) -> dict:
+    """``{i: func(items[i])}`` over ``indices`` up to the first exception or warning."""
+    done = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            for i in indices:
+                done[i] = func(items[i])
+        except Exception:
+            pass
+    return done
+
+
+def _map_on_cpus(func, items) -> list:
+    """``[func(x) for x in items]``, with the items shared across usable CPUs.
+
+    With w = min(usable CPUs, items), w - 1 forked children and this process
+    each take every w-th item and keep the results that came with no
+    exception and no warning; the children send theirs back through a
+    pipe. This process then computes every item left without a result, in
+    order, so the errors and warnings raised are those of the plain loop.
+    Every child is reaped before this returns or raises.
+    """
+    # no CPU affinity outside Linux: the loop runs here alone
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    w = min(len(cpus), len(items))
+    if w < 2:
+        return [func(x) for x in items]
+    children = {}
+    try:
+        for j in range(1, w):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                # no process to spare: this process computes the rest
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    # a child starts on its parent's CPU, and the scheduler
+                    # can take longer than the whole share to move it
+                    os.sched_setaffinity(0, {cpus[j]})
+                    share = _clean_results(func, items, range(j, len(items), w))
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(share, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        os.sched_setaffinity(0, {cpus[0]})
+        done = _clean_results(func, items, range(0, len(items), w))
+        for pid in list(children):
+            with children[pid] as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status == 0:
+                done.update(pickle.loads(data))
+    finally:
+        os.sched_setaffinity(0, cpus)
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [done[i] if i in done else func(x) for i, x in enumerate(items)]
+
+
 def _load_estimates(paths, kind: str):
-    """One estimate per CSV, each file read once.
+    """One estimate per CSV, each file read once, the files spread across CPUs.
 
     ``kind="auto"`` takes a single-column file as pointwise elpds and any
     wider one as a draws-by-observations log-likelihood matrix. A file's
@@ -84,19 +180,7 @@ def _load_estimates(paths, kind: str):
         if stems.count(model_id) > 1:
             same = ", ".join(str(p) for p in paths if Path(p).stem == model_id)
             raise SchemaMismatch(f"model id {model_id!r} names several inputs: {same}")
-    estimates = []
-    for p in paths:
-        model_id = Path(p).stem
-        values, _ = read_matrix_csv(p)
-        cols = values.shape[1]
-        if kind == "pointwise" and cols != 1:
-            raise SchemaMismatch(
-                f"{p}: pointwise input must have exactly 1 column, got {cols}"
-            )
-        if kind == "pointwise" or (kind == "auto" and cols == 1):
-            estimates.append(from_pointwise(values[:, 0], model_id))
-        else:
-            estimates.append(elpd_loo_psis(values, model_id))
+    estimates = _map_on_cpus(functools.partial(_estimate, kind=kind), paths)
     n_obs = {e.n_obs for e in estimates}
     if len(n_obs) != 1:
         raise SchemaMismatch(f"inputs disagree on observation count: {sorted(n_obs)}")
@@ -293,11 +377,13 @@ def cmd_simulate(args) -> dict:
 
     experiment = _require(config, "experiment", path)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed
     base_seed = seed if seed is not None else _value(config, "base_seed", path, int, 0)
     alpha = _value(config, "alpha", path, float, 0.5)
+    check_alpha(alpha)
 
+    # the whole config is read before the output directory is made, so a
+    # bad value found here leaves no directory behind
     if experiment == "many_k":
         n = _value(config, "n", path, int)
         beta_delta = _value(config, "beta_delta", path, float, 0.0)
@@ -305,12 +391,10 @@ def cmd_simulate(args) -> dict:
             NestedDgpSpec(n=n, K=k, beta_delta=beta_delta, seed=base_seed)
             for k in _values(config, "k_grid", path, int)
         ]
-        rows = run_many_k(
-            specs,
-            replications=_value(config, "replications", path, int),
-            alpha=alpha,
-            n_test=_value(config, "n_test", path, int, 1000),
-        )
+        replications = _value(config, "replications", path, int)
+        n_test = _value(config, "n_test", path, int, 1000)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        rows = run_many_k(specs, replications=replications, alpha=alpha, n_test=n_test)
         summary = summarize_many_k(rows)
         write_rows_csv(out_dir / "many_k_runs.csv", rows)
         write_rows_csv(out_dir / "many_k_summary.csv", summary)
@@ -332,13 +416,19 @@ def cmd_simulate(args) -> dict:
             for rho in rhos
         ]
         multipliers = tuple(_values(config, "multipliers", path, _number, [1.5]))
+        for m in multipliers:
+            check_multiplier(m)
+        priors = tuple(_values(config, "priors", path, str, ["diffuse"]))
+        replications = _value(config, "replications", path, int)
+        guard = _value(config, "guard", path, _boolean, True)
+        out_dir.mkdir(parents=True, exist_ok=True)
         run_rows, path_rows = run_forward_experiment(
             specs,
             multipliers=multipliers,
-            priors=tuple(_values(config, "priors", path, str, ["diffuse"])),
-            replications=_value(config, "replications", path, int),
+            priors=priors,
+            replications=replications,
             alpha=alpha,
-            guard=_value(config, "guard", path, _boolean, True),
+            guard=guard,
         )
         write_rows_csv(out_dir / "forward_runs.csv", run_rows)
         write_rows_csv(out_dir / "forward_path.csv", path_rows)

@@ -128,8 +128,9 @@ class BlockDgpSpec:
             raise InvalidParameter("rho must lie in [0, 1)")
         if not 0 < self.n_relevant <= self.p:
             raise InvalidParameter("n_relevant must lie in (0, p]")
-        if not self.n_test >= 1:
-            raise InvalidParameter(f"n_test must be >= 1, got {self.n_test}")
+        if not self.n_test >= 2:
+            # the reference test se is a sample sd over the test points
+            raise InvalidParameter(f"n_test must be >= 2, got {self.n_test}")
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
             raise InvalidParameter(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if not math.isfinite(self.xi):

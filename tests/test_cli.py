@@ -124,16 +124,19 @@ class TestCompare:
         draws = rng.standard_normal((200, 10)).tolist()
         ll.write_text("\n".join(",".join(map(repr, row)) for row in draws))
         paths.append(ll)
-        reads = []
+        log = tmp_path / "reads.txt"
         original = io.read_matrix_csv
 
         def spy(path):
-            reads.append(str(path))
+            # a file, not a list, so that reads made in a forked child count
+            with open(log, "a") as fh:
+                fh.write(f"{path}\n")
             return original(path)
 
         monkeypatch.setattr(io, "read_matrix_csv", spy)
         monkeypatch.setattr(cli, "read_matrix_csv", spy)
         assert main(["compare", *map(str, paths), "--baseline", "pw"]) == 0
+        reads = log.read_text().splitlines()
         assert sorted(reads) == sorted(map(str, paths))
         assert main(["compare", *map(str, paths), "--kind", "pointwise"]) == 1
         assert_one_line_error(capsys, "exactly 1 column")
@@ -255,6 +258,86 @@ class TestCompare:
         rows = read_rows(out)
         assert len(rows) == 2
         assert set(rows[0]) >= {"model", "delta", "pseudo_bma"}
+
+
+def write_logliks(tmp_path: Path, count: int, seed: int = 0) -> list[Path]:
+    rng = np.random.default_rng(seed)
+    paths = []
+    for i in range(count):
+        ll = rng.normal(-1.0, 0.3, (200, 8))
+        ll[:, 0] = -np.abs(rng.standard_t(2.0, 200))  # a heavy tail to smooth
+        paths.append(write_loglik(tmp_path / f"m{i}.csv", ll))
+    return paths
+
+
+def usable_cpus(monkeypatch, count: int) -> None:
+    # whatever CPUs the host has; the CPU each process is pinned to is moot
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+
+
+class TestCompareAcrossCpus:
+    """``compare`` loads its inputs in forked children and in this process."""
+
+    def test_report_identical_on_one_and_two_cpus(self, tmp_path, monkeypatch):
+        paths = write_logliks(tmp_path, 5)
+        readers_log = tmp_path / "readers.txt"
+        original = cli.read_matrix_csv
+
+        def spy(path):
+            with open(readers_log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(path)
+
+        monkeypatch.setattr(cli, "read_matrix_csv", spy)
+        out = tmp_path / "compare.json"
+        reports, readers = [], []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            readers_log.write_text("")
+            assert main(["compare", *map(str, paths), "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+            readers.append(set(readers_log.read_text().split()))
+        assert reports[0] == reports[1]
+        assert readers[0] == {str(os.getpid())}
+        assert len(readers[1]) == 2 and str(os.getpid()) in readers[1]
+
+    def test_first_bad_file_in_argument_order_is_named(self, tmp_path, monkeypatch, capsys):
+        # with two CPUs, m1 is in the child's share and m2 in this process's
+        usable_cpus(monkeypatch, 2)
+        paths = write_logliks(tmp_path, 4)
+        paths[1].write_text("a,b\n1,x\n")
+        paths[2].write_text("1,2\n3\n")
+        assert main(["compare", *map(str, paths)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cvbias: error:") and err.count("\n") == 1
+        assert str(paths[1]) in err and str(paths[2]) not in err
+
+    def test_warning_in_a_childs_share_reaches_the_caller(self, tmp_path, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        paths = write_logliks(tmp_path, 3)
+        rng = np.random.default_rng(1)
+        write_loglik(paths[1], rng.normal(-1.0, 0.3, (50, 8)))
+        with pytest.warns(UserWarning, match="PSIS with 50 draws"):
+            rc = main(["compare", *map(str, paths), "--output", str(tmp_path / "c.json")])
+        assert rc == 0
+
+    def test_affinity_restored_after_compare(self, tmp_path):
+        before = os.sched_getaffinity(0)
+        paths = write_logliks(tmp_path, 3)
+        assert main(["compare", *map(str, paths), "--output", str(tmp_path / "c.json")]) == 0
+        assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.parametrize("bad", [None, 0, 1], ids=["ok", "own_share", "childs_share"])
+    def test_no_child_process_outlives_compare(self, tmp_path, monkeypatch, capsys, bad):
+        usable_cpus(monkeypatch, 2)
+        paths = write_logliks(tmp_path, 4)
+        if bad is not None:
+            paths[bad].write_text("x\n")
+        rc = main(["compare", *map(str, paths), "--output", str(tmp_path / "c.json")])
+        assert rc == (0 if bad is None else 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestForward:
@@ -513,6 +596,12 @@ class TestSimulate:
                 ' "multipliers": [1e400], "replications": 1}',
                 "multiplier",
             ),
+            # reference_test_se is a standard deviation over the test points
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                 "replications": 1, "n_test": 1},
+                "n_test",
+            ),
         ],
     )
     def test_invalid_config_values_fail_with_one_line(self, tmp_path, capsys, config, word):
@@ -520,6 +609,41 @@ class TestSimulate:
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
         assert_one_line_error(capsys, word)
+
+    @pytest.mark.parametrize(
+        "config, word",
+        [
+            (
+                '{"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],'
+                ' "multipliers": [1.5, 1e400], "replications": 1}',
+                "multiplier",
+            ),
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                 "multipliers": [-1], "replications": 1},
+                "multiplier",
+            ),
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                 "alpha": 7, "replications": 1},
+                "alpha",
+            ),
+            ({"experiment": "many_k", "n": 30, "k_grid": [3], "alpha": 7,
+              "replications": 2}, "alpha"),
+        ],
+    )
+    def test_bad_values_fail_before_any_work(
+        self, tmp_path, monkeypatch, capsys, config, word
+    ):
+        ran = []
+        monkeypatch.setattr(cli, "run_forward_experiment", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(cli, "run_many_k", lambda *a, **k: ran.append(a))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--output", str(out)]) == 1
+        assert_one_line_error(capsys, word)
+        assert ran == [] and not out.exists()
 
     @pytest.mark.parametrize("guard", ["false", "true", 0, None])
     def test_guard_must_be_json_boolean(self, tmp_path, capsys, guard):

@@ -1,0 +1,122 @@
+"""What importing the package and the CLI does, each in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cvbias
+
+PUBLIC_NAMES = [
+    "__version__",
+    "BlockDgpSpec",
+    "Dataset",
+    "ElpdComparison",
+    "ElpdDiff",
+    "ElpdEstimate",
+    "GpdFit",
+    "LogLikMatrix",
+    "NestedDgpSpec",
+    "NigPrior",
+    "PosteriorFit",
+    "SearchPath",
+    "SearchStep",
+    "StopVerdicts",
+    "WeightReport",
+    "bias_estimate",
+    "blom_max",
+    "build_comparison",
+    "correct_path",
+    "diagnose_tail",
+    "draw_posterior",
+    "elpd_diff",
+    "elpd_loo_exact",
+    "elpd_loo_extensions",
+    "elpd_loo_psis",
+    "elpd_se",
+    "fit",
+    "fit_gpd",
+    "forward_search",
+    "from_pointwise",
+    "gen_block",
+    "gen_nested",
+    "gpd_quantile",
+    "halfnormal_sigma",
+    "khat_threshold",
+    "log_pred",
+    "median_baseline",
+    "mlpd",
+    "pointwise_loglik",
+    "prob_better_normal",
+    "prob_select_suboptimal",
+    "pseudo_bma",
+    "pseudo_bma_plus",
+    "rule_of_four",
+    "run_forward_experiment",
+    "run_many_k",
+    "stopping_rules",
+    "summarize_many_k",
+    "tail_cutoff",
+    "threshold",
+    "weight_report",
+]
+
+
+def run_python(code: str, **env_vars) -> str:
+    """Last stdout line of ``python -c code`` with the source on the path.
+
+    ``OPENBLAS_NUM_THREADS`` is unset unless given in ``env_vars``.
+    """
+    src = str(Path(cvbias.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.update(env_vars)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_package_import_loads_no_numpy_and_sets_no_variable():
+    out = run_python(
+        "import os, sys, json\n"
+        "before = dict(os.environ)\n"
+        "import cvbias\n"
+        "print(json.dumps(['numpy' in sys.modules, dict(os.environ) == before]))"
+    )
+    assert json.loads(out) == [False, True]
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_cli_pins_one_blas_thread_unless_set(given, expected):
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    out = run_python(
+        "import os\nimport cvbias.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])", **env
+    )
+    assert out == expected
+
+
+def test_star_import_binds_the_public_names():
+    out = run_python(
+        "import json\n"
+        "before = set(globals())\n"
+        "from cvbias import *\n"
+        "print(json.dumps(sorted(set(globals()) - before - {'before'})))"
+    )
+    assert json.loads(out) == sorted(PUBLIC_NAMES)
+    assert cvbias.__all__ == PUBLIC_NAMES
+
+
+def test_names_resolve_to_their_modules():
+    import cvbias.conjlm
+    import cvbias.search
+
+    assert cvbias.fit is cvbias.conjlm.fit
+    assert cvbias.forward_search is cvbias.search.forward_search
+    assert set(PUBLIC_NAMES) <= set(dir(cvbias))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cvbias.no_such_name
