@@ -504,6 +504,12 @@ def main(argv=None) -> int:
     except CvBiasError as exc:
         print(f"cvbias: error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # inputs and configs are read through handlers that raise
+        # CvBiasError: what is left is an output that cannot be written
+        where = exc.filename or args.output or "standard output"
+        print(f"cvbias: error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0
 
 

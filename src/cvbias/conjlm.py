@@ -6,17 +6,20 @@ posterior (verified against per-observation refits), giving LOO elpds with
 zero Monte-Carlo error at negligible cost.
 
 The prior is centred at zero with scale ``v0 * I``, so every model has one
-posterior representation: the d x d inverse P^-1 of its posterior precision
-P = A'A + I/v0, formed once per fit. The posterior mean, the leverages, the
-predictive density and ``draw_posterior`` all read that one matrix.
+posterior representation, ``PosteriorFit``: the d x d inverse P^-1 of its
+posterior precision P = A'A + I/v0, formed once by ``fit``, with the
+posterior mean and scale and the training design, leverages and residuals
+that exact LOO reads. The predictive density, exact LOO, the bordered
+extensions and ``draw_posterior`` all read that one fit; no other module
+touches P^-1.
 
 ``elpd_loo_extensions`` scores every one-column extension of a model in one
 call, as a forward-search step needs: one BLAS-3 pass over the current
 model's P^-1 that updates leverages, fitted values and scale for all
 candidate columns at once (block-inverse identity), and the closed-form
 LOO on the n x c block. A forward search carries the chosen extension's
-posterior to the next step by bordering P^-1 with that column's terms, so
-only its starting model is factorized.
+``PosteriorFit`` to the next step by bordering P^-1 with that column's
+terms, so only its starting model is fit.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    intercept: bool = True
     columns: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -71,22 +73,20 @@ class Dataset:
         return self.X.shape[1]
 
     def design(self) -> np.ndarray:
-        if self.intercept:
-            return np.hstack([np.ones((self.n, 1)), self.X])
-        return self.X
+        return np.hstack([np.ones((self.n, 1)), self.X])
 
     @classmethod
-    def _trusted(cls, X, y, intercept=True, columns=None) -> "Dataset":
+    def _trusted(cls, X, y, columns=None) -> "Dataset":
         """A dataset from float arrays known to be finite and well shaped,
         built without ``__post_init__``'s checks."""
         data = object.__new__(cls)
-        data.__dict__.update(X=X, y=y, intercept=intercept, columns=columns)
+        data.__dict__.update(X=X, y=y, columns=columns)
         return data
 
     def subset(self, cols: Sequence[int]) -> "Dataset":
         cols = tuple(cols)
         names = tuple(self.columns[c] for c in cols) if self.columns else None
-        return Dataset._trusted(self.X[:, cols], self.y, self.intercept, names)
+        return Dataset._trusted(self.X[:, cols], self.y, names)
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,18 @@ class PosteriorFit:
     """Posterior state: beta | s2, y ~ N(mean_n, s2*P^-1), s2 ~ IG(a_n, b_n).
 
     ``cov`` is the inverse P^-1 of the posterior precision P, so the
-    coefficients' posterior covariance given s2 is ``s2 * cov``.
+    coefficients' posterior covariance given s2 is ``s2 * cov``. ``A`` is
+    the training design, ``h`` its leverages diag(A P^-1 A') and ``resid``
+    the residuals y - A mean_n, which exact LOO and bordering read.
     """
 
     mean_n: np.ndarray
     cov: np.ndarray
     a_n: float
     b_n: float
+    A: np.ndarray
+    h: np.ndarray
+    resid: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -133,25 +138,15 @@ class PosteriorFit:
 
 
 def fit(data: Dataset, prior: NigPrior) -> PosteriorFit:
-    """Conjugate update of the normal-inverse-gamma prior on ``data``."""
+    """Conjugate update of the normal-inverse-gamma prior on ``data``.
+
+    Inverts the posterior precision P = A'A + I/v0 once. Raises
+    ``InvalidParameter`` when P is singular in floating point, as with
+    duplicate predictor columns so large that 1/v0 is lost beside A'A.
+    """
     if data.n < 2:
         raise TooFewObservations("fitting needs at least 2 observations")
-    cov, mean_n, _, b_n = _posterior(data.design(), data.y, prior)
-    return PosteriorFit(
-        mean_n=mean_n,
-        cov=cov,
-        a_n=float(prior.a0 + data.n / 2.0),
-        b_n=float(b_n),
-    )
-
-
-def _posterior(A: np.ndarray, y: np.ndarray, prior: NigPrior):
-    """Invert the posterior precision P = A'A + I/v0 of design ``A`` once.
-
-    Returns P^-1, ``mean_n``, the residuals ``y - A mean_n`` and ``b_n``.
-    Raises ``InvalidParameter`` when P is singular in floating point, as
-    with duplicate predictor columns so large that 1/v0 is lost beside A'A.
-    """
+    A = data.design()
     P = A.T @ A
     P[np.diag_indices_from(P)] += 1.0 / prior.v0
     try:
@@ -161,15 +156,22 @@ def _posterior(A: np.ndarray, y: np.ndarray, prior: NigPrior):
             "posterior precision is singular: predictors are collinear or too "
             "large in scale for the prior"
         ) from None
-    mean_n = cov @ (A.T @ y)
-    resid = y - A @ mean_n
-    b_n = prior.b0 + 0.5 * (resid @ resid + mean_n @ mean_n / prior.v0)
-    return cov, mean_n, resid, b_n
+    mean_n = cov @ (A.T @ data.y)
+    resid = data.y - A @ mean_n
+    return PosteriorFit(
+        mean_n=mean_n,
+        cov=cov,
+        a_n=float(prior.a0 + data.n / 2.0),
+        b_n=float(prior.b0 + 0.5 * (resid @ resid + mean_n @ mean_n / prior.v0)),
+        A=A,
+        h=np.einsum("ij,ij->i", A @ cov, A),
+        resid=resid,
+    )
 
 
-def _leverages(A: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Diagonal of ``A P^-1 A'`` for ``cov`` = P^-1."""
-    return np.einsum("ij,ij->i", A @ cov, A)
+def _predict(post: PosteriorFit, A: np.ndarray):
+    """Location ``A mean_n`` and leverages diag(A P^-1 A') of design rows ``A``."""
+    return A @ post.mean_n, np.einsum("ij,ij->i", A @ post.cov, A)
 
 
 def _predictive_logpdf(y, loc, leverage, a_n, b_n):
@@ -198,8 +200,8 @@ def log_pred(fit_: PosteriorFit, x_new, y_new):
             f"x_new has {x.shape[1]} columns, fit expects {fit_.dim}"
         )
     y = np.asarray(y_new, dtype=float)
-    loc = x @ fit_.mean_n
-    out = _predictive_logpdf(y, loc, _leverages(x, fit_.cov), fit_.a_n, fit_.b_n)
+    loc, lev = _predict(fit_, x)
+    out = _predictive_logpdf(y, loc, lev, fit_.a_n, fit_.b_n)
     if np.ndim(y_new) == 0 and np.ndim(x_new) == 1:
         return float(out[0])
     return out
@@ -231,7 +233,7 @@ def elpd_loo_exact(
     if method == "refit":
         pointwise = _loo_refit(data, prior)
     elif method == "downdate":
-        pointwise = _model_loo(data, prior, _factorize(data, prior, range(data.p)))
+        pointwise = _model_loo(data, prior, fit(data, prior))
     else:
         raise InvalidParameter(f"unknown method {method!r}")
     # fsum over Python floats: the same correctly rounded sum, without one
@@ -260,39 +262,14 @@ def elpd_loo_extensions(
     ``_score_extensions``).
     """
     _require_loo_rows(data.n)
-    model = _factorize(data, prior, current)
-    pointwise, estimates, *_ = _score_extensions(data, prior, model, candidates)
+    current = tuple(current)
+    post = fit(data.subset(current), prior)
+    pointwise, estimates, *_ = _score_extensions(data, prior, post, current, candidates)
     return pointwise, estimates
 
 
-class _Model(NamedTuple):
-    """One model's posterior, carried from one forward-search step to the next.
-
-    ``cols`` are its predictors, ``A`` its design, ``cov`` the inverse
-    P^-1 of its posterior precision, ``h`` the leverages diag(A P^-1 A')
-    and ``resid`` the residuals y - A mean_n.
-    """
-
-    cols: tuple[int, ...]
-    A: np.ndarray
-    cov: np.ndarray
-    mean_n: np.ndarray
-    h: np.ndarray
-    resid: np.ndarray
-    b_n: float
-
-
-def _factorize(data: Dataset, prior: NigPrior, cols: Sequence[int]) -> _Model:
-    """The model on ``cols`` from one inverse of its posterior precision."""
-    cols = tuple(cols)
-    A = data.subset(cols).design()
-    cov, mean_n, resid, b_n = _posterior(A, data.y, prior)
-    return _Model(cols, A, cov, mean_n, _leverages(A, cov), resid, b_n)
-
-
-def _border_terms(A: np.ndarray, cov: np.ndarray, X: np.ndarray, prior: NigPrior):
-    """Terms of extending the model with design ``A`` and P^-1 ``cov`` by
-    each column x of ``X``.
+def _border_terms(post: PosteriorFit, X: np.ndarray, prior: NigPrior):
+    """Terms of extending the model fit ``post`` by each column x of ``X``.
 
     Returns U = P^-1 A'X, E = X - A U (columns e = x - H x for the hat
     matrix H), s = x'e + 1/v0, and where s is rounding noise: s >= 1/v0 in
@@ -300,45 +277,50 @@ def _border_terms(A: np.ndarray, cov: np.ndarray, X: np.ndarray, prior: NigPrior
     singular in floating point. A zero column extends the model to itself
     (e = 0, s = 1/v0).
     """
-    U = cov @ (A.T @ X)
-    E = A @ U
+    U = post.cov @ (post.A.T @ X)
+    E = post.A @ U
     np.subtract(X, E, out=E)
     s = np.einsum("ij,ij->j", X, E) + 1.0 / prior.v0
     noise = s <= X.shape[0] * np.finfo(float).eps * np.einsum("ij,ij->j", X, X)
     return U, E, s, noise
 
 
-def _border(model: _Model, j: int, x: np.ndarray, u, s, ey) -> _Model:
-    """``model`` extended by predictor ``j`` with column ``x``, by bordering.
+def _border(post: PosteriorFit, x: np.ndarray, u, s, ey) -> PosteriorFit:
+    """``post`` extended by the predictor column ``x``, by bordering.
 
     With u = P^-1 A'x, e = x - A u and g = e'y/s: P^-1 gains u u'/s, -u/s
     and 1/s, the mean becomes (mean_n - u g, g), the leverages h + e^2/s,
     the residuals r - e g and b_n falls by (e'y)^2/(2s).
     """
-    e = x - model.A @ u
+    e = x - post.A @ u
     g = ey / s
     d = u.size
     cov = np.empty((d + 1, d + 1))
     cov[:d, :d] = np.outer(u, u)
     cov[:d, :d] /= s
-    cov[:d, :d] += model.cov
+    cov[:d, :d] += post.cov
     cov[:d, d] = cov[d, :d] = -u / s
     cov[d, d] = 1.0 / s
-    return _Model(
-        cols=model.cols + (j,),
-        A=np.column_stack([model.A, x]),
+    return PosteriorFit(
+        mean_n=np.append(post.mean_n - u * g, g),
         cov=cov,
-        mean_n=np.append(model.mean_n - u * g, g),
-        h=model.h + e**2 / s,
-        resid=model.resid - e * g,
-        b_n=model.b_n - ey**2 / (2.0 * s),
+        a_n=post.a_n,
+        b_n=post.b_n - ey**2 / (2.0 * s),
+        A=np.column_stack([post.A, x]),
+        h=post.h + e**2 / s,
+        resid=post.resid - e * g,
     )
 
 
 def _score_extensions(
-    data: Dataset, prior: NigPrior, model: _Model, candidates: Sequence[int]
+    data: Dataset,
+    prior: NigPrior,
+    post: PosteriorFit,
+    cols: tuple[int, ...],
+    candidates: Sequence[int],
 ):
-    """Exact LOO of ``model`` extended by each candidate, from its P^-1.
+    """Exact LOO of the model on ``cols``, fit as ``post``, extended by each
+    candidate, from its P^-1.
 
     Returns ``(pointwise, estimates, U, s, ey, ok)``: the n x c block, its
     column sums and, per candidate, ``_border_terms``' U and s, e'y and
@@ -350,22 +332,16 @@ def _score_extensions(
     """
     candidates = list(candidates)
     Xc = data.X[:, candidates]
-    U, E, s, noise = _border_terms(model.A, model.cov, Xc, prior)
+    U, E, s, noise = _border_terms(post, Xc, prior)
     del Xc
     ey = E.T @ data.y
     pointwise, ok = _extension_loo(
-        model.resid[:, None],
-        (1.0 - model.h)[:, None],
-        model.b_n,
-        prior.a0 + data.n / 2.0,
-        E,
-        s,
-        ey,
+        post.resid[:, None], (1.0 - post.h)[:, None], post.b_n, post.a_n, E, s, ey
     )
     ok &= ~noise
     del E
     for k in np.flatnonzero(~ok):
-        sub = data.subset(model.cols + (candidates[k],))
+        sub = data.subset(cols + (candidates[k],))
         pointwise[:, k] = elpd_loo_exact(sub, prior).pointwise
     return pointwise, _column_fsums(pointwise), U, s, ey, ok
 
@@ -462,16 +438,16 @@ def _loo_closed_form(resid, omh, b_n, a_n):
     return q, ok
 
 
-def _model_loo(data: Dataset, prior: NigPrior, model: _Model) -> np.ndarray:
-    """Exact-LOO pointwise elpd of ``model``, factorized on ``data``.
+def _model_loo(data: Dataset, prior: NigPrior, post: PosteriorFit) -> np.ndarray:
+    """Exact-LOO pointwise elpd of the model fit to ``data`` as ``post``.
 
-    The closed form from the model's residuals, leverages and b_n; every
-    row is refit when its guard breaks.
+    The closed form from the fit's residuals, leverages and b_n; every row
+    is refit when its guard breaks.
     """
     pointwise, ok = _loo_closed_form(
-        model.resid.copy(), 1.0 - model.h, model.b_n, prior.a0 + data.n / 2.0
+        post.resid.copy(), 1.0 - post.h, post.b_n, post.a_n
     )
-    return pointwise if ok else _loo_refit(data.subset(model.cols), prior)
+    return pointwise if ok else _loo_refit(data, prior)
 
 
 def _loo_refit(data: Dataset, prior: NigPrior) -> np.ndarray:
@@ -480,7 +456,7 @@ def _loo_refit(data: Dataset, prior: NigPrior) -> np.ndarray:
     X_full = data.design()
     for i in range(n):
         keep = np.arange(n) != i
-        sub = Dataset(data.X[keep], data.y[keep], data.intercept, data.columns)
+        sub = Dataset(data.X[keep], data.y[keep], columns=data.columns)
         pointwise[i] = log_pred(fit(sub, prior), X_full[i], data.y[i])
     return pointwise
 

@@ -32,7 +32,7 @@ _GRID_BUFFER = 1 << 14
 
 @dataclass(frozen=True)
 class GpdFit:
-    """Generalized Pareto fit to exceedances above ``cutoff``.
+    """Generalized Pareto fit to exceedances above a tail cutoff.
 
     ``sigma_hat`` is the scale, ``k_hat`` the shape (positive = heavy tail),
     ``tail_size`` the number of exceedances used.
@@ -41,10 +41,9 @@ class GpdFit:
     k_hat: float
     sigma_hat: float
     tail_size: int
-    cutoff: float
 
 
-def fit_gpd(exceedances, cutoff: float = 0.0) -> GpdFit:
+def fit_gpd(exceedances) -> GpdFit:
     """Fit a generalized Pareto distribution to positive exceedances.
 
     Profile-posterior-mean estimator: the re-parameterised rate theta is
@@ -76,7 +75,6 @@ def fit_gpd(exceedances, cutoff: float = 0.0) -> GpdFit:
         k_hat=float(k_hat[0]),
         sigma_hat=float(sigma_hat[0]),
         tail_size=int(n),
-        cutoff=float(cutoff),
     )
 
 

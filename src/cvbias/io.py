@@ -73,7 +73,6 @@ def read_dataset_csv(path, target: str) -> Dataset:
     return Dataset(
         values[:, keep],
         values[:, ti],
-        intercept=True,
         columns=tuple(header[i] for i in keep),
     )
 

@@ -160,10 +160,10 @@ def diagnose_tail(diff_points) -> TailDiagnostic:
             f"tail diagnostic needs at least {MIN_MODELS_FOR_DIAGNOSTIC} "
             f"difference points, got {K}"
         )
-    cutoff, exceedances = gpd.tail_cutoff(d, max_tail_fraction=0.5)
+    _, exceedances = gpd.tail_cutoff(d, max_tail_fraction=0.5)
     if exceedances.size < gpd.MIN_TAIL_SIZE:
         return TailDiagnostic(float("inf"), False)
-    khat = gpd.fit_gpd(exceedances, cutoff=cutoff).k_hat
+    khat = gpd.fit_gpd(exceedances).k_hat
     return TailDiagnostic(float(khat), bool(khat < gpd.khat_threshold(K)))
 
 

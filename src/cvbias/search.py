@@ -18,12 +18,12 @@ from .conjlm import (
     Dataset,
     NigPrior,
     _border,
-    _factorize,
-    _leverages,
     _model_loo,
+    _predict,
     _predictive_logpdf,
     _require_loo_rows,
     _score_extensions,
+    fit,
 )
 from .errors import (
     EmptyCandidateSet,
@@ -61,14 +61,12 @@ class SearchPath:
     steps: tuple[SearchStep, ...]
     base_elpd: float
     base_pointwise: np.ndarray
-    data: Dataset
-    prior: NigPrior
     max_size: int
     test_mlpd_base: float | None = None
 
     @property
     def n_obs(self) -> int:
-        return self.data.n
+        return self.base_pointwise.size
 
     def sizes(self) -> np.ndarray:
         return np.arange(len(self.steps) + 1)
@@ -158,12 +156,12 @@ def forward_search(
     """Greedy forward search maximizing the exact LOO elpd point estimate.
 
     Each step scores all its candidates from the current model's carried
-    posterior in one BLAS-3 pass (``conjlm._score_extensions``), giving the
-    diffs and paired standard errors; only the chosen column is kept. The
-    chosen column's u = P^-1 A'x, s and e'y border that posterior; only the
-    starting model and a chosen candidate that breached the closed form's
-    guard are factorized. Ties break to the lowest predictor index. Each
-    step's corrected fields hold its raw values until ``correct_path``.
+    ``PosteriorFit`` in one BLAS-3 pass (``conjlm._score_extensions``),
+    giving the diffs and paired standard errors; only the chosen column is
+    kept. The chosen column's u = P^-1 A'x, s and e'y border that fit; only
+    the starting model and a chosen candidate that breached the closed
+    form's guard are fit afresh. Ties break to the lowest predictor index.
+    Each step's corrected fields hold its raw values until ``correct_path``.
 
     A ``test`` set, matched to ``data`` by predictor position (and by name,
     when both have names), is scored at every size from the same posterior:
@@ -174,8 +172,6 @@ def forward_search(
     if test is not None:
         if test.p != p:
             raise SchemaMismatch(f"test data has {test.p} predictors, training had {p}")
-        if test.intercept != data.intercept:
-            raise SchemaMismatch("test and training data differ in the intercept")
         names = zip(data.columns or (), test.columns or ())
         for i, (a, b) in enumerate(names, start=1):
             if a != b:
@@ -188,22 +184,23 @@ def forward_search(
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
 
     _require_loo_rows(data.n)
-    model = _factorize(data, prior, ())
-    base_pointwise = _model_loo(data, prior, model)
+    cols: tuple[int, ...] = ()
+    base = data.subset(cols)
+    post = fit(base, prior)
+    base_pointwise = _model_loo(base, prior, post)
     base_elpd = math.fsum(base_pointwise.tolist())
     test_mlpd = None
     if test is not None:
-        a_n = prior.a0 + data.n / 2.0
-        At = test.subset(()).design()
-        loc, lev = At @ model.mean_n, _leverages(At, model.cov)
-        test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, a_n, model.b_n))
+        At = test.subset(cols).design()
+        loc, lev = _predict(post, At)
+        test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, post.a_n, post.b_n))
     base_test_mlpd = test_mlpd
     prev_elpd, prev_pointwise = base_elpd, base_pointwise
     steps: list[SearchStep] = []
     for _ in range(max_size):
-        cands = [j for j in range(p) if j not in model.cols]
+        cands = [j for j in range(p) if j not in cols]
         pointwise, estimates, U, s, ey, ok = _score_extensions(
-            data, prior, model, cands
+            data, prior, post, cols, cands
         )
         diffs = estimates - prev_elpd
         best = int(np.argmax(diffs))
@@ -215,10 +212,11 @@ def forward_search(
         del pointwise
         elpd_after = float(estimates[best])
         j = cands[best]
+        cols += (j,)
         if ok[best]:
-            model = _border(model, j, data.X[:, j], U[:, best], s[best], ey[best])
+            post = _border(post, data.X[:, j], U[:, best], s[best], ey[best])
         else:
-            model = _factorize(data, prior, model.cols + (j,))
+            post = fit(data.subset(cols), prior)
         if test is not None:
             At = np.column_stack([At, test.X[:, j]])
             if ok[best]:
@@ -226,8 +224,8 @@ def forward_search(
                 loc = loc + et * (ey[best] / s[best])
                 lev = lev + et**2 / s[best]
             else:
-                loc, lev = At @ model.mean_n, _leverages(At, model.cov)
-            test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, a_n, model.b_n))
+                loc, lev = _predict(post, At)
+            test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, post.a_n, post.b_n))
         steps.append(
             SearchStep(
                 predictor_added=j,
@@ -248,8 +246,6 @@ def forward_search(
         steps=tuple(steps),
         base_elpd=base_elpd,
         base_pointwise=base_pointwise,
-        data=data,
-        prior=prior,
         max_size=max_size,
         test_mlpd_base=base_test_mlpd,
     )

@@ -23,8 +23,7 @@ from .conjlm import (
     _border_terms,
     _column_fsums,
     _extension_loo,
-    _factorize,
-    _leverages,
+    _predict,
     _predictive_logpdf,
     _require_loo_rows,
     elpd_loo_exact,
@@ -158,7 +157,7 @@ def gen_block(spec: BlockDgpSpec):
         for b in range(spec.p // B):
             X[:, b * B : (b + 1) * B] = Z[:, b * B : (b + 1) * B] @ chol.T
         y = X @ w + rng.standard_normal(rows) * math.sqrt(spec.sigma2)
-        return Dataset(X, y, intercept=True)
+        return Dataset(X, y)
 
     return draw(spec.n), draw(spec.n_test)
 
@@ -186,12 +185,12 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior) -> _ManyKBlock:
     """Exact LOO of the baseline and every single-predictor model of each
     dataset, all with the same n and predictor count.
 
-    The baseline design is the intercept column for every dataset, so one
-    P^-1 and one leverage serve the block; its means, residuals and b_n
-    are per dataset. Each dataset's columns follow a zero column, which
-    extends the baseline to itself, so the baselines and all candidates go
-    through one ``_border_terms`` pass, one ``_extension_loo`` and one
-    ``_column_fsums``. A model that breaches the closed form's guard is
+    The baseline design is the intercept column for every dataset, so the
+    P^-1 and leverage of one ``fit`` of it serve the block; its means,
+    residuals and b_n are per dataset. Each dataset's columns follow a zero
+    column, which extends the baseline to itself, so the baselines and all
+    candidates go through one ``_border_terms`` pass, one ``_extension_loo``
+    and one ``_column_fsums``. A model that breaches the closed form's guard is
     scored on its own by ``elpd_loo_exact``.
     """
     m = len(datasets)
@@ -202,13 +201,12 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior) -> _ManyKBlock:
     for r, ds in enumerate(datasets):
         X[:, r, 1:] = ds.X
         Y[:, r] = ds.y
-    A = np.ones((n, 1))
-    cov = np.linalg.inv(A.T @ A + 1.0 / prior.v0)
-    h = float(cov[0, 0])
+    base = fit(datasets[0].subset(()), prior)
+    h = float(base.h[0])
     mean = h * Y.sum(axis=0)
     R = Y - mean
     b_n = prior.b0 + 0.5 * (np.einsum("ij,ij->j", R, R) + mean**2 / prior.v0)
-    U, E, s, noise = _border_terms(A, cov, X.reshape(n, m * K), prior)
+    U, E, s, noise = _border_terms(base, X.reshape(n, m * K), prior)
     del X
     E = E.reshape(n, m, K)
     ey = np.einsum("irk,ir->rk", E, Y)
@@ -241,7 +239,7 @@ def _many_k_test_elpds(
     The baseline's posterior is bordered by the model's column: with its
     u, s and e'y, e_t = x_t - u and g = e'y/s, each test location is
     mean + e_t g, each leverage h + e_t^2/s and b_n falls by
-    (e'y)^2/(2s). A model whose s is rounding noise is factorized
+    (e'y)^2/(2s). A model whose s is rounding noise is fit on its own
     instead, and so fails as ``fit`` does.
     """
     n = datasets[0].n
@@ -261,10 +259,10 @@ def _many_k_test_elpds(
         lev = block.h + et**2 / s[:, None]
         b_n = (block.b_n - ey**2 / (2.0 * s))[:, None]
         for r in np.flatnonzero(block.noise[rows, k]):
-            model = _factorize(datasets[r], prior, (cols[r],))
+            post = fit(datasets[r].subset((cols[r],)), prior)
             At = np.column_stack([np.ones(x.shape[1]), x[r]])
-            loc[r], lev[r] = At @ model.mean_n, _leverages(At, model.cov)
-            b_n[r] = model.b_n
+            loc[r], lev[r] = _predict(post, At)
+            b_n[r] = post.b_n
         out.append(scaled_mean(loc, lev, b_n))
     return out
 

@@ -704,6 +704,31 @@ class TestSimulate:
         ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["compare", "a.csv", "b.csv", "c.csv"], "nodir/x.json"),
+        (["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"], "nodir/x.csv"),
+        (["simulate", "mk.json"], "afile/x"),
+    ],
+    ids=["compare_json", "compare_csv", "simulate"],
+)
+def test_unwritable_output_fails_with_one_line(
+    tmp_path, monkeypatch, capsys, argv, output
+):
+    # a missing parent directory, or a regular file where a directory must be
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(93)
+    for name in ("a", "b", "c"):
+        write_pointwise(tmp_path / f"{name}.csv", rng.standard_normal(20))
+    (tmp_path / "mk.json").write_text(
+        json.dumps({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2})
+    )
+    (tmp_path / "afile").write_text("")
+    assert main(argv + ["--output", output]) == 1
+    assert_one_line_error(capsys, f"cannot write {output}")
+
+
 NO_SCIPY_SCRIPT = """
 import json, sys
 

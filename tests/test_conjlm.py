@@ -47,7 +47,7 @@ class TestDataset:
         monkeypatch.setattr(Dataset, "__post_init__", fail)
         sub = data.subset((2, 0))
         assert np.array_equal(sub.X, data.X[:, [2, 0]]) and sub.y is data.y
-        assert (sub.intercept, sub.columns, sub.p) == (True, ("c", "a"), 2)
+        assert (sub.columns, sub.p) == (("c", "a"), 2)
         monkeypatch.undo()
         with pytest.raises(NonFiniteInput):
             Dataset(np.array([[1.0], [np.nan]]), np.zeros(2))
@@ -162,15 +162,15 @@ class TestLogPred:
     )
     def test_matches_student_t_from_inverse_precision(self, n, p, tight, seed):
         prior = NigPrior.tight() if tight else NigPrior.diffuse()
-        train = _dataset(n, p, False, seed, False)
-        test = _dataset(n, p, False, seed + 1, False)
-        X, y = train.X, train.y
-        V = np.linalg.inv(X.T @ X + np.eye(p) / prior.v0)
+        train = _dataset(n, p, seed, False)
+        test = _dataset(n, p, seed + 1, False)
+        X, y, Xt = train.design(), train.y, test.design()
+        V = np.linalg.inv(X.T @ X + np.eye(p + 1) / prior.v0)
         mean = V @ X.T @ y
         a_n = prior.a0 + n / 2.0
         b_n = prior.b0 + 0.5 * (np.sum((y - X @ mean) ** 2) + mean @ mean / prior.v0)
-        scale2 = b_n / a_n * (1.0 + np.einsum("ij,jk,ik->i", test.X, V, test.X))
-        ref = student_t.logpdf(test.y, 2.0 * a_n, loc=test.X @ mean, scale=np.sqrt(scale2))
+        scale2 = b_n / a_n * (1.0 + np.einsum("ij,jk,ik->i", Xt, V, Xt))
+        ref = student_t.logpdf(test.y, 2.0 * a_n, loc=Xt @ mean, scale=np.sqrt(scale2))
         got = log_pred_dataset(fit(train, prior), test)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
@@ -231,13 +231,13 @@ class TestElpdLooExact:
             )
 
 
-def _dataset(n, p, intercept, seed, duplicate):
+def _dataset(n, p, seed, duplicate):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     if duplicate:
         X[:, -1] = X[:, 0]
     y = 0.5 * X[:, 0] + rng.standard_normal(n)
-    return Dataset(X, y, intercept=intercept)
+    return Dataset(X, y)
 
 
 class TestElpdLooExtensions:
@@ -246,13 +246,12 @@ class TestElpdLooExtensions:
         n=st.integers(5, 30),
         p=st.integers(2, 6),
         n_current=st.integers(0, 3),
-        intercept=st.booleans(),
         duplicate=st.booleans(),
         tight=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_refit(self, n, p, n_current, intercept, duplicate, tight, seed):
-        data = _dataset(n, p, intercept, seed, duplicate)
+    def test_matches_refit(self, n, p, n_current, duplicate, tight, seed):
+        data = _dataset(n, p, seed, duplicate)
         prior = NigPrior.tight() if tight else NigPrior.diffuse()
         current = tuple(range(min(n_current, p - 1)))
         cands = [j for j in range(p) if j not in current]

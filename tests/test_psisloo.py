@@ -41,7 +41,7 @@ def oracle_smooth(lr, max_tail_fraction=0.2):
     m = exceedances.size
     if m < gpd.MIN_TAIL_SIZE:
         return lw, float("inf")
-    fit = gpd.fit_gpd(exceedances, cutoff=cutoff)
+    fit = gpd.fit_gpd(exceedances)
     if fit.k_hat == np.inf:
         # a tail that cannot be fitted stays unsmoothed
         return lw, fit.k_hat

@@ -13,7 +13,7 @@ from cvbias.errors import (
     SchemaMismatch,
 )
 from cvbias.psisloo import elpd_se
-from cvbias import search
+from cvbias import conjlm, search
 from cvbias.search import (
     SearchPath,
     SearchStep,
@@ -55,13 +55,10 @@ def synthetic_path(raw_diffs, candidate_diffs, base=0.0, ses=None):
                 pointwise=np.full(n_obs, cum / n_obs),
             )
         )
-    data = Dataset(np.zeros((n_obs, len(raw_diffs))), np.zeros(n_obs))
     return SearchPath(
         steps=tuple(steps),
         base_elpd=base,
         base_pointwise=np.full(n_obs, base / n_obs),
-        data=data,
-        prior=PRIOR,
         max_size=len(raw_diffs),
     )
 
@@ -103,8 +100,6 @@ def refit_search(data, prior, max_size):
         steps=tuple(steps),
         base_elpd=base.estimate,
         base_pointwise=base.pointwise,
-        data=data,
-        prior=prior,
         max_size=max_size,
     )
 
@@ -205,6 +200,33 @@ class TestCarriedPosterior:
         tight=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    def test_border_equals_fit_of_extended_subset(self, n, p, kind, tight, seed):
+        # the bordered fit is the fit of the extended subset, field by field
+        data = random_design(n, p, seed, kind)
+        prior = NigPrior.tight() if tight else PRIOR
+        post = fit(data, prior)
+        A = data.design()
+        V = np.linalg.inv(A.T @ A + np.eye(p + 1) / prior.v0)
+        assert_close(post.h, np.diag(A @ V @ A.T), 1e-10)
+        assert_close(post.resid, data.y - A @ post.mean_n, 1e-10)
+        for k in range(p):
+            post = fit(data.subset(range(k)), prior)
+            x = data.X[:, k]
+            U, E, s, _ = conjlm._border_terms(post, x[:, None], prior)
+            got = conjlm._border(post, x, U[:, 0], s[0], E[:, 0] @ data.y)
+            want = fit(data.subset(range(k + 1)), prior)
+            for field in ("mean_n", "cov", "b_n", "A", "h", "resid"):
+                assert_close(getattr(got, field), getattr(want, field), 1e-10)
+            assert got.a_n == want.a_n
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(8, 30),
+        p=st.integers(2, 6),
+        kind=st.sampled_from(["plain", "collinear", "scaled"]),
+        tight=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
     def test_forward_search_matches_per_step_factorization(self, n, p, kind, tight, seed):
         # every candidate model of every step factorized on its own, against
         # the bordered posterior the search carries
@@ -254,16 +276,17 @@ class TestCarriedPosterior:
         train = Dataset(X[:20], y[:20])
         test = Dataset(X[20:], y[20:])
         factorized = []
-        original = search._factorize
+        original = search.fit
 
-        def spy(data, prior, cols):
-            factorized.append(tuple(cols))
-            return original(data, prior, cols)
+        def spy(data, prior):
+            factorized.append(data.X)
+            return original(data, prior)
 
-        monkeypatch.setattr(search, "_factorize", spy)
+        monkeypatch.setattr(search, "fit", spy)
         out = forward_search(train, PRIOR, max_size=3, test=test)
         assert out.predictors()[-1] == 2
-        assert factorized == [(), tuple(out.predictors())]
+        assert [X.shape[1] for X in factorized] == [0, 3]
+        assert np.array_equal(factorized[1], train.X[:, out.predictors()])
         assert_test_mlpds_match_refits(out, train, test, PRIOR)
 
     def test_noise_level_duplicate_fails_as_fit_does(self):
@@ -439,7 +462,7 @@ class TestEvaluateTest:
         # the schema is checked before the search factorizes anything
         path, train, test = block_path
         factorized = []
-        monkeypatch.setattr(search, "_factorize", lambda *a: factorized.append(a))
+        monkeypatch.setattr(search, "fit", lambda *a: factorized.append(a))
         with pytest.raises(SchemaMismatch, match="4 predictors"):
             forward_search(train, PRIOR, max_size=10, test=Dataset(test.X[:, :4], test.y))
         named = Dataset(train.X[:, :2], train.y, columns=("a", "b"))
@@ -447,13 +470,6 @@ class TestEvaluateTest:
         with pytest.raises(SchemaMismatch, match="'b' where training has 'a'"):
             forward_search(named, PRIOR, max_size=2, test=swapped)
         assert factorized == []
-
-    def test_intercept_mismatch(self, block_path):
-        path, train, test = block_path
-        with pytest.raises(SchemaMismatch, match="intercept"):
-            forward_search(
-                train, PRIOR, max_size=10, test=Dataset(test.X, test.y, intercept=False)
-            )
 
     def test_rows_roundtrip(self, block_path):
         path, _, _ = block_path
