@@ -50,22 +50,6 @@ from .weights import weight_report
 
 SCHEMA_VERSION = 1
 
-PATH_CSV_COLUMNS = [
-    "size",
-    "predictor_added",
-    "candidates_evaluated",
-    "raw_diff",
-    "corrected_diff",
-    "threshold",
-    "bias",
-    "elpd",
-    "corrected_elpd",
-    "mlpd",
-    "corrected_mlpd",
-    "test_mlpd",
-    "post_bulge",
-]
-
 
 def _provenance(args, inputs: list) -> dict:
     config = {}
@@ -190,6 +174,9 @@ def _load_estimates(paths, kind: str):
 def cmd_compare(args) -> dict:
     check_alpha(args.alpha)
     check_multiplier(args.multiplier)
+    if args.output and not Path(args.output).parent.is_dir():
+        # an unusable output fails before the inputs are read and scored
+        raise FileNotFoundError("no such directory")
     estimates = _load_estimates(args.inputs, args.kind)
     comparison = build_comparison(
         estimates,
@@ -239,35 +226,20 @@ def cmd_compare(args) -> dict:
 
 
 def _write_compare(bundle: dict, args) -> None:
-    if args.format == "json":
-        text = dump_json(bundle)
-        if args.output:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
-        return
-    columns = [
-        "model",
-        "delta",
-        "se",
-        "prob_better",
-        "pseudo_bma",
-        "pseudo_bma_plus",
-        "rule_of_four_safe",
-    ]
-    rows = bundle["weights"]
-    if args.output:
-        write_rows_csv(args.output, rows, columns)
+    if args.format == "csv":
+        write_rows_csv(args.output or sys.stdout, bundle["weights"])
+    elif args.output:
+        Path(args.output).write_text(dump_json(bundle) + "\n", encoding="utf-8")
     else:
-        print(",".join(columns))
-        for r in rows:
-            print(",".join(str(r[c]) for c in columns))
+        print(dump_json(bundle))
 
 
 def cmd_forward(args) -> dict:
     # the search runs long before correct_path would reject these
     check_alpha(args.alpha)
     check_multiplier(args.multiplier)
+    if args.output:  # made first, so an unusable prefix fails before any read
+        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
     data = read_dataset_csv(args.data, args.target)
     test = read_dataset_csv(args.test, args.target) if args.test else None
     prior = PRIOR_PRESETS[args.prior]()
@@ -280,32 +252,23 @@ def cmd_forward(args) -> dict:
     rows = path.to_rows()
     for row in rows:
         idx = row["predictor_added"]
-        row["predictor_name"] = names[idx] if (names and idx is not None) else None
+        row["predictor_name"] = None if idx is None else names[idx]
     return {
         "report": "forward",
         "verdicts": verdicts.to_dict(),
         "path": rows,
-        "selected_predictors": [
-            names[i] if names else i for i in path.predictors()
-        ],
+        "selected_predictors": [names[i] for i in path.predictors()],
         "provenance": _provenance(args, inputs),
     }
 
 
 def _write_forward(bundle: dict, args) -> None:
-    columns = PATH_CSV_COLUMNS + ["predictor_name"]
     if args.output:
-        prefix = Path(args.output)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        write_rows_csv(f"{prefix}.path.csv", bundle["path"], columns)
-        Path(f"{prefix}.report.json").write_text(
-            dump_json(bundle) + "\n", encoding="utf-8"
-        )
-        return
-    if args.format == "csv":
-        print(",".join(columns))
-        for r in bundle["path"]:
-            print(",".join("" if r.get(c) is None else str(r.get(c)) for c in columns))
+        write_rows_csv(f"{args.output}.path.csv", bundle["path"])
+        report = Path(f"{args.output}.report.json")
+        report.write_text(dump_json(bundle) + "\n", encoding="utf-8")
+    elif args.format == "csv":
+        write_rows_csv(sys.stdout, bundle["path"])
     else:
         print(dump_json(bundle))
 
@@ -314,8 +277,9 @@ _REQUIRED = object()
 
 
 def _require(config: dict, key: str, path, default=_REQUIRED):
+    """Remove and return ``config[key]``: the keys left over were never read."""
     if key in config:
-        return config[key]
+        return config.pop(key)
     if default is _REQUIRED:
         raise ConfigError(f"{path}: missing required key {key!r}")
     return default
@@ -330,11 +294,23 @@ def _convert(value, kind, key: str, path):
         ) from None
 
 
+def _integer(value):
+    """A JSON integer only: ``int(30.9)`` would be 30 and ``int(True)`` 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
 def _number(value):
     """A JSON number as given: an int stays an int."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(value)
     return value
+
+
+def _real(value):
+    """A JSON number as a float: ``float("2")`` would be 2.0."""
+    return float(_number(value))
 
 
 def _boolean(value):
@@ -364,6 +340,13 @@ def _values(config: dict, key: str, path, kind, default=_REQUIRED):
     return out
 
 
+def _make_output_dir(out_dir: Path, config: dict, path) -> None:
+    """Make ``out_dir`` once every known key has been taken from ``config``."""
+    if config:
+        raise ConfigError(f"{path}: unknown key(s): {', '.join(sorted(config))}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+
 def cmd_simulate(args) -> dict:
     path = args.config
     try:
@@ -377,23 +360,24 @@ def cmd_simulate(args) -> dict:
 
     experiment = _require(config, "experiment", path)
     out_dir = Path(args.output)
-    seed = args.seed
-    base_seed = seed if seed is not None else _value(config, "base_seed", path, int, 0)
-    alpha = _value(config, "alpha", path, float, 0.5)
+    base_seed = _value(config, "base_seed", path, _integer, 0)
+    if args.seed is not None:
+        base_seed = args.seed  # base_seed is still taken: a known key
+    alpha = _value(config, "alpha", path, _real, 0.5)
     check_alpha(alpha)
 
     # the whole config is read before the output directory is made, so a
     # bad value found here leaves no directory behind
     if experiment == "many_k":
-        n = _value(config, "n", path, int)
-        beta_delta = _value(config, "beta_delta", path, float, 0.0)
+        n = _value(config, "n", path, _integer)
+        beta_delta = _value(config, "beta_delta", path, _real, 0.0)
         specs = [
             NestedDgpSpec(n=n, K=k, beta_delta=beta_delta, seed=base_seed)
-            for k in _values(config, "k_grid", path, int)
+            for k in _values(config, "k_grid", path, _integer)
         ]
-        replications = _value(config, "replications", path, int)
-        n_test = _value(config, "n_test", path, int, 1000)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        replications = _value(config, "replications", path, _integer)
+        n_test = _value(config, "n_test", path, _integer, 1000)
+        _make_output_dir(out_dir, config, path)
         rows = run_many_k(specs, replications=replications, alpha=alpha, n_test=n_test)
         summary = summarize_many_k(rows)
         write_rows_csv(out_dir / "many_k_runs.csv", rows)
@@ -401,27 +385,27 @@ def cmd_simulate(args) -> dict:
         result = {"experiment": experiment, "cells": summary}
     elif experiment == "forward":
         shared = dict(
-            p=_value(config, "p", path, int),
-            block_size=_value(config, "block_size", path, int, 5),
-            xi=_value(config, "xi", path, float, 0.59),
-            sigma2=_value(config, "sigma2", path, float, 1.0),
-            n_relevant=_value(config, "n_relevant", path, int, 6),
-            n_test=_value(config, "n_test", path, int, 1000),
+            p=_value(config, "p", path, _integer),
+            block_size=_value(config, "block_size", path, _integer, 5),
+            xi=_value(config, "xi", path, _real, 0.59),
+            sigma2=_value(config, "sigma2", path, _real, 1.0),
+            n_relevant=_value(config, "n_relevant", path, _integer, 6),
+            n_test=_value(config, "n_test", path, _integer, 1000),
             seed=base_seed,
         )
-        rhos = _values(config, "rho_grid", path, float)
+        rhos = _values(config, "rho_grid", path, _real)
         specs = [
             BlockDgpSpec(n=n, rho=rho, **shared)
-            for n in _values(config, "n_grid", path, int)
+            for n in _values(config, "n_grid", path, _integer)
             for rho in rhos
         ]
         multipliers = tuple(_values(config, "multipliers", path, _number, [1.5]))
         for m in multipliers:
             check_multiplier(m)
         priors = tuple(_values(config, "priors", path, str, ["diffuse"]))
-        replications = _value(config, "replications", path, int)
+        replications = _value(config, "replications", path, _integer)
         guard = _value(config, "guard", path, _boolean, True)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_output_dir(out_dir, config, path)
         run_rows, path_rows = run_forward_experiment(
             specs,
             multipliers=multipliers,
@@ -465,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--baseline", default="median", help="'median' or a model id")
     c.add_argument("--alpha", type=float, default=0.5)
     c.add_argument("--multiplier", type=float, default=1.5)
-    c.add_argument("--seed", type=int, default=None)
     c.add_argument("--format", choices=["json", "csv"], default="json")
     c.add_argument("--output", default=None)
     c.set_defaults(func=cmd_compare, writer=_write_compare)
@@ -478,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--multiplier", type=float, default=1.5)
     f.add_argument("--alpha", type=float, default=0.5)
     f.add_argument("--test", default=None, help="held-out dataset CSV")
-    f.add_argument("--seed", type=int, default=None)
     f.add_argument("--format", choices=["json", "csv"], default="json")
     f.add_argument("--output", default=None, help="output file prefix")
     f.set_defaults(func=cmd_forward, writer=_write_forward)

@@ -6,7 +6,9 @@ import csv
 import hashlib
 import itertools
 import json
+import os
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -84,16 +86,22 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 
-def write_rows_csv(path, rows: list[dict], columns: list[str] | None = None) -> None:
-    """Write dict rows as CSV with a fixed column order (byte-stable)."""
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def write_rows_csv(dest, rows: list[dict]) -> None:
+    """Write dict rows as CSV to a path or an open text stream (byte-stable).
+
+    The columns are the first row's keys in order; lines end in CRLF
+    whatever the destination, so a table's bytes do not depend on it.
+    """
+    columns = list(rows[0]) if rows else []
+    target = (
+        open(dest, "w", newline="", encoding="utf-8")
+        if isinstance(dest, (str, os.PathLike))
+        else nullcontext(dest)
+    )
+    with target as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:

@@ -17,7 +17,7 @@ observed maxima at small K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
@@ -216,31 +216,18 @@ class ElpdComparison:
     reliable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "baseline_id": self.baseline_id,
-            "K": self.K,
-            "sigma_hat": self.sigma_hat,
-            "median_hat": self.median_hat,
-            "s_k": self.s_k,
-            "threshold": self.threshold,
-            "bias_hat": self.bias_hat,
-            "multiplier": self.multiplier,
-            "alpha": self.alpha,
-            "max_diff": self.max_diff,
-            "all_equivalent": self.all_equivalent,
-            "khat_tail": self.khat_tail,
-            "reliable": self.reliable,
-            "diffs": [
-                {
-                    "model": d.model_a,
-                    "baseline": d.model_b,
-                    "estimate": d.estimate,
-                    "se_diff": d.se_diff,
-                    "above_threshold": bool(d.estimate >= self.threshold + EQUIV_TOL),
-                }
-                for d in self.diffs
-            ],
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record["diffs"] = [
+            {
+                "model": d.model_a,
+                "baseline": d.model_b,
+                "estimate": d.estimate,
+                "se_diff": d.se_diff,
+                "above_threshold": bool(d.estimate >= self.threshold + EQUIV_TOL),
+            }
+            for d in self.diffs
+        ]
+        return record
 
 
 def build_comparison(

@@ -10,7 +10,7 @@ maximum of equally-useless candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -141,13 +141,7 @@ class StopVerdicts:
     three_sigma_delta_size: int
 
     def to_dict(self) -> dict:
-        return {
-            "bulge_size": self.bulge_size,
-            "two_sigma_size": self.two_sigma_size,
-            "corrected_max_size": self.corrected_max_size,
-            "two_sigma_delta_size": self.two_sigma_delta_size,
-            "three_sigma_delta_size": self.three_sigma_delta_size,
-        }
+        return asdict(self)
 
 
 def forward_search(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,14 +79,7 @@ class WeightReport:
     rule_of_four_safe: bool
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "se": self.se,
-            "prob_better": self.prob_better,
-            "pseudo_bma": self.pseudo_bma,
-            "pseudo_bma_plus": self.pseudo_bma_plus,
-            "rule_of_four_safe": self.rule_of_four_safe,
-        }
+        return asdict(self)
 
 
 def weight_report(delta: float, se: float) -> WeightReport:

@@ -602,6 +602,40 @@ class TestSimulate:
                  "replications": 1, "n_test": 1},
                 "n_test",
             ),
+            # integer keys take JSON integers only, number keys JSON numbers only
+            *[
+                (
+                    {"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2,
+                     key: value},
+                    f"{key} must be",
+                )
+                for key, value in [
+                    ("n", 30.9),
+                    ("base_seed", True),
+                    ("k_grid", [3, 4.7]),
+                    ("replications", "2"),
+                    ("base_seed", 1.5),
+                    ("beta_delta", "0.5"),
+                    ("beta_delta", False),
+                    ("alpha", True),
+                ]
+            ],
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": ["0.0"],
+                 "replications": 1},
+                "rho_grid must be",
+            ),
+            # a misspelt key or one of another experiment is not ignored
+            (
+                {"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2,
+                 "beta_detla": 0.5},
+                "unknown key(s): beta_detla",
+            ),
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                 "replications": 1, "k_grid": [3]},
+                "unknown key(s): k_grid",
+            ),
         ],
     )
     def test_invalid_config_values_fail_with_one_line(self, tmp_path, capsys, config, word):
@@ -630,6 +664,8 @@ class TestSimulate:
             ),
             ({"experiment": "many_k", "n": 30, "k_grid": [3], "alpha": 7,
               "replications": 2}, "alpha"),
+            ({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2,
+              "beta_detla": 0.5}, "beta_detla"),
         ],
     )
     def test_bad_values_fail_before_any_work(
@@ -703,30 +739,102 @@ class TestSimulate:
             out2 / "many_k_runs.csv"
         ).read_bytes()
 
+    def test_seed_flag_overrides_base_seed(self, tmp_path):
+        config = {"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2,
+                  "n_test": 30}
+
+        def runs(base_seed, *flags):
+            cfg = tmp_path / f"mk{base_seed}.json"
+            cfg.write_text(json.dumps({**config, "base_seed": base_seed}))
+            out = tmp_path / f"o{base_seed}{''.join(flags)}"
+            assert main(["simulate", str(cfg), "--output", str(out), *flags]) == 0
+            return (out / "many_k_runs.csv").read_bytes()
+
+        assert runs(3, "--seed", "5") == runs(5) != runs(3)
+
 
 @pytest.mark.parametrize(
-    "argv, output",
+    "argv, output, where",
     [
-        (["compare", "a.csv", "b.csv", "c.csv"], "nodir/x.json"),
-        (["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"], "nodir/x.csv"),
-        (["simulate", "mk.json"], "afile/x"),
+        (["compare", "a.csv", "b.csv", "c.csv"], "nodir/x.json", "nodir/x.json"),
+        (["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"], "nodir/x.csv",
+         "nodir/x.csv"),
+        (["simulate", "mk.json"], "afile/x", "afile/x"),
+        (["forward", "d.csv", "--target", "y"], "afile/run", "afile"),
     ],
-    ids=["compare_json", "compare_csv", "simulate"],
+    ids=["compare_json", "compare_csv", "simulate", "forward"],
 )
 def test_unwritable_output_fails_with_one_line(
-    tmp_path, monkeypatch, capsys, argv, output
+    tmp_path, monkeypatch, capsys, argv, output, where
 ):
-    # a missing parent directory, or a regular file where a directory must be
+    # a missing parent directory, or a regular file where a directory must
+    # be, is found before any input is read or any work is done
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(93)
     for name in ("a", "b", "c"):
         write_pointwise(tmp_path / f"{name}.csv", rng.standard_normal(20))
+    data = Dataset(rng.standard_normal((20, 2)), rng.standard_normal(20))
+    write_dataset(tmp_path / "d.csv", data)
     (tmp_path / "mk.json").write_text(
         json.dumps({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2})
     )
     (tmp_path / "afile").write_text("")
+    started = []
+    for name in ("read_matrix_csv", "read_dataset_csv", "run_many_k"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: started.append(name))
     assert main(argv + ["--output", output]) == 1
-    assert_one_line_error(capsys, f"cannot write {output}")
+    assert_one_line_error(capsys, f"cannot write {where}")
+    assert started == []
+
+
+def cli_env() -> dict:
+    """The environment of a child Python that imports this checkout's cvbias."""
+    src = str(Path(cvbias.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+@pytest.mark.parametrize("command", ["compare", "forward"])
+def test_stdout_csv_equals_output_file(tmp_path, command):
+    # a quoted "a,b" name and the booleans read the same in both tables
+    rng = np.random.default_rng(99)
+    if command == "compare":
+        argv = ["compare"] + [
+            str(write_pointwise(tmp_path / f"{name}.csv", rng.standard_normal(20)))
+            for name in ("a,b", "c", "d")
+        ] + ["--baseline", "c"]
+        out = table = tmp_path / "weights.csv"
+    else:
+        data = Dataset(
+            rng.standard_normal((30, 3)), rng.standard_normal(30), columns=("a,b", "c", "d")
+        )
+        argv = ["forward", str(write_dataset(tmp_path / "d.csv", data)), "--target", "y"]
+        out, table = tmp_path / "run", tmp_path / "run.path.csv"
+    argv += ["--format", "csv"]
+    assert main(argv + ["--output", str(out)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvbias.cli", *argv],
+        capture_output=True, env=cli_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == table.read_bytes()
+    rows = list(csv.DictReader(proc.stdout.decode().splitlines()))
+    assert "a,b" in {r.get("model") or r.get("predictor_name") for r in rows}
+    assert all(len(r) == len(rows[0]) and None not in r for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "a.csv", "b.csv"], ["forward", "d.csv", "--target", "y"]],
+    ids=["compare", "forward"],
+)
+def test_seed_flag_rejected_by_compare_and_forward(capsys, argv):
+    # neither command draws a random number
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cvbias") and "unrecognized arguments: --seed 1" in err
 
 
 NO_SCIPY_SCRIPT = """
@@ -768,14 +876,11 @@ def test_forward_and_simulate_never_import_scipy(toy_block, tmp_path):
         write_pointwise(tmp_path / "b.csv", pw + 0.05 * rng.standard_normal(25)),
         write_pointwise(tmp_path / "c.csv", pw + 500.0 * rng.standard_normal(25)),
     ]
-    src = str(Path(cvbias.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
     (tmp_path / "out").mkdir()
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, str(train), str(test), str(config),
          *map(str, models), str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=cli_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     weights = json.loads(proc.stdout.splitlines()[-1])
@@ -811,14 +916,11 @@ def test_commands_never_import_numpy_ma(toy_block, tmp_path):
         ll = rng.normal(-1.0, 0.3, (300, 5))
         ll[:, 0] = -np.abs(rng.standard_t(2.0, 300))  # a heavy tail to smooth
         models.append(write_loglik(tmp_path / f"{name}.csv", ll))
-    src = str(Path(cvbias.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
     (tmp_path / "out").mkdir()
     proc = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_MA_SCRIPT, str(train), str(test), str(config),
          *map(str, models), str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=cli_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
