@@ -54,7 +54,7 @@ SCHEMA_VERSION = 1
 def _provenance(args, inputs: list) -> dict:
     config = {}
     for k, v in sorted(vars(args).items()):
-        if k in ("func", "writer"):
+        if k == "func":
             continue
         config[k] = list(v) if isinstance(v, (list, tuple)) else v
     return {
@@ -75,9 +75,13 @@ def _estimate(path, kind: str):
             f"{path}: pointwise input must have exactly 1 column, got {cols}"
         )
     model_id = Path(path).stem
-    if kind == "pointwise" or (kind == "auto" and cols == 1):
-        return from_pointwise(values[:, 0], model_id)
-    return elpd_loo_psis(values, model_id)
+    try:
+        if kind == "pointwise" or (kind == "auto" and cols == 1):
+            return from_pointwise(values[:, 0], model_id)
+        return elpd_loo_psis(values, model_id)
+    except CvBiasError as exc:
+        # read errors name the file already; scoring errors do not
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _clean_results(func, items, indices) -> dict:
@@ -171,7 +175,7 @@ def _load_estimates(paths, kind: str):
     return estimates
 
 
-def cmd_compare(args) -> dict:
+def cmd_compare(args) -> None:
     check_alpha(args.alpha)
     check_multiplier(args.multiplier)
     if args.output and not Path(args.output).parent.is_dir():
@@ -216,25 +220,22 @@ def cmd_compare(args) -> dict:
                     "status": "pass" if e.reliable else "fail",
                 }
             )
-    return {
+    bundle = {
         "report": "compare",
         "comparison": comparison.to_dict(),
         "weights": weights,
         "diagnostics": diagnostics,
         "provenance": _provenance(args, args.inputs),
     }
-
-
-def _write_compare(bundle: dict, args) -> None:
     if args.format == "csv":
-        write_rows_csv(args.output or sys.stdout, bundle["weights"])
+        write_rows_csv(args.output or sys.stdout, weights)
     elif args.output:
         Path(args.output).write_text(dump_json(bundle) + "\n", encoding="utf-8")
     else:
         print(dump_json(bundle))
 
 
-def cmd_forward(args) -> dict:
+def cmd_forward(args) -> None:
     # the search runs long before correct_path would reject these
     check_alpha(args.alpha)
     check_multiplier(args.multiplier)
@@ -253,22 +254,19 @@ def cmd_forward(args) -> dict:
     for row in rows:
         idx = row["predictor_added"]
         row["predictor_name"] = None if idx is None else names[idx]
-    return {
+    bundle = {
         "report": "forward",
         "verdicts": verdicts.to_dict(),
         "path": rows,
         "selected_predictors": [names[i] for i in path.predictors()],
         "provenance": _provenance(args, inputs),
     }
-
-
-def _write_forward(bundle: dict, args) -> None:
     if args.output:
-        write_rows_csv(f"{args.output}.path.csv", bundle["path"])
+        write_rows_csv(f"{args.output}.path.csv", rows)
         report = Path(f"{args.output}.report.json")
         report.write_text(dump_json(bundle) + "\n", encoding="utf-8")
     elif args.format == "csv":
-        write_rows_csv(sys.stdout, bundle["path"])
+        write_rows_csv(sys.stdout, rows)
     else:
         print(dump_json(bundle))
 
@@ -347,7 +345,7 @@ def _make_output_dir(out_dir: Path, config: dict, path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
 
-def cmd_simulate(args) -> dict:
+def cmd_simulate(args) -> None:
     path = args.config
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -431,7 +429,7 @@ def cmd_simulate(args) -> dict:
         "provenance": _provenance(args, [path]),
     }
     (out_dir / "summary.json").write_text(dump_json(bundle) + "\n", encoding="utf-8")
-    return bundle
+    print(dump_json({"output": args.output, "result": result}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--multiplier", type=float, default=1.5)
     c.add_argument("--format", choices=["json", "csv"], default="json")
     c.add_argument("--output", default=None)
-    c.set_defaults(func=cmd_compare, writer=_write_compare)
+    c.set_defaults(func=cmd_compare)
 
     f = sub.add_parser("forward", help="forward search with bias correction")
     f.add_argument("data", help="training dataset CSV (header row)")
@@ -463,13 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--test", default=None, help="held-out dataset CSV")
     f.add_argument("--format", choices=["json", "csv"], default="json")
     f.add_argument("--output", default=None, help="output file prefix")
-    f.set_defaults(func=cmd_forward, writer=_write_forward)
+    f.set_defaults(func=cmd_forward)
 
     s = sub.add_parser("simulate", help="run a simulation experiment config")
     s.add_argument("config", help="experiment config (JSON)")
     s.add_argument("--output", required=True, help="output directory")
     s.add_argument("--seed", type=int, default=None)
-    s.set_defaults(func=cmd_simulate, writer=None)
+    s.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -478,11 +476,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        bundle = args.func(args)
-        if args.writer is not None:
-            args.writer(bundle, args)
-        elif args.command == "simulate":
-            print(dump_json({"output": args.output, "result": bundle["result"]}))
+        args.func(args)
     except CvBiasError as exc:
         print(f"cvbias: error: {exc}", file=sys.stderr)
         return 1

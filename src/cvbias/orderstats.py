@@ -75,12 +75,13 @@ class HalfNormalFit(NamedTuple):
 def halfnormal_sigma(diff_points) -> HalfNormalFit:
     """Half-normal MLE scale of the upper half of ``diff_points``.
 
-    ``sigma_hat = sqrt((2/K) * sum_{d >= median} (d - median)^2)``.
+    ``sigma_hat = sqrt((2/K) * sum_{d >= median} (d - median)^2)``; a
+    single point is its own median and gives ``sigma_hat = 0``.
     """
     d = np.asarray(diff_points, dtype=float)
     K = d.size
-    if K < 2:
-        raise TooFewModels("half-normal scale needs at least 2 difference points")
+    if K < 1:
+        raise TooFewModels("half-normal scale needs at least 1 difference point")
     # np.median's value, summed from +0.0 as its mean is, by sorting:
     # np.median would import numpy.ma
     srt = np.sort(d)
@@ -239,8 +240,9 @@ def build_comparison(
     """Assemble the full threshold/bias/diagnostic report for a model set.
 
     ``baseline`` is either ``"median"`` or an explicit model id. A single
-    difference point (two models) degenerates to a zero threshold, in which
-    case only a non-positive maximum counts as equivalent.
+    difference point (two models) has ``sigma_hat = 0`` and
+    ``blom_max(1) = 0``, so a zero threshold: only a non-positive maximum
+    counts as equivalent.
     """
     if len(estimates) < 2:
         raise TooFewModels("comparison needs at least 2 models")
@@ -256,18 +258,7 @@ def build_comparison(
         diffs = [elpd_diff(e, base) for e in estimates if e is not base]
 
     dvals = np.array([d.estimate for d in diffs])
-    if dvals.size >= 2:
-        res = threshold(dvals, alpha)
-        sigma_hat, median_hat, s_k = res.sigma_hat, res.median_hat, res.s_k
-        thr, mx, equivalent = res.threshold, res.max_diff, res.all_equivalent
-    else:
-        # two-model comparison: no spread to estimate, threshold collapses to 0
-        sigma_hat, median_hat = 0.0, float(dvals[0])
-        s_k = blom_max(1, alpha)
-        thr = 0.0
-        mx = float(dvals[0])
-        equivalent = bool(mx < EQUIV_TOL)
-
+    res = threshold(dvals, alpha)
     if dvals.size >= MIN_MODELS_FOR_DIAGNOSTIC:
         khat_tail, reliable = diagnose_tail(dvals)
         khat_out = khat_tail if math.isfinite(khat_tail) else None
@@ -278,15 +269,15 @@ def build_comparison(
         diffs=tuple(diffs),
         baseline_id=baseline_id,
         K=int(dvals.size),
-        sigma_hat=sigma_hat,
-        median_hat=median_hat,
-        s_k=s_k,
-        threshold=thr,
-        bias_hat=check_finite(float(multiplier * thr), "bias", multiplier),
+        sigma_hat=res.sigma_hat,
+        median_hat=res.median_hat,
+        s_k=res.s_k,
+        threshold=res.threshold,
+        bias_hat=check_finite(float(multiplier * res.threshold), "bias", multiplier),
         multiplier=multiplier,
         alpha=alpha,
-        max_diff=mx,
-        all_equivalent=equivalent,
+        max_diff=res.max_diff,
+        all_equivalent=res.all_equivalent,
         khat_tail=khat_out,
         reliable=reliable,
     )

@@ -26,6 +26,9 @@ from .errors import (
 
 MIN_DRAWS_FOR_PSIS = 100
 
+# each observation smooths its largest min(0.2 S, 3 sqrt(S)) of S weights
+TAIL_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class LogLikMatrix:
@@ -48,17 +51,14 @@ class LogLikMatrix:
     def n_draws(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_obs(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class ElpdEstimate:
     """Pointwise LOO elpd with its sum, standard error and diagnostics.
 
-    ``khat_per_obs`` is None for exact (refit-based) LOO. ``+inf`` entries
-    mark observations whose importance weights had no fittable tail.
+    ``khat_per_obs`` and ``n_draws`` are None for exact (refit-based) LOO
+    and set together by PSIS. ``+inf`` entries mark observations whose
+    importance weights had no fittable tail.
     """
 
     pointwise: np.ndarray
@@ -77,8 +77,7 @@ class ElpdEstimate:
         """True when no observation's k-hat exceeds its sample-size threshold."""
         if self.khat_per_obs is None:
             return True
-        cap = gpd.khat_threshold(self.n_draws if self.n_draws else 1)
-        return bool(np.all(self.khat_per_obs < cap))
+        return bool(np.all(self.khat_per_obs < gpd.khat_threshold(self.n_draws)))
 
 
 @dataclass(frozen=True)
@@ -144,26 +143,7 @@ def elpd_diff(a: ElpdEstimate, b: ElpdEstimate) -> ElpdDiff:
     )
 
 
-def smooth_log_weights(log_ratios, max_tail_fraction: float = 0.2):
-    """Pareto-smooth a vector of log importance ratios.
-
-    Returns ``(log_weights, khat)`` with the weights normalized so the raw
-    maximum is 0 in log space. Smoothed tail weights never exceed the raw
-    maximum. ``khat`` is ``-inf`` when the ratios are constant (nothing to
-    smooth) and ``+inf`` when the tail is too small or degenerate to fit.
-
-    Input must already be in ascending order; callers sort first so results
-    are invariant to draw permutations.
-    """
-    lr = np.asarray(log_ratios, dtype=float)
-    lw = lr - lr[-1]
-    if lw[0] == lw[-1]:
-        return lw, float("-inf")
-    khat = _smooth_rows(lw[None, :], max_tail_fraction)
-    return lw, float(khat[0])
-
-
-def _smooth_rows(lw: np.ndarray, max_tail_fraction: float) -> np.ndarray:
+def _smooth_rows(lw: np.ndarray) -> np.ndarray:
     """Pareto-smooth every row of ``lw`` in place; returns each row's k-hat.
 
     Rows hold ascending log weights that end at 0. A row whose tail has
@@ -176,7 +156,7 @@ def _smooth_rows(lw: np.ndarray, max_tail_fraction: float) -> np.ndarray:
     khat = np.full(r, np.inf)
     if S < 10:
         return khat
-    M = math.ceil(min(max_tail_fraction * S, 3.0 * math.sqrt(S)))
+    M = math.ceil(min(TAIL_FRACTION * S, 3.0 * math.sqrt(S)))
     w = np.exp(lw[:, S - M - 1 :])
     cutoff, tail = w[:, :1], w[:, 1:]
     # ascending rows: the exceedances are a suffix, and ties at the cutoff
@@ -211,9 +191,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 15
 
 
-def elpd_loo_psis(
-    loglik, model_id: str | None = None, max_tail_fraction: float = 0.2
-) -> ElpdEstimate:
+def elpd_loo_psis(loglik, model_id: str | None = None) -> ElpdEstimate:
     """PSIS-LOO elpd estimate from a draws-by-observations log-lik matrix.
 
     Per observation i the raw ratios exp(-loglik[:, i]) are normalized in
@@ -247,7 +225,7 @@ def elpd_loo_psis(
         const = np.flatnonzero(lr[:, 0] == lr[:, -1])
         exact = -lr[const, 0]
         lw = lr - lr[:, -1:]
-        khat[lo:hi] = _smooth_rows(lw, max_tail_fraction)
+        khat[lo:hi] = _smooth_rows(lw)
         # log weights plus log-likelihoods, into the ratios' buffer
         np.subtract(lw, lr, out=lr)
         pointwise[lo:hi] = _logsumexp_rows(lr) - _logsumexp_rows(lw)

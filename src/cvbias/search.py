@@ -68,9 +68,6 @@ class SearchPath:
     def n_obs(self) -> int:
         return self.base_pointwise.size
 
-    def sizes(self) -> np.ndarray:
-        return np.arange(len(self.steps) + 1)
-
     def raw_elpds(self) -> np.ndarray:
         return np.array([self.base_elpd] + [s.elpd_after for s in self.steps])
 
@@ -269,10 +266,9 @@ def correct_path(
     corrected_diffs: list[float] = []
     for idx, s in enumerate(path.steps):
         size = idx + 1
-        if size >= 2 and s.candidate_diffs.size >= 2:
-            sigma_hat = halfnormal_sigma(s.candidate_diffs).sigma_hat
-        else:
-            sigma_hat = 0.0
+        # the first step is never corrected, and blom_max(1) = 0 times an
+        # infinite sigma_hat would be NaN
+        sigma_hat = halfnormal_sigma(s.candidate_diffs).sigma_hat if size >= 2 else 0.0
         thr = blom_max(size, alpha) * sigma_hat
         bias = check_finite(multiplier * thr, f"bias at size {size}", multiplier)
         post_bulge = size > bulge_size

@@ -336,10 +336,7 @@ def run_many_k(
             s_k = blom_max(spec.K, alpha)
             for r, cell in enumerate(cells[lo : lo + m]):
                 d = diffs[r]
-                if d.size >= 2:
-                    sigma_hat, median_diff = halfnormal_sigma(d)
-                else:
-                    sigma_hat, median_diff = 0.0, float(d[0])
+                sigma_hat, median_diff = halfnormal_sigma(d)
                 sel = int(selected[r])
                 rows.append(
                     {

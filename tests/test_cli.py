@@ -141,6 +141,38 @@ class TestCompare:
         assert main(["compare", *map(str, paths), "--kind", "pointwise"]) == 1
         assert_one_line_error(capsys, "exactly 1 column")
 
+    @pytest.mark.parametrize(
+        "bad, flags, word",
+        [
+            ("nan_loglik", [], "log-likelihood matrix contains non-finite"),
+            ("inf_pointwise", [], "pointwise elpd contains non-finite"),
+            ("one_column_loglik", ["--kind", "loglik"], "need at least 2 observations"),
+        ],
+        ids=["nan_loglik", "inf_pointwise", "one_column_loglik"],
+    )
+    def test_scoring_error_names_the_file(self, tmp_path, capsys, bad, flags, word):
+        if bad == "inf_pointwise":
+            paths = [
+                write_pointwise(tmp_path / f"m{i}.csv", np.full(8, -1.0 - i))
+                for i in range(3)
+            ]
+            write_pointwise(paths[1], [-1.0] * 7 + [float("-inf")])
+        else:
+            paths = write_logliks(tmp_path, 3)
+        if bad == "nan_loglik":
+            ll = np.full((200, 8), -1.0)
+            ll[5, 3] = np.nan
+            write_loglik(paths[1], ll)
+        elif bad == "one_column_loglik":
+            write_pointwise(paths[1], np.full(8, -1.0))
+        assert main(["compare", *map(str, paths), *flags]) == 1
+        assert_one_line_error(capsys, f"{paths[1]}: {word}")
+
+    def test_single_input_fails(self, tmp_path, capsys):
+        a = write_pointwise(tmp_path / "a.csv", np.zeros(5))
+        assert main(["compare", str(a)]) == 1
+        assert_one_line_error(capsys, "at least 2 models")
+
     def test_inconsistent_lengths_fail(self, tmp_path, capsys):
         a = write_pointwise(tmp_path / "a.csv", np.zeros(10))
         b = write_pointwise(tmp_path / "b.csv", np.zeros(12))
@@ -432,22 +464,23 @@ class TestForward:
         assert calls == []
         assert_one_line_error(capsys, word)
 
-    @pytest.mark.parametrize("bad_test", ["missing", "no_target"])
+    @pytest.mark.parametrize("bad_test", ["missing", "no_target", "no_header"])
     def test_bad_test_csv_fails_before_search(
         self, toy_block, tmp_path, monkeypatch, capsys, bad_test
     ):
         calls = []
         monkeypatch.setattr(cli, "forward_search", lambda *a, **k: calls.append(a))
         train, test = toy_block
+        test = tmp_path / f"{bad_test}.csv"
         if bad_test == "no_target":
-            test = tmp_path / "no_target.csv"
             test.write_text("x0,x1\n1.0,2.0\n")
-        else:
-            test = tmp_path / "absent.csv"
+        elif bad_test == "no_header":
+            test.write_text("1.0,2.0\n3.0,4.0\n")
         argv = ["forward", str(train), "--target", "y", "--test", str(test)]
         assert main(argv) == 1
         assert calls == []
-        assert_one_line_error(capsys, str(test) if bad_test == "missing" else "'y'")
+        word = {"missing": str(test), "no_target": "'y'", "no_header": "needs a header row"}
+        assert_one_line_error(capsys, word[bad_test])
 
     def test_output_files_and_determinism(self, toy_block, tmp_path):
         train, test = toy_block
@@ -473,6 +506,14 @@ class TestSimulate:
         cfg.write_text("{}")
         assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_config_fails_with_one_line(self, tmp_path, capsys, where):
+        cfg = tmp_path / "cfg.json"
+        if where == "directory":
+            cfg.mkdir()
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        assert_one_line_error(capsys, f"cannot read config {cfg}")
 
     def test_unknown_experiment(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -636,6 +677,7 @@ class TestSimulate:
                  "replications": 1, "k_grid": [3]},
                 "unknown key(s): k_grid",
             ),
+            ('{"experiment": "many_k",\n "n": }', "invalid JSON at line 2"),
         ],
     )
     def test_invalid_config_values_fail_with_one_line(self, tmp_path, capsys, config, word):

@@ -67,7 +67,10 @@ class TestHalfnormalSigma:
 
     def test_too_few(self):
         with pytest.raises(TooFewModels):
-            halfnormal_sigma([1.0])
+            halfnormal_sigma([])
+
+    def test_single_point_is_its_own_median(self):
+        assert halfnormal_sigma([1.5]) == (0.0, 1.5)
 
     @settings(max_examples=300)
     @given(

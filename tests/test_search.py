@@ -425,6 +425,12 @@ class TestStoppingRules:
         assert v.two_sigma_delta_size == 1
         assert v.three_sigma_delta_size == 0
 
+    def test_sigma_delta_rules_run_to_the_last_step(self):
+        # every step has a candidate clearing 3 se
+        path = synthetic_path(raw_diffs=[4.0, 3.5], candidate_diffs=[[4.0, 0.0], [3.5]])
+        v = stopping_rules(path)
+        assert v.two_sigma_delta_size == v.three_sigma_delta_size == 2
+
     def test_incomplete_path_rejected(self, block_path):
         path, _, _ = block_path
         from dataclasses import replace
