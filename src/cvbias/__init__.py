@@ -15,7 +15,6 @@ _EXPORTS = {
         "PosteriorFit",
         "draw_posterior",
         "elpd_loo_exact",
-        "elpd_loo_extensions",
         "fit",
         "log_pred",
         "pointwise_loglik",
@@ -23,13 +22,11 @@ _EXPORTS = {
     "gpd": ("GpdFit", "fit_gpd", "gpd_quantile", "khat_threshold", "tail_cutoff"),
     "orderstats": (
         "ElpdComparison",
-        "bias_estimate",
         "blom_max",
         "build_comparison",
         "diagnose_tail",
         "halfnormal_sigma",
         "median_baseline",
-        "prob_select_suboptimal",
         "threshold",
     ),
     "psisloo": (

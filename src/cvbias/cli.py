@@ -35,7 +35,13 @@ from .io import (
     sha256_file,
     write_rows_csv,
 )
-from .orderstats import build_comparison, check_alpha, check_multiplier
+from .orderstats import (
+    DEFAULT_ALPHA,
+    DEFAULT_MULTIPLIER,
+    build_comparison,
+    check_alpha,
+    check_multiplier,
+)
 from .psisloo import elpd_loo_psis, from_pointwise
 from .search import correct_path, forward_search, stopping_rules
 from .sim import (
@@ -361,7 +367,7 @@ def cmd_simulate(args) -> None:
     base_seed = _value(config, "base_seed", path, _integer, 0)
     if args.seed is not None:
         base_seed = args.seed  # base_seed is still taken: a known key
-    alpha = _value(config, "alpha", path, _real, 0.5)
+    alpha = _value(config, "alpha", path, _real, DEFAULT_ALPHA)
     check_alpha(alpha)
 
     # the whole config is read before the output directory is made, so a
@@ -397,7 +403,9 @@ def cmd_simulate(args) -> None:
             for n in _values(config, "n_grid", path, _integer)
             for rho in rhos
         ]
-        multipliers = tuple(_values(config, "multipliers", path, _number, [1.5]))
+        multipliers = tuple(
+            _values(config, "multipliers", path, _number, [DEFAULT_MULTIPLIER])
+        )
         for m in multipliers:
             check_multiplier(m)
         priors = tuple(_values(config, "priors", path, str, ["diffuse"]))
@@ -445,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("inputs", nargs="+", help="one CSV per model")
     c.add_argument("--kind", choices=["auto", "pointwise", "loglik"], default="auto")
     c.add_argument("--baseline", default="median", help="'median' or a model id")
-    c.add_argument("--alpha", type=float, default=0.5)
-    c.add_argument("--multiplier", type=float, default=1.5)
+    c.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    c.add_argument("--multiplier", type=float, default=DEFAULT_MULTIPLIER)
     c.add_argument("--format", choices=["json", "csv"], default="json")
     c.add_argument("--output", default=None)
     c.set_defaults(func=cmd_compare)
@@ -456,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--target", required=True, help="response column name")
     f.add_argument("--max-size", dest="max_size", type=int, default=None)
     f.add_argument("--prior", choices=sorted(PRIOR_PRESETS), default="diffuse")
-    f.add_argument("--multiplier", type=float, default=1.5)
-    f.add_argument("--alpha", type=float, default=0.5)
+    f.add_argument("--multiplier", type=float, default=DEFAULT_MULTIPLIER)
+    f.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     f.add_argument("--test", default=None, help="held-out dataset CSV")
     f.add_argument("--format", choices=["json", "csv"], default="json")
     f.add_argument("--output", default=None, help="output file prefix")

@@ -13,13 +13,17 @@ that exact LOO reads. The predictive density, exact LOO, the bordered
 extensions and ``draw_posterior`` all read that one fit; no other module
 touches P^-1.
 
-``elpd_loo_extensions`` scores every one-column extension of a model in one
-call, as a forward-search step needs: one BLAS-3 pass over the current
-model's P^-1 that updates leverages, fitted values and scale for all
-candidate columns at once (block-inverse identity), and the closed-form
-LOO on the n x c block. A forward search carries the chosen extension's
-``PosteriorFit`` to the next step by bordering P^-1 with that column's
-terms, so only its starting model is fit.
+``_score_extensions`` scores every one-column extension of a model, as a
+forward-search step needs: one BLAS-3 pass over the current model's P^-1
+that updates leverages, fitted values and scale for all candidate columns
+at once (block-inverse identity), and the closed-form LOO on the n x c
+block. A forward search carries the chosen extension's ``PosteriorFit`` to
+the next step by bordering P^-1 with that column's terms, so only its
+starting model is fit.
+
+``draw_posterior`` and ``pointwise_loglik`` turn a conjugate fit into a
+draws-by-observations log-likelihood matrix, the input that
+``psisloo.elpd_loo_psis`` takes.
 """
 
 from __future__ import annotations
@@ -246,28 +250,6 @@ def elpd_loo_exact(
     )
 
 
-def elpd_loo_extensions(
-    data: Dataset,
-    prior: NigPrior,
-    current: Sequence[int],
-    candidates: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact LOO elpd of the model on ``current`` extended by each candidate.
-
-    Returns ``(pointwise, estimates)``: column k of the n x c block
-    ``pointwise`` is what ``elpd_loo_exact(data.subset(current + (j,)),
-    prior).pointwise`` returns for the k-th candidate j (within 1e-9), and
-    ``estimates[k]`` is its ``math.fsum``, bit for bit. One inverse of the
-    current model's posterior precision P serves all candidates (see
-    ``_score_extensions``).
-    """
-    _require_loo_rows(data.n)
-    current = tuple(current)
-    post = fit(data.subset(current), prior)
-    pointwise, estimates, *_ = _score_extensions(data, prior, post, current, candidates)
-    return pointwise, estimates
-
-
 def _border_terms(post: PosteriorFit, X: np.ndarray, prior: NigPrior):
     """Terms of extending the model fit ``post`` by each column x of ``X``.
 
@@ -467,7 +449,11 @@ class PosteriorDraws(NamedTuple):
 
 
 def draw_posterior(fit_: PosteriorFit, S: int, seed=None) -> PosteriorDraws:
-    """S exact draws of (coefficients, noise variance) from the posterior."""
+    """S exact draws of (coefficients, noise variance) from the posterior.
+
+    With ``pointwise_loglik`` they give the log-likelihood matrix that
+    ``psisloo.elpd_loo_psis`` scores.
+    """
     if S < 1:
         raise InvalidParameter("S must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -479,7 +465,11 @@ def draw_posterior(fit_: PosteriorFit, S: int, seed=None) -> PosteriorDraws:
 
 
 def pointwise_loglik(data: Dataset, draws: PosteriorDraws) -> np.ndarray:
-    """Draws-by-observations log-likelihood matrix under Gaussian noise."""
+    """Draws-by-observations log-likelihood matrix under Gaussian noise.
+
+    Rows are ``draw_posterior`` draws and columns the rows of ``data``, as
+    ``psisloo.elpd_loo_psis`` takes it.
+    """
     X = data.design()
     mu = draws.coefficients @ X.T
     s2 = draws.sigma2[:, None]

@@ -33,10 +33,6 @@ class EmptyVector(CvBiasError, ValueError):
     """An operation received an empty vector."""
 
 
-class NonPositiveSigma(CvBiasError, ValueError):
-    """Scale parameter must be strictly positive."""
-
-
 class NonPositiveSE(CvBiasError, ValueError):
     """Standard error must be strictly positive."""
 
@@ -46,7 +42,7 @@ class DimensionMismatch(CvBiasError, ValueError):
 
 
 class NonFiniteInput(CvBiasError, ValueError):
-    """Input data contain NaN or infinite entries."""
+    """Input data contain NaN or infinite entries, or overflow when squared."""
 
 
 class DegenerateWeights(CvBiasError, ValueError):

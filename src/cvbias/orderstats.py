@@ -24,10 +24,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import gpd
-from .errors import InvalidParameter, NonPositiveSigma, TooFewModels
+from .errors import InvalidParameter, TooFewModels
 from .psisloo import ElpdDiff, ElpdEstimate, elpd_diff
 
 DEFAULT_ALPHA = 0.5
+# the bias is multiplier * threshold; 1.5 encodes the assumed negative
+# correlation between cross-validated scores and generalisation loss, and
+# 1 and 2 bound the no-correlation and full-reflection cases
 DEFAULT_MULTIPLIER = 1.5
 EQUIV_TOL = 1e-12
 
@@ -97,20 +100,25 @@ class ThresholdResult(NamedTuple):
     sigma_hat: float
     median_hat: float
     max_diff: float
-    n_models: int
     all_equivalent: bool
 
 
-def threshold(diff_points, alpha: float = DEFAULT_ALPHA) -> ThresholdResult:
-    """Expected-maximum threshold for a vector of elpd difference estimates.
+def threshold(diff_points, alpha: float, K: int) -> ThresholdResult:
+    """Expected-maximum threshold ``blom_max(K, alpha) * sigma_hat`` for a
+    vector of elpd difference estimates.
+
+    The only place the threshold is formed. Each caller passes its own
+    count K: ``build_comparison`` the number of differences, ``correct_path``
+    the model size, and ``sim.run_many_k`` the K models of its design,
+    baseline included, over their K - 1 differences.
 
     The candidates are all equivalent to the baseline when the maximum
-    difference stays below ``blom_max(K, alpha) * sigma_hat`` (equality, up
-    to 1e-12, counts as equivalent so that identical models compare equal).
+    difference stays below the threshold (equality, up to 1e-12, counts as
+    equivalent so that identical models compare equal).
     """
     d = np.asarray(diff_points, dtype=float)
     hn = halfnormal_sigma(d)
-    s_k = blom_max(d.size, alpha)
+    s_k = blom_max(K, alpha)
     thr = s_k * hn.sigma_hat
     mx = float(d.max())
     return ThresholdResult(
@@ -119,27 +127,8 @@ def threshold(diff_points, alpha: float = DEFAULT_ALPHA) -> ThresholdResult:
         sigma_hat=hn.sigma_hat,
         median_hat=hn.median_hat,
         max_diff=mx,
-        n_models=d.size,
         all_equivalent=bool(mx < thr + EQUIV_TOL),
     )
-
-
-def bias_estimate(
-    K: int,
-    sigma_hat: float,
-    multiplier: float = DEFAULT_MULTIPLIER,
-    alpha: float = DEFAULT_ALPHA,
-) -> float:
-    """Selection-induced bias estimate ``multiplier * blom_max(K) * sigma_hat``.
-
-    The default multiplier 1.5 encodes the assumed negative correlation
-    between cross-validated scores and generalisation loss; 1 and 2 bound
-    the no-correlation and full-reflection cases.
-    """
-    if sigma_hat < 0:
-        raise NonPositiveSigma("sigma_hat must be >= 0")
-    check_multiplier(multiplier)
-    return float(multiplier * blom_max(K, alpha) * sigma_hat)
 
 
 class TailDiagnostic(NamedTuple):
@@ -180,16 +169,6 @@ def median_baseline(estimates: Sequence[ElpdEstimate]):
     base = estimates[int(order[(len(estimates) - 1) // 2])]
     diffs = [elpd_diff(e, base) for e in estimates if e is not base]
     return base.model_id, diffs
-
-
-def prob_select_suboptimal(mu: float, sigma: float) -> float:
-    """Probability that a noisy difference estimate flips the selection.
-
-    Mass of N(mu, sigma^2) below zero, i.e. Phi(-mu/sigma).
-    """
-    if sigma <= 0:
-        raise NonPositiveSigma("sigma must be > 0")
-    return 0.5 * math.erfc(mu / (sigma * math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -258,7 +237,7 @@ def build_comparison(
         diffs = [elpd_diff(e, base) for e in estimates if e is not base]
 
     dvals = np.array([d.estimate for d in diffs])
-    res = threshold(dvals, alpha)
+    res = threshold(dvals, alpha, dvals.size)
     if dvals.size >= MIN_MODELS_FOR_DIAGNOSTIC:
         khat_tail, reliable = diagnose_tail(dvals)
         khat_out = khat_tail if math.isfinite(khat_tail) else None

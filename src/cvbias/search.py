@@ -29,9 +29,17 @@ from .errors import (
     EmptyCandidateSet,
     IncompletePath,
     InvalidParameter,
+    NonFiniteInput,
     SchemaMismatch,
 )
-from .orderstats import blom_max, check_finite, check_multiplier, halfnormal_sigma
+from .orderstats import (
+    DEFAULT_ALPHA,
+    DEFAULT_MULTIPLIER,
+    check_alpha,
+    check_finite,
+    check_multiplier,
+    threshold,
+)
 from .psisloo import elpd_se, mlpd
 
 
@@ -141,6 +149,24 @@ class StopVerdicts:
         return asdict(self)
 
 
+def _require_finite_squares(data: Dataset, which: str) -> None:
+    """NonFiniteInput naming the first column whose sum of squares overflows.
+
+    Every fit squares the predictors and the response; an overflow there
+    makes the elpds NaN, infinite or silently wrong.
+    """
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->j", data.X, data.X)
+        y_squares = np.einsum("i,i->", data.y, data.y)
+    bad = np.flatnonzero(~np.isfinite(squares))
+    if bad.size:
+        j = int(bad[0])
+        name = repr(data.columns[j]) if data.columns else str(j + 1)
+        raise NonFiniteInput(f"{which} predictor {name} overflows when squared")
+    if not np.isfinite(y_squares):
+        raise NonFiniteInput(f"{which} response overflows when squared")
+
+
 def forward_search(
     data: Dataset, prior: NigPrior, max_size: int, test: Dataset | None = None
 ) -> SearchPath:
@@ -153,6 +179,8 @@ def forward_search(
     the starting model and a chosen candidate that breached the closed
     form's guard are fit afresh. Ties break to the lowest predictor index.
     Each step's corrected fields hold its raw values until ``correct_path``.
+    A predictor or response of ``data`` or ``test`` whose sum of squares
+    overflows is rejected before any fit.
 
     A ``test`` set, matched to ``data`` by predictor position (and by name,
     when both have names), is scored at every size from the same posterior:
@@ -173,6 +201,9 @@ def forward_search(
         raise EmptyCandidateSet(f"max_size {max_size} exceeds {p} predictors")
     if max_size < 1:
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
+    _require_finite_squares(data, "training")
+    if test is not None:
+        _require_finite_squares(test, "test")
 
     _require_loo_rows(data.n)
     cols: tuple[int, ...] = ()
@@ -244,13 +275,13 @@ def forward_search(
 
 def correct_path(
     path: SearchPath,
-    multiplier: float = 1.5,
-    alpha: float = 0.5,
+    multiplier: float = DEFAULT_MULTIPLIER,
+    alpha: float = DEFAULT_ALPHA,
 ) -> SearchPath:
     """Apply the order-statistic bias correction along a search path.
 
-    At each step the threshold is ``blom_max(K, alpha) * sigma_hat`` with
-    sigma_hat estimated from that step's candidate diffs; gains below the
+    At each step the threshold is ``orderstats.threshold`` of that step's
+    candidate diffs, the expected maximum of K null diffs; gains below the
     threshold are reduced by ``multiplier * threshold``. Steps past the
     raw-path bulge are left uncorrected and flagged, since beyond it
     over-fitting is already evident.
@@ -259,6 +290,7 @@ def correct_path(
     compound and the first step is never corrected.
     """
     check_multiplier(multiplier)
+    check_alpha(alpha)
     raw = path.raw_elpds()
     bulge_size = int(np.argmax(raw))
 
@@ -266,10 +298,9 @@ def correct_path(
     corrected_diffs: list[float] = []
     for idx, s in enumerate(path.steps):
         size = idx + 1
-        # the first step is never corrected, and blom_max(1) = 0 times an
-        # infinite sigma_hat would be NaN
-        sigma_hat = halfnormal_sigma(s.candidate_diffs).sigma_hat if size >= 2 else 0.0
-        thr = blom_max(size, alpha) * sigma_hat
+        # the first step is never corrected: the expected maximum at K = 1
+        # is 0, and 0 times an infinite sigma_hat would be NaN
+        thr = threshold(s.candidate_diffs, alpha, size).threshold if size >= 2 else 0.0
         bias = check_finite(multiplier * thr, f"bias at size {size}", multiplier)
         post_bulge = size > bulge_size
         if post_bulge or abs(s.raw_diff) >= thr:
@@ -287,8 +318,8 @@ def correct_path(
                 s,
                 corrected_diff=corrected,
                 corrected_elpd_after=check_finite(corrected_elpd, what, multiplier),
-                threshold_at_step=float(thr),
-                bias_at_step=float(bias),
+                threshold_at_step=thr,
+                bias_at_step=bias,
                 post_bulge=post_bulge,
             )
         )

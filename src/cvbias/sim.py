@@ -31,7 +31,7 @@ from .conjlm import (
     log_pred_dataset,
 )
 from .errors import InvalidBlocking, InvalidParameter
-from .orderstats import blom_max, halfnormal_sigma
+from .orderstats import DEFAULT_ALPHA, DEFAULT_MULTIPLIER, threshold
 from .psisloo import _BLOCK, elpd_se
 from .search import correct_path, forward_search, stopping_rules
 
@@ -270,7 +270,7 @@ def _many_k_test_elpds(
 def run_many_k(
     specs,
     replications: int,
-    alpha: float = 0.5,
+    alpha: float = DEFAULT_ALPHA,
     prior: NigPrior | None = None,
     n_test: int = 1000,
 ) -> list[dict]:
@@ -279,9 +279,9 @@ def run_many_k(
     For each cell and replication: score the baseline and the K - 1
     single-predictor candidates with exact LOO, record the maximum elpd
     difference, the half-normal scale of the diffs, the predicted
-    expected-maximum threshold ``blom_max(K, alpha) * sigma_hat``, and
-    test elpds (scaled to n) of the selected and true models on a fresh
-    draw.
+    expected-maximum threshold (``orderstats.threshold`` with the spec's
+    K), and test elpds (scaled to n) of the selected and true models on a
+    fresh draw.
 
     A cell's replications are scored together (``_score_many_k``), in
     blocks whose training block (n x K values per replication) and test
@@ -294,12 +294,12 @@ def run_many_k(
     selected predictor are kept.
 
     The threshold counts K models (baseline included) although it is taken
-    over the K - 1 differences, whereas ``orderstats.threshold`` passes the
-    number of differences to ``blom_max``. It also assumes differences
-    centred at zero, which this null does not give: the baseline is the true
-    model, so each candidate's difference sits near -0.78 in the median and
-    is skewed to the right (see ``cvbias.orderstats``). ``median_diff`` and
-    the summary's ``mean_recentred_max`` show the recentred picture.
+    over the K - 1 differences, whereas ``build_comparison`` counts the
+    differences. It also assumes differences centred at zero, which this
+    null does not give: the baseline is the true model, so each candidate's
+    difference sits near -0.78 in the median and is skewed to the right
+    (see ``cvbias.orderstats``). ``median_diff`` and the summary's
+    ``mean_recentred_max`` show the recentred picture.
     """
     if replications < 2:
         raise InvalidParameter("replications must be >= 2")
@@ -333,10 +333,8 @@ def run_many_k(
             base_test, sel_test, true_test = _many_k_test_elpds(
                 block, datasets, selected, y_test, x_true, x_selected, prior
             )
-            s_k = blom_max(spec.K, alpha)
             for r, cell in enumerate(cells[lo : lo + m]):
-                d = diffs[r]
-                sigma_hat, median_diff = halfnormal_sigma(d)
+                res = threshold(diffs[r], alpha, spec.K)
                 sel = int(selected[r])
                 rows.append(
                     {
@@ -347,10 +345,10 @@ def run_many_k(
                         "rep": lo + r,
                         "seed": cell.seed,
                         "spec_hash": spec_hash(cell),
-                        "max_diff": float(d.max()),
-                        "median_diff": median_diff,
-                        "sigma_hat": float(sigma_hat),
-                        "predicted_threshold": float(s_k * sigma_hat),
+                        "max_diff": res.max_diff,
+                        "median_diff": res.median_hat,
+                        "sigma_hat": res.sigma_hat,
+                        "predicted_threshold": res.threshold,
                         "selected_index": sel,
                         "selected_is_true": sel == 0,
                         "diff_selected_test": float(sel_test[r]) - float(base_test[r]),
@@ -411,10 +409,10 @@ def summarize_many_k(rows: list[dict]) -> list[dict]:
 
 def run_forward_experiment(
     specs,
-    multipliers=(1.5,),
+    multipliers=(DEFAULT_MULTIPLIER,),
     priors=("diffuse",),
     replications: int = 20,
-    alpha: float = 0.5,
+    alpha: float = DEFAULT_ALPHA,
     guard: bool = True,
 ):
     """Forward-search experiment over a block-DGP grid.

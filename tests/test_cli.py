@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cvbias
-from cvbias import cli, io
+from cvbias import cli, io, search
 from cvbias.cli import main
 from cvbias.conjlm import Dataset, NigPrior, draw_posterior, fit, pointwise_loglik
 from cvbias.sim import BlockDgpSpec, gen_block
@@ -481,6 +482,45 @@ class TestForward:
         assert calls == []
         word = {"missing": str(test), "no_target": "'y'", "no_header": "needs a header row"}
         assert_one_line_error(capsys, word[bad_test])
+
+    @pytest.mark.parametrize(
+        "case, word",
+        [
+            # y[0] = 1e200: the response's squares overflow
+            ("response", "training response"),
+            # x0 holds 1e300, -1e300 and 1e-300: a raw diff of exactly 0.0
+            # and exit 0 before the check
+            ("predictor", "training predictor 'x0'"),
+            # a clean training set with y[0] = 1e200 in --test only: a
+            # test_mlpd of -inf before the check
+            ("test_response", "test response"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_column_fails_before_any_fit(
+        self, tmp_path, monkeypatch, capsys, case, word, fmt
+    ):
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((20, 2)), rng.standard_normal(20)
+        test_X, test_y = X.copy(), y.copy()
+        if case == "response":
+            y[0] = 1e200
+        elif case == "predictor":
+            X[:3, 0] = [1e300, -1e300, 1e-300]
+        else:
+            test_y[0] = 1e200
+        cols = ("x0", "x1")
+        train = write_dataset(tmp_path / "train.csv", Dataset(X, y, columns=cols))
+        test = write_dataset(tmp_path / "test.csv", Dataset(test_X, test_y, columns=cols))
+        fits = []
+        monkeypatch.setattr(search, "fit", lambda *a: fits.append(a))
+        argv = ["forward", str(train), "--target", "y", "--format", fmt]
+        argv += ["--test", str(test)] if case == "test_response" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert fits == []
+        assert_one_line_error(capsys, word)
 
     def test_output_files_and_determinism(self, toy_block, tmp_path):
         train, test = toy_block

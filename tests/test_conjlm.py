@@ -14,7 +14,6 @@ from cvbias.conjlm import (
     NigPrior,
     draw_posterior,
     elpd_loo_exact,
-    elpd_loo_extensions,
     fit,
     log_pred,
     log_pred_dataset,
@@ -241,6 +240,8 @@ def _dataset(n, p, seed, duplicate):
 
 
 class TestElpdLooExtensions:
+    """Exact LOO of each one-column extension, by ``conjlm._score_extensions``."""
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(5, 30),
@@ -255,7 +256,8 @@ class TestElpdLooExtensions:
         prior = NigPrior.tight() if tight else NigPrior.diffuse()
         current = tuple(range(min(n_current, p - 1)))
         cands = [j for j in range(p) if j not in current]
-        pointwise, estimates = elpd_loo_extensions(data, prior, current, cands)
+        post = fit(data.subset(current), prior)
+        pointwise, estimates, *_ = conjlm._score_extensions(data, prior, post, current, cands)
         assert pointwise.shape == (n, len(cands))
         assert estimates.shape == (len(cands),)
         for k, j in enumerate(cands):
@@ -278,7 +280,8 @@ class TestElpdLooExtensions:
             return original(sub, prior_, *args, **kwargs)
 
         monkeypatch.setattr(conjlm, "elpd_loo_exact", spy)
-        pointwise, estimates = elpd_loo_extensions(data, prior, (), [0, 1])
+        post = fit(data.subset(()), prior)
+        pointwise, estimates, *_ = conjlm._score_extensions(data, prior, post, (), [0, 1])
         assert scored == [("spike",)]
         ref = original(data.subset((1,)), prior, method="refit")
         assert np.max(np.abs(pointwise[:, 1] - ref.pointwise)) <= 1e-9

@@ -1,7 +1,10 @@
-"""What importing the package and the CLI does, each in a fresh interpreter."""
+"""What importing the package and the CLI does, each in a fresh interpreter,
+and which public names the package keeps."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +29,6 @@ PUBLIC_NAMES = [
     "SearchStep",
     "StopVerdicts",
     "WeightReport",
-    "bias_estimate",
     "blom_max",
     "build_comparison",
     "correct_path",
@@ -34,7 +36,6 @@ PUBLIC_NAMES = [
     "draw_posterior",
     "elpd_diff",
     "elpd_loo_exact",
-    "elpd_loo_extensions",
     "elpd_loo_psis",
     "elpd_se",
     "fit",
@@ -51,7 +52,6 @@ PUBLIC_NAMES = [
     "mlpd",
     "pointwise_loglik",
     "prob_better_normal",
-    "prob_select_suboptimal",
     "pseudo_bma",
     "pseudo_bma_plus",
     "rule_of_four",
@@ -120,3 +120,33 @@ def test_names_resolve_to_their_modules():
     assert set(PUBLIC_NAMES) <= set(dir(cvbias))
     with pytest.raises(AttributeError, match="no_such_name"):
         cvbias.no_such_name
+
+
+def test_every_public_name_is_used_or_shown():
+    """A name in ``__all__`` must be read by a package module other than in
+    its own definition, or appear in README.md's code: a public name that
+    neither does is dead surface."""
+    package = Path(cvbias.__file__).resolve().parent
+    modules = {path.stem for path in package.glob("*.py")}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":  # its export table names every one
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.add(node.id)
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                ):
+                    refs.add(node.attr)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                refs.discard(stmt.name)
+            used |= refs
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S))
+    shown = set(re.findall(r"\w+", code))
+    assert [name for name in cvbias.__all__ if name not in used | shown] == []

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
-from cvbias.errors import InvalidParameter, NonPositiveSigma, TooFewModels
+from cvbias.errors import InvalidParameter, TooFewModels
 from cvbias.gpd import khat_threshold
 from cvbias.orderstats import (
-    bias_estimate,
     blom_max,
     build_comparison,
     diagnose_tail,
     halfnormal_sigma,
     median_baseline,
-    prob_select_suboptimal,
     threshold,
 )
 from cvbias.psisloo import from_pointwise
@@ -104,19 +102,31 @@ class TestHalfnormalSigma:
 
 class TestThreshold:
     def test_hand_example(self):
-        res = threshold([-1.0, 0.0, 1.0, 2.0])
+        res = threshold([-1.0, 0.0, 1.0, 2.0], 0.5, 4)
         assert res.s_k == pytest.approx(1.1503, abs=1e-4)
         assert res.threshold == pytest.approx(1.2861, abs=1e-4)
         assert res.max_diff == 2.0
         assert not res.all_equivalent
 
+    def test_hand_example_with_k_above_the_point_count(self):
+        # the many-K count: five models, baseline included, over four diffs
+        res = threshold([-1.0, 0.0, 1.0, 2.0], 0.5, 5)
+        assert res.s_k == pytest.approx(1.2816, abs=1e-4)  # Phi^-1(0.9)
+        assert res.sigma_hat == pytest.approx(np.sqrt(1.25))
+        assert res.threshold == res.s_k * res.sigma_hat
+        assert res.threshold == pytest.approx(1.4328, abs=1e-4)
+        assert res.max_diff == 2.0
+        assert not res.all_equivalent
+        # one model: an expected maximum of 0 whatever the spread
+        assert threshold([-1.0, 0.0, 1.0, 2.0], 0.5, 1).threshold == 0.0
+
     def test_all_zero_diffs_equivalent(self):
-        res = threshold([0.0, 0.0, 0.0])
+        res = threshold([0.0, 0.0, 0.0], 0.5, 3)
         assert res.threshold == 0.0
         assert res.all_equivalent
 
     def test_identical_positive_diffs_not_equivalent(self):
-        res = threshold([0.7, 0.7, 0.7])
+        res = threshold([0.7, 0.7, 0.7], 0.5, 3)
         assert res.threshold == 0.0
         assert not res.all_equivalent
 
@@ -125,27 +135,8 @@ class TestThreshold:
         rng = np.random.default_rng(9)
         for _ in range(20):
             d = rng.standard_normal(12)
-            assert threshold(c * d).all_equivalent == threshold(d).all_equivalent
-
-
-class TestBiasEstimate:
-    def test_composition(self):
-        sigma = np.sqrt(1.25)
-        assert bias_estimate(4, sigma, multiplier=1.5) == pytest.approx(
-            1.9292, abs=1e-4
-        )
-
-    def test_zero_sigma(self):
-        assert bias_estimate(10, 0.0) == 0.0
-
-    def test_linear_in_multiplier(self):
-        base = bias_estimate(7, 1.3, multiplier=1.0)
-        assert bias_estimate(7, 1.3, multiplier=1.5) == pytest.approx(1.5 * base)
-        assert bias_estimate(7, 1.3, multiplier=2.0) == pytest.approx(2.0 * base)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(NonPositiveSigma):
-            bias_estimate(5, -0.1)
+            verdict = threshold(c * d, 0.5, 12).all_equivalent
+            assert verdict == threshold(d, 0.5, 12).all_equivalent
 
 
 class TestDiagnoseTail:
@@ -202,28 +193,6 @@ class TestMedianBaseline:
     def test_too_few(self):
         with pytest.raises(TooFewModels):
             median_baseline(self._estimates([1.0, 2.0]))
-
-
-class TestProbSelectSuboptimal:
-    def test_symmetric_at_zero(self):
-        assert prob_select_suboptimal(0.0, 1.0) == 0.5
-
-    def test_anchor(self):
-        assert prob_select_suboptimal(1.0, 1.0) == pytest.approx(0.15866, abs=1e-5)
-
-    def test_monotone_decreasing_in_mu(self):
-        probs = [prob_select_suboptimal(mu, 1.0) for mu in np.linspace(0, 6, 13)]
-        assert np.all(np.diff(probs) < 0)
-        assert probs[-1] < 1e-8
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(NonPositiveSigma):
-            prob_select_suboptimal(1.0, 0.0)
-
-    @given(st.floats(-40, 40), st.floats(1e-3, 1e3))
-    @settings(max_examples=300)
-    def test_matches_scipy_ndtr(self, mu, sigma):
-        assert abs(prob_select_suboptimal(mu, sigma) - ndtr(-mu / sigma)) <= 1e-15
 
 
 class TestBuildComparison:

@@ -195,10 +195,7 @@ def many_k_reference(specs, replications, prior, n_test, alpha=0.5):
                 [elpd_loo_exact(ds.subset((j,)), prior).estimate for j in range(spec.K - 1)]
             ) - base
             sel = int(np.argmax(diffs))
-            if diffs.size >= 2:
-                sigma_hat, median_diff = halfnormal_sigma(diffs)
-            else:
-                sigma_hat, median_diff = 0.0, float(diffs[0])
+            sigma_hat, median_diff = halfnormal_sigma(diffs)
 
             def test_elpd(cols):
                 fit_ = fit(ds.subset(cols), prior)
