@@ -27,7 +27,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, CvBiasError, SchemaMismatch
+from .conjlm import PRIOR_PRESETS
+from .errors import ConfigError, CvBiasError, NonFiniteInput, SchemaMismatch
 from .io import (
     dump_json,
     read_dataset_csv,
@@ -44,15 +45,6 @@ from .orderstats import (
 )
 from .psisloo import elpd_loo_psis, from_pointwise
 from .search import correct_path, forward_search, stopping_rules
-from .sim import (
-    BlockDgpSpec,
-    NestedDgpSpec,
-    PRIOR_PRESETS,
-    run_forward_experiment,
-    run_many_k,
-    summarize_many_k,
-)
-from .weights import weight_report
 
 SCHEMA_VERSION = 1
 
@@ -80,9 +72,18 @@ def _estimate(path, kind: str):
         raise SchemaMismatch(
             f"{path}: pointwise input must have exactly 1 column, got {cols}"
         )
+    pointwise = kind == "pointwise" or (kind == "auto" and cols == 1)
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->", values, values)
+    # a non-finite cell is left to the scoring's own message; each PSIS elpd
+    # lies within its observation's log-likelihoods, so finite squares of
+    # the input keep those of the pointwise elpds finite
+    if not np.isfinite(squares) and np.isfinite(values).all():
+        what = "pointwise elpd" if pointwise else "log-likelihood"
+        raise NonFiniteInput(f"{path}: {what} overflows when squared")
     model_id = Path(path).stem
     try:
-        if kind == "pointwise" or (kind == "auto" and cols == 1):
+        if pointwise:
             return from_pointwise(values[:, 0], model_id)
         return elpd_loo_psis(values, model_id)
     except CvBiasError as exc:
@@ -182,6 +183,8 @@ def _load_estimates(paths, kind: str):
 
 
 def cmd_compare(args) -> None:
+    from .weights import weight_report
+
     check_alpha(args.alpha)
     check_multiplier(args.multiplier)
     if args.output and not Path(args.output).parent.is_dir():
@@ -352,6 +355,14 @@ def _make_output_dir(out_dir: Path, config: dict, path) -> None:
 
 
 def cmd_simulate(args) -> None:
+    from .sim import (
+        BlockDgpSpec,
+        NestedDgpSpec,
+        run_forward_experiment,
+        run_many_k,
+        summarize_many_k,
+    )
+
     path = args.config
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -382,7 +393,13 @@ def cmd_simulate(args) -> None:
         replications = _value(config, "replications", path, _integer)
         n_test = _value(config, "n_test", path, _integer, 1000)
         _make_output_dir(out_dir, config, path)
-        rows = run_many_k(specs, replications=replications, alpha=alpha, n_test=n_test)
+        rows = run_many_k(
+            specs,
+            replications=replications,
+            alpha=alpha,
+            n_test=n_test,
+            map_fn=_map_on_cpus,
+        )
         summary = summarize_many_k(rows)
         write_rows_csv(out_dir / "many_k_runs.csv", rows)
         write_rows_csv(out_dir / "many_k_summary.csv", summary)
@@ -419,6 +436,7 @@ def cmd_simulate(args) -> None:
             replications=replications,
             alpha=alpha,
             guard=guard,
+            map_fn=_map_on_cpus,
         )
         write_rows_csv(out_dir / "forward_runs.csv", run_rows)
         write_rows_csv(out_dir / "forward_path.csv", path_rows)

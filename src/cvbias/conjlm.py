@@ -118,6 +118,13 @@ class NigPrior:
         return cls(v0=TIGHT_V0)
 
 
+# the priors a command line or config names
+PRIOR_PRESETS = {
+    "diffuse": NigPrior.diffuse,
+    "tight": NigPrior.tight,
+}
+
+
 @dataclass(frozen=True)
 class PosteriorFit:
     """Posterior state: beta | s2, y ~ N(mean_n, s2*P^-1), s2 ~ IG(a_n, b_n).

@@ -9,6 +9,7 @@ and every emitted row carries its seed and a hash of the generating spec.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conjlm import (
+    PRIOR_PRESETS,
     Dataset,
     NigPrior,
     _border_terms,
@@ -34,11 +36,6 @@ from .errors import InvalidBlocking, InvalidParameter
 from .orderstats import DEFAULT_ALPHA, DEFAULT_MULTIPLIER, threshold
 from .psisloo import _BLOCK, elpd_se
 from .search import correct_path, forward_search, stopping_rules
-
-PRIOR_PRESETS = {
-    "diffuse": NigPrior.diffuse,
-    "tight": NigPrior.tight,
-}
 
 # desk-scale guard for the forward experiment: one replication at the
 # limits (n=1000, p=60) takes about 0.2 s on 2 CPUs
@@ -267,12 +264,68 @@ def _many_k_test_elpds(
     return out
 
 
+class _ManyKTask(NamedTuple):
+    """One block of a many-K cell: its replications from ``lo`` on, with the
+    training and test specs of each."""
+
+    spec: NestedDgpSpec
+    lo: int
+    cells: list[NestedDgpSpec]
+    tests: list[NestedDgpSpec]
+
+
+def _many_k_rows(task: _ManyKTask, alpha: float, prior: NigPrior) -> list[dict]:
+    """The run rows of one many-K block, one per replication."""
+    spec, lo, cells, tests = task
+    datasets = [gen_nested(cell) for cell in cells]
+    block = _score_many_k(datasets, prior)
+    diffs = block.estimates[:, 1:] - block.estimates[:, :1]
+    selected = np.argmax(diffs, axis=1)
+    m = len(datasets)
+    n_test = tests[0].n
+    y_test = np.empty((m, n_test))
+    x_true = np.empty((m, n_test))
+    x_selected = np.empty((m, n_test))
+    for r, test in enumerate(map(gen_nested, tests)):
+        y_test[r] = test.y
+        x_true[r] = test.X[:, 0]
+        x_selected[r] = test.X[:, selected[r]]
+    base_test, sel_test, true_test = _many_k_test_elpds(
+        block, datasets, selected, y_test, x_true, x_selected, prior
+    )
+    rows = []
+    for r, cell in enumerate(cells):
+        res = threshold(diffs[r], alpha, spec.K)
+        sel = int(selected[r])
+        rows.append(
+            {
+                "experiment": "many_k",
+                "K": spec.K,
+                "beta_delta": spec.beta_delta,
+                "n": spec.n,
+                "rep": lo + r,
+                "seed": cell.seed,
+                "spec_hash": spec_hash(cell),
+                "max_diff": res.max_diff,
+                "median_diff": res.median_hat,
+                "sigma_hat": res.sigma_hat,
+                "predicted_threshold": res.threshold,
+                "selected_index": sel,
+                "selected_is_true": sel == 0,
+                "diff_selected_test": float(sel_test[r]) - float(base_test[r]),
+                "diff_true_test": float(true_test[r]) - float(base_test[r]),
+            }
+        )
+    return rows
+
+
 def run_many_k(
     specs,
     replications: int,
     alpha: float = DEFAULT_ALPHA,
     prior: NigPrior | None = None,
     n_test: int = 1000,
+    map_fn=map,
 ) -> list[dict]:
     """Replicate the many-candidate null experiment over a spec grid.
 
@@ -293,6 +346,12 @@ def run_many_k(
     after the block is scored and only their response, first predictor and
     selected predictor are kept.
 
+    Each block is one task of ``map_fn(func, tasks)``, whose results are
+    taken in task order; the blocks share nothing, so any map that returns
+    ``func(task)`` for every task gives the same rows. The default is the
+    plain loop; the command line passes one that spreads the blocks over
+    the usable CPUs.
+
     The threshold counts K models (baseline included) although it is taken
     over the K - 1 differences, whereas ``build_comparison`` counts the
     differences. It also assumes differences centred at zero, which this
@@ -304,7 +363,7 @@ def run_many_k(
     if replications < 2:
         raise InvalidParameter("replications must be >= 2")
     prior = prior or NigPrior.diffuse()
-    rows: list[dict] = []
+    tasks = []
     for spec in specs:
         key = (spec.seed, spec.n, spec.K, spec.beta_delta)
         cells = [
@@ -318,44 +377,11 @@ def run_many_k(
         # the test arrays are replications x n_test, so they bound the block too
         width = max(1, _BLOCK // max(spec.n * spec.K, n_test))
         for lo in range(0, replications, width):
-            datasets = [gen_nested(cell) for cell in cells[lo : lo + width]]
-            block = _score_many_k(datasets, prior)
-            diffs = block.estimates[:, 1:] - block.estimates[:, :1]
-            selected = np.argmax(diffs, axis=1)
-            m = len(datasets)
-            y_test = np.empty((m, n_test))
-            x_true = np.empty((m, n_test))
-            x_selected = np.empty((m, n_test))
-            for r, test in enumerate(map(gen_nested, tests[lo : lo + m])):
-                y_test[r] = test.y
-                x_true[r] = test.X[:, 0]
-                x_selected[r] = test.X[:, selected[r]]
-            base_test, sel_test, true_test = _many_k_test_elpds(
-                block, datasets, selected, y_test, x_true, x_selected, prior
+            tasks.append(
+                _ManyKTask(spec, lo, cells[lo : lo + width], tests[lo : lo + width])
             )
-            for r, cell in enumerate(cells[lo : lo + m]):
-                res = threshold(diffs[r], alpha, spec.K)
-                sel = int(selected[r])
-                rows.append(
-                    {
-                        "experiment": "many_k",
-                        "K": spec.K,
-                        "beta_delta": spec.beta_delta,
-                        "n": spec.n,
-                        "rep": lo + r,
-                        "seed": cell.seed,
-                        "spec_hash": spec_hash(cell),
-                        "max_diff": res.max_diff,
-                        "median_diff": res.median_hat,
-                        "sigma_hat": res.sigma_hat,
-                        "predicted_threshold": res.threshold,
-                        "selected_index": sel,
-                        "selected_is_true": sel == 0,
-                        "diff_selected_test": float(sel_test[r]) - float(base_test[r]),
-                        "diff_true_test": float(true_test[r]) - float(base_test[r]),
-                    }
-                )
-    return rows
+    rows_of = functools.partial(_many_k_rows, alpha=alpha, prior=prior)
+    return [row for rows in map_fn(rows_of, tasks) for row in rows]
 
 
 def _percentile(srt: np.ndarray, q: float) -> float:
@@ -407,6 +433,65 @@ def summarize_many_k(rows: list[dict]) -> list[dict]:
     return out
 
 
+def _forward_rows(task, multipliers, alpha: float):
+    """``(run_rows, path_rows)`` of one (spec, prior name, replication) task,
+    for every multiplier in order."""
+    spec, prior_name, rep = task
+    seed = derive_seed("forward", spec.seed, spec.n, spec.p, spec.rho, prior_name, rep)
+    cell = dc_replace(spec, seed=seed)
+    train, test = gen_block(cell)
+    prior = PRIOR_PRESETS[prior_name]()
+    path = forward_search(train, prior, max_size=spec.p, test=test)
+
+    ref_fit = fit(train, NigPrior.tight())
+    ref_pointwise = log_pred_dataset(ref_fit, test)
+    ref_mlpd = float(np.mean(ref_pointwise))
+    ref_se = float(np.std(ref_pointwise, ddof=1) / math.sqrt(test.n))
+
+    ident = {
+        "experiment": "forward",
+        "n": spec.n,
+        "p": spec.p,
+        "rho": spec.rho,
+        "prior": prior_name,
+        "rep": rep,
+        "seed": seed,
+        "spec_hash": spec_hash(cell),
+    }
+    run_rows: list[dict] = []
+    path_rows: list[dict] = []
+    for multiplier in multipliers:
+        cp = correct_path(path, multiplier=multiplier, alpha=alpha)
+        verdicts = stopping_rules(cp)
+        raw_mlpd = cp.raw_elpds() / spec.n
+        corr_mlpd = cp.corrected_elpds() / spec.n
+        test_curve = cp.test_mlpds()
+        test_argmax = int(np.argmax(test_curve))
+        b = verdicts.bulge_size
+        c = verdicts.corrected_max_size
+        c_pointwise = cp.steps[c - 1].pointwise if c else cp.base_pointwise
+        run_rows.append(
+            {
+                **ident,
+                "multiplier": multiplier,
+                **verdicts.to_dict(),
+                "test_argmax_size": test_argmax,
+                "raw_mlpd_at_bulge": float(raw_mlpd[b]),
+                "test_mlpd_at_bulge": float(test_curve[b]),
+                "corrected_mlpd_max": float(corr_mlpd[c]),
+                "corrected_max_loo_se": elpd_se(c_pointwise) / spec.n,
+                "test_mlpd_at_corrected_max": float(test_curve[c]),
+                "test_mlpd_full": float(test_curve[-1]),
+                "raw_mlpd_full": float(raw_mlpd[-1]),
+                "reference_test_mlpd": ref_mlpd,
+                "reference_test_se": ref_se,
+            }
+        )
+        for row in cp.to_rows():
+            path_rows.append({**ident, "multiplier": multiplier, **row})
+    return run_rows, path_rows
+
+
 def run_forward_experiment(
     specs,
     multipliers=(DEFAULT_MULTIPLIER,),
@@ -414,6 +499,7 @@ def run_forward_experiment(
     replications: int = 20,
     alpha: float = DEFAULT_ALPHA,
     guard: bool = True,
+    map_fn=map,
 ):
     """Forward-search experiment over a block-DGP grid.
 
@@ -423,6 +509,11 @@ def run_forward_experiment(
     all-predictor fit under the tight prior, scored on the test set.
     ``corrected_max_loo_se`` is the standard error of the LOO mlpd of the
     model at the corrected maximum (``elpd_se`` of its pointwise LOO over n).
+
+    Each (spec, prior, replication) is one task of ``map_fn(func, tasks)``,
+    taken in task order, as in ``run_many_k``: the plain loop by default,
+    the usable CPUs from the command line. The arguments are checked before
+    any task is built.
 
     Returns ``(run_rows, path_rows)``: one summary row per run/multiplier
     and one long-format row per model size.
@@ -446,63 +537,14 @@ def run_forward_experiment(
         if name not in PRIOR_PRESETS:
             raise InvalidParameter(f"unknown prior preset {name!r}")
 
-    run_rows: list[dict] = []
-    path_rows: list[dict] = []
-    for spec in specs:
-        for prior_name in priors:
-            for rep in range(replications):
-                seed = derive_seed(
-                    "forward", spec.seed, spec.n, spec.p, spec.rho, prior_name, rep
-                )
-                cell = dc_replace(spec, seed=seed)
-                train, test = gen_block(cell)
-                prior = PRIOR_PRESETS[prior_name]()
-                path = forward_search(train, prior, max_size=spec.p, test=test)
-
-                ref_fit = fit(train, NigPrior.tight())
-                ref_pointwise = log_pred_dataset(ref_fit, test)
-                ref_mlpd = float(np.mean(ref_pointwise))
-                ref_se = float(np.std(ref_pointwise, ddof=1) / math.sqrt(test.n))
-
-                ident = {
-                    "experiment": "forward",
-                    "n": spec.n,
-                    "p": spec.p,
-                    "rho": spec.rho,
-                    "prior": prior_name,
-                    "rep": rep,
-                    "seed": seed,
-                    "spec_hash": spec_hash(cell),
-                }
-                for multiplier in multipliers:
-                    cp = correct_path(path, multiplier=multiplier, alpha=alpha)
-                    verdicts = stopping_rules(cp)
-                    raw_mlpd = cp.raw_elpds() / spec.n
-                    corr_mlpd = cp.corrected_elpds() / spec.n
-                    test_curve = cp.test_mlpds()
-                    test_argmax = int(np.argmax(test_curve))
-                    b = verdicts.bulge_size
-                    c = verdicts.corrected_max_size
-                    c_pointwise = (
-                        cp.steps[c - 1].pointwise if c else cp.base_pointwise
-                    )
-                    run_rows.append(
-                        {
-                            **ident,
-                            "multiplier": multiplier,
-                            **verdicts.to_dict(),
-                            "test_argmax_size": test_argmax,
-                            "raw_mlpd_at_bulge": float(raw_mlpd[b]),
-                            "test_mlpd_at_bulge": float(test_curve[b]),
-                            "corrected_mlpd_max": float(corr_mlpd[c]),
-                            "corrected_max_loo_se": elpd_se(c_pointwise) / spec.n,
-                            "test_mlpd_at_corrected_max": float(test_curve[c]),
-                            "test_mlpd_full": float(test_curve[-1]),
-                            "raw_mlpd_full": float(raw_mlpd[-1]),
-                            "reference_test_mlpd": ref_mlpd,
-                            "reference_test_se": ref_se,
-                        }
-                    )
-                    for row in cp.to_rows():
-                        path_rows.append({**ident, "multiplier": multiplier, **row})
+    tasks = [
+        (spec, prior_name, rep)
+        for spec in specs
+        for prior_name in priors
+        for rep in range(replications)
+    ]
+    rows_of = functools.partial(_forward_rows, multipliers=multipliers, alpha=alpha)
+    results = list(map_fn(rows_of, tasks))
+    run_rows = [row for runs, _ in results for row in runs]
+    path_rows = [row for _, paths in results for row in paths]
     return run_rows, path_rows

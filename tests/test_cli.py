@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cvbias
-from cvbias import cli, io, search
+from cvbias import cli, io, search, sim
 from cvbias.cli import main
 from cvbias.conjlm import Dataset, NigPrior, draw_posterior, fit, pointwise_loglik
 from cvbias.sim import BlockDgpSpec, gen_block
@@ -169,6 +169,34 @@ class TestCompare:
         assert main(["compare", *map(str, paths), *flags]) == 1
         assert_one_line_error(capsys, f"{paths[1]}: {word}")
 
+    @pytest.mark.parametrize("kind", ["pointwise", "loglik"])
+    def test_input_overflowing_when_squared_fails_without_warning(
+        self, tmp_path, capsys, kind
+    ):
+        # squaring -1e200 overflows: the standard errors and the half-normal
+        # scale would be infinite and the bias not finite
+        rng = np.random.default_rng(0)
+        if kind == "pointwise":
+            paths = [
+                write_pointwise(tmp_path / f"m{i}.csv", rng.standard_normal(20) - 1.0)
+                for i in range(3)
+            ]
+            values = rng.standard_normal(20) - 1.0
+            values[0] = -1e200
+            write_pointwise(paths[0], values)
+            word = "pointwise elpd overflows when squared"
+        else:
+            paths = write_logliks(tmp_path, 3)
+            ll = rng.normal(-1.0, 0.3, (200, 8))
+            ll[0, 0] = -1e200
+            write_loglik(paths[0], ll)
+            word = "log-likelihood overflows when squared"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["compare", *map(str, paths)]) == 1
+        assert caught == []
+        assert_one_line_error(capsys, f"{paths[0]}: {word}")
+
     def test_single_input_fails(self, tmp_path, capsys):
         a = write_pointwise(tmp_path / "a.csv", np.zeros(5))
         assert main(["compare", str(a)]) == 1
@@ -303,16 +331,10 @@ def write_logliks(tmp_path: Path, count: int, seed: int = 0) -> list[Path]:
     return paths
 
 
-def usable_cpus(monkeypatch, count: int) -> None:
-    # whatever CPUs the host has; the CPU each process is pinned to is moot
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
-
-
 class TestCompareAcrossCpus:
     """``compare`` loads its inputs in forked children and in this process."""
 
-    def test_report_identical_on_one_and_two_cpus(self, tmp_path, monkeypatch):
+    def test_report_identical_on_one_and_two_cpus(self, tmp_path, monkeypatch, usable_cpus):
         paths = write_logliks(tmp_path, 5)
         readers_log = tmp_path / "readers.txt"
         original = cli.read_matrix_csv
@@ -326,7 +348,7 @@ class TestCompareAcrossCpus:
         out = tmp_path / "compare.json"
         reports, readers = [], []
         for cpus in (1, 2):
-            usable_cpus(monkeypatch, cpus)
+            usable_cpus(cpus)
             readers_log.write_text("")
             assert main(["compare", *map(str, paths), "--output", str(out)]) == 0
             reports.append(out.read_bytes())
@@ -335,9 +357,9 @@ class TestCompareAcrossCpus:
         assert readers[0] == {str(os.getpid())}
         assert len(readers[1]) == 2 and str(os.getpid()) in readers[1]
 
-    def test_first_bad_file_in_argument_order_is_named(self, tmp_path, monkeypatch, capsys):
+    def test_first_bad_file_in_argument_order_is_named(self, tmp_path, usable_cpus, capsys):
         # with two CPUs, m1 is in the child's share and m2 in this process's
-        usable_cpus(monkeypatch, 2)
+        usable_cpus(2)
         paths = write_logliks(tmp_path, 4)
         paths[1].write_text("a,b\n1,x\n")
         paths[2].write_text("1,2\n3\n")
@@ -346,8 +368,8 @@ class TestCompareAcrossCpus:
         assert err.startswith("cvbias: error:") and err.count("\n") == 1
         assert str(paths[1]) in err and str(paths[2]) not in err
 
-    def test_warning_in_a_childs_share_reaches_the_caller(self, tmp_path, monkeypatch):
-        usable_cpus(monkeypatch, 2)
+    def test_warning_in_a_childs_share_reaches_the_caller(self, tmp_path, usable_cpus):
+        usable_cpus(2)
         paths = write_logliks(tmp_path, 3)
         rng = np.random.default_rng(1)
         write_loglik(paths[1], rng.normal(-1.0, 0.3, (50, 8)))
@@ -362,8 +384,8 @@ class TestCompareAcrossCpus:
         assert os.sched_getaffinity(0) == before
 
     @pytest.mark.parametrize("bad", [None, 0, 1], ids=["ok", "own_share", "childs_share"])
-    def test_no_child_process_outlives_compare(self, tmp_path, monkeypatch, capsys, bad):
-        usable_cpus(monkeypatch, 2)
+    def test_no_child_process_outlives_compare(self, tmp_path, usable_cpus, capsys, bad):
+        usable_cpus(2)
         paths = write_logliks(tmp_path, 4)
         if bad is not None:
             paths[bad].write_text("x\n")
@@ -754,8 +776,8 @@ class TestSimulate:
         self, tmp_path, monkeypatch, capsys, config, word
     ):
         ran = []
-        monkeypatch.setattr(cli, "run_forward_experiment", lambda *a, **k: ran.append(a))
-        monkeypatch.setattr(cli, "run_many_k", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(sim, "run_forward_experiment", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(sim, "run_many_k", lambda *a, **k: ran.append(a))
         cfg = tmp_path / "bad.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         out = tmp_path / "o"
@@ -835,6 +857,137 @@ class TestSimulate:
         assert runs(3, "--seed", "5") == runs(5) != runs(3)
 
 
+def write_simulate_config(tmp_path: Path, experiment: str) -> Path:
+    """A small config of ``experiment`` with at least three tasks.
+
+    The many-K grid runs in three blocks (one of K = 3, then three and one
+    replications of K = 200) and the forward one as four replications over
+    two priors. With two CPUs the child takes tasks 1, 3, ...
+    """
+    if experiment == "many_k":
+        config = {"experiment": "many_k", "base_seed": 11, "n": 50, "k_grid": [3, 200],
+                  "replications": 4, "n_test": 40}
+    else:
+        config = {"experiment": "forward", "base_seed": 11, "p": 10, "n_grid": [30],
+                  "rho_grid": [0.5], "n_test": 40, "multipliers": [1.0, 2.0],
+                  "priors": ["diffuse", "tight"], "replications": 2}
+    path = tmp_path / f"{experiment}.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+TASK_ROWS = {"many_k": "_many_k_rows", "forward": "_forward_rows"}
+IS_TASK_1 = {
+    "many_k": lambda task: task.spec.K == 200 and task.lo == 0,
+    "forward": lambda task: task[1:] == ("diffuse", 1),
+}
+
+
+class TestSimulateAcrossCpus:
+    """``simulate`` computes its tasks in forked children and in this process."""
+
+    @pytest.mark.parametrize("experiment", ["many_k", "forward"])
+    def test_outputs_identical_on_one_and_two_cpus(
+        self, tmp_path, monkeypatch, usable_cpus, experiment
+    ):
+        cfg = write_simulate_config(tmp_path, experiment)
+        log = tmp_path / "pids.txt"
+        original = getattr(sim, TASK_ROWS[experiment])
+
+        def spy(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sim, TASK_ROWS[experiment], spy)
+        outputs, pids = [], []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            log.write_text("")
+            out = tmp_path / f"out{cpus}"
+            assert main(["simulate", str(cfg), "--output", str(out)]) == 0
+            outputs.append(
+                {p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"}
+            )
+            pids.append(log.read_text().split())
+        assert outputs[0] == outputs[1] and len(outputs[0]) >= 2
+        assert set(pids[0]) == {str(os.getpid())} and len(pids[0]) >= 3
+        assert len(set(pids[1])) == 2 and len(pids[1]) == len(pids[0])
+
+    @pytest.mark.parametrize("experiment", ["many_k", "forward"])
+    def test_warning_in_a_childs_share_reaches_the_caller(
+        self, tmp_path, monkeypatch, usable_cpus, experiment
+    ):
+        usable_cpus(2)
+        cfg = write_simulate_config(tmp_path, experiment)
+        log = tmp_path / "warned.txt"
+        original = getattr(sim, TASK_ROWS[experiment])
+
+        def spy(task, **kwargs):
+            if IS_TASK_1[experiment](task):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                warnings.warn("task 1 warns")
+            return original(task, **kwargs)
+
+        monkeypatch.setattr(sim, TASK_ROWS[experiment], spy)
+        with pytest.warns(UserWarning, match="task 1 warns") as caught:
+            rc = main(["simulate", str(cfg), "--output", str(tmp_path / "o")])
+        assert rc == 0 and len(caught) == 1
+        # raised first in the child, then once more here
+        warned = log.read_text().split()
+        assert len(set(warned)) == 2 and warned[-1] == str(os.getpid())
+
+    @pytest.mark.parametrize("bad", ["ok", "own_share", "childs_share"])
+    def test_no_child_process_outlives_simulate(
+        self, tmp_path, monkeypatch, usable_cpus, capsys, bad
+    ):
+        usable_cpus(2)
+        cfg = write_simulate_config(tmp_path, "many_k")
+        fails = {
+            "ok": lambda task: False,
+            "own_share": lambda task: task.spec.K == 3,
+            "childs_share": IS_TASK_1["many_k"],
+        }[bad]
+        original = sim._many_k_rows
+
+        def spy(task, **kwargs):
+            if fails(task):
+                raise cvbias.errors.InvalidParameter("this block fails")
+            return original(task, **kwargs)
+
+        monkeypatch.setattr(sim, "_many_k_rows", spy)
+        rc = main(["simulate", str(cfg), "--output", str(tmp_path / "o")])
+        assert rc == (0 if bad == "ok" else 1)
+        if bad != "ok":
+            assert_one_line_error(capsys, "this block fails")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_affinity_restored_after_simulate(self, tmp_path):
+        before = os.sched_getaffinity(0)
+        cfg = write_simulate_config(tmp_path, "forward")
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 0
+        assert os.sched_getaffinity(0) == before
+
+    def test_library_runs_never_fork(self, monkeypatch, usable_cpus):
+        usable_cpus(2)
+        forks = []
+
+        def fork():
+            forks.append(os.getpid())
+            raise OSError("no fork here")  # _map_on_cpus then runs the loop itself
+
+        monkeypatch.setattr(os, "fork", fork)
+        specs = [sim.NestedDgpSpec(n=50, K=k, beta_delta=0.0, seed=11) for k in (3, 200)]
+        assert len(sim.run_many_k(specs, replications=4, n_test=40)) == 8
+        block = [sim.BlockDgpSpec(n=30, p=10, rho=0.5, n_test=40, seed=11)]
+        runs, _ = sim.run_forward_experiment(
+            block, priors=("diffuse", "tight"), replications=2
+        )
+        assert len(runs) == 4 and forks == []
+
+
 @pytest.mark.parametrize(
     "argv, output, where",
     [
@@ -862,8 +1015,10 @@ def test_unwritable_output_fails_with_one_line(
     )
     (tmp_path / "afile").write_text("")
     started = []
-    for name in ("read_matrix_csv", "read_dataset_csv", "run_many_k"):
-        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: started.append(name))
+    for module, name in (
+        (cli, "read_matrix_csv"), (cli, "read_dataset_csv"), (sim, "run_many_k")
+    ):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: started.append(name))
     assert main(argv + ["--output", output]) == 1
     assert_one_line_error(capsys, f"cannot write {where}")
     assert started == []

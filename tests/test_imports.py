@@ -100,6 +100,16 @@ def test_cli_pins_one_blas_thread_unless_set(given, expected):
     assert out == expected
 
 
+def test_cli_import_leaves_the_per_command_modules_unloaded():
+    # simulate imports sim and compare imports weights when they run
+    out = run_python(
+        "import json, sys\n"
+        "import cvbias.cli\n"
+        "print(json.dumps([m in sys.modules for m in ('cvbias.sim', 'cvbias.weights')]))"
+    )
+    assert json.loads(out) == [False, False]
+
+
 def test_star_import_binds_the_public_names():
     out = run_python(
         "import json\n"
