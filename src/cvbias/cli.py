@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -498,9 +499,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_failed(exc: OSError) -> int:
+    """Report an unwritable stdout; return the exit code 1.
+
+    The descriptor is pointed at ``os.devnull`` (the SIGPIPE recipe of the
+    ``signal`` docs), so the flush at interpreter exit cannot fail again
+    and print its own ``Exception ignored`` report.
+    """
+    print(f"cvbias: error: cannot write standard output: {exc.strerror or exc}",
+          file=sys.stderr)
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # io.UnsupportedOperation: no descriptor to point elsewhere
+        return 1
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return 1
+
+
+def _flush_stdout() -> int:
+    """Flush stdout here, where a failure is reported; 0 on success, else 1."""
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        return _stdout_failed(exc)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit:
+        # --help and --version write to stdout before they exit
+        if _flush_stdout():
+            return 1
+        raise
     try:
         args.func(args)
     except CvBiasError as exc:
@@ -509,11 +544,27 @@ def main(argv=None) -> int:
     except OSError as exc:
         # inputs and configs are read through handlers that raise
         # CvBiasError: what is left is an output that cannot be written
-        where = exc.filename or args.output or "standard output"
+        where = exc.filename or args.output
+        if not where:
+            return _stdout_failed(exc)
         print(f"cvbias: error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    return 0
+    return _flush_stdout()
+
+
+def entry() -> int:
+    """The program entry of ``python -m cvbias.cli`` and the ``cvbias`` script.
+
+    ``gc.freeze()`` moves every object alive after the imports (numpy's,
+    the interpreter's and this package's) to the collector's permanent
+    generation. The collections at interpreter exit then skip them and
+    leave what only reference cycles hold to the operating system; the
+    collections in the children ``_map_on_cpus`` forks skip them too.
+    ``main`` itself leaves the collector as it found it.
+    """
+    gc.freeze()
+    return main()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

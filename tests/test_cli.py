@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -1025,10 +1026,15 @@ def test_unwritable_output_fails_with_one_line(
 
 
 def cli_env() -> dict:
-    """The environment of a child Python that imports this checkout's cvbias."""
+    """The environment of a child Python that imports this checkout's cvbias.
+
+    ``PYTHONUNBUFFERED`` is dropped: users run the CLI with stdout buffered,
+    where what it prints reaches the descriptor only when flushed.
+    """
     src = str(Path(cvbias.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": pythonpath}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": pythonpath}
 
 
 @pytest.mark.parametrize("command", ["compare", "forward"])
@@ -1058,6 +1064,111 @@ def test_stdout_csv_equals_output_file(tmp_path, command):
     rows = list(csv.DictReader(proc.stdout.decode().splitlines()))
     assert "a,b" in {r.get("model") or r.get("predictor_name") for r in rows}
     assert all(len(r) == len(rows[0]) and None not in r for r in rows)
+
+
+def write_command_inputs(where: Path, command: str) -> list[str]:
+    """Inputs of a small ``command`` run in ``where``; its argv, paths relative."""
+    rng = np.random.default_rng(100)
+    if command == "compare":
+        for name in ("a", "b", "c"):
+            write_loglik(where / f"{name}.csv", rng.normal(-1.0, 0.3, (200, 8)))
+        return ["compare", "a.csv", "b.csv", "c.csv", "--output", "out.json"]
+    if command == "forward":
+        train, test = gen_block(BlockDgpSpec(n=40, p=10, rho=0.5, seed=100, n_test=40))
+        write_dataset(where / "d.csv", train)
+        write_dataset(where / "t.csv", test)
+        return ["forward", "d.csv", "--target", "y", "--test", "t.csv", "--output", "o/run"]
+    experiment = command.split("_", 1)[1]
+    cfg = write_simulate_config(where, experiment)
+    return ["simulate", cfg.name, "--output", "o"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("command", ["compare", "forward", "simulate_many_k",
+                                     "simulate_forward"])
+def test_entry_writes_the_bytes_main_writes(
+    tmp_path, monkeypatch, usable_cpus, capsys, command, cpus
+):
+    # the same relative argv in two directories: provenance names the same paths
+    allowed = sorted(os.sched_getaffinity(0))
+    if len(allowed) < cpus:
+        pytest.skip(f"needs {cpus} usable CPUs")
+    runs = {}
+    for side in ("entry", "main"):  # main last: usable_cpus fakes the affinity calls
+        where = tmp_path / side
+        where.mkdir()
+        argv = write_command_inputs(where, command)
+        inputs = set(where.rglob("*"))
+        if side == "entry":
+            proc = subprocess.run(
+                [sys.executable, "-m", "cvbias.cli", *argv], cwd=where,
+                capture_output=True, env=cli_env(), timeout=120,
+                preexec_fn=lambda: os.sched_setaffinity(0, allowed[:cpus]),
+            )
+            assert proc.returncode == 0, proc.stderr
+            stdout = proc.stdout
+        else:
+            usable_cpus(cpus)
+            monkeypatch.chdir(where)
+            capsys.readouterr()
+            assert main(argv) == 0
+            stdout = capsys.readouterr().out.encode()
+        runs[side] = stdout, {
+            str(p.relative_to(where)): p.read_bytes()
+            for p in where.rglob("*") if p.is_file() and p not in inputs
+        }
+    assert runs["entry"] == runs["main"] and len(runs["main"][1]) >= 1
+
+
+def test_main_leaves_the_collector_as_it_found_it(toy_block, tmp_path):
+    frozen = gc.get_freeze_count()
+    train, test = toy_block
+    argv = ["forward", str(train), "--target", "y", "--test", str(test)]
+    assert main(argv + ["--output", str(tmp_path / "run")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+STDOUT_RUNS = {
+    "compare_json": ["compare", "a.csv", "b.csv", "c.csv"],
+    "compare_csv": ["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"],
+    "forward_json": ["forward", "d.csv", "--target", "y"],
+    "forward_csv": ["forward", "d.csv", "--target", "y", "--format", "csv"],
+    "simulate": ["simulate", "many_k.json", "--output", "o"],
+    "version": ["--version"],
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("sink", ["dev_full", "closed_pipe"])
+@pytest.mark.parametrize("run", sorted(STDOUT_RUNS))
+def test_unwritable_stdout_fails_with_one_line(tmp_path, run, sink):
+    # the output waits in stdout's buffer until the command is done: its
+    # flush must fail inside main, not at interpreter exit (exit code 120)
+    rng = np.random.default_rng(101)
+    for name in ("a", "b", "c"):
+        write_pointwise(tmp_path / f"{name}.csv", rng.standard_normal(20))
+    # forward's JSON report (~11 KiB) is written out while print runs, its
+    # CSV table (~4 KiB) only when stdout is flushed
+    write_dataset(tmp_path / "d.csv", Dataset(rng.standard_normal((30, 20)),
+                                              rng.standard_normal(30)))
+    write_simulate_config(tmp_path, "many_k")
+    if sink == "dev_full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        fd, reason = os.open("/dev/full", os.O_WRONLY), "No space left on device"
+    else:
+        read_fd, fd = os.pipe()
+        os.close(read_fd)  # closed before the command writes a byte
+        reason = "Broken pipe"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvbias.cli", *STDOUT_RUNS[run]], cwd=tmp_path,
+            stdout=fd, stderr=subprocess.PIPE, env=cli_env(), timeout=120,
+        )
+    finally:
+        os.close(fd)
+    assert proc.stderr.decode() == f"cvbias: error: cannot write standard output: {reason}\n"
+    assert proc.returncode == 1
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,49 @@ def test_cli_import_leaves_the_per_command_modules_unloaded():
         "print(json.dumps([m in sys.modules for m in ('cvbias.sim', 'cvbias.weights')]))"
     )
     assert json.loads(out) == [False, False]
+
+
+def test_cli_import_freezes_nothing():
+    # the import is what perfbench's setup_s times; only the entry freezes
+    assert run_python("import gc\nimport cvbias.cli\nprint(gc.get_freeze_count())") == "0"
+
+
+# main calls parse_args first: the hook sees main start even in the copy of
+# the module that python -m runs as __main__
+ENTRY_PROBE = """
+import argparse, gc, json, sys
+events = []
+real_freeze = gc.freeze
+gc.freeze = lambda: events.append("freeze") or real_freeze()
+real_parse = argparse.ArgumentParser.parse_args
+argparse.ArgumentParser.parse_args = (
+    lambda self, *a, **k: events.append("main") or real_parse(self, *a, **k)
+)
+sys.argv = ["cvbias", "--version"]
+try:
+{call}
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([events, code, gc.get_freeze_count() > 0]))
+"""
+
+
+def console_script_call() -> str:
+    """What the wrapper pip installs for ``[project.scripts]``'s ``cvbias`` runs."""
+    pyproject = Path(cvbias.__file__).resolve().parents[2] / "pyproject.toml"
+    target = re.search(r'^cvbias = "([\w.]+):(\w+)"$', pyproject.read_text(), re.M)
+    module, func = target.groups()
+    return f"from {module} import {func}\nsys.exit({func}())"
+
+
+@pytest.mark.parametrize("entry", ["python_m", "console_script"])
+def test_entry_freezes_once_before_main(entry):
+    if entry == "python_m":  # what python -m cvbias.cli runs
+        call = 'import runpy\nrunpy.run_module("cvbias.cli", run_name="__main__", alter_sys=True)'
+    else:
+        call = console_script_call()
+    out = run_python(ENTRY_PROBE.format(call=textwrap.indent(call, "    ")))
+    assert json.loads(out) == [["freeze", "main"], 0, True]
 
 
 def test_star_import_binds_the_public_names():
