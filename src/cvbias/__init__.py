@@ -32,7 +32,6 @@ _EXPORTS = {
     "psisloo": (
         "ElpdDiff",
         "ElpdEstimate",
-        "LogLikMatrix",
         "elpd_diff",
         "elpd_loo_psis",
         "elpd_se",

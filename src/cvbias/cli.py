@@ -9,8 +9,10 @@ failures; only I/O and schema problems exit nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
+import io
 import json
 import math
 import os
@@ -499,57 +501,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stdout_failed(exc: OSError) -> int:
-    """Report an unwritable stdout; return the exit code 1.
-
-    The descriptor is pointed at ``os.devnull`` (the SIGPIPE recipe of the
-    ``signal`` docs), so the flush at interpreter exit cannot fail again
-    and print its own ``Exception ignored`` report.
-    """
-    print(f"cvbias: error: cannot write standard output: {exc.strerror or exc}",
-          file=sys.stderr)
-    try:
-        fd = sys.stdout.fileno()
-    except OSError:  # io.UnsupportedOperation: no descriptor to point elsewhere
-        return 1
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
-    return 1
-
-
-def _flush_stdout() -> int:
-    """Flush stdout here, where a failure is reported; 0 on success, else 1."""
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        return _stdout_failed(exc)
-    return 0
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; its exit code.
+
+    What argparse and the command print is collected and reaches stdout in
+    one write here, so an unwritable stdout fails in one place, buffered or
+    not. Argparse's ``SystemExit`` is raised again after that write.
+    """
+    collected = io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(collected):
+        try:
+            args = build_parser().parse_args(argv)
+            args.func(args)
+        except SystemExit as exc:
+            code = exc
+        except CvBiasError as exc:
+            print(f"cvbias: error: {exc}", file=sys.stderr)
+            code = 1
+        except OSError as exc:
+            # inputs and configs are read through handlers that raise
+            # CvBiasError: what is left is an output file that cannot be
+            # written, named by the error or else by --output (a write that
+            # fails after its open carries no file name)
+            where = exc.filename or args.output
+            print(f"cvbias: error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+            code = 1
+    text = collected.getvalue()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        # --help and --version write to stdout before they exit
-        if _flush_stdout():
-            return 1
-        raise
-    try:
-        args.func(args)
-    except CvBiasError as exc:
-        print(f"cvbias: error: {exc}", file=sys.stderr)
-        return 1
+        if text:  # even an unbuffered write of no bytes fails on /dev/full
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        # inputs and configs are read through handlers that raise
-        # CvBiasError: what is left is an output that cannot be written
-        where = exc.filename or args.output
-        if not where:
-            return _stdout_failed(exc)
-        print(f"cvbias: error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"cvbias: error: cannot write standard output: {exc.strerror or exc}",
+              file=sys.stderr)
+        # the descriptor goes to os.devnull (the SIGPIPE recipe of the signal
+        # docs), so the flush at interpreter exit cannot fail again and print
+        # its own "Exception ignored" report
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # io.UnsupportedOperation: no descriptor to point elsewhere
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return 1
-    return _flush_stdout()
+    if isinstance(code, SystemExit):
+        raise code
+    return code
 
 
 def entry() -> int:

@@ -294,7 +294,8 @@ def _border(post: PosteriorFit, x: np.ndarray, u, s, ey) -> PosteriorFit:
         mean_n=np.append(post.mean_n - u * g, g),
         cov=cov,
         a_n=post.a_n,
-        b_n=post.b_n - ey**2 / (2.0 * s),
+        # halved after the division: 2s can overflow where s does not
+        b_n=post.b_n - ey**2 / s / 2.0,
         A=np.column_stack([post.A, x]),
         h=post.h + e**2 / s,
         resid=post.resid - e * g,
@@ -351,7 +352,7 @@ def _extension_loo(resid, omh, b_n, a_n, E, s, ey):
     omh_ext = np.square(E, out=E)
     omh_ext /= s
     np.subtract(omh, omh_ext, out=omh_ext)
-    return _loo_closed_form(resid_ext, omh_ext, b_n - ey**2 / (2.0 * s), a_n)
+    return _loo_closed_form(resid_ext, omh_ext, b_n - ey**2 / s / 2.0, a_n)
 
 
 def _column_fsums(block: np.ndarray) -> np.ndarray:

@@ -31,28 +31,6 @@ TAIL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
-class LogLikMatrix:
-    """Pointwise log predictive densities, draws x observations (nats)."""
-
-    values: np.ndarray
-    model_id: str = "model"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ShapeMismatch("log-likelihood matrix must be 2-d (draws x obs)")
-        if values.shape[1] < 2:
-            raise ShapeMismatch("need at least 2 observations")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteInput("log-likelihood matrix contains non-finite entries")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_draws(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class ElpdEstimate:
     """Pointwise LOO elpd with its sum, standard error and diagnostics.
 
@@ -191,7 +169,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 15
 
 
-def elpd_loo_psis(loglik, model_id: str | None = None) -> ElpdEstimate:
+def elpd_loo_psis(loglik, model_id: str = "model") -> ElpdEstimate:
     """PSIS-LOO elpd estimate from a draws-by-observations log-lik matrix.
 
     Per observation i the raw ratios exp(-loglik[:, i]) are normalized in
@@ -202,24 +180,26 @@ def elpd_loo_psis(loglik, model_id: str | None = None) -> ElpdEstimate:
     whose tail cannot be fit carry ``khat = +inf`` instead of failing;
     constant ones are exact and carry ``khat = -inf``.
     """
-    if not isinstance(loglik, LogLikMatrix):
-        loglik = LogLikMatrix(np.asarray(loglik, dtype=float), model_id or "model")
-    if model_id is None:
-        model_id = loglik.model_id
-    if loglik.n_draws < MIN_DRAWS_FOR_PSIS:
+    values = np.asarray(loglik, dtype=float)
+    if values.ndim != 2:
+        raise ShapeMismatch("log-likelihood matrix must be 2-d (draws x obs)")
+    if values.shape[1] < 2:
+        raise ShapeMismatch("need at least 2 observations")
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteInput("log-likelihood matrix contains non-finite entries")
+    S, n = values.shape
+    if S < MIN_DRAWS_FOR_PSIS:
         warnings.warn(
-            f"PSIS with {loglik.n_draws} draws is unreliable; "
-            f"use at least {MIN_DRAWS_FOR_PSIS}",
+            f"PSIS with {S} draws is unreliable; use at least {MIN_DRAWS_FOR_PSIS}",
             stacklevel=2,
         )
-    S, n = loglik.values.shape
     pointwise = np.empty(n)
     khat = np.empty(n)
     width = max(1, _BLOCK // S)
     for lo in range(0, n, width):
         hi = min(lo + width, n)
         # ascending log ratios, one row per observation
-        lr = np.negative(loglik.values[:, lo:hi].T, order="C")
+        lr = np.negative(values[:, lo:hi].T, order="C")
         lr.sort(axis=1)
         # a constant integrand needs no weights: elpd_i is its value
         const = np.flatnonzero(lr[:, 0] == lr[:, -1])
@@ -239,5 +219,5 @@ def elpd_loo_psis(loglik, model_id: str | None = None) -> ElpdEstimate:
         se=elpd_se(pointwise),
         model_id=model_id,
         khat_per_obs=khat,
-        n_draws=loglik.n_draws,
+        n_draws=S,
     )

@@ -149,6 +149,11 @@ class StopVerdicts:
         return asdict(self)
 
 
+def _predictor(data: Dataset, j: int) -> str:
+    """Predictor ``j`` of ``data`` as messages name it: quoted, or numbered from 1."""
+    return repr(data.columns[j]) if data.columns else str(j + 1)
+
+
 def _require_finite_squares(data: Dataset, which: str) -> None:
     """NonFiniteInput naming the first column whose sum of squares overflows.
 
@@ -160,13 +165,13 @@ def _require_finite_squares(data: Dataset, which: str) -> None:
         y_squares = np.einsum("i,i->", data.y, data.y)
     bad = np.flatnonzero(~np.isfinite(squares))
     if bad.size:
-        j = int(bad[0])
-        name = repr(data.columns[j]) if data.columns else str(j + 1)
+        name = _predictor(data, int(bad[0]))
         raise NonFiniteInput(f"{which} predictor {name} overflows when squared")
     if not np.isfinite(y_squares):
         raise NonFiniteInput(f"{which} response overflows when squared")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward_search(
     data: Dataset, prior: NigPrior, max_size: int, test: Dataset | None = None
 ) -> SearchPath:
@@ -180,7 +185,10 @@ def forward_search(
     form's guard are fit afresh. Ties break to the lowest predictor index.
     Each step's corrected fields hold its raw values until ``correct_path``.
     A predictor or response of ``data`` or ``test`` whose sum of squares
-    overflows is rejected before any fit.
+    overflows is rejected before any fit. Squares that fit can still
+    overflow in later products: numpy overflows quietly here, and the
+    column is named once the base elpd, a candidate's elpd or paired SE,
+    or a test mlpd it enters is not finite.
 
     A ``test`` set, matched to ``data`` by predictor position (and by name,
     when both have names), is scored at every size from the same posterior:
@@ -211,11 +219,15 @@ def forward_search(
     post = fit(base, prior)
     base_pointwise = _model_loo(base, prior, post)
     base_elpd = math.fsum(base_pointwise.tolist())
+    if not math.isfinite(base_elpd):
+        raise NonFiniteInput("training response overflows the base model's LOO elpd")
     test_mlpd = None
     if test is not None:
         At = test.subset(cols).design()
         loc, lev = _predict(post, At)
         test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, post.a_n, post.b_n))
+        if not math.isfinite(test_mlpd):
+            raise NonFiniteInput("test response overflows the base model's mlpd")
     base_test_mlpd = test_mlpd
     prev_elpd, prev_pointwise = base_elpd, base_pointwise
     steps: list[SearchStep] = []
@@ -232,6 +244,10 @@ def forward_search(
         ses = elpd_se(pointwise)
         # free the block before the next step's kernel builds its own
         del pointwise
+        bad = np.flatnonzero(~(np.isfinite(estimates) & np.isfinite(ses)))
+        if bad.size:
+            size, name = len(cols) + 1, _predictor(data, cands[bad[0]])
+            raise NonFiniteInput(f"training predictor {name} overflows the LOO elpd at size {size}")
         elpd_after = float(estimates[best])
         j = cands[best]
         cols += (j,)
@@ -248,6 +264,9 @@ def forward_search(
             else:
                 loc, lev = _predict(post, At)
             test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, post.a_n, post.b_n))
+            if not math.isfinite(test_mlpd):
+                name = _predictor(test, j)
+                raise NonFiniteInput(f"test predictor {name} overflows the mlpd at size {len(cols)}")
         steps.append(
             SearchStep(
                 predictor_added=j,

@@ -254,7 +254,7 @@ def _many_k_test_elpds(
         et = x - u[:, None]
         loc = block.mean[:, None] + et * (ey / s)[:, None]
         lev = block.h + et**2 / s[:, None]
-        b_n = (block.b_n - ey**2 / (2.0 * s))[:, None]
+        b_n = (block.b_n - ey**2 / s / 2.0)[:, None]
         for r in np.flatnonzero(block.noise[rows, k]):
             post = fit(datasets[r].subset((cols[r],)), prior)
             At = np.column_stack([np.ones(x.shape[1]), x[r]])

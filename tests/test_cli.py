@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -545,6 +546,55 @@ class TestForward:
         assert fits == []
         assert_one_line_error(capsys, word)
 
+    # every sum of squares fits, yet the LOO densities overflow: warnings,
+    # then a multiplier blamed, before the check; with one extreme --test
+    # cell, a test_mlpd of -inf, written to the CSV or failing the JSON writer
+    LOO_OVERFLOWS = {
+        "response": "training response overflows the base model's LOO elpd",
+        "predictor": "training predictor 'x2' overflows the LOO elpd at size 1",
+        "test_response": "test response overflows the base model's mlpd",
+        "test_predictor": "test predictor 'x0' overflows the mlpd at size 1",
+    }
+
+    @pytest.mark.parametrize("case", sorted(LOO_OVERFLOWS))
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("prior", ["diffuse", "tight"])
+    def test_loo_overflow_fails_with_one_line(self, tmp_path, capsys, case, fmt, prior):
+        def six_rows(name, x2=-0.7, y2=0.2):
+            x, y = [0.3, 1.2, x2, 1.1, -0.2, 0.8], [-1.2, 0.5, y2, -0.4, 0.9, 0.1]
+            data = Dataset(np.array(x)[:, None], np.array(y))
+            return str(write_dataset(tmp_path / name, data))
+
+        if case == "predictor":
+            # x2 = 1e154 in one row of a 7 x 3 normal design
+            rng = np.random.default_rng(1)
+            X = rng.standard_normal((7, 3))
+            X[3, 2] = 1e154
+            train = str(write_dataset(tmp_path / "d.csv", Dataset(X, rng.standard_normal(7))))
+        else:
+            train = six_rows("d.csv", y2=1e154 if case == "response" else 0.2)
+        argv = ["forward", train, "--target", "y", "--prior", prior, "--format", fmt]
+        if case == "test_response":
+            argv += ["--test", six_rows("t.csv", y2=1.3e154)]
+        elif case == "test_predictor":
+            argv += ["--test", six_rows("t.csv", x2=1e154)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert_one_line_error(capsys, self.LOO_OVERFLOWS[case])
+
+    @pytest.mark.parametrize("prior", ["diffuse", "tight"])
+    def test_loo_of_a_large_response_stays_finite(self, tmp_path, capsys, prior):
+        # a tenth of the response case above: every LOO density fits
+        X = np.array([[0.3], [1.2], [-0.7], [1.1], [-0.2], [0.8]])
+        y = np.array([-1.2, 0.5, 1e153, -0.4, 0.9, 0.1])
+        path = write_dataset(tmp_path / "d.csv", Dataset(X, y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["forward", str(path), "--target", "y", "--prior", prior]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(row["elpd"]) for row in report["path"])
+
     def test_output_files_and_determinism(self, toy_block, tmp_path):
         train, test = toy_block
         args = [
@@ -1025,15 +1075,17 @@ def test_unwritable_output_fails_with_one_line(
     assert started == []
 
 
-def cli_env() -> dict:
+def cli_env(unbuffered: bool = False) -> dict:
     """The environment of a child Python that imports this checkout's cvbias.
 
-    ``PYTHONUNBUFFERED`` is dropped: users run the CLI with stdout buffered,
-    where what it prints reaches the descriptor only when flushed.
+    ``PYTHONUNBUFFERED`` is 1 when ``unbuffered`` and unset otherwise, as
+    for most users, whatever the environment of the tests.
     """
     src = str(Path(cvbias.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return {**env, "PYTHONPATH": pythonpath}
 
 
@@ -1139,20 +1191,21 @@ STDOUT_RUNS = {
 }
 
 
-@pytest.mark.parametrize("sink", ["dev_full", "closed_pipe"])
+@pytest.mark.parametrize(
+    "sink", ["dev_full", "closed_pipe", "dev_full_unbuffered", "closed_pipe_unbuffered"]
+)
 @pytest.mark.parametrize("run", sorted(STDOUT_RUNS))
 def test_unwritable_stdout_fails_with_one_line(tmp_path, run, sink):
-    # the output waits in stdout's buffer until the command is done: its
-    # flush must fail inside main, not at interpreter exit (exit code 120)
+    # buffered, a failed write used to surface at interpreter exit (exit
+    # code 120); unbuffered, inside print, where simulate blamed its output
+    # directory and argparse swallowed the error (exit 0)
     rng = np.random.default_rng(101)
     for name in ("a", "b", "c"):
         write_pointwise(tmp_path / f"{name}.csv", rng.standard_normal(20))
-    # forward's JSON report (~11 KiB) is written out while print runs, its
-    # CSV table (~4 KiB) only when stdout is flushed
     write_dataset(tmp_path / "d.csv", Dataset(rng.standard_normal((30, 20)),
                                               rng.standard_normal(30)))
     write_simulate_config(tmp_path, "many_k")
-    if sink == "dev_full":
+    if sink.startswith("dev_full"):
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
         fd, reason = os.open("/dev/full", os.O_WRONLY), "No space left on device"
@@ -1163,12 +1216,53 @@ def test_unwritable_stdout_fails_with_one_line(tmp_path, run, sink):
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "cvbias.cli", *STDOUT_RUNS[run]], cwd=tmp_path,
-            stdout=fd, stderr=subprocess.PIPE, env=cli_env(), timeout=120,
+            stdout=fd, stderr=subprocess.PIPE, timeout=120,
+            env=cli_env(unbuffered=sink.endswith("_unbuffered")),
         )
     finally:
         os.close(fd)
     assert proc.stderr.decode() == f"cvbias: error: cannot write standard output: {reason}\n"
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("case", ["success", "error", "version", "usage"])
+def test_main_writes_to_the_stdout_it_found(toy_block, capsys, case):
+    # main collects what is printed and restores sys.stdout, whatever the exit
+    train, _ = toy_block
+    argv = {
+        "success": ["forward", str(train), "--target", "y", "--max-size", "1"],
+        "error": ["forward", str(train), "--target", "nope"],
+        "version": ["--version"],
+        "usage": ["forward", str(train)],
+    }[case]
+    stdout = sys.stdout
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert sys.stdout is stdout
+    out, err = capsys.readouterr()
+    assert code == {"success": 0, "error": 1, "version": 0, "usage": 2}[case]
+    if case == "success":
+        assert json.loads(out)["report"] == "forward" and err == ""
+    elif case == "version":
+        assert out == f"{cvbias.__version__}\n" and err == ""
+    elif case == "error":
+        assert out == "" and err.startswith("cvbias: error:") and err.count("\n") == 1
+    else:
+        assert out == "" and err.startswith("usage: cvbias forward")
+        assert err.endswith("error: the following arguments are required: --target\n")
+
+
+def test_failed_write_to_an_output_file_names_it(tmp_path, capsys):
+    # /dev/full opens, then its write fails with no file name in the error
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    rng = np.random.default_rng(102)
+    paths = [str(write_pointwise(tmp_path / f"{n}.csv", rng.standard_normal(20)))
+             for n in ("a", "b", "c")]
+    assert main(["compare", *paths, "--output", "/dev/full"]) == 1
+    assert_one_line_error(capsys, "cannot write /dev/full: No space left on device")
 
 
 @pytest.mark.parametrize(

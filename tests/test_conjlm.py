@@ -287,6 +287,20 @@ class TestElpdLooExtensions:
         assert np.max(np.abs(pointwise[:, 1] - ref.pointwise)) <= 1e-9
         assert estimates[1] == math.fsum(pointwise[:, 1])
 
+    @pytest.mark.parametrize("prior", ["diffuse", "tight"])
+    def test_border_where_twice_s_overflows(self, prior):
+        # s = x'e + 1/v0 is ~1.2e308: 2s overflowed, and b_n kept its value
+        rng = np.random.default_rng(0)
+        x = np.array([1.2e154, 1.0, -1.0, 0.5, 0.3, -0.2])
+        data = Dataset(x[:, None], rng.standard_normal(6))
+        prior = conjlm.PRIOR_PRESETS[prior]()
+        post = fit(data.subset(()), prior)
+        with np.errstate(over="raise"):
+            U, E, s, _ = conjlm._border_terms(post, data.X, prior)
+            bordered = conjlm._border(post, x, U[:, 0], s[0], E[:, 0] @ data.y)
+        assert s[0] > np.finfo(float).max / 2.0
+        assert bordered.b_n == pytest.approx(fit(data, prior).b_n, rel=1e-12)
+
 
 def _fsum_or_error(column):
     try:

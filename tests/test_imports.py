@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "ElpdDiff",
     "ElpdEstimate",
     "GpdFit",
-    "LogLikMatrix",
     "NestedDgpSpec",
     "NigPrior",
     "PosteriorFit",

@@ -18,7 +18,6 @@ from cvbias.errors import (
     TooFewSamples,
 )
 from cvbias.psisloo import (
-    LogLikMatrix,
     elpd_diff,
     elpd_loo_psis,
     elpd_se,
@@ -207,13 +206,15 @@ class TestElpdDiff:
 
 
 class TestLogLikMatrix:
+    """The checks ``elpd_loo_psis`` makes of its draws-by-observations input."""
+
     def test_rejects_nonfinite(self):
-        with pytest.raises(NonFiniteInput):
-            LogLikMatrix(np.array([[0.0, np.inf], [1.0, 2.0]]))
+        with pytest.raises(NonFiniteInput, match="non-finite entries"):
+            elpd_loo_psis(np.array([[0.0, np.inf], [1.0, 2.0]]))
 
     def test_rejects_single_observation(self):
-        with pytest.raises(ShapeMismatch):
-            LogLikMatrix(np.zeros((100, 1)))
+        with pytest.raises(ShapeMismatch, match="at least 2 observations"):
+            elpd_loo_psis(np.zeros((100, 1)))
 
     def test_warns_on_few_draws(self):
         with pytest.warns(UserWarning, match="draws"):

@@ -174,8 +174,9 @@ def random_design(n, p, seed, kind="plain"):
     ``"collinear"`` makes the last column the first plus 1e-7 noise;
     ``"scaled"`` multiplies every row of the predictors by 1e6 after the
     response is drawn, so that the prior's 1/v0 is lost beside A'A.
-    (Both at once leave the twin's s at twice its rounding floor, where no
-    factorization has a correct digit.)
+    (Both at once leave the twin's s at twice its rounding floor, where the
+    paths through P^-1 lose most of their digits; a QR of the
+    prior-augmented design stays within ~1e-8 of a 60-digit reference.)
     """
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p)) + 0.5 * rng.standard_normal((n, 1))
