@@ -283,90 +283,59 @@ def cmd_forward(args) -> None:
         print(dump_json(bundle))
 
 
-_REQUIRED = object()
+# The JSON kinds of config values, by their names in error messages, and
+# the test a parsed value must pass: JSON gives exact types, so 30.9, "2"
+# and true are no integer. A "real" is passed on as a float and a "number"
+# as written, so a multiplier of 1 names ``forward_path_m1.csv``.
+_PRIOR = f"one of {', '.join(map(repr, sorted(PRIOR_PRESETS)))}"
+_KINDS = {
+    "string": lambda v: type(v) is str,
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) in (int, float),
+    "real": lambda v: type(v) in (int, float),
+    "boolean": lambda v: type(v) is bool,
+    _PRIOR: lambda v: type(v) is str and v in PRIOR_PRESETS,
+}
+
+# Each experiment's keys with the kind of each value (``[kind]``: a list of
+# them), and the keys its config must give. A key left out is not passed
+# on, so the defaults are those of ``cvbias.sim``'s specs and runners.
+_COMMON_KEYS = {"experiment": "string", "base_seed": "integer", "alpha": "real"}
+_CONFIG_KEYS = {
+    "many_k": {
+        **_COMMON_KEYS, "n": "integer", "beta_delta": "real", "k_grid": ["integer"],
+        "replications": "integer", "n_test": "integer",
+    },
+    "forward": {
+        **_COMMON_KEYS, "p": "integer", "n_grid": ["integer"], "rho_grid": ["real"],
+        "block_size": "integer", "xi": "real", "sigma2": "real", "n_relevant": "integer",
+        "n_test": "integer", "multipliers": ["number"], "priors": [_PRIOR],
+        "replications": "integer", "guard": "boolean",
+    },
+}
+_REQUIRED_KEYS = {
+    "many_k": ("n", "k_grid", "replications"),
+    "forward": ("p", "n_grid", "rho_grid", "replications"),
+}
 
 
-def _require(config: dict, key: str, path, default=_REQUIRED):
-    """Remove and return ``config[key]``: the keys left over were never read."""
-    if key in config:
-        return config.pop(key)
-    if default is _REQUIRED:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    return default
+def _checked(value, kind, key: str, path):
+    """``value`` as ``kind``, or ConfigError if it is not of that kind."""
+    if isinstance(kind, list):
+        # an empty list would run no cell, and a repeated value its cells twice
+        if type(value) is not list or not value:
+            raise ConfigError(f"{path}: {key} must be a non-empty list, got {value!r}")
+        out = [_checked(v, kind[0], key, path) for v in value]
+        if len(set(out)) < len(out):
+            raise ConfigError(f"{path}: {key} must not repeat a value, got {value!r}")
+        return out
+    if not _KINDS[kind](value):
+        raise ConfigError(f"{path}: {key} must be {kind}, got {value!r}")
+    return float(value) if kind == "real" else value
 
 
-def _convert(value, kind, key: str, path):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(
-            f"{path}: {key} must be {kind.__name__.lstrip('_')}, got {value!r}"
-        ) from None
-
-
-def _integer(value):
-    """A JSON integer only: ``int(30.9)`` would be 30 and ``int(True)`` 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(value)
-    return value
-
-
-def _number(value):
-    """A JSON number as given: an int stays an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(value)
-    return value
-
-
-def _real(value):
-    """A JSON number as a float: ``float("2")`` would be 2.0."""
-    return float(_number(value))
-
-
-def _boolean(value):
-    """A JSON boolean only: ``bool("false")`` would be True."""
-    if not isinstance(value, bool):
-        raise TypeError(value)
-    return value
-
-
-def _value(config: dict, key: str, path, kind, default=_REQUIRED):
-    """``config[key]`` converted by ``kind``; ConfigError if it does not convert."""
-    return _convert(_require(config, key, path, default), kind, key, path)
-
-
-def _values(config: dict, key: str, path, kind, default=_REQUIRED):
-    """The non-empty list ``config[key]`` with every item converted by ``kind``.
-
-    An empty list would run no cell and write header-only tables; a
-    repeated value would run its cells twice with the same seeds.
-    """
-    values = _require(config, key, path, default)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{path}: {key} must be a non-empty list, got {values!r}")
-    out = [_convert(v, kind, key, path) for v in values]
-    if len(set(out)) < len(out):
-        raise ConfigError(f"{path}: {key} must not repeat a value, got {values!r}")
-    return out
-
-
-def _make_output_dir(out_dir: Path, config: dict, path) -> None:
-    """Make ``out_dir`` once every known key has been taken from ``config``."""
-    if config:
-        raise ConfigError(f"{path}: unknown key(s): {', '.join(sorted(config))}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-
-def cmd_simulate(args) -> None:
-    from .sim import (
-        BlockDgpSpec,
-        NestedDgpSpec,
-        run_forward_experiment,
-        run_many_k,
-        summarize_many_k,
-    )
-
-    path = args.config
+def _read_config(path) -> dict:
+    """The simulate config at ``path``, each value checked against its key's kind."""
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -375,82 +344,71 @@ def cmd_simulate(args) -> None:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     if not isinstance(config, dict) or not config:
         raise ConfigError(f"{path}: config must be a non-empty JSON object")
+    if "experiment" not in config:
+        raise ConfigError(f"{path}: missing required key 'experiment'")
+    experiment = config["experiment"]
+    if type(experiment) is not str or experiment not in _CONFIG_KEYS:
+        raise ConfigError(f"{path}: unknown experiment {experiment!r}")
+    kinds = _CONFIG_KEYS[experiment]
+    unknown = sorted(set(config) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
+    for key in _REQUIRED_KEYS[experiment]:
+        if key not in config:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    return {key: _checked(value, kinds[key], key, path) for key, value in config.items()}
 
-    experiment = _require(config, "experiment", path)
-    out_dir = Path(args.output)
-    base_seed = _value(config, "base_seed", path, _integer, 0)
+
+def _given(config: dict, *keys) -> dict:
+    """The items of ``config`` under ``keys``; the keys it lacks are left out."""
+    return {key: config[key] for key in keys if key in config}
+
+
+def cmd_simulate(args) -> None:
+    from . import sim
+
+    path = args.config
+    config = _read_config(path)
+    experiment = config["experiment"]
     if args.seed is not None:
-        base_seed = args.seed  # base_seed is still taken: a known key
-    alpha = _value(config, "alpha", path, _real, DEFAULT_ALPHA)
-    check_alpha(alpha)
-
-    # the whole config is read before the output directory is made, so a
-    # bad value found here leaves no directory behind
+        config["base_seed"] = args.seed
+    if "base_seed" in config:
+        config["seed"] = config.pop("base_seed")
+    if "alpha" in config:  # checked, as the specs below, before any work
+        check_alpha(config["alpha"])
+    out_dir = Path(args.output)
     if experiment == "many_k":
-        n = _value(config, "n", path, _integer)
-        beta_delta = _value(config, "beta_delta", path, _real, 0.0)
-        specs = [
-            NestedDgpSpec(n=n, K=k, beta_delta=beta_delta, seed=base_seed)
-            for k in _values(config, "k_grid", path, _integer)
-        ]
-        replications = _value(config, "replications", path, _integer)
-        n_test = _value(config, "n_test", path, _integer, 1000)
-        _make_output_dir(out_dir, config, path)
-        rows = run_many_k(
-            specs,
-            replications=replications,
-            alpha=alpha,
-            n_test=n_test,
-            map_fn=_map_on_cpus,
-        )
-        summary = summarize_many_k(rows)
+        shared = _given(config, "n", "beta_delta", "seed")
+        specs = [sim.NestedDgpSpec(K=k, **shared) for k in config["k_grid"]]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        run_args = _given(config, "replications", "alpha", "n_test")
+        rows = sim.run_many_k(specs, **run_args, map_fn=_map_on_cpus)
+        summary = sim.summarize_many_k(rows)
         write_rows_csv(out_dir / "many_k_runs.csv", rows)
         write_rows_csv(out_dir / "many_k_summary.csv", summary)
         result = {"experiment": experiment, "cells": summary}
-    elif experiment == "forward":
-        shared = dict(
-            p=_value(config, "p", path, _integer),
-            block_size=_value(config, "block_size", path, _integer, 5),
-            xi=_value(config, "xi", path, _real, 0.59),
-            sigma2=_value(config, "sigma2", path, _real, 1.0),
-            n_relevant=_value(config, "n_relevant", path, _integer, 6),
-            n_test=_value(config, "n_test", path, _integer, 1000),
-            seed=base_seed,
-        )
-        rhos = _values(config, "rho_grid", path, _real)
+    else:
+        shared = _given(config, "p", "block_size", "xi", "sigma2", "n_relevant", "n_test",
+                        "seed")
         specs = [
-            BlockDgpSpec(n=n, rho=rho, **shared)
-            for n in _values(config, "n_grid", path, _integer)
-            for rho in rhos
+            sim.BlockDgpSpec(n=n, rho=rho, **shared)
+            for n in config["n_grid"]
+            for rho in config["rho_grid"]
         ]
-        multipliers = tuple(
-            _values(config, "multipliers", path, _number, [DEFAULT_MULTIPLIER])
-        )
-        for m in multipliers:
+        for m in config.get("multipliers", ()):
             check_multiplier(m)
-        priors = tuple(_values(config, "priors", path, str, ["diffuse"]))
-        replications = _value(config, "replications", path, _integer)
-        guard = _value(config, "guard", path, _boolean, True)
-        _make_output_dir(out_dir, config, path)
-        run_rows, path_rows = run_forward_experiment(
-            specs,
-            multipliers=multipliers,
-            priors=priors,
-            replications=replications,
-            alpha=alpha,
-            guard=guard,
-            map_fn=_map_on_cpus,
-        )
+        out_dir.mkdir(parents=True, exist_ok=True)
+        run_args = _given(config, "multipliers", "priors", "replications", "alpha", "guard")
+        run_rows, path_rows = sim.run_forward_experiment(specs, **run_args, map_fn=_map_on_cpus)
         write_rows_csv(out_dir / "forward_runs.csv", run_rows)
         write_rows_csv(out_dir / "forward_path.csv", path_rows)
+        multipliers = dict.fromkeys(r["multiplier"] for r in path_rows)
         if len(multipliers) > 1:
             # one trajectory file per multiplier for direct plotting
             for m in multipliers:
                 subset = [r for r in path_rows if r["multiplier"] == m]
                 write_rows_csv(out_dir / f"forward_path_m{m}.csv", subset)
         result = {"experiment": experiment, "n_runs": len(run_rows)}
-    else:
-        raise ConfigError(f"{path}: unknown experiment {experiment!r}")
 
     bundle = {
         "report": "simulate",

@@ -228,25 +228,14 @@ def _require_loo_rows(n: int) -> None:
         raise TooFewObservations("exact LOO needs at least 3 observations")
 
 
-def elpd_loo_exact(
-    data: Dataset,
-    prior: NigPrior,
-    model_id: str = "model",
-    method: str = "downdate",
-) -> ElpdEstimate:
+def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> ElpdEstimate:
     """Exact LOO elpd: each observation predicted from the fit without it.
 
-    ``method="downdate"`` removes each row from the full posterior in
-    closed form; ``"refit"`` refits n times and is kept as the slow
-    reference (the two agree to well below 1e-8).
+    Each row is removed from the full posterior in closed form; the n
+    refits of ``_loo_refit`` stand in when the closed form's guard breaks.
     """
     _require_loo_rows(data.n)
-    if method == "refit":
-        pointwise = _loo_refit(data, prior)
-    elif method == "downdate":
-        pointwise = _model_loo(data, prior, fit(data, prior))
-    else:
-        raise InvalidParameter(f"unknown method {method!r}")
+    pointwise = _model_loo(data, prior, fit(data, prior))
     # fsum over Python floats: the same correctly rounded sum, without one
     # numpy scalar per element
     return ElpdEstimate(
@@ -441,6 +430,8 @@ def _model_loo(data: Dataset, prior: NigPrior, post: PosteriorFit) -> np.ndarray
 
 
 def _loo_refit(data: Dataset, prior: NigPrior) -> np.ndarray:
+    """Exact-LOO pointwise elpd by n refits: ``_model_loo``'s fallback and
+    the slow reference of the tests."""
     n = data.n
     pointwise = np.empty(n)
     X_full = data.design()

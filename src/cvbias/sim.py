@@ -67,7 +67,7 @@ class NestedDgpSpec:
 
     n: int
     K: int
-    beta_delta: float
+    beta_delta: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -114,6 +114,8 @@ class BlockDgpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.n >= 1:
+            raise InvalidParameter(f"n must be >= 1, got {self.n}")
         if not self.block_size >= 1:
             raise InvalidParameter(f"block_size must be >= 1, got {self.block_size}")
         if self.p % self.block_size != 0:
@@ -153,7 +155,11 @@ def gen_block(spec: BlockDgpSpec):
         X = np.empty_like(Z)
         for b in range(spec.p // B):
             X[:, b * B : (b + 1) * B] = Z[:, b * B : (b + 1) * B] @ chol.T
-        y = X @ w + rng.standard_normal(rows) * math.sqrt(spec.sigma2)
+        noise = rng.standard_normal(rows) * math.sqrt(spec.sigma2)
+        # an xi near the float limit overflows here; Dataset then rejects
+        # the draw in one line, with no numpy warning before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = X @ w + noise
         return Dataset(X, y)
 
     return draw(spec.n), draw(spec.n_test)

@@ -791,6 +791,12 @@ class TestSimulate:
                 "unknown key(s): k_grid",
             ),
             ('{"experiment": "many_k",\n "n": }', "invalid JSON at line 2"),
+            # a negative size used to reach numpy as a traceback
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [-1], "rho_grid": [0.0],
+                 "replications": 1},
+                "n must be >= 1, got -1",
+            ),
         ],
     )
     def test_invalid_config_values_fail_with_one_line(self, tmp_path, capsys, config, word):
@@ -821,6 +827,15 @@ class TestSimulate:
               "replications": 2}, "alpha"),
             ({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2,
               "beta_detla": 0.5}, "beta_detla"),
+            # a prior is a JSON string naming a preset: 5 is not the name '5'
+            *[
+                (
+                    {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                     "priors": priors, "replications": 1},
+                    "priors must be one of 'diffuse', 'tight'",
+                )
+                for priors in ([5], ["tights"])
+            ],
         ],
     )
     def test_bad_values_fail_before_any_work(
@@ -835,6 +850,41 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--output", str(out)]) == 1
         assert_one_line_error(capsys, word)
         assert ran == [] and not out.exists()
+
+    def test_overflowing_draw_fails_with_one_line_and_no_warning(self, tmp_path, capsys):
+        # X @ w overflows in gen_block; numpy used to warn before the error
+        cfg = tmp_path / "fw.json"
+        cfg.write_text(json.dumps({
+            "experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+            "replications": 1, "xi": 1e308,
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        assert_one_line_error(capsys, "dataset contains non-finite entries")
+
+    @pytest.mark.xfail(
+        strict=True, raises=ValueError,
+        reason="no size limit on many_k: numpy's 'Maximum allowed dimension exceeded' "
+        "escapes as a traceback, after the output directory is made",
+    )
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "many_k", "n": 10**30, "k_grid": [3], "replications": 2},
+            {"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2,
+             "n_test": 10**30},
+            {"experiment": "many_k", "n": 30, "k_grid": [10**30], "replications": 2},
+            {"experiment": "forward", "p": 10**30, "n_grid": [40], "rho_grid": [0.0],
+             "replications": 1, "guard": False},
+        ],
+        ids=["n", "n_test", "k_grid", "p_unguarded"],
+    )
+    def test_huge_size_fails_with_one_line(self, tmp_path, capsys, config):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        assert_one_line_error(capsys, "cvbias: error:")
 
     @pytest.mark.parametrize("guard", ["false", "true", 0, None])
     def test_guard_must_be_json_boolean(self, tmp_path, capsys, guard):

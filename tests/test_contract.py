@@ -1,13 +1,19 @@
 """The CLI's contract on any input: exit 0 with finite numbers and no
 warning, or exit 1 with one ``cvbias: error:`` line and no warning.
 
-Inputs are small datasets with a few cells set to extreme values, driven
-through ``cli.main`` in-process. Only ``forward`` is covered so far.
+Inputs are driven through ``cli.main`` in-process. For ``forward`` they are
+small datasets with a few cells set to extreme values; for ``simulate``,
+small valid ``many_k`` and ``forward`` configs with up to two keys dropped,
+added or set to a wrong or extreme value. A ``simulate`` error that names
+the config leaves no output directory behind. ``compare`` and the
+``--alpha``, ``--multiplier`` and ``--max-size`` flags are not covered yet.
 """
 
 import contextlib
+import csv
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -89,3 +95,81 @@ def test_forward_exits_clean_or_with_one_error_line(tmp_path_factory, run):
     else:
         assert code == 1 and out == ""
         assert err.startswith("cvbias: error:") and err.count("\n") == 1
+
+
+# every key of each experiment, so that dropping one falls back on sim's default
+SIM_CONFIGS = {
+    "many_k": {"experiment": "many_k", "base_seed": 1, "alpha": 0.5, "n": 10,
+               "beta_delta": 0.0, "k_grid": [3], "replications": 2, "n_test": 5},
+    "forward": {"experiment": "forward", "base_seed": 1, "alpha": 0.5, "p": 5,
+                "n_grid": [12], "rho_grid": [0.5], "block_size": 5, "xi": 0.59,
+                "sigma2": 1.0, "n_relevant": 3, "n_test": 5, "multipliers": [1.5],
+                "priors": ["diffuse"], "replications": 1, "guard": True},
+}
+# wrong kinds, bad sizes and limits, signed zero and floats at both ends;
+# "twice" stands for [x, x], a list that repeats the key's own value x
+SIM_VALUES = [None, True, "2", 2.5, -1, 0, [], "twice", {}, -0.0, 1e308, 1e-310]
+
+
+@st.composite
+def simulate_configs(draw):
+    """A small valid config with 0-2 keys dropped, added or changed."""
+    config = dict(SIM_CONFIGS[draw(st.sampled_from(sorted(SIM_CONFIGS)))])
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["drop", "add", "set", "set", "set", "experiment"]))
+        if how == "drop":
+            config.pop(draw(st.sampled_from(sorted(config))))
+        elif how == "add":
+            config["extra"] = 1
+        elif how == "experiment":
+            config["experiment"] = draw(st.sampled_from([None, 1, ["many_k"], {}]))
+        else:
+            key = draw(st.sampled_from(sorted(set(config) - {"experiment"})))
+            value = draw(st.sampled_from(SIM_VALUES))
+            old = config[key]
+            if value == "twice":
+                value = [old[0], old[0]] if isinstance(old, list) and old else [old, old]
+            if isinstance(old, list) and old and draw(st.booleans()):
+                value = [value, *old[1:]]  # an item of the list, not the list
+            config[key] = value
+    return config
+
+
+def table_numbers(path) -> list[float]:
+    """Every number in a CSV table, the hex spec hashes aside."""
+    with open(path, newline="") as fh:
+        cells = [v for row in csv.DictReader(fh) for k, v in row.items() if k != "spec_hash"]
+    found = []
+    for cell in cells:
+        with contextlib.suppress(ValueError):
+            found.append(float(cell))
+    return found
+
+
+def json_numbers(text: str) -> list[float]:
+    found = []
+    json.loads(text, parse_float=lambda c: found.append(float(c)),
+               parse_int=lambda c: found.append(float(int(c))),
+               parse_constant=lambda c: found.append(float(c)))
+    return found
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(config=simulate_configs())
+def test_simulate_exits_clean_or_with_one_error_line(tmp_path_factory, config):
+    where = tmp_path_factory.mktemp("simulate")
+    cfg, out_dir = where / "cfg.json", where / "o"
+    cfg.write_text(json.dumps(config))
+    code, out, err, caught = run_main(["simulate", str(cfg), "--output", str(out_dir)])
+    assert caught == []
+    if code == 0:
+        assert err == ""
+        found = json_numbers(out) + json_numbers((out_dir / "summary.json").read_text())
+        for table in out_dir.glob("*.csv"):
+            found += table_numbers(table)
+        assert found and all(map(math.isfinite, found))
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("cvbias: error:") and err.count("\n") == 1
+        if err.startswith(f"cvbias: error: {cfg}:"):
+            assert not out_dir.exists()

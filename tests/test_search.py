@@ -12,7 +12,7 @@ from cvbias.errors import (
     InvalidParameter,
     SchemaMismatch,
 )
-from cvbias.psisloo import elpd_se
+from cvbias.psisloo import elpd_se, from_pointwise
 from cvbias import conjlm, search
 from cvbias.search import (
     SearchPath,
@@ -66,18 +66,19 @@ def synthetic_path(raw_diffs, candidate_diffs, base=0.0, ses=None):
 def refit_search(data, prior, max_size):
     """Greedy forward search over per-candidate refit LOO: the slow reference.
 
-    Every candidate model is scored on its own by ``elpd_loo_exact`` with
-    ``method="refit"`` (n refits each), so nothing here shares code with the
-    batched kernel beyond ``fit`` and ``log_pred``.
+    Every candidate model is scored on its own by ``conjlm._loo_refit`` (n
+    refits each), so nothing here shares code with the batched kernel
+    beyond ``fit`` and ``log_pred``.
     """
-    prev = elpd_loo_exact(data.subset(()), prior, method="refit")
+
+    def refit_loo(cols):
+        return from_pointwise(conjlm._loo_refit(data.subset(cols), prior))
+
+    prev = refit_loo(())
     base, current, steps = prev, (), []
     for _ in range(max_size):
         cands = [j for j in range(data.p) if j not in current]
-        ests = [
-            elpd_loo_exact(data.subset(current + (j,)), prior, method="refit")
-            for j in cands
-        ]
+        ests = [refit_loo(current + (j,)) for j in cands]
         diffs = np.array([e.estimate - prev.estimate for e in ests])
         ses = np.array([elpd_se(e.pointwise - prev.pointwise) for e in ests])
         best = int(np.argmax(diffs))
