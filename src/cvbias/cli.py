@@ -509,16 +509,46 @@ def main(argv=None) -> int:
     return code
 
 
+def _fix_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at 4 and 8 MiB; elsewhere, nothing."""
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes  # numpy has imported it already
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:  # a libc other than glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of <malloc.h>; setting either
+    # one alone ends glibc's dynamic thresholds for both
+    mallopt(-3, 4 << 20)
+    mallopt(-1, 8 << 20)
+
+
 def entry() -> int:
     """The program entry of ``python -m cvbias.cli`` and the ``cvbias`` script.
+
+    On Linux with glibc, the allocator's mmap threshold is fixed at 4 MiB
+    and its trim threshold at 8 MiB. glibc's dynamic thresholds would
+    settle near twice the largest mmap'd block freed so far (~0.3 MiB
+    here), so each search step or simulation block would hand the ~1-2
+    MiB of scratch arrays at the top of the heap back to the kernel and
+    fault them in again on the next. Under the fixed thresholds every
+    array of less than 4 MiB comes from the heap, and freed heap pages
+    stay mapped for reuse; arrays of 4 MiB or more are still mapped and
+    unmapped on their own.
 
     ``gc.freeze()`` moves every object alive after the imports (numpy's,
     the interpreter's and this package's) to the collector's permanent
     generation. The collections at interpreter exit then skip them and
     leave what only reference cycles hold to the operating system; the
     collections in the children ``_map_on_cpus`` forks skip them too.
-    ``main`` itself leaves the collector as it found it.
+
+    The children ``_map_on_cpus`` forks inherit both settings. ``main``
+    itself leaves the allocator and the collector as it found them.
     """
+    _fix_heap_thresholds()
     gc.freeze()
     return main()
 

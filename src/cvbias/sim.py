@@ -42,6 +42,7 @@ from .search import correct_path, forward_search, stopping_rules
 GUARD_MAX_P = 60
 GUARD_MAX_N = 1000
 GUARD_MAX_REPS = 20
+_GUARD_OVERRIDE = '(pass guard=False, or "guard": false in a config, to override)'
 
 
 def derive_seed(*parts) -> int:
@@ -368,6 +369,10 @@ def run_many_k(
     """
     if replications < 2:
         raise InvalidParameter("replications must be >= 2")
+    # the test specs below are the cells with n = n_test, whose own check
+    # would name n
+    if n_test < 2:
+        raise InvalidParameter(f"n_test must be >= 2, got {n_test}")
     prior = prior or NigPrior.diffuse()
     tasks = []
     for spec in specs:
@@ -532,12 +537,11 @@ def run_forward_experiment(
             if s.p > GUARD_MAX_P or s.n > GUARD_MAX_N:
                 raise InvalidParameter(
                     f"desk-scale guard: p <= {GUARD_MAX_P} and n <= {GUARD_MAX_N} "
-                    "(pass guard=False to override)"
+                    + _GUARD_OVERRIDE
                 )
         if replications > GUARD_MAX_REPS:
             raise InvalidParameter(
-                f"desk-scale guard: replications <= {GUARD_MAX_REPS} "
-                "(pass guard=False to override)"
+                f"desk-scale guard: replications <= {GUARD_MAX_REPS} " + _GUARD_OVERRIDE
             )
     for name in priors:
         if name not in PRIOR_PRESETS:

@@ -43,9 +43,9 @@ def read_rows(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def assert_one_line_error(capsys, word):
+def assert_one_line_error(capsys, *words):
     err = capsys.readouterr().err
-    assert err.startswith("cvbias: error:") and word in err
+    assert err.startswith("cvbias: error:") and all(word in err for word in words)
     assert err.count("\n") == 1
 
 
@@ -797,6 +797,12 @@ class TestSimulate:
                  "replications": 1},
                 "n must be >= 1, got -1",
             ),
+            # the many_k test sets are drawn from specs with n = n_test
+            (
+                {"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2,
+                 "n_test": 1},
+                "n_test must be >= 2, got 1",
+            ),
         ],
     )
     def test_invalid_config_values_fail_with_one_line(self, tmp_path, capsys, config, word):
@@ -904,7 +910,11 @@ class TestSimulate:
         cfg = tmp_path / "fw.json"
         cfg.write_text(json.dumps(config))
         assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
-        assert_one_line_error(capsys, "desk-scale guard")
+        # the message names the config's spelling of the override
+        assert_one_line_error(capsys, "desk-scale guard", '"guard": false')
+        cfg.write_text(json.dumps({**config, "p": 10, "replications": 21}))
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        assert_one_line_error(capsys, "replications <= 20", '"guard": false')
         cfg.write_text(json.dumps({**config, "guard": False}))
         assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 0
 

@@ -153,6 +153,67 @@ def test_entry_freezes_once_before_main(entry):
     assert json.loads(out) == [["freeze", "main"], 0, True]
 
 
+# ctypes.CDLL(None) is replaced by a libc whose mallopt only records its
+# arguments; the module is imported before sys.platform is set
+MALLOPT_PROBE = """
+import argparse, ctypes, json, sys, types
+events = []
+real_cdll = ctypes.CDLL
+def fake_cdll(name, *args, **kwargs):
+    if name is not None:
+        return real_cdll(name, *args, **kwargs)
+    libc = types.SimpleNamespace()
+    if {has_mallopt}:
+        libc.mallopt = lambda param, value: events.append([param, value]) or 1
+    return libc
+ctypes.CDLL = fake_cdll
+real_parse = argparse.ArgumentParser.parse_args
+argparse.ArgumentParser.parse_args = (
+    lambda self, *a, **k: events.append("main") or real_parse(self, *a, **k)
+)
+import cvbias.cli
+events.append("imported")
+sys.platform = {platform!r}
+sys.argv = ["cvbias", "--version"]
+try:
+{call}
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([events, code]))
+"""
+
+
+def run_mallopt_probe(call: str, platform: str = "linux", has_mallopt: bool = True) -> list:
+    code = MALLOPT_PROBE.format(
+        call=textwrap.indent(call, "    "), platform=platform, has_mallopt=has_mallopt
+    )
+    return json.loads(run_python(code))
+
+
+@pytest.mark.parametrize("entry", ["python_m", "console_script"])
+def test_entry_fixes_the_heap_thresholds_before_main(entry):
+    if entry == "python_m":
+        call = 'import runpy\nrunpy.run_module("cvbias.cli", run_name="__main__", alter_sys=True)'
+    else:
+        call = console_script_call()
+    # M_MMAP_THRESHOLD (-3) at 4 MiB, M_TRIM_THRESHOLD (-1) at 8 MiB
+    assert run_mallopt_probe(call) == [
+        ["imported", [-3, 4 << 20], [-1, 8 << 20], "main"], 0
+    ]
+
+
+def test_import_and_main_leave_the_allocator_alone():
+    assert run_mallopt_probe("cvbias.cli.main(['--version'])") == [["imported", "main"], 0]
+
+
+@pytest.mark.parametrize(
+    "platform, has_mallopt", [("linux", False), ("darwin", True)], ids=["no_mallopt", "darwin"]
+)
+def test_entry_runs_where_mallopt_is_not_called(platform, has_mallopt):
+    out = run_mallopt_probe(console_script_call(), platform, has_mallopt)
+    assert out == [["imported", "main"], 0]
+
+
 def test_star_import_binds_the_public_names():
     out = run_python(
         "import json\n"

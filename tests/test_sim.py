@@ -313,8 +313,8 @@ class TestManyKBlocks:
     @pytest.mark.parametrize(
         "n, n_test, error, match",
         [
-            (30, 1, InvalidParameter, "n must be >= 2"),
-            (2, 1, InvalidParameter, "n must be >= 2"),
+            (30, 1, InvalidParameter, "n_test must be >= 2"),
+            (2, 1, InvalidParameter, "n_test must be >= 2"),
             (2, 50, TooFewObservations, "at least 3 observations"),
         ],
     )
