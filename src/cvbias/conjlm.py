@@ -17,9 +17,13 @@ touches P^-1.
 forward-search step needs: one BLAS-3 pass over the current model's P^-1
 that updates leverages, fitted values and scale for all candidate columns
 at once (block-inverse identity), and the closed-form LOO on the n x c
-block. A forward search carries the chosen extension's ``PosteriorFit`` to
-the next step by bordering P^-1 with that column's terms, so only its
-starting model is fit.
+block. A replication axis makes the block n x m x c: m responses that share
+the model's design, as the many-candidate null's replications share the
+intercept-only baseline, go through the same pass. A forward search
+carries the chosen extension's ``PosteriorFit`` to the next step by
+bordering P^-1 with that column's terms, so only its starting model is
+fit; ``_border_rows`` moves any design rows of a bordered model, training
+or held-out, one replication or many.
 
 ``draw_posterior`` and ``pointwise_loglik`` turn a conjugate fit into a
 draws-by-observations log-likelihood matrix, the input that
@@ -266,11 +270,12 @@ def _border_terms(post: PosteriorFit, X: np.ndarray, prior: NigPrior):
 def _border(post: PosteriorFit, x: np.ndarray, u, s, ey) -> PosteriorFit:
     """``post`` extended by the predictor column ``x``, by bordering.
 
-    With u = P^-1 A'x, e = x - A u and g = e'y/s: P^-1 gains u u'/s, -u/s
-    and 1/s, the mean becomes (mean_n - u g, g), the leverages h + e^2/s,
-    the residuals r - e g and b_n falls by (e'y)^2/(2s).
+    With u = P^-1 A'x and g = e'y/s: P^-1 gains u u'/s, -u/s and 1/s and
+    the mean becomes (mean_n - u g, g); ``_border_rows`` moves the training
+    rows and b_n.
     """
-    e = x - post.A @ u
+    # the residuals y - A mean_n move against the locations A mean_n
+    neg_resid, h, b_n = _border_rows(post.A, x, -post.resid, post.h, post.b_n, u, s, ey)
     g = ey / s
     d = u.size
     cov = np.empty((d + 1, d + 1))
@@ -283,46 +288,70 @@ def _border(post: PosteriorFit, x: np.ndarray, u, s, ey) -> PosteriorFit:
         mean_n=np.append(post.mean_n - u * g, g),
         cov=cov,
         a_n=post.a_n,
-        # halved after the division: 2s can overflow where s does not
-        b_n=post.b_n - ey**2 / s / 2.0,
+        b_n=float(b_n),
         A=np.column_stack([post.A, x]),
-        h=post.h + e**2 / s,
-        resid=post.resid - e * g,
+        h=h,
+        resid=-neg_resid,
     )
+
+
+def _border_rows(A, x, loc, lev, b_n, u, s, ey, refits=()):
+    """Locations ``loc`` and leverages ``lev`` of the design rows ``A``, and
+    the scale ``b_n`` of their model, once the model is bordered by a column
+    whose values at the rows are ``x`` and whose terms are u, s and e'y
+    (``_border_terms``).
+
+    With e = x - A u and g = e'y/s, each location moves to loc + e g, each
+    leverage to lev + e^2/s and b_n to b_n - (e'y)^2/(2s). A leading axis
+    on every argument holds replications, each with its own model. A model
+    whose closed form broke is fit on its own: ``refits`` pairs its index
+    with that fit, whose b_n it takes and from which its rows are predicted.
+    """
+    e = x - (A @ u[..., None])[..., 0]
+    loc = loc + e * np.expand_dims(ey / s, -1)
+    lev = lev + e**2 / np.expand_dims(s, -1)
+    # halved after the division: 2s can overflow where s does not
+    b_n = np.asarray(b_n - ey**2 / s / 2.0)
+    for i, post in refits:
+        loc[i], lev[i] = _predict(post, np.column_stack([A[i], x[i]]))
+        b_n[i] = post.b_n
+    return loc, lev, b_n
 
 
 def _score_extensions(
-    data: Dataset,
-    prior: NigPrior,
-    post: PosteriorFit,
-    cols: tuple[int, ...],
-    candidates: Sequence[int],
+    post: PosteriorFit, X: np.ndarray, y: np.ndarray, prior: NigPrior, model
 ):
-    """Exact LOO of the model on ``cols``, fit as ``post``, extended by each
-    candidate, from its P^-1.
+    """Exact LOO of the model fit as ``post`` extended by each column of
+    ``X``, from its P^-1.
 
-    Returns ``(pointwise, estimates, U, s, ey, ok)``: the n x c block, its
-    column sums and, per candidate, ``_border_terms``' U and s, e'y and
-    whether the closed form held. All candidates go through one BLAS-3
-    pass and ``_extension_loo``. Only candidates whose extended model
-    breaches the closed form's guard (leverage >= 1 - 1e-10, a downdated
-    scale <= 0, or s rounding noise) are scored on their own, by
-    ``elpd_loo_exact``, which factorizes that model's precision.
+    ``X`` is n x c and ``y`` the response. For m replications that share
+    the design of ``post`` (its P^-1, A and h) but not their responses,
+    ``X`` is n x m x c, ``y`` n x m, and ``post``'s ``resid`` n x m and
+    ``b_n`` length m. Returns ``(pointwise, estimates, U, s, ey, ok)``: the
+    block of pointwise elpds, shaped as ``X``, its column sums and, per
+    candidate, ``_border_terms``' U (d x [m x] c) and s, e'y and whether
+    the closed form held. All candidates go through one BLAS-3 pass and
+    ``_extension_loo``. Only a candidate whose extended model breaches the
+    closed form's guard (leverage >= 1 - 1e-10, a downdated scale <= 0, or
+    s rounding noise) is scored on its own, by ``elpd_loo_exact`` on the
+    dataset ``model(*index)`` of its extended model.
     """
-    candidates = list(candidates)
-    Xc = data.X[:, candidates]
-    U, E, s, noise = _border_terms(post, Xc, prior)
-    del Xc
-    ey = E.T @ data.y
+    n, shape = X.shape[0], X.shape[1:]
+    U, E, s, noise = _border_terms(post, X.reshape(n, -1), prior)
+    U, E = U.reshape(-1, *shape), E.reshape(X.shape)
+    s, noise = s.reshape(shape), noise.reshape(shape)
+    # the bits of E.T @ y when X is n x c
+    ey = (np.moveaxis(E, 0, -1) @ np.moveaxis(y, 0, -1)[..., None])[..., 0]
+    omh = (1.0 - post.h).reshape((n,) + (1,) * len(shape))
     pointwise, ok = _extension_loo(
-        post.resid[:, None], (1.0 - post.h)[:, None], post.b_n, post.a_n, E, s, ey
+        post.resid[..., None], omh, np.expand_dims(post.b_n, -1), post.a_n, E, s, ey
     )
     ok &= ~noise
     del E
-    for k in np.flatnonzero(~ok):
-        sub = data.subset(cols + (candidates[k],))
-        pointwise[:, k] = elpd_loo_exact(sub, prior).pointwise
-    return pointwise, _column_fsums(pointwise), U, s, ey, ok
+    for index in zip(*np.nonzero(~ok)):
+        pointwise[(slice(None),) + index] = elpd_loo_exact(model(*index), prior).pointwise
+    estimates = _column_fsums(pointwise.reshape(n, -1)).reshape(shape)
+    return pointwise, estimates, U, s, ey, ok
 
 
 def _extension_loo(resid, omh, b_n, a_n, E, s, ey):

@@ -18,6 +18,7 @@ from .conjlm import (
     Dataset,
     NigPrior,
     _border,
+    _border_rows,
     _model_loo,
     _predict,
     _predictive_logpdf,
@@ -192,8 +193,8 @@ def forward_search(
 
     A ``test`` set, matched to ``data`` by predictor position (and by name,
     when both have names), is scored at every size from the same posterior:
-    each test location grows by e_t (e'y)/s and each leverage by e_t^2/s,
-    where e_t = x_t - a_t'u.
+    ``conjlm._border_rows`` moves its rows with the chosen column's terms,
+    or predicts them from the model fit afresh.
     """
     p = data.p
     if test is not None:
@@ -234,7 +235,7 @@ def forward_search(
     for _ in range(max_size):
         cands = [j for j in range(p) if j not in cols]
         pointwise, estimates, U, s, ey, ok = _score_extensions(
-            data, prior, post, cols, cands
+            post, data.X[:, cands], data.y, prior, lambda k: data.subset(cols + (cands[k],))
         )
         diffs = estimates - prev_elpd
         best = int(np.argmax(diffs))
@@ -251,22 +252,17 @@ def forward_search(
         elpd_after = float(estimates[best])
         j = cands[best]
         cols += (j,)
-        if ok[best]:
-            post = _border(post, data.X[:, j], U[:, best], s[best], ey[best])
-        else:
-            post = fit(data.subset(cols), prior)
+        terms = U[:, best], s[best], ey[best]
+        refits = [] if ok[best] else [((), fit(data.subset(cols), prior))]
         if test is not None:
-            At = np.column_stack([At, test.X[:, j]])
-            if ok[best]:
-                et = At[:, -1] - At[:, :-1] @ U[:, best]
-                loc = loc + et * (ey[best] / s[best])
-                lev = lev + et**2 / s[best]
-            else:
-                loc, lev = _predict(post, At)
-            test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, post.a_n, post.b_n))
+            x = test.X[:, j]
+            loc, lev, b_n = _border_rows(At, x, loc, lev, post.b_n, *terms, refits)
+            At = np.column_stack([At, x])
+            test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, post.a_n, b_n))
             if not math.isfinite(test_mlpd):
                 name = _predictor(test, j)
                 raise NonFiniteInput(f"test predictor {name} overflows the mlpd at size {len(cols)}")
+        post = refits[0][1] if refits else _border(post, data.X[:, j], *terms)
         steps.append(
             SearchStep(
                 predictor_added=j,

@@ -22,13 +22,10 @@ from .conjlm import (
     PRIOR_PRESETS,
     Dataset,
     NigPrior,
-    _border_terms,
-    _column_fsums,
-    _extension_loo,
-    _predict,
+    _border_rows,
     _predictive_logpdf,
     _require_loo_rows,
-    elpd_loo_exact,
+    _score_extensions,
     fit,
     log_pred_dataset,
 )
@@ -166,36 +163,18 @@ def gen_block(spec: BlockDgpSpec):
     return draw(spec.n), draw(spec.n_test)
 
 
-class _ManyKBlock(NamedTuple):
-    """The scored replications of one many-K block, one row per replication.
-
-    Column 0 of ``estimates``, ``U``, ``s``, ``ey`` and ``noise`` is the
-    intercept-only baseline and column k the model with predictor k - 1;
-    ``h`` is the baseline leverage, which every row shares, and ``mean``
-    and ``b_n`` are the baselines' posterior mean and scale.
-    """
-
-    estimates: np.ndarray
-    h: float
-    mean: np.ndarray
-    b_n: np.ndarray
-    U: np.ndarray
-    s: np.ndarray
-    ey: np.ndarray
-    noise: np.ndarray
-
-
-def _score_many_k(datasets: list[Dataset], prior: NigPrior) -> _ManyKBlock:
+def _score_many_k(datasets: list[Dataset], prior: NigPrior):
     """Exact LOO of the baseline and every single-predictor model of each
     dataset, all with the same n and predictor count.
 
     The baseline design is the intercept column for every dataset, so the
     P^-1 and leverage of one ``fit`` of it serve the block; its means,
-    residuals and b_n are per dataset. Each dataset's columns follow a zero
-    column, which extends the baseline to itself, so the baselines and all
-    candidates go through one ``_border_terms`` pass, one ``_extension_loo``
-    and one ``_column_fsums``. A model that breaches the closed form's guard is
-    scored on its own by ``elpd_loo_exact``.
+    residuals and b_n are per dataset, in the stacked baseline fit that is
+    returned first. Each dataset's columns follow a zero column, which
+    extends the baseline to itself, so the baselines and all candidates go
+    through one ``conjlm._score_extensions`` pass, whose estimates, U, s,
+    e'y and ok follow, with a replication axis before the model axis:
+    model 0 is the baseline and model k the one with predictor k - 1.
     """
     m = len(datasets)
     n, K = datasets[0].n, datasets[0].p + 1
@@ -206,29 +185,18 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior) -> _ManyKBlock:
         X[:, r, 1:] = ds.X
         Y[:, r] = ds.y
     base = fit(datasets[0].subset(()), prior)
-    h = float(base.h[0])
-    mean = h * Y.sum(axis=0)
+    mean = base.h[0] * Y.sum(axis=0)
     R = Y - mean
     b_n = prior.b0 + 0.5 * (np.einsum("ij,ij->j", R, R) + mean**2 / prior.v0)
-    U, E, s, noise = _border_terms(base, X.reshape(n, m * K), prior)
-    del X
-    E = E.reshape(n, m, K)
-    ey = np.einsum("irk,ir->rk", E, Y)
-    s, noise = s.reshape(m, K), noise.reshape(m, K)
-    pointwise, ok = _extension_loo(
-        R[:, :, None], 1.0 - h, b_n[:, None], prior.a0 + n / 2.0, E, s, ey
+    base = dc_replace(base, mean_n=mean[None], b_n=b_n, resid=R)
+    _, estimates, U, s, ey, ok = _score_extensions(
+        base, X, Y, prior, lambda r, k: datasets[r].subset(() if k == 0 else (k - 1,))
     )
-    ok &= ~noise
-    del E
-    for r, k in zip(*np.nonzero(~ok)):
-        sub = datasets[r].subset(() if k == 0 else (k - 1,))
-        pointwise[:, r, k] = elpd_loo_exact(sub, prior).pointwise
-    estimates = _column_fsums(pointwise.reshape(n, m * K)).reshape(m, K)
-    return _ManyKBlock(estimates, h, mean, b_n, U.reshape(m, K), s, ey, noise)
+    return base, estimates, U, s, ey, ok
 
 
 def _many_k_test_elpds(
-    block: _ManyKBlock,
+    block,
     datasets: list[Dataset],
     selected: np.ndarray,
     y_test: np.ndarray,
@@ -237,36 +205,34 @@ def _many_k_test_elpds(
     prior: NigPrior,
 ):
     """Test elpds, scaled to n, of each dataset's baseline, selected and
-    true (predictor 0) models; row r of ``y_test``, ``x_true`` and
-    ``x_selected`` holds dataset r's test responses and predictor values.
+    true (predictor 0) models; ``block`` is what ``_score_many_k`` returns,
+    and row r of ``y_test``, ``x_true`` and ``x_selected`` holds dataset
+    r's test responses and predictor values.
 
-    The baseline's posterior is bordered by the model's column: with its
-    u, s and e'y, e_t = x_t - u and g = e'y/s, each test location is
-    mean + e_t g, each leverage h + e_t^2/s and b_n falls by
-    (e'y)^2/(2s). A model whose s is rounding noise is fit on its own
-    instead, and so fails as ``fit`` does.
+    ``conjlm._border_rows`` borders the baseline posterior by the model's
+    column; a model whose closed form broke is fit on its own instead, and
+    so fails as ``fit`` does.
     """
+    base, _, U, s, ey, ok = block
     n = datasets[0].n
-    a_n = prior.a0 + n / 2.0
     rows = np.arange(len(datasets))
+    mean, h = base.mean_n[0][:, None], base.h[0]
+    ones = np.ones(y_test.shape + (1,))
 
     def scaled_mean(loc, lev, b_n):
         # one replication per row: each mean is one contiguous reduction
-        return n * np.mean(_predictive_logpdf(y_test, loc, lev, a_n, b_n), axis=1)
+        logpdf = _predictive_logpdf(y_test, loc, lev, base.a_n, b_n[:, None])
+        return n * np.mean(logpdf, axis=1)
 
-    out = [scaled_mean(block.mean[:, None], block.h, block.b_n[:, None])]
+    out = [scaled_mean(mean, h, base.b_n)]
     for cols, x in ((selected, x_selected), (np.zeros_like(selected), x_true)):
         k = cols + 1
-        u, s, ey = block.U[rows, k], block.s[rows, k], block.ey[rows, k]
-        et = x - u[:, None]
-        loc = block.mean[:, None] + et * (ey / s)[:, None]
-        lev = block.h + et**2 / s[:, None]
-        b_n = (block.b_n - ey**2 / s / 2.0)[:, None]
-        for r in np.flatnonzero(block.noise[rows, k]):
-            post = fit(datasets[r].subset((cols[r],)), prior)
-            At = np.column_stack([np.ones(x.shape[1]), x[r]])
-            loc[r], lev[r] = _predict(post, At)
-            b_n[r] = post.b_n
+        refits = [
+            (r, fit(datasets[r].subset((cols[r],)), prior))
+            for r in np.flatnonzero(~ok[rows, k])
+        ]
+        terms = U[:, rows, k].T, s[rows, k], ey[rows, k]
+        loc, lev, b_n = _border_rows(ones, x, mean, h, base.b_n, *terms, refits)
         out.append(scaled_mean(loc, lev, b_n))
     return out
 
@@ -286,7 +252,8 @@ def _many_k_rows(task: _ManyKTask, alpha: float, prior: NigPrior) -> list[dict]:
     spec, lo, cells, tests = task
     datasets = [gen_nested(cell) for cell in cells]
     block = _score_many_k(datasets, prior)
-    diffs = block.estimates[:, 1:] - block.estimates[:, :1]
+    estimates = block[1]
+    diffs = estimates[:, 1:] - estimates[:, :1]
     selected = np.argmax(diffs, axis=1)
     m = len(datasets)
     n_test = tests[0].n

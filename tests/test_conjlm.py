@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,7 +258,9 @@ class TestElpdLooExtensions:
         current = tuple(range(min(n_current, p - 1)))
         cands = [j for j in range(p) if j not in current]
         post = fit(data.subset(current), prior)
-        pointwise, estimates, *_ = conjlm._score_extensions(data, prior, post, current, cands)
+        pointwise, estimates, *_ = conjlm._score_extensions(
+            post, data.X[:, cands], data.y, prior, lambda k: data.subset(current + (cands[k],))
+        )
         assert pointwise.shape == (n, len(cands))
         assert estimates.shape == (len(cands),)
         for k, j in enumerate(cands):
@@ -281,11 +284,76 @@ class TestElpdLooExtensions:
 
         monkeypatch.setattr(conjlm, "elpd_loo_exact", spy)
         post = fit(data.subset(()), prior)
-        pointwise, estimates, *_ = conjlm._score_extensions(data, prior, post, (), [0, 1])
+        pointwise, estimates, *_ = conjlm._score_extensions(
+            post, data.X, data.y, prior, lambda k: data.subset((k,))
+        )
         assert scored == [("spike",)]
         ref = conjlm._loo_refit(data.subset((1,)), prior)
         assert np.max(np.abs(pointwise[:, 1] - ref)) <= 1e-9
         assert estimates[1] == math.fsum(pointwise[:, 1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(5, 30),
+        m=st.integers(1, 4),
+        c=st.integers(1, 5),
+        shared=st.integers(0, 2),
+        n_test=st.integers(1, 10),
+        tight=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_replication_axis_matches_one_call_per_replication(
+        self, n, m, c, shared, n_test, tight, seed
+    ):
+        # m responses and candidate blocks over one shared design; the last
+        # replication's first candidate has a 1e8 entry that puts its row's
+        # leverage at 1, so that model is scored on its own
+        rng = np.random.default_rng(seed)
+        prior = NigPrior.tight() if tight else NigPrior.diffuse()
+        Z = rng.standard_normal((n, shared))
+        X = rng.standard_normal((n, m, c))
+        X[0, -1, 0] = 1e8
+        Y = rng.standard_normal((n, m))
+        datasets = [Dataset(np.column_stack([Z, X[:, r]]), Y[:, r]) for r in range(m)]
+        current = tuple(range(shared))
+        fits = [fit(ds.subset(current), prior) for ds in datasets]
+        stacked = replace(
+            fits[0],
+            mean_n=np.column_stack([f.mean_n for f in fits]),
+            b_n=np.array([f.b_n for f in fits]),
+            resid=np.column_stack([f.resid for f in fits]),
+        )
+        got = conjlm._score_extensions(
+            stacked, X, Y, prior, lambda r, k: datasets[r].subset(current + (shared + k,))
+        )
+        pointwise, estimates, U, s, ey, ok = got
+        assert pointwise.shape == (n, m, c) and U.shape == (shared + 1, m, c)
+        assert not ok[-1, 0]
+        for r, (ds, post) in enumerate(zip(datasets, fits)):
+            want = conjlm._score_extensions(
+                post, X[:, r], ds.y, prior, lambda k: ds.subset(current + (shared + k,))
+            )
+            assert np.array_equal(ok[r], want[-1])
+            for block, one in zip((pointwise[:, r], estimates[r], U[:, r], s[r], ey[r]), want):
+                np.testing.assert_allclose(block, one, rtol=1e-12, atol=0)
+
+        # the test rows of each replication's model, bordered by its first
+        # candidate; the last replication's is refit
+        At = np.concatenate([np.ones((m, n_test, 1)), rng.standard_normal((m, n_test, shared))], 2)
+        xt = rng.standard_normal((m, n_test))
+        refit = fit(datasets[-1].subset(current + (shared,)), prior)
+        rows = [conjlm._predict(post, At[r]) for r, post in enumerate(fits)]
+        loc, lev = (np.array(v) for v in zip(*rows))
+        b_n = stacked.b_n
+        terms = U[:, :, 0].T, s[:, 0], ey[:, 0]
+        moved = conjlm._border_rows(At, xt, loc, lev, b_n, *terms, [(m - 1, refit)])
+        for r in range(m):
+            refits = [((), refit)] if r == m - 1 else []
+            one = conjlm._border_rows(
+                At[r], xt[r], loc[r], lev[r], b_n[r], *(v[r] for v in terms), refits
+            )
+            for block, want in zip(moved, one):
+                assert np.array_equal(block[r], want)
 
     @pytest.mark.parametrize("prior", ["diffuse", "tight"])
     def test_border_where_twice_s_overflows(self, prior):

@@ -264,3 +264,46 @@ def test_every_public_name_is_used_or_shown():
     code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S))
     shown = set(re.findall(r"\w+", code))
     assert [name for name in cvbias.__all__ if name not in used | shown] == []
+
+
+# the private conjlm names that search and sim import, and the kernel
+# internals that only conjlm may use
+PRIVATE_CONJLM_IMPORTS = {
+    "search": [
+        "_border",
+        "_border_rows",
+        "_model_loo",
+        "_predict",
+        "_predictive_logpdf",
+        "_require_loo_rows",
+        "_score_extensions",
+    ],
+    "sim": ["_border_rows", "_predictive_logpdf", "_require_loo_rows", "_score_extensions"],
+}
+KERNEL_INTERNALS = {"_border_terms", "_column_fsums", "_extension_loo", "_loo_closed_form"}
+
+
+def conjlm_names(path: Path) -> set:
+    """The names a module takes from ``conjlm``: by ``from .conjlm import``
+    or ``from cvbias.conjlm import``, or as attributes of a name ``conjlm``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("conjlm", "cvbias.conjlm"):
+            names |= {alias.name for alias in node.names}
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "conjlm"
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_private_conjlm_names_stay_pinned():
+    package = Path(cvbias.__file__).resolve().parent
+    for module, expected in PRIVATE_CONJLM_IMPORTS.items():
+        private = {name for name in conjlm_names(package / f"{module}.py") if name.startswith("_")}
+        assert sorted(private) == expected, module
+    for path in package.glob("*.py"):
+        if path.stem != "conjlm":
+            assert conjlm_names(path) & KERNEL_INTERNALS == set(), path.name

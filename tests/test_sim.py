@@ -236,6 +236,19 @@ def assert_rows_match(rows, expected):
                 assert type(got[k]) is type(v) and got[k] == v, k
 
 
+def crafted_block():
+    """Two 8-row datasets whose closed forms break, with the rng that drew
+    them. Under v0 = 1e16 the second's predictor 0, 1e-8 away from the
+    intercept, has s at rounding noise yet an invertible precision, and the
+    first's predictor 1 has a 1e8 entry that puts its row's leverage at 1."""
+    prior = NigPrior(v0=1e16)
+    rng = np.random.default_rng(5)
+    X0, X1 = rng.standard_normal((2, 8, 3))
+    X0[0, 1] = 1e8
+    X1[:, 0] = 1.0 + 1e-8 * np.arange(8)
+    return prior, [Dataset(X, rng.standard_normal(8)) for X in (X0, X1)], rng
+
+
 class TestManyKBlocks:
     @pytest.mark.parametrize(
         "specs, replications, prior, n_test",
@@ -264,35 +277,29 @@ class TestManyKBlocks:
         assert_rows_match(rows, many_k_reference(specs, replications, prior, n_test))
 
     def test_crafted_block_falls_back_per_model(self, monkeypatch):
-        # v0 = 1e16: a column 1e-8 away from the intercept has s at rounding
-        # noise yet an invertible precision, and a 1e8 entry puts its row's
-        # leverage at 1
-        prior = NigPrior(v0=1e16)
-        rng = np.random.default_rng(5)
-        X0, X1 = rng.standard_normal((2, 8, 3))
-        X0[0, 1] = 1e8
-        X1[:, 0] = 1.0 + 1e-8 * np.arange(8)
-        datasets = [Dataset(X, rng.standard_normal(8)) for X in (X0, X1)]
+        prior, datasets, rng = crafted_block()
+        X0, X1 = (ds.X for ds in datasets)
         calls = []
 
         def recording(data, prior_):
             calls.append(data)
             return elpd_loo_exact(data, prior_)
 
-        monkeypatch.setattr(sim, "elpd_loo_exact", recording)
+        monkeypatch.setattr(conjlm, "elpd_loo_exact", recording)
         block = sim._score_many_k(datasets, prior)
+        _, estimates, _, _, _, ok = block
         assert [(c.X.tolist(), c.y.tolist()) for c in calls] == [
             (X0[:, [1]].tolist(), datasets[0].y.tolist()),
             (X1[:, [0]].tolist(), datasets[1].y.tolist()),
         ]
-        assert block.noise.tolist() == [[False] * 4, [False, True, False, False]]
+        assert ok.tolist() == [[True, True, False, True], [True, False, True, True]]
         want = [
             [elpd_loo_exact(ds.subset(c), prior).estimate for c in [(), (0,), (1,), (2,)]]
             for ds in datasets
         ]
-        assert block.estimates == pytest.approx(np.array(want), rel=1e-12, abs=0)
+        assert estimates == pytest.approx(np.array(want), rel=1e-12, abs=0)
         # the two fallbacks are elpd_loo_exact itself
-        assert block.estimates[0, 2] == want[0][2] and block.estimates[1, 1] == want[1][1]
+        assert estimates[0, 2] == want[0][2] and estimates[1, 1] == want[1][1]
 
         y_test = rng.standard_normal((2, 30))
         x_true, x_sel = rng.standard_normal((2, 2, 30))
@@ -309,6 +316,20 @@ class TestManyKBlocks:
                     assert got[r] == want
                 else:
                     assert got[r] == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_selected_leverage_breach_is_refit_for_its_test_elpd(self):
+        # the first dataset's model (1,) breaks only the leverage guard: its s
+        # is no rounding noise, yet its test elpd comes from its own fit
+        prior, datasets, rng = crafted_block()
+        block = sim._score_many_k(datasets, prior)
+        y_test = rng.standard_normal((2, 30))
+        x_true, x_sel = rng.standard_normal((2, 2, 30))
+        _, sel_test, _ = sim._many_k_test_elpds(
+            block, datasets, np.array([1, 2]), y_test, x_true, x_sel, prior
+        )
+        test = Dataset(np.column_stack([x_true[0], x_sel[0]]), y_test[0])
+        fit_ = fit(datasets[0].subset((1,)), prior)
+        assert sel_test[0] == 8 * float(np.mean(log_pred_dataset(fit_, test.subset((1,)))))
 
     @pytest.mark.parametrize(
         "n, n_test, error, match",
