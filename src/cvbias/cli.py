@@ -374,48 +374,57 @@ def cmd_simulate(args) -> None:
         config["base_seed"] = args.seed
     if "base_seed" in config:
         config["seed"] = config.pop("base_seed")
-    if "alpha" in config:  # checked, as the specs below, before any work
+    if "alpha" in config:  # checked, as the specs below, before any task runs
         check_alpha(config["alpha"])
     out_dir = Path(args.output)
-    if experiment == "many_k":
-        shared = _given(config, "n", "beta_delta", "seed")
-        specs = [sim.NestedDgpSpec(K=k, **shared) for k in config["k_grid"]]
-        out_dir.mkdir(parents=True, exist_ok=True)
-        run_args = _given(config, "replications", "alpha", "n_test")
-        rows = sim.run_many_k(specs, **run_args, map_fn=_map_on_cpus)
-        summary = sim.summarize_many_k(rows)
-        write_rows_csv(out_dir / "many_k_runs.csv", rows)
-        write_rows_csv(out_dir / "many_k_summary.csv", summary)
-        result = {"experiment": experiment, "cells": summary}
-    else:
-        shared = _given(config, "p", "block_size", "xi", "sigma2", "n_relevant", "n_test",
-                        "seed")
-        specs = [
-            sim.BlockDgpSpec(n=n, rho=rho, **shared)
-            for n in config["n_grid"]
-            for rho in config["rho_grid"]
-        ]
-        for m in config.get("multipliers", ()):
-            check_multiplier(m)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        run_args = _given(config, "multipliers", "priors", "replications", "alpha", "guard")
-        run_rows, path_rows = sim.run_forward_experiment(specs, **run_args, map_fn=_map_on_cpus)
-        write_rows_csv(out_dir / "forward_runs.csv", run_rows)
-        write_rows_csv(out_dir / "forward_path.csv", path_rows)
-        multipliers = dict.fromkeys(r["multiplier"] for r in path_rows)
-        if len(multipliers) > 1:
-            # one trajectory file per multiplier for direct plotting
-            for m in multipliers:
-                subset = [r for r in path_rows if r["multiplier"] == m]
-                write_rows_csv(out_dir / f"forward_path_m{m}.csv", subset)
-        result = {"experiment": experiment, "n_runs": len(run_rows)}
+    # made before any task runs, so that an unusable path fails first
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        if experiment == "many_k":
+            shared = _given(config, "n", "beta_delta", "seed")
+            specs = [sim.NestedDgpSpec(K=k, **shared) for k in config["k_grid"]]
+            run_args = _given(config, "replications", "alpha", "n_test")
+            rows = sim.run_many_k(specs, **run_args, map_fn=_map_on_cpus)
+            summary = sim.summarize_many_k(rows)
+            write_rows_csv(out_dir / "many_k_runs.csv", rows)
+            write_rows_csv(out_dir / "many_k_summary.csv", summary)
+            result = {"experiment": experiment, "cells": summary}
+        else:
+            shared = _given(config, "p", "block_size", "xi", "sigma2", "n_relevant", "n_test",
+                            "seed")
+            specs = [
+                sim.BlockDgpSpec(n=n, rho=rho, **shared)
+                for n in config["n_grid"]
+                for rho in config["rho_grid"]
+            ]
+            for m in config.get("multipliers", ()):
+                check_multiplier(m)
+            run_args = _given(config, "multipliers", "priors", "replications", "alpha", "guard")
+            run_rows, path_rows = sim.run_forward_experiment(specs, **run_args, map_fn=_map_on_cpus)
+            write_rows_csv(out_dir / "forward_runs.csv", run_rows)
+            write_rows_csv(out_dir / "forward_path.csv", path_rows)
+            multipliers = dict.fromkeys(r["multiplier"] for r in path_rows)
+            if len(multipliers) > 1:
+                # one trajectory file per multiplier for direct plotting
+                for m in multipliers:
+                    subset = [r for r in path_rows if r["multiplier"] == m]
+                    write_rows_csv(out_dir / f"forward_path_m{m}.csv", subset)
+            result = {"experiment": experiment, "n_runs": len(run_rows)}
 
-    bundle = {
-        "report": "simulate",
-        "result": result,
-        "provenance": _provenance(args, [path]),
-    }
-    (out_dir / "summary.json").write_text(dump_json(bundle) + "\n", encoding="utf-8")
+        bundle = {
+            "report": "simulate",
+            "result": result,
+            "provenance": _provenance(args, [path]),
+        }
+        (out_dir / "summary.json").write_text(dump_json(bundle) + "\n", encoding="utf-8")
+    except BaseException:
+        # remove what this run made, deepest first; the first directory that
+        # is not empty ends it, and the files written so far stay
+        with contextlib.suppress(OSError):
+            for d in made:
+                os.rmdir(d)
+        raise
     print(dump_json({"output": args.output, "result": result}))
 
 

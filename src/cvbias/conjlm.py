@@ -11,7 +11,8 @@ posterior precision P = A'A + I/v0, formed once by ``fit``, with the
 posterior mean and scale and the training design, leverages and residuals
 that exact LOO reads. The predictive density, exact LOO, the bordered
 extensions and ``draw_posterior`` all read that one fit; no other module
-touches P^-1.
+touches P^-1. Every log density, exact LOO or held out, ends in the one
+Student-t kernel ``_student_t_logpdf``.
 
 ``_score_extensions`` scores every one-column extension of a model, as a
 forward-search step needs: one BLAS-3 pass over the current model's P^-1
@@ -189,18 +190,28 @@ def _predict(post: PosteriorFit, A: np.ndarray):
     return A @ post.mean_n, np.einsum("ij,ij->i", A @ post.cov, A)
 
 
+def _student_t_logpdf(u, v, a):
+    """Student-t log density, in place: with df = 2a, squared scale s^2
+    and z the standardized value, ``u`` holds z^2/df and ``v`` df s^2/2,
+    and the density is lgamma(a + 1/2) - lgamma(a) - log(2 pi v)/2
+    - (a + 1/2) log1p(u). Overwrites ``u`` and ``v``.
+    """
+    np.log1p(u, out=u)
+    u *= -(a + 0.5)
+    v *= 2.0 * np.pi
+    np.log(v, out=v)
+    v *= 0.5
+    u -= v
+    u += math.lgamma(a + 0.5) - math.lgamma(a)
+    return u
+
+
 def _predictive_logpdf(y, loc, leverage, a_n, b_n):
     """Student-t posterior predictive log density of ``y`` at design rows
-    with location x'mean_n ``loc`` and leverage x'P^-1x ``leverage``."""
-    scale2 = (b_n / a_n) * (1.0 + leverage)
-    df = 2.0 * a_n
-    z2 = (y - loc) ** 2 / scale2
-    return (
-        math.lgamma((df + 1.0) / 2.0)
-        - math.lgamma(df / 2.0)
-        - 0.5 * np.log(df * np.pi * scale2)
-        - (df + 1.0) / 2.0 * np.log1p(z2 / df)
-    )
+    with location x'mean_n ``loc`` and leverage x'P^-1x ``leverage``: df
+    2a_n and squared scale (b_n / a_n)(1 + leverage)."""
+    v = b_n * (1.0 + leverage)
+    return _student_t_logpdf(0.5 * (y - loc) ** 2 / v, v, a_n)
 
 
 def log_pred(fit_: PosteriorFit, x_new, y_new):
@@ -222,11 +233,6 @@ def log_pred(fit_: PosteriorFit, x_new, y_new):
     return out
 
 
-def log_pred_dataset(fit_: PosteriorFit, data: Dataset) -> np.ndarray:
-    """Pointwise log posterior predictive density over a dataset."""
-    return log_pred(fit_, data.design(), data.y)
-
-
 def _require_loo_rows(n: int) -> None:
     if n < 3:
         raise TooFewObservations("exact LOO needs at least 3 observations")
@@ -239,7 +245,10 @@ def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> E
     refits of ``_loo_refit`` stand in when the closed form's guard breaks.
     """
     _require_loo_rows(data.n)
-    pointwise = _model_loo(data, prior, fit(data, prior))
+    post = fit(data, prior)
+    pointwise, ok = _loo_closed_form(post.resid, 1.0 - post.h, post.b_n, post.a_n)
+    if not ok:
+        pointwise = _loo_refit(data, prior)
     # fsum over Python floats: the same correctly rounded sum, without one
     # numpy scalar per element
     return ElpdEstimate(
@@ -337,6 +346,7 @@ def _score_extensions(
     dataset ``model(*index)`` of its extended model.
     """
     n, shape = X.shape[0], X.shape[1:]
+    _require_loo_rows(n)
     U, E, s, noise = _border_terms(post, X.reshape(n, -1), prior)
     U, E = U.reshape(-1, *shape), E.reshape(X.shape)
     s, noise = s.reshape(shape), noise.reshape(shape)
@@ -422,12 +432,12 @@ def _loo_closed_form(resid, omh, b_n, a_n):
     2-d arrays hold one model per column. Without row i the posterior has
     shape a_n - 1/2 and scale b_i = b_n - r_i^2 / (2 (1 - h_i)), and y_i is
     Student-t with location y_i - r_i / (1 - h_i) and squared scale
-    (b_i / (a_n - 1/2)) / (1 - h_i). Overwrites ``resid``.
+    (b_i / (a_n - 1/2)) / (1 - h_i), which ``_student_t_logpdf`` scores.
+    Overwrites ``resid``.
 
     Returns the densities and, per model, whether the closed form holds:
     False where some leverage reaches 1 - 1e-10 or some b_i <= 0.
     """
-    a_i = a_n - 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.square(resid, out=resid)
         q /= omh
@@ -435,32 +445,13 @@ def _loo_closed_form(resid, omh, b_n, a_n):
         b_i = b_n - q
         ok = (np.min(omh, axis=0) > 1e-10) & (np.min(b_i, axis=0) > 0)
         q /= b_i
-        np.log1p(q, out=q)
-        q *= -(a_i + 0.5)
         b_i /= omh
-        b_i *= 2.0 * np.pi
-        np.log(b_i, out=b_i)
-        b_i *= 0.5
-        q -= b_i
-    q += math.lgamma(a_i + 0.5) - math.lgamma(a_i)
-    return q, ok
-
-
-def _model_loo(data: Dataset, prior: NigPrior, post: PosteriorFit) -> np.ndarray:
-    """Exact-LOO pointwise elpd of the model fit to ``data`` as ``post``.
-
-    The closed form from the fit's residuals, leverages and b_n; every row
-    is refit when its guard breaks.
-    """
-    pointwise, ok = _loo_closed_form(
-        post.resid.copy(), 1.0 - post.h, post.b_n, post.a_n
-    )
-    return pointwise if ok else _loo_refit(data, prior)
+        return _student_t_logpdf(q, b_i, a_n - 0.5), ok
 
 
 def _loo_refit(data: Dataset, prior: NigPrior) -> np.ndarray:
-    """Exact-LOO pointwise elpd by n refits: ``_model_loo``'s fallback and
-    the slow reference of the tests."""
+    """Exact-LOO pointwise elpd by n refits: ``elpd_loo_exact``'s fallback
+    and the slow reference of the tests."""
     n = data.n
     pointwise = np.empty(n)
     X_full = data.design()

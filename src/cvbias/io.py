@@ -9,7 +9,6 @@ import json
 import os
 import warnings
 from contextlib import nullcontext
-from pathlib import Path
 
 import numpy as np
 
@@ -114,4 +113,9 @@ def dump_json(obj) -> str:
 
 
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex SHA-256 of the file at ``path``, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()

@@ -19,12 +19,11 @@ from .conjlm import (
     NigPrior,
     _border,
     _border_rows,
-    _model_loo,
-    _predict,
     _predictive_logpdf,
-    _require_loo_rows,
     _score_extensions,
+    elpd_loo_exact,
     fit,
+    log_pred,
 )
 from .errors import (
     EmptyCandidateSet,
@@ -214,23 +213,20 @@ def forward_search(
     if test is not None:
         _require_finite_squares(test, "test")
 
-    _require_loo_rows(data.n)
     cols: tuple[int, ...] = ()
-    base = data.subset(cols)
-    post = fit(base, prior)
-    base_pointwise = _model_loo(base, prior, post)
-    base_elpd = math.fsum(base_pointwise.tolist())
-    if not math.isfinite(base_elpd):
+    base = elpd_loo_exact(data.subset(cols), prior)
+    if not math.isfinite(base.estimate):
         raise NonFiniteInput("training response overflows the base model's LOO elpd")
-    test_mlpd = None
+    post = fit(data.subset(cols), prior)
+    test_mlpd = base_test_mlpd = None
     if test is not None:
         At = test.subset(cols).design()
-        loc, lev = _predict(post, At)
-        test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, post.a_n, post.b_n))
+        test_mlpd = base_test_mlpd = mlpd(log_pred(post, At, test.y))
         if not math.isfinite(test_mlpd):
             raise NonFiniteInput("test response overflows the base model's mlpd")
-    base_test_mlpd = test_mlpd
-    prev_elpd, prev_pointwise = base_elpd, base_pointwise
+        # the intercept-only model gives every row one location and leverage
+        loc, lev = post.mean_n[0], post.h[0]
+    prev_elpd, prev_pointwise = base.estimate, base.pointwise
     steps: list[SearchStep] = []
     for _ in range(max_size):
         cands = [j for j in range(p) if j not in cols]
@@ -281,8 +277,8 @@ def forward_search(
 
     return SearchPath(
         steps=tuple(steps),
-        base_elpd=base_elpd,
-        base_pointwise=base_pointwise,
+        base_elpd=base.estimate,
+        base_pointwise=base.pointwise,
         max_size=max_size,
         test_mlpd_base=base_test_mlpd,
     )

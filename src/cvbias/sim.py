@@ -24,10 +24,9 @@ from .conjlm import (
     NigPrior,
     _border_rows,
     _predictive_logpdf,
-    _require_loo_rows,
     _score_extensions,
     fit,
-    log_pred_dataset,
+    log_pred,
 )
 from .errors import InvalidBlocking, InvalidParameter
 from .orderstats import DEFAULT_ALPHA, DEFAULT_MULTIPLIER, threshold
@@ -178,7 +177,6 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior):
     """
     m = len(datasets)
     n, K = datasets[0].n, datasets[0].p + 1
-    _require_loo_rows(n)
     X = np.zeros((n, m, K))
     Y = np.empty((n, m))
     for r, ds in enumerate(datasets):
@@ -421,8 +419,7 @@ def _forward_rows(task, multipliers, alpha: float):
     prior = PRIOR_PRESETS[prior_name]()
     path = forward_search(train, prior, max_size=spec.p, test=test)
 
-    ref_fit = fit(train, NigPrior.tight())
-    ref_pointwise = log_pred_dataset(ref_fit, test)
+    ref_pointwise = log_pred(fit(train, NigPrior.tight()), test.design(), test.y)
     ref_mlpd = float(np.mean(ref_pointwise))
     ref_se = float(np.std(ref_pointwise, ddof=1) / math.sqrt(test.n))
 

@@ -572,10 +572,13 @@ class TestForward:
             X[3, 2] = 1e154
             train = str(write_dataset(tmp_path / "d.csv", Dataset(X, rng.standard_normal(7))))
         else:
-            train = six_rows("d.csv", y2=1e154 if case == "response" else 0.2)
+            # the held-out density overflows only where (y - loc)^2 does, so
+            # the test response case puts the base location on the far side
+            y2 = {"response": 1e154, "test_response": -1e153}.get(case, 0.2)
+            train = six_rows("d.csv", y2=y2)
         argv = ["forward", train, "--target", "y", "--prior", prior, "--format", fmt]
         if case == "test_response":
-            argv += ["--test", six_rows("t.csv", y2=1.3e154)]
+            argv += ["--test", six_rows("t.csv", y2=1.34e154)]
         elif case == "test_predictor":
             argv += ["--test", six_rows("t.csv", x2=1e154)]
         with warnings.catch_warnings():
@@ -917,6 +920,32 @@ class TestSimulate:
         assert_one_line_error(capsys, "replications <= 20", '"guard": false')
         cfg.write_text(json.dumps({**config, "guard": False}))
         assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "config, word",
+        [
+            ({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 1},
+             "replications must be >= 2"),
+            ({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2, "n_test": 1},
+             "n_test must be >= 2, got 1"),
+            ({"experiment": "forward", "p": 65, "n_grid": [40], "rho_grid": [0.0],
+              "replications": 1, "n_test": 40}, "desk-scale guard"),
+        ],
+        ids=["replications", "n_test", "guard"],
+    )
+    def test_failed_run_leaves_no_directory_it_made(self, tmp_path, capsys, config, word):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        for output in ("o", "a/b/o"):
+            assert main(["simulate", str(cfg), "--output", str(tmp_path / output)]) == 1
+            assert_one_line_error(capsys, word)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+        # a directory that was there before the run stays, with what it holds
+        (tmp_path / "o").mkdir()
+        (tmp_path / "o" / "keep").write_text("")
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o" / "new")]) == 1
+        assert_one_line_error(capsys, word)
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["keep"]
 
     def test_bundled_configs_well_formed(self):
         root = Path(__file__).resolve().parent.parent / "configs"

@@ -17,7 +17,6 @@ from cvbias.conjlm import (
     elpd_loo_exact,
     fit,
     log_pred,
-    log_pred_dataset,
     pointwise_loglik,
 )
 from cvbias.errors import (
@@ -171,7 +170,7 @@ class TestLogPred:
         b_n = prior.b0 + 0.5 * (np.sum((y - X @ mean) ** 2) + mean @ mean / prior.v0)
         scale2 = b_n / a_n * (1.0 + np.einsum("ij,jk,ik->i", Xt, V, Xt))
         ref = student_t.logpdf(test.y, 2.0 * a_n, loc=Xt @ mean, scale=np.sqrt(scale2))
-        got = log_pred_dataset(fit(train, prior), test)
+        got = log_pred(fit(train, prior), test.design(), test.y)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_dimension_mismatch(self, small_data):
@@ -220,7 +219,7 @@ class TestElpdLooExact:
             y = rng.standard_normal(30)
             data = Dataset(X, y)
             loo = elpd_loo_exact(data, prior).estimate
-            in_sample = float(np.sum(log_pred_dataset(fit(data, prior), data)))
+            in_sample = float(np.sum(log_pred(fit(data, prior), data.design(), data.y)))
             gaps.append(loo - in_sample)
         assert np.median(gaps) <= 0.0
 

@@ -4,8 +4,8 @@ warning, or exit 1 with one ``cvbias: error:`` line and no warning.
 Inputs are driven through ``cli.main`` in-process. For ``forward`` they are
 small datasets with a few cells set to extreme values; for ``simulate``,
 small valid ``many_k`` and ``forward`` configs with up to two keys dropped,
-added or set to a wrong or extreme value. A ``simulate`` error that names
-the config leaves no output directory behind. ``compare`` and the
+added or set to a wrong or extreme value. A ``simulate`` run that exits 1
+leaves no output directory behind. ``compare`` and the
 ``--alpha``, ``--multiplier`` and ``--max-size`` flags are not covered yet.
 """
 
@@ -171,5 +171,4 @@ def test_simulate_exits_clean_or_with_one_error_line(tmp_path_factory, config):
     else:
         assert code == 1 and out == ""
         assert err.startswith("cvbias: error:") and err.count("\n") == 1
-        if err.startswith(f"cvbias: error: {cfg}:"):
-            assert not out_dir.exists()
+        assert not out_dir.exists()

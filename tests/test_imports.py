@@ -269,18 +269,16 @@ def test_every_public_name_is_used_or_shown():
 # the private conjlm names that search and sim import, and the kernel
 # internals that only conjlm may use
 PRIVATE_CONJLM_IMPORTS = {
-    "search": [
-        "_border",
-        "_border_rows",
-        "_model_loo",
-        "_predict",
-        "_predictive_logpdf",
-        "_require_loo_rows",
-        "_score_extensions",
-    ],
-    "sim": ["_border_rows", "_predictive_logpdf", "_require_loo_rows", "_score_extensions"],
+    "search": ["_border", "_border_rows", "_predictive_logpdf", "_score_extensions"],
+    "sim": ["_border_rows", "_predictive_logpdf", "_score_extensions"],
 }
-KERNEL_INTERNALS = {"_border_terms", "_column_fsums", "_extension_loo", "_loo_closed_form"}
+KERNEL_INTERNALS = {
+    "_border_terms",
+    "_column_fsums",
+    "_extension_loo",
+    "_loo_closed_form",
+    "_student_t_logpdf",
+}
 
 
 def conjlm_names(path: Path) -> set:

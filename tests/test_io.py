@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cvbias.errors import SchemaMismatch, UnreadableInput
-from cvbias.io import read_dataset_csv, read_matrix_csv
+from cvbias.io import read_dataset_csv, read_matrix_csv, sha256_file
 
 
 def read_text(tmp_path, text, newline=None):
@@ -125,3 +126,11 @@ class TestReadDatasetCsv:
         path.write_text("a,y,b,y,b\n1,2,3,2,3\n4,5,6,5,6\n")
         with pytest.raises(SchemaMismatch, match="duplicate column names: b, y"):
             read_dataset_csv(path, "y")
+
+
+@pytest.mark.parametrize("size", [0, (5 << 19) + 3], ids=["empty", "several_chunks"])
+def test_sha256_file_streams_the_whole_file(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()

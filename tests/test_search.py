@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred_dataset
+from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred
 from cvbias.errors import (
     EmptyCandidateSet,
     IncompletePath,
     InvalidParameter,
     SchemaMismatch,
+    TooFewObservations,
 )
 from cvbias.psisloo import elpd_se, from_pointwise
 from cvbias import conjlm, search
@@ -117,6 +118,14 @@ class TestForwardSearch:
         full = elpd_loo_exact(data, PRIOR)
         assert path.steps[0].raw_diff == pytest.approx(full.estimate - base.estimate)
         assert path.steps[0].candidates_evaluated == 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_rows_for_exact_loo(self, n):
+        # the start model's elpd_loo_exact checks the rows before any fit
+        rng = np.random.default_rng(33)
+        data = Dataset(rng.standard_normal((n, 2)), rng.standard_normal(n))
+        with pytest.raises(TooFewObservations, match="exact LOO needs at least 3 observations"):
+            forward_search(data, PRIOR, max_size=1)
 
     def test_max_size_exceeds_predictors(self):
         data = Dataset(np.ones((5, 2)), np.zeros(5))
@@ -308,7 +317,7 @@ class TestCarriedPosterior:
 def assert_test_mlpds_match_refits(path, train, test, prior):
     cols = [tuple(path.predictors()[:k]) for k in range(len(path.steps) + 1)]
     refits = [
-        np.mean(log_pred_dataset(fit(train.subset(c), prior), test.subset(c)))
+        np.mean(log_pred(fit(train.subset(c), prior), test.subset(c).design(), test.y))
         for c in cols
     ]
     assert np.max(np.abs(path.test_mlpds() - refits)) <= 1e-10
@@ -463,7 +472,7 @@ class TestEvaluateTest:
         path, train, test = block_path
         one = Dataset(test.X[:1], test.y[:1])
         out = forward_search(train, PRIOR, max_size=10, test=one)
-        expected = log_pred_dataset(fit(train.subset(()), PRIOR), one.subset(()))
+        expected = log_pred(fit(train.subset(()), PRIOR), one.subset(()).design(), one.y)
         assert out.test_mlpd_base == pytest.approx(float(expected[0]))
 
     def test_schema_mismatch(self, block_path, monkeypatch):

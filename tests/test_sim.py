@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred_dataset
+from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred
 from cvbias.errors import InvalidBlocking, InvalidParameter, TooFewObservations
 from cvbias.orderstats import blom_max, halfnormal_sigma
 from cvbias.psisloo import elpd_se
@@ -180,7 +180,7 @@ class TestRunManyK:
 
 def many_k_reference(specs, replications, prior, n_test, alpha=0.5):
     """``run_many_k`` rows, one replication and one model at a time: an
-    ``elpd_loo_exact`` per model, a ``fit`` and ``log_pred_dataset`` per
+    ``elpd_loo_exact`` per model, a ``fit`` and ``log_pred`` per
     test elpd."""
     rows = []
     for spec in specs:
@@ -200,7 +200,7 @@ def many_k_reference(specs, replications, prior, n_test, alpha=0.5):
 
             def test_elpd(cols):
                 fit_ = fit(ds.subset(cols), prior)
-                return spec.n * float(np.mean(log_pred_dataset(fit_, test.subset(cols))))
+                return spec.n * float(np.mean(log_pred(fit_, test.subset(cols).design(), test.y)))
 
             rows.append(
                 {
@@ -310,7 +310,7 @@ class TestManyKBlocks:
             test = Dataset(np.column_stack([x_true[r], x_sel[r], x_sel[r]]), y_test[r])
             for got, cols in zip(elpds, [(), (2,), (0,)]):
                 fit_ = fit(ds.subset(cols), prior)
-                want = 8 * float(np.mean(log_pred_dataset(fit_, test.subset(cols))))
+                want = 8 * float(np.mean(log_pred(fit_, test.subset(cols).design(), test.y)))
                 if r == 1 and cols == (0,):
                     # the noise column is refit: the same arithmetic as fit
                     assert got[r] == want
@@ -329,7 +329,7 @@ class TestManyKBlocks:
         )
         test = Dataset(np.column_stack([x_true[0], x_sel[0]]), y_test[0])
         fit_ = fit(datasets[0].subset((1,)), prior)
-        assert sel_test[0] == 8 * float(np.mean(log_pred_dataset(fit_, test.subset((1,)))))
+        assert sel_test[0] == 8 * float(np.mean(log_pred(fit_, test.subset((1,)).design(), test.y)))
 
     @pytest.mark.parametrize(
         "n, n_test, error, match",
