@@ -17,10 +17,12 @@ Student-t kernel ``_student_t_logpdf``.
 ``_score_extensions`` scores every one-column extension of a model, as a
 forward-search step needs: one BLAS-3 pass over the current model's P^-1
 that updates leverages, fitted values and scale for all candidate columns
-at once (block-inverse identity), and the closed-form LOO on the n x c
-block. A replication axis makes the block n x m x c: m responses that share
-the model's design, as the many-candidate null's replications share the
-intercept-only baseline, go through the same pass. A forward search
+at once (block-inverse identity), and the closed-form LOO on the c x n
+block. The block is candidate-major: each candidate is one contiguous row
+of n observations, so every per-candidate reduction and broadcast runs
+along a row. A replication axis makes the block m x c x n: m responses
+that share the model's design, as the many-candidate null's replications
+share the intercept-only baseline, go through the same pass. A forward search
 carries the chosen extension's ``PosteriorFit`` to the next step by
 bordering P^-1 with that column's terms, so only its starting model is
 fit; ``_border_rows`` moves any design rows of a bordered model, training
@@ -259,20 +261,23 @@ def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> E
     )
 
 
-def _border_terms(post: PosteriorFit, X: np.ndarray, prior: NigPrior):
-    """Terms of extending the model fit ``post`` by each column x of ``X``.
+def _border_terms(post: PosteriorFit, X: np.ndarray, xx: np.ndarray, prior: NigPrior):
+    """Terms of extending the model fit ``post`` by each candidate column x,
+    a row of the c x n ``X`` whose sums of squares x'x are ``xx``.
 
-    Returns U = P^-1 A'X, E = X - A U (columns e = x - H x for the hat
+    Returns U (rows u' for u = P^-1 A'x), E (rows e = x - H x for the hat
     matrix H), s = x'e + 1/v0, and where s is rounding noise: s >= 1/v0 in
     exact arithmetic, so s <= n*eps*x'x means the extended precision is
     singular in floating point. A zero column extends the model to itself
     (e = 0, s = 1/v0).
     """
-    U = post.cov @ (post.A.T @ X)
-    E = post.A @ U
+    # the d x c product P^-1 A'X, transposed: X A P^-1 gives the same U but
+    # touches more of BLAS's packing buffers (~64 KiB more RSS at n = 1000)
+    U = (post.cov @ (post.A.T @ X.T)).T
+    E = U @ post.A.T
     np.subtract(X, E, out=E)
-    s = np.einsum("ij,ij->j", X, E) + 1.0 / prior.v0
-    noise = s <= X.shape[0] * np.finfo(float).eps * np.einsum("ij,ij->j", X, X)
+    s = np.einsum("ij,ij->i", X, E) + 1.0 / prior.v0
+    noise = s <= X.shape[1] * np.finfo(float).eps * xx
     return U, E, s, noise
 
 
@@ -317,8 +322,8 @@ def _border_rows(A, x, loc, lev, b_n, u, s, ey, refits=()):
     with that fit, whose b_n it takes and from which its rows are predicted.
     """
     e = x - (A @ u[..., None])[..., 0]
-    loc = loc + e * np.expand_dims(ey / s, -1)
-    lev = lev + e**2 / np.expand_dims(s, -1)
+    loc = loc + e * np.asarray(ey / s)[..., None]
+    lev = lev + e**2 / np.asarray(s)[..., None]
     # halved after the division: 2s can overflow where s does not
     b_n = np.asarray(b_n - ey**2 / s / 2.0)
     for i, post in refits:
@@ -328,99 +333,101 @@ def _border_rows(A, x, loc, lev, b_n, u, s, ey, refits=()):
 
 
 def _score_extensions(
-    post: PosteriorFit, X: np.ndarray, y: np.ndarray, prior: NigPrior, model
+    post: PosteriorFit, X: np.ndarray, xx: np.ndarray, y: np.ndarray, prior: NigPrior, model
 ):
-    """Exact LOO of the model fit as ``post`` extended by each column of
-    ``X``, from its P^-1.
+    """Exact LOO of the model fit as ``post`` extended by each candidate
+    column, a row of ``X``, from its P^-1.
 
-    ``X`` is n x c and ``y`` the response. For m replications that share
-    the design of ``post`` (its P^-1, A and h) but not their responses,
-    ``X`` is n x m x c, ``y`` n x m, and ``post``'s ``resid`` n x m and
-    ``b_n`` length m. Returns ``(pointwise, estimates, U, s, ey, ok)``: the
-    block of pointwise elpds, shaped as ``X``, its column sums and, per
-    candidate, ``_border_terms``' U (d x [m x] c) and s, e'y and whether
-    the closed form held. All candidates go through one BLAS-3 pass and
+    ``X`` is c x n, ``xx`` its rows' sums of squares and ``y`` the
+    response. For m replications that share the design of ``post`` (its
+    P^-1, A and h) but not their responses, ``X`` is m x c x n, ``xx`` m x
+    c, ``y`` m x n, and ``post``'s ``resid`` m x n and ``b_n`` length m.
+    Returns ``(pointwise, estimates, U, s, ey, ok)``: the block of
+    pointwise elpds, shaped as ``X``, its row sums and, per candidate,
+    ``_border_terms``' u (U is [m x] c x d) and s, e'y and whether the
+    closed form held. All candidates go through one BLAS-3 pass and
     ``_extension_loo``. Only a candidate whose extended model breaches the
     closed form's guard (leverage >= 1 - 1e-10, a downdated scale <= 0, or
     s rounding noise) is scored on its own, by ``elpd_loo_exact`` on the
     dataset ``model(*index)`` of its extended model.
     """
-    n, shape = X.shape[0], X.shape[1:]
+    *shape, n = X.shape
     _require_loo_rows(n)
-    U, E, s, noise = _border_terms(post, X.reshape(n, -1), prior)
-    U, E = U.reshape(-1, *shape), E.reshape(X.shape)
+    U, E, s, noise = _border_terms(post, X.reshape(-1, n), xx.reshape(-1), prior)
+    U, E = U.reshape(*shape, -1), E.reshape(X.shape)
+    # X is dead from here on: a block the caller built in the call itself
+    # (as forward_search's gathered rows) is freed before the closed
+    # form's blocks are made
+    del X
     s, noise = s.reshape(shape), noise.reshape(shape)
-    # the bits of E.T @ y when X is n x c
-    ey = (np.moveaxis(E, 0, -1) @ np.moveaxis(y, 0, -1)[..., None])[..., 0]
-    omh = (1.0 - post.h).reshape((n,) + (1,) * len(shape))
+    ey = (E @ y[..., None])[..., 0]
     pointwise, ok = _extension_loo(
-        post.resid[..., None], omh, np.expand_dims(post.b_n, -1), post.a_n, E, s, ey
+        post.resid[..., None, :], 1.0 - post.h, np.asarray(post.b_n)[..., None],
+        post.a_n, E, s, ey,
     )
     ok &= ~noise
     del E
     for index in zip(*np.nonzero(~ok)):
-        pointwise[(slice(None),) + index] = elpd_loo_exact(model(*index), prior).pointwise
-    estimates = _column_fsums(pointwise.reshape(n, -1)).reshape(shape)
+        pointwise[index] = elpd_loo_exact(model(*index), prior).pointwise
+    estimates = _row_fsums(pointwise.reshape(-1, n)).reshape(shape)
     return pointwise, estimates, U, s, ey, ok
 
 
 def _extension_loo(resid, omh, b_n, a_n, E, s, ey):
-    """Closed-form exact LOO of a model extended by each column e of ``E``.
+    """Closed-form exact LOO of a model extended by each candidate column,
+    whose e is a row of ``E``.
 
     ``resid``, ``omh`` (1 - h) and ``b_n`` are the model's, shaped to
-    broadcast against ``E`` and, for ``b_n``, against ``s`` and ``ey``
-    (e'y). Adding a column moves the residuals to r - e (e'y)/s, the
-    leverages to h + e^2/s and b_n to b_n - (e'y)^2/(2s). Returns
-    ``_loo_closed_form``'s densities and guard, and overwrites ``E``: with
-    in-place updates at most three arrays of E's size are alive at once,
-    so peak memory stays near that of a single-candidate fit.
+    broadcast against ``E`` (observations on its last axis) and, for
+    ``b_n``, against ``s`` and ``ey`` (e'y). Adding a column moves the
+    residuals to r - e (e'y)/s, the leverages to h + e^2/s and b_n to
+    b_n - (e'y)^2/(2s). Returns ``_loo_closed_form``'s densities and guard,
+    and overwrites ``E``: with in-place updates at most three arrays of E's
+    size are alive at once, so peak memory stays near that of a
+    single-candidate fit.
     """
-    resid_ext = E * (ey / s)
+    resid_ext = E * (ey / s)[..., None]
     np.subtract(resid, resid_ext, out=resid_ext)
     omh_ext = np.square(E, out=E)
-    omh_ext /= s
+    omh_ext /= s[..., None]
     np.subtract(omh, omh_ext, out=omh_ext)
-    return _loo_closed_form(resid_ext, omh_ext, b_n - ey**2 / s / 2.0, a_n)
+    return _loo_closed_form(resid_ext, omh_ext, (b_n - ey**2 / s / 2.0)[..., None], a_n)
 
 
-def _column_fsums(block: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every column of ``block``, bit for bit, in one pass.
+def _row_fsums(block: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every row of ``block``, bit for bit, in one pass.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 2008): with
-    sigma = 2^(ceil(log2 max|col|) + ceil(log2(n + 2))), the high parts
-    q = (sigma + x) - sigma of a column sum exactly in any order, and
-    x - q is exact. Passes repeat on the remainders until they are all
-    zero; ``math.fsum`` of a column's few exact partial sums is then the
-    correctly rounded total. Non-finite columns, and columns whose sigma
-    would overflow, are summed by ``math.fsum`` directly.
+    summation part I", SIAM J. Sci. Comput. 2008): with max|x| taken over
+    the whole block and sigma = 2^(ceil(log2 max|x|) + ceil(log2(n + 2))),
+    the high parts q = (sigma + x) - sigma of a row sum exactly in any
+    order, and x - q is exact. Passes repeat on the remainders until they
+    are all zero; ``math.fsum`` of a row's few exact partial sums is then
+    the correctly rounded total. One sigma serves every row, so each pass
+    is a scalar operation on the block. Non-finite rows, and rows whose
+    sigma would overflow, are summed by ``math.fsum`` directly.
     """
-    n, c = block.shape
+    c, n = block.shape
     shift = math.ceil(math.log2(n + 2))
     out = np.empty(c)
-
-    def ceil_log2(top):
-        mant, expo = np.frexp(top)
-        return expo - (mant == 0.5)
-
-    top = np.max(np.abs(block), axis=0)
-    fast = np.isfinite(top)
-    fast[fast] = ceil_log2(top[fast]) + shift <= 1023
+    top = np.maximum(block.max(axis=1), -block.min(axis=1))
+    # NaN compares False: a non-finite row is never fast
+    fast = top <= 2.0 ** (1023 - shift)
     for k in np.flatnonzero(~fast):
-        out[k] = math.fsum(block[:, k].tolist())
-    cols = np.flatnonzero(fast)
-    r = block[:, cols]
+        out[k] = math.fsum(block[k].tolist())
+    r = block[fast]
     q = np.empty_like(r)
-    top = top[cols]
-    partials = [np.zeros(cols.size)]
-    while top.any():
-        sigma = np.ldexp(1.0, ceil_log2(top) + shift)
+    top = float(top[fast].max(initial=0.0))
+    partials = [np.zeros(len(r))]
+    while top:
+        mant, expo = math.frexp(top)
+        sigma = math.ldexp(1.0, expo - (mant == 0.5) + shift)
         np.add(r, sigma, out=q)
         q -= sigma
         r -= q
-        partials.append(q.sum(axis=0))
-        top = np.abs(r, out=q).max(axis=0)
-    out[cols] = [math.fsum(col) for col in np.array(partials).T.tolist()]
+        partials.append(q.sum(axis=1))
+        top = max(r.max(), -r.min())
+    out[fast] = [math.fsum(row) for row in np.array(partials).T.tolist()]
     return out
 
 
@@ -429,7 +436,8 @@ def _loo_closed_form(resid, omh, b_n, a_n):
 
     ``resid`` holds the full-data residuals y - mu, ``omh`` the complements
     1 - h of the leverages, ``b_n`` and ``a_n`` the full-data posterior;
-    2-d arrays hold one model per column. Without row i the posterior has
+    observations run along the last axis, and the leading axes of a block
+    hold one model per row. Without row i the posterior has
     shape a_n - 1/2 and scale b_i = b_n - r_i^2 / (2 (1 - h_i)), and y_i is
     Student-t with location y_i - r_i / (1 - h_i) and squared scale
     (b_i / (a_n - 1/2)) / (1 - h_i), which ``_student_t_logpdf`` scores.
@@ -443,7 +451,7 @@ def _loo_closed_form(resid, omh, b_n, a_n):
         q /= omh
         q *= 0.5
         b_i = b_n - q
-        ok = (np.min(omh, axis=0) > 1e-10) & (np.min(b_i, axis=0) > 0)
+        ok = (np.min(omh, axis=-1) > 1e-10) & (np.min(b_i, axis=-1) > 0)
         q /= b_i
         b_i /= omh
         return _student_t_logpdf(q, b_i, a_n - 0.5), ok

@@ -71,9 +71,11 @@ def read_dataset_csv(path, target: str) -> Dataset:
         )
     ti = header.index(target)
     keep = [i for i in range(len(header)) if i != ti]
+    # the response is copied too: a view of it would keep the whole parsed
+    # matrix alive for as long as the dataset
     return Dataset(
         values[:, keep],
-        values[:, ti],
+        values[:, ti].copy(),
         columns=tuple(header[i] for i in keep),
     )
 

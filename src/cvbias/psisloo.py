@@ -72,15 +72,16 @@ class ElpdDiff:
 def elpd_se(pointwise):
     """Standard error of a pointwise elpd vector: sqrt(n/(n-1) * sum((x-mean)^2)).
 
-    A 2-d array (n x c) gives the c standard errors of its columns.
+    A 2-d array (c x n, one vector per row) gives the c standard errors of
+    its rows.
     """
     x = np.atleast_1d(np.asarray(pointwise, dtype=float))
-    n = x.shape[0]
+    n = x.shape[-1]
     if n < 2:
         raise TooFewObservations("standard error needs at least 2 observations")
     # squaring in place keeps one centred copy alive, not two
-    d = x - x.mean(axis=0)
-    se = np.sqrt(n / (n - 1.0) * np.sum(np.square(d, out=d), axis=0))
+    d = x - x.mean(axis=-1, keepdims=True)
+    se = np.sqrt(n / (n - 1.0) * np.sum(np.square(d, out=d), axis=-1))
     return float(se) if x.ndim == 1 else se
 
 

@@ -154,8 +154,9 @@ def _predictor(data: Dataset, j: int) -> str:
     return repr(data.columns[j]) if data.columns else str(j + 1)
 
 
-def _require_finite_squares(data: Dataset, which: str) -> None:
-    """NonFiniteInput naming the first column whose sum of squares overflows.
+def _require_finite_squares(data: Dataset, which: str) -> np.ndarray:
+    """The predictors' sums of squares; NonFiniteInput naming the first
+    column whose sum of squares overflows.
 
     Every fit squares the predictors and the response; an overflow there
     makes the elpds NaN, infinite or silently wrong.
@@ -169,6 +170,7 @@ def _require_finite_squares(data: Dataset, which: str) -> None:
         raise NonFiniteInput(f"{which} predictor {name} overflows when squared")
     if not np.isfinite(y_squares):
         raise NonFiniteInput(f"{which} response overflows when squared")
+    return squares
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -178,8 +180,9 @@ def forward_search(
     """Greedy forward search maximizing the exact LOO elpd point estimate.
 
     Each step scores all its candidates from the current model's carried
-    ``PosteriorFit`` in one BLAS-3 pass (``conjlm._score_extensions``),
-    giving the diffs and paired standard errors; only the chosen column is
+    ``PosteriorFit`` in one BLAS-3 pass (``conjlm._score_extensions``) over
+    a candidate-major block, one contiguous row of n values per candidate,
+    giving the diffs and paired standard errors; only the chosen row is
     kept. The chosen column's u = P^-1 A'x, s and e'y border that fit; only
     the starting model and a chosen candidate that breached the closed
     form's guard are fit afresh. Ties break to the lowest predictor index.
@@ -209,7 +212,7 @@ def forward_search(
         raise EmptyCandidateSet(f"max_size {max_size} exceeds {p} predictors")
     if max_size < 1:
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
-    _require_finite_squares(data, "training")
+    squares = _require_finite_squares(data, "training")
     if test is not None:
         _require_finite_squares(test, "test")
 
@@ -230,14 +233,16 @@ def forward_search(
     steps: list[SearchStep] = []
     for _ in range(max_size):
         cands = [j for j in range(p) if j not in cols]
+        # each candidate's column gathered into one contiguous row
         pointwise, estimates, U, s, ey, ok = _score_extensions(
-            post, data.X[:, cands], data.y, prior, lambda k: data.subset(cols + (cands[k],))
+            post, data.X.T[cands], squares[cands], data.y, prior,
+            lambda k: data.subset(cols + (cands[k],)),
         )
         diffs = estimates - prev_elpd
         best = int(np.argmax(diffs))
-        # a copy, so that no step keeps the n x c block alive
-        chosen = pointwise[:, best].copy()
-        pointwise -= prev_pointwise[:, None]
+        # a copy, so that no step keeps the c x n block alive
+        chosen = pointwise[best].copy()
+        pointwise -= prev_pointwise
         ses = elpd_se(pointwise)
         # free the block before the next step's kernel builds its own
         del pointwise
@@ -248,7 +253,7 @@ def forward_search(
         elpd_after = float(estimates[best])
         j = cands[best]
         cols += (j,)
-        terms = U[:, best], s[best], ey[best]
+        terms = U[best], s[best], ey[best]
         refits = [] if ok[best] else [((), fit(data.subset(cols), prior))]
         if test is not None:
             x = test.X[:, j]

@@ -171,24 +171,26 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior):
     residuals and b_n are per dataset, in the stacked baseline fit that is
     returned first. Each dataset's columns follow a zero column, which
     extends the baseline to itself, so the baselines and all candidates go
-    through one ``conjlm._score_extensions`` pass, whose estimates, U, s,
-    e'y and ok follow, with a replication axis before the model axis:
-    model 0 is the baseline and model k the one with predictor k - 1.
+    through one ``conjlm._score_extensions`` pass on an m x K x n block,
+    whose estimates, U, s, e'y and ok follow, with a replication axis
+    before the model axis: model 0 is the baseline and model k the one
+    with predictor k - 1.
     """
     m = len(datasets)
     n, K = datasets[0].n, datasets[0].p + 1
-    X = np.zeros((n, m, K))
-    Y = np.empty((n, m))
+    X = np.zeros((m, K, n))
+    Y = np.empty((m, n))
     for r, ds in enumerate(datasets):
-        X[:, r, 1:] = ds.X
-        Y[:, r] = ds.y
+        X[r, 1:] = ds.X.T
+        Y[r] = ds.y
     base = fit(datasets[0].subset(()), prior)
-    mean = base.h[0] * Y.sum(axis=0)
-    R = Y - mean
-    b_n = prior.b0 + 0.5 * (np.einsum("ij,ij->j", R, R) + mean**2 / prior.v0)
+    mean = base.h[0] * Y.sum(axis=1)
+    R = Y - mean[:, None]
+    b_n = prior.b0 + 0.5 * (np.einsum("ij,ij->i", R, R) + mean**2 / prior.v0)
     base = dc_replace(base, mean_n=mean[None], b_n=b_n, resid=R)
     _, estimates, U, s, ey, ok = _score_extensions(
-        base, X, Y, prior, lambda r, k: datasets[r].subset(() if k == 0 else (k - 1,))
+        base, X, np.einsum("rki,rki->rk", X, X), Y, prior,
+        lambda r, k: datasets[r].subset(() if k == 0 else (k - 1,)),
     )
     return base, estimates, U, s, ey, ok
 
@@ -229,7 +231,7 @@ def _many_k_test_elpds(
             (r, fit(datasets[r].subset((cols[r],)), prior))
             for r in np.flatnonzero(~ok[rows, k])
         ]
-        terms = U[:, rows, k].T, s[rows, k], ey[rows, k]
+        terms = U[rows, k], s[rows, k], ey[rows, k]
         loc, lev, b_n = _border_rows(ones, x, mean, h, base.b_n, *terms, refits)
         out.append(scaled_mean(loc, lev, b_n))
     return out

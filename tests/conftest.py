@@ -1,6 +1,12 @@
 import os
 
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, so a tier-1 result is a fact, not a
+# draw; a test's own @settings keeps its example count and deadline
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True)

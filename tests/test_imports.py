@@ -274,7 +274,7 @@ PRIVATE_CONJLM_IMPORTS = {
 }
 KERNEL_INTERNALS = {
     "_border_terms",
-    "_column_fsums",
+    "_row_fsums",
     "_extension_loo",
     "_loo_closed_form",
     "_student_t_logpdf",

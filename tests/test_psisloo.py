@@ -151,12 +151,12 @@ class TestElpdSe:
         expected = np.sqrt(x.size) * np.std(x, ddof=1)
         assert elpd_se(x) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
-    def test_columns_of_a_block_match_vectors(self):
-        block = np.random.default_rng(5).standard_normal((50, 7)) * 3.0 - 2.0
+    def test_rows_of_a_block_match_vectors(self):
+        block = np.random.default_rng(5).standard_normal((7, 50)) * 3.0 - 2.0
         ses = elpd_se(block)
         assert isinstance(ses, np.ndarray) and ses.shape == (7,)
         for k in range(7):
-            one = elpd_se(block[:, k])
+            one = elpd_se(block[k])
             assert type(one) is float
             assert ses[k] == pytest.approx(one, rel=1e-12, abs=0.0)
 

@@ -156,9 +156,11 @@ class TestForwardSearch:
 
     @pytest.mark.parametrize("prior", [PRIOR, NigPrior.tight()], ids=["diffuse", "tight"])
     def test_batched_steps_match_per_candidate_path(self, prior):
-        train, _ = gen_block(BlockDgpSpec(n=60, p=10, rho=0.6, seed=35))
-        batched = forward_search(train, prior, max_size=10)
+        # the test set is scored along the way and changes nothing else
+        train, test = gen_block(BlockDgpSpec(n=60, p=10, rho=0.6, seed=35, n_test=200))
+        batched = forward_search(train, prior, max_size=10, test=test)
         per_candidate = refit_search(train, prior, max_size=10)
+        assert_test_mlpds_match_refits(batched, train, test, prior)
         assert batched.predictors() == per_candidate.predictors()
         # before correct_path the corrected fields hold the raw values
         assert np.array_equal(batched.corrected_elpds(), batched.raw_elpds())
@@ -223,8 +225,8 @@ class TestCarriedPosterior:
         for k in range(p):
             post = fit(data.subset(range(k)), prior)
             x = data.X[:, k]
-            U, E, s, _ = conjlm._border_terms(post, x[:, None], prior)
-            got = conjlm._border(post, x, U[:, 0], s[0], E[:, 0] @ data.y)
+            U, E, s, _ = conjlm._border_terms(post, x[None], np.array([x @ x]), prior)
+            got = conjlm._border(post, x, U[0], s[0], E[0] @ data.y)
             want = fit(data.subset(range(k + 1)), prior)
             for field in ("mean_n", "cov", "b_n", "A", "h", "resid"):
                 assert_close(getattr(got, field), getattr(want, field), 1e-10)
