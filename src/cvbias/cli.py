@@ -247,40 +247,61 @@ def cmd_compare(args) -> None:
         print(dump_json(bundle))
 
 
+@contextlib.contextmanager
+def _made_dir(path: Path):
+    """Make the directory ``path`` and its missing parents for the block.
+
+    If the block fails, the directories made here are removed, deepest
+    first, while they are empty: the first one that is not ends it, and the
+    files written so far stay. A directory that was there before is kept.
+    """
+    made = [d for d in (path, *path.parents) if not d.exists()]
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        yield
+    except BaseException:
+        with contextlib.suppress(OSError):
+            for d in made:
+                os.rmdir(d)
+        raise
+
+
 def cmd_forward(args) -> None:
     # the search runs long before correct_path would reject these
     check_alpha(args.alpha)
     check_multiplier(args.multiplier)
-    if args.output:  # made first, so an unusable prefix fails before any read
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-    data = read_dataset_csv(args.data, args.target)
-    test = read_dataset_csv(args.test, args.target) if args.test else None
-    prior = PRIOR_PRESETS[args.prior]()
-    max_size = args.max_size if args.max_size is not None else data.p
-    path = forward_search(data, prior, max_size=max_size, test=test)
-    path = correct_path(path, multiplier=args.multiplier, alpha=args.alpha)
-    verdicts = stopping_rules(path)
-    inputs = [args.data] + ([args.test] if args.test else [])
-    names = data.columns
-    rows = path.to_rows()
-    for row in rows:
-        idx = row["predictor_added"]
-        row["predictor_name"] = None if idx is None else names[idx]
-    bundle = {
-        "report": "forward",
-        "verdicts": verdicts.to_dict(),
-        "path": rows,
-        "selected_predictors": [names[i] for i in path.predictors()],
-        "provenance": _provenance(args, inputs),
-    }
-    if args.output:
-        write_rows_csv(f"{args.output}.path.csv", rows)
-        report = Path(f"{args.output}.report.json")
-        report.write_text(dump_json(bundle) + "\n", encoding="utf-8")
-    elif args.format == "csv":
-        write_rows_csv(sys.stdout, rows)
-    else:
-        print(dump_json(bundle))
+    # the output files' directory is made first, so an unusable prefix
+    # fails before any read; a prefix that ends in a separator names it
+    where = Path(f"{args.output}.path.csv").parent if args.output else None
+    with _made_dir(where) if where else contextlib.nullcontext():
+        data = read_dataset_csv(args.data, args.target)
+        test = read_dataset_csv(args.test, args.target) if args.test else None
+        prior = PRIOR_PRESETS[args.prior]()
+        max_size = args.max_size if args.max_size is not None else data.p
+        path = forward_search(data, prior, max_size=max_size, test=test)
+        path = correct_path(path, multiplier=args.multiplier, alpha=args.alpha)
+        verdicts = stopping_rules(path)
+        inputs = [args.data] + ([args.test] if args.test else [])
+        names = data.columns
+        rows = path.to_rows()
+        for row in rows:
+            idx = row["predictor_added"]
+            row["predictor_name"] = None if idx is None else names[idx]
+        bundle = {
+            "report": "forward",
+            "verdicts": verdicts.to_dict(),
+            "path": rows,
+            "selected_predictors": [names[i] for i in path.predictors()],
+            "provenance": _provenance(args, inputs),
+        }
+        if args.output:
+            write_rows_csv(f"{args.output}.path.csv", rows)
+            report = Path(f"{args.output}.report.json")
+            report.write_text(dump_json(bundle) + "\n", encoding="utf-8")
+        elif args.format == "csv":
+            write_rows_csv(sys.stdout, rows)
+        else:
+            print(dump_json(bundle))
 
 
 # The JSON kinds of config values, by their names in error messages, and
@@ -378,9 +399,7 @@ def cmd_simulate(args) -> None:
         check_alpha(config["alpha"])
     out_dir = Path(args.output)
     # made before any task runs, so that an unusable path fails first
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with _made_dir(out_dir):
         if experiment == "many_k":
             shared = _given(config, "n", "beta_delta", "seed")
             specs = [sim.NestedDgpSpec(K=k, **shared) for k in config["k_grid"]]
@@ -418,13 +437,6 @@ def cmd_simulate(args) -> None:
             "provenance": _provenance(args, [path]),
         }
         (out_dir / "summary.json").write_text(dump_json(bundle) + "\n", encoding="utf-8")
-    except BaseException:
-        # remove what this run made, deepest first; the first directory that
-        # is not empty ends it, and the files written so far stay
-        with contextlib.suppress(OSError):
-            for d in made:
-                os.rmdir(d)
-        raise
     print(dump_json({"output": args.output, "result": result}))
 
 

@@ -349,7 +349,10 @@ def _score_extensions(
     ``_extension_loo``. Only a candidate whose extended model breaches the
     closed form's guard (leverage >= 1 - 1e-10, a downdated scale <= 0, or
     s rounding noise) is scored on its own, by ``elpd_loo_exact`` on the
-    dataset ``model(*index)`` of its extended model.
+    dataset ``model(*index)`` of its extended model. The row sums are
+    numpy's, taken once that candidate's row is in the block, so every
+    total is formed the same way: identical rows give equal totals, and a
+    caller's argmax breaks their tie to the lowest index.
     """
     *shape, n = X.shape
     _require_loo_rows(n)
@@ -369,7 +372,7 @@ def _score_extensions(
     del E
     for index in zip(*np.nonzero(~ok)):
         pointwise[index] = elpd_loo_exact(model(*index), prior).pointwise
-    estimates = _row_fsums(pointwise.reshape(-1, n)).reshape(shape)
+    estimates = pointwise.sum(axis=-1)
     return pointwise, estimates, U, s, ey, ok
 
 
@@ -392,43 +395,6 @@ def _extension_loo(resid, omh, b_n, a_n, E, s, ey):
     omh_ext /= s[..., None]
     np.subtract(omh, omh_ext, out=omh_ext)
     return _loo_closed_form(resid_ext, omh_ext, (b_n - ey**2 / s / 2.0)[..., None], a_n)
-
-
-def _row_fsums(block: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every row of ``block``, bit for bit, in one pass.
-
-    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 2008): with max|x| taken over
-    the whole block and sigma = 2^(ceil(log2 max|x|) + ceil(log2(n + 2))),
-    the high parts q = (sigma + x) - sigma of a row sum exactly in any
-    order, and x - q is exact. Passes repeat on the remainders until they
-    are all zero; ``math.fsum`` of a row's few exact partial sums is then
-    the correctly rounded total. One sigma serves every row, so each pass
-    is a scalar operation on the block. Non-finite rows, and rows whose
-    sigma would overflow, are summed by ``math.fsum`` directly.
-    """
-    c, n = block.shape
-    shift = math.ceil(math.log2(n + 2))
-    out = np.empty(c)
-    top = np.maximum(block.max(axis=1), -block.min(axis=1))
-    # NaN compares False: a non-finite row is never fast
-    fast = top <= 2.0 ** (1023 - shift)
-    for k in np.flatnonzero(~fast):
-        out[k] = math.fsum(block[k].tolist())
-    r = block[fast]
-    q = np.empty_like(r)
-    top = float(top[fast].max(initial=0.0))
-    partials = [np.zeros(len(r))]
-    while top:
-        mant, expo = math.frexp(top)
-        sigma = math.ldexp(1.0, expo - (mant == 0.5) + shift)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        r -= q
-        partials.append(q.sum(axis=1))
-        top = max(r.max(), -r.min())
-    out[fast] = [math.fsum(row) for row in np.array(partials).T.tolist()]
-    return out
 
 
 def _loo_closed_form(resid, omh, b_n, a_n):

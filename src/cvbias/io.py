@@ -115,9 +115,12 @@ def dump_json(obj) -> str:
 
 
 def sha256_file(path) -> str:
-    """Hex SHA-256 of the file at ``path``, read in 1 MiB chunks."""
+    """Hex SHA-256 of the file at ``path``, read through one reused 64 KiB
+    buffer: no chunk becomes a bytes object of its own."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            digest.update(view[:size])
     return digest.hexdigest()

@@ -615,6 +615,44 @@ class TestForward:
         assert len(rows) == 7
         assert rows[1]["test_mlpd"] != ""
 
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (["missing.csv", "--target", "y"], "cannot read missing.csv"),
+            (["d.csv", "--target", "zzz"], "target column 'zzz' not found"),
+            (["d.csv", "--target", "y", "--max-size", "5"], "max_size 5 exceeds 1 predictors"),
+        ],
+        ids=["missing_csv", "unknown_target", "max_size"],
+    )
+    def test_failed_run_leaves_no_directory_it_made(
+        self, tmp_path, monkeypatch, capsys, argv, word
+    ):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(98)
+        write_dataset(
+            tmp_path / "d.csv", Dataset(rng.standard_normal((20, 1)), rng.standard_normal(20))
+        )
+        for prefix in ("o/run", "a/b/run"):
+            assert main(["forward", *argv, "--output", prefix]) == 1
+            assert_one_line_error(capsys, word)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+        # a directory that was there before the run stays, with what it holds
+        (tmp_path / "o").mkdir()
+        (tmp_path / "o" / "keep").write_text("")
+        assert main(["forward", *argv, "--output", "o/new/run"]) == 1
+        assert_one_line_error(capsys, word)
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["keep"]
+
+    def test_prefix_ending_in_a_separator_names_the_directory(self, tmp_path, capsys):
+        # the directory is made before the search, not missed by the writes after it
+        rng = np.random.default_rng(99)
+        data = write_dataset(
+            tmp_path / "d.csv", Dataset(rng.standard_normal((20, 2)), rng.standard_normal(20))
+        )
+        out = tmp_path / "new"
+        assert main(["forward", str(data), "--target", "y", "--output", f"{out}{os.sep}"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [".path.csv", ".report.json"]
+
 
 class TestSimulate:
     def test_empty_config_rejected(self, tmp_path, capsys):

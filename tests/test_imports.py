@@ -274,7 +274,6 @@ PRIVATE_CONJLM_IMPORTS = {
 }
 KERNEL_INTERNALS = {
     "_border_terms",
-    "_row_fsums",
     "_extension_loo",
     "_loo_closed_form",
     "_student_t_logpdf",

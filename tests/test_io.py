@@ -128,7 +128,11 @@ class TestReadDatasetCsv:
             read_dataset_csv(path, "y")
 
 
-@pytest.mark.parametrize("size", [0, (5 << 19) + 3], ids=["empty", "several_chunks"])
+@pytest.mark.parametrize(
+    "size",
+    [0, 1, 65535, 65536, 65537, (5 << 19) + 3],
+    ids=["empty", "one_byte", "one_short", "one_buffer", "one_over", "several_chunks"],
+)
 def test_sha256_file_streams_the_whole_file(tmp_path, size):
     data = np.random.default_rng(size).bytes(size)
     path = tmp_path / "blob"

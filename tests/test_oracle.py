@@ -37,7 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvbias import conjlm, sim
+from cvbias import conjlm, search, sim
 from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred
 from cvbias.sim import NestedDgpSpec, gen_nested
 
@@ -178,6 +178,22 @@ def test_score_extensions_candidates(prior_name):
         tol = bound(data.subset((0, j)), prior)
         assert_within(pointwise[k], ref_pointwise, tol)
         assert_within(estimates[k], ref_total, 20 * tol)
+
+
+@pytest.mark.parametrize("prior_name", sorted(PRIORS))
+def test_forward_path(prior_name):
+    # every size of a search: the carried posterior is bordered by each
+    # chosen column, and the test rows move with it
+    train, test, prior = design(20, 4, 5), design(10, 4, 8), PRIORS[prior_name]
+    path = search.forward_search(train, prior, 4, test=test)
+    chosen = path.predictors()
+    for size, (elpd, test_mlpd) in enumerate(zip(path.raw_elpds(), path.test_mlpds())):
+        cols = tuple(chosen[:size])
+        tol = bound(train.subset(cols), prior)
+        _, ref_total = cached_loo(20, 4, 5, prior_name, cols)
+        assert_within(elpd, ref_total, 20 * tol)
+        ref_mlpd = np.mean(mp_held_out(train.subset(cols), test.subset(cols), prior))
+        assert_within(test_mlpd, ref_mlpd, tol)
 
 
 @pytest.mark.parametrize("prior_name", sorted(PRIORS))
