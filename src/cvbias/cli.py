@@ -306,14 +306,12 @@ def cmd_forward(args) -> None:
 
 # The JSON kinds of config values, by their names in error messages, and
 # the test a parsed value must pass: JSON gives exact types, so 30.9, "2"
-# and true are no integer. A "real" is passed on as a float and a "number"
-# as written, so a multiplier of 1 names ``forward_path_m1.csv``.
+# and true are no integer. A "number" is passed on as a float.
 _PRIOR = f"one of {', '.join(map(repr, sorted(PRIOR_PRESETS)))}"
 _KINDS = {
     "string": lambda v: type(v) is str,
     "integer": lambda v: type(v) is int,
     "number": lambda v: type(v) in (int, float),
-    "real": lambda v: type(v) in (int, float),
     "boolean": lambda v: type(v) is bool,
     _PRIOR: lambda v: type(v) is str and v in PRIOR_PRESETS,
 }
@@ -321,15 +319,15 @@ _KINDS = {
 # Each experiment's keys with the kind of each value (``[kind]``: a list of
 # them), and the keys its config must give. A key left out is not passed
 # on, so the defaults are those of ``cvbias.sim``'s specs and runners.
-_COMMON_KEYS = {"experiment": "string", "base_seed": "integer", "alpha": "real"}
+_COMMON_KEYS = {"experiment": "string", "base_seed": "integer", "alpha": "number"}
 _CONFIG_KEYS = {
     "many_k": {
-        **_COMMON_KEYS, "n": "integer", "beta_delta": "real", "k_grid": ["integer"],
+        **_COMMON_KEYS, "n": "integer", "beta_delta": "number", "k_grid": ["integer"],
         "replications": "integer", "n_test": "integer",
     },
     "forward": {
-        **_COMMON_KEYS, "p": "integer", "n_grid": ["integer"], "rho_grid": ["real"],
-        "block_size": "integer", "xi": "real", "sigma2": "real", "n_relevant": "integer",
+        **_COMMON_KEYS, "p": "integer", "n_grid": ["integer"], "rho_grid": ["number"],
+        "block_size": "integer", "xi": "number", "sigma2": "number", "n_relevant": "integer",
         "n_test": "integer", "multipliers": ["number"], "priors": [_PRIOR],
         "replications": "integer", "guard": "boolean",
     },
@@ -352,7 +350,10 @@ def _checked(value, kind, key: str, path):
         return out
     if not _KINDS[kind](value):
         raise ConfigError(f"{path}: {key} must be {kind}, got {value!r}")
-    return float(value) if kind == "real" else value
+    # an integer past the float range is infinite, as JSON's 1e999 is
+    if kind == "number" and abs(value) > sys.float_info.max:
+        return math.inf if value > 0 else -math.inf
+    return float(value) if kind == "number" else value
 
 
 def _read_config(path) -> dict:
@@ -423,12 +424,6 @@ def cmd_simulate(args) -> None:
             run_rows, path_rows = sim.run_forward_experiment(specs, **run_args, map_fn=_map_on_cpus)
             write_rows_csv(out_dir / "forward_runs.csv", run_rows)
             write_rows_csv(out_dir / "forward_path.csv", path_rows)
-            multipliers = dict.fromkeys(r["multiplier"] for r in path_rows)
-            if len(multipliers) > 1:
-                # one trajectory file per multiplier for direct plotting
-                for m in multipliers:
-                    subset = [r for r in path_rows if r["multiplier"] == m]
-                    write_rows_csv(out_dir / f"forward_path_m{m}.csv", subset)
             result = {"experiment": experiment, "n_runs": len(run_rows)}
 
         bundle = {
@@ -505,6 +500,10 @@ def main(argv=None) -> int:
             # fails after its open carries no file name)
             where = exc.filename or args.output
             print(f"cvbias: error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+            code = 1
+        except MemoryError as exc:
+            # numpy's message, if any, names the array it could not allocate
+            print(f"cvbias: error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
             code = 1
     text = collected.getvalue()
     try:

@@ -112,13 +112,20 @@ def elpd_diff(a: ElpdEstimate, b: ElpdEstimate) -> ElpdDiff:
         raise ShapeMismatch(
             f"pointwise shapes differ: {a.pointwise.shape} vs {b.pointwise.shape}"
         )
-    d = a.pointwise - b.pointwise
+    # each input's squares can be finite while their difference's overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a.pointwise - b.pointwise
+        se = elpd_se(d)
+    if not math.isfinite(se):
+        raise NonFiniteInput(
+            f"paired difference of {a.model_id!r} and {b.model_id!r} overflows when squared"
+        )
     return ElpdDiff(
         model_a=a.model_id,
         model_b=b.model_id,
         pointwise_diff=d,
         estimate=float(math.fsum(d)),
-        se_diff=elpd_se(d),
+        se_diff=se,
     )
 
 

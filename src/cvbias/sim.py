@@ -41,6 +41,18 @@ GUARD_MAX_REPS = 20
 _GUARD_OVERRIDE = '(pass guard=False, or "guard": false in a config, to override)'
 
 
+# the largest array numpy can index, in bytes
+_MAX_BYTES = np.iinfo(np.intp).max
+
+
+def _check_indexable(**sizes: int) -> None:
+    """InvalidParameter, naming the sizes, unless numpy can index a float64
+    array of their product: past that, numpy's own error is a ValueError."""
+    if math.prod(sizes.values()) * 8 > _MAX_BYTES:
+        named = " x ".join(f"{k}={v}" for k, v in sizes.items())
+        raise InvalidParameter(f"{named} is too large: numpy cannot index an array of that size")
+
+
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed from string-able parts (platform independent)."""
     digest = hashlib.sha256("|".join(map(str, parts)).encode()).digest()
@@ -74,6 +86,7 @@ class NestedDgpSpec:
             raise InvalidParameter("K must be >= 2")
         if self.n < 2:
             raise InvalidParameter("n must be >= 2")
+        _check_indexable(n=self.n, K=self.K)
 
     @property
     def sigma2(self) -> float:
@@ -130,6 +143,8 @@ class BlockDgpSpec:
             raise InvalidParameter(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if not math.isfinite(self.xi):
             raise InvalidParameter(f"xi must be finite, got {self.xi}")
+        _check_indexable(n=self.n, p=self.p)
+        _check_indexable(n_test=self.n_test, p=self.p)
 
     def weights_vector(self) -> np.ndarray:
         w = np.zeros(self.p)
@@ -336,13 +351,14 @@ def run_many_k(
     """
     if replications < 2:
         raise InvalidParameter("replications must be >= 2")
-    # the test specs below are the cells with n = n_test, whose own check
+    # the test specs below are the cells with n = n_test, whose own checks
     # would name n
     if n_test < 2:
         raise InvalidParameter(f"n_test must be >= 2, got {n_test}")
     prior = prior or NigPrior.diffuse()
     tasks = []
     for spec in specs:
+        _check_indexable(n_test=n_test, K=spec.K)
         key = (spec.seed, spec.n, spec.K, spec.beta_delta)
         cells = [
             dc_replace(spec, seed=derive_seed("many_k", *key, rep))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,22 @@ class TestCompare:
             assert main(["compare", *map(str, paths)]) == 1
         assert caught == []
         assert_one_line_error(capsys, f"{paths[0]}: {word}")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_paired_difference_overflowing_when_squared_fails_with_one_line(
+        self, tmp_path, capsys, fmt
+    ):
+        # each input's squares are finite, so only the paired SE overflows;
+        # it used to end in a traceback (json) or write se=inf (csv)
+        paths = [
+            write_pointwise(tmp_path / f"{name}.csv", np.array(values))
+            for name, values in [("a", [9e153, 0, 1]), ("b", [-9e153, 0, 1]), ("c", [0, 0, 1])]
+        ]
+        out = tmp_path / "out.csv"
+        args = ["compare", *map(str, paths), "--baseline", "b", "--format", fmt]
+        assert main([*args, "--output", str(out)]) == 1
+        assert_one_line_error(capsys, "paired difference of 'a' and 'b' overflows when squared")
+        assert not out.exists()
 
     def test_single_input_fails(self, tmp_path, capsys):
         a = write_pointwise(tmp_path / "a.csv", np.zeros(5))
@@ -691,6 +708,7 @@ class TestSimulate:
         )
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--output", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["many_k_runs.csv", "many_k_summary.csv", "summary.json"]
         summary = read_rows(out / "many_k_summary.csv")
         assert [int(r["K"]) for r in summary] == [2, 5]
         assert {"mean_max_diff", "predicted_threshold"} <= set(summary[0])
@@ -698,7 +716,7 @@ class TestSimulate:
         assert len(runs) == 6
         assert all(r["seed"] and r["spec_hash"] for r in runs)
 
-    def test_forward_smoke_and_multiplier_fanout(self, tmp_path):
+    def test_forward_smoke_and_multiplier_column(self, tmp_path):
         cfg = tmp_path / "fw.json"
         cfg.write_text(
             json.dumps(
@@ -709,21 +727,21 @@ class TestSimulate:
                     "n_grid": [50],
                     "rho_grid": [0.0],
                     "n_test": 100,
-                    "multipliers": [1.0, 1.5, 2.0],
+                    # a number is passed on as a float: 1 reads 1.0
+                    "multipliers": [1, 1.5, 2],
                     "replications": 2,
                 }
             )
         )
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--output", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["forward_path.csv", "forward_runs.csv", "summary.json"]
         runs = read_rows(out / "forward_runs.csv")
         assert len(runs) == 6  # 2 reps x 3 multipliers
         assert {r["multiplier"] for r in runs} == {"1.0", "1.5", "2.0"}
-        assert (out / "summary.json").exists()
-        for m in ("1.0", "1.5", "2.0"):
-            per = read_rows(out / f"forward_path_m{m}.csv")
-            assert len(per) == 2 * 11  # 2 reps x sizes 0..10
-            assert {r["multiplier"] for r in per} == {m}
+        # one long table: 2 reps x sizes 0..10 for each multiplier
+        path = Counter(r["multiplier"] for r in read_rows(out / "forward_path.csv"))
+        assert path == {"1.0": 2 * 11, "1.5": 2 * 11, "2.0": 2 * 11}
 
     @pytest.mark.parametrize(
         "config, word",
@@ -844,6 +862,20 @@ class TestSimulate:
                  "n_test": 1},
                 "n_test must be >= 2, got 1",
             ),
+            # one kind for every real value, named "number" as in README's table
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                 "xi": "0.5", "replications": 1},
+                "xi must be number, got '0.5'",
+            ),
+            # an integer past the float range reads as infinite, as 1e400 does
+            (
+                {"experiment": "forward", "p": 10, "n_grid": [40], "rho_grid": [0.0],
+                 "multipliers": [10**400], "replications": 1},
+                "multiplier",
+            ),
+            ({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2,
+              "alpha": -(10**400)}, "alpha"),
         ],
     )
     def test_invalid_config_values_fail_with_one_line(self, tmp_path, capsys, config, word):
@@ -910,28 +942,46 @@ class TestSimulate:
             assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
         assert_one_line_error(capsys, "dataset contains non-finite entries")
 
-    @pytest.mark.xfail(
-        strict=True, raises=ValueError,
-        reason="no size limit on many_k: numpy's 'Maximum allowed dimension exceeded' "
-        "escapes as a traceback, after the output directory is made",
-    )
     @pytest.mark.parametrize(
-        "config",
+        "config, word",
         [
-            {"experiment": "many_k", "n": 10**30, "k_grid": [3], "replications": 2},
-            {"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2,
-             "n_test": 10**30},
-            {"experiment": "many_k", "n": 30, "k_grid": [10**30], "replications": 2},
-            {"experiment": "forward", "p": 10**30, "n_grid": [40], "rho_grid": [0.0],
-             "replications": 1, "guard": False},
+            ({"experiment": "many_k", "n": 10**30, "k_grid": [3], "replications": 2},
+             f"n={10**30} x K=3"),
+            ({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2,
+              "n_test": 10**30}, f"n_test={10**30} x K=3"),
+            ({"experiment": "many_k", "n": 30, "k_grid": [10**30], "replications": 2},
+             f"n=30 x K={10**30}"),
+            ({"experiment": "forward", "p": 10**30, "n_grid": [40], "rho_grid": [0.0],
+              "replications": 1, "guard": False}, f"n=40 x p={10**30}"),
         ],
         ids=["n", "n_test", "k_grid", "p_unguarded"],
     )
-    def test_huge_size_fails_with_one_line(self, tmp_path, capsys, config):
+    def test_huge_size_fails_with_one_line(self, tmp_path, monkeypatch, capsys, config, word):
+        # numpy cannot index these arrays: the size is named before any draw
+        drew = []
+        monkeypatch.setattr(sim, "gen_nested", lambda *a: drew.append(a))
+        monkeypatch.setattr(sim, "gen_block", lambda *a: drew.append(a))
         cfg = tmp_path / "huge.json"
         cfg.write_text(json.dumps(config))
-        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
-        assert_one_line_error(capsys, "cvbias: error:")
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--output", str(out)]) == 1
+        assert_one_line_error(capsys, word, "numpy cannot index")
+        assert drew == [] and not out.exists()
+
+    def test_out_of_memory_fails_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # a size numpy can index may still be more than the machine holds
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr(sim, "run_many_k", exhaust)
+        cfg = tmp_path / "mk.json"
+        cfg.write_text(json.dumps(
+            {"experiment": "many_k", "n": 10**12, "k_grid": [3], "replications": 2}
+        ))
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--output", str(out)]) == 1
+        assert_one_line_error(capsys, "cvbias: error: out of memory: Unable to allocate 14.6 TiB")
+        assert not out.exists()
 
     @pytest.mark.parametrize("guard", ["false", "true", 0, None])
     def test_guard_must_be_json_boolean(self, tmp_path, capsys, guard):

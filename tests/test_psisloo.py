@@ -204,6 +204,13 @@ class TestElpdDiff:
         with pytest.raises(ShapeMismatch):
             elpd_diff(from_pointwise([1.0, 2.0]), from_pointwise([1.0, 2.0, 3.0]))
 
+    def test_difference_overflowing_when_squared_names_both_models(self):
+        # each input's squares are finite; the paired difference's are not
+        a = from_pointwise([9e153, 0.0, 1.0], "a")
+        b = from_pointwise([-9e153, 0.0, 1.0], "b")
+        with pytest.raises(NonFiniteInput, match="'a' and 'b' overflows when squared"):
+            elpd_diff(a, b)
+
 
 class TestLogLikMatrix:
     """The checks ``elpd_loo_psis`` makes of its draws-by-observations input."""
