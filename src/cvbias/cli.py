@@ -47,12 +47,12 @@ from .orderstats import (
     check_multiplier,
 )
 from .psisloo import elpd_loo_psis, from_pointwise
-from .search import correct_path, forward_search, stopping_rules
 
 SCHEMA_VERSION = 1
 
 
-def _provenance(args, inputs: list) -> dict:
+def _provenance(args, digests: dict) -> dict:
+    """The run's provenance; ``digests`` maps each input path to its SHA-256."""
     config = {}
     for k, v in sorted(vars(args).items()):
         if k == "func":
@@ -63,12 +63,13 @@ def _provenance(args, inputs: list) -> dict:
         "schema_version": SCHEMA_VERSION,
         "seed": getattr(args, "seed", None),
         "config": config,
-        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "inputs": {str(p): digest for p, digest in digests.items()},
     }
 
 
 def _estimate(path, kind: str):
-    """The elpd estimate of one input CSV; its stem is the model id."""
+    """The elpd estimate of one input CSV, its stem the model id, and the
+    file's SHA-256: the worker that reads a file also hashes it."""
     values, _ = read_matrix_csv(path)
     cols = values.shape[1]
     if kind == "pointwise" and cols != 1:
@@ -87,41 +88,72 @@ def _estimate(path, kind: str):
     model_id = Path(path).stem
     try:
         if pointwise:
-            return from_pointwise(values[:, 0], model_id)
-        return elpd_loo_psis(values, model_id)
+            estimate = from_pointwise(values[:, 0], model_id)
+        else:
+            estimate = elpd_loo_psis(values, model_id)
     except CvBiasError as exc:
         # read errors name the file already; scoring errors do not
         raise type(exc)(f"{path}: {exc}") from None
+    return estimate, sha256_file(path)
 
 
-def _clean_results(func, items, indices) -> dict:
-    """``{i: func(items[i])}`` over ``indices`` up to the first exception or warning."""
+# a claim is one record in the claims pipe: the first index of a run of items
+_CLAIM = 8
+
+
+def _claimed_results(func, items, claims: int, run: int) -> dict:
+    """``{i: func(items[i])}`` over the runs this process claims from ``claims``.
+
+    One claim is read when the previous run is done, until the pipe ends or
+    the first exception or warning.
+    """
     done = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            for i in indices:
-                done[i] = func(items[i])
+            # every claim was written before the first read, so each read
+            # takes one whole claim, or none at the pipe's end
+            while claim := os.read(claims, _CLAIM):
+                lo = int.from_bytes(claim, "little")
+                for i in range(lo, min(lo + run, len(items))):
+                    done[i] = func(items[i])
         except Exception:
             pass
     return done
+
+
+def _claims_pipe(count: int) -> tuple[int, int]:
+    """The read end of a pipe that holds every claim on ``count`` items, and
+    the run of items each claim names; the write end is closed.
+
+    The claims fit in the pipe's ``PIPE_BUF`` bytes, the least it holds, so
+    writing them never blocks: past that, each claim names several items
+    in a row.
+    """
+    read_fd, write_fd = os.pipe()
+    run = -(-count // (os.fpathconf(read_fd, "PC_PIPE_BUF") // _CLAIM))
+    with os.fdopen(write_fd, "wb") as pipe:
+        pipe.write(b"".join(lo.to_bytes(_CLAIM, "little") for lo in range(0, count, run)))
+    return read_fd, run
 
 
 def _map_on_cpus(func, items) -> list:
     """``[func(x) for x in items]``, with the items shared across usable CPUs.
 
     With w = min(usable CPUs, items), w - 1 forked children and this process
-    each take every w-th item and keep the results that came with no
-    exception and no warning; the children send theirs back through a
-    pipe. This process then computes every item left without a result, in
-    order, so the errors and warnings raised are those of the plain loop.
-    Every child is reaped before this returns or raises.
+    claim items from one pipe, each its next one when it is done with the
+    last, and keep the results that came with no exception and no warning;
+    the children send theirs back through a pipe each. This process then
+    computes every item left without a result, in order, so the errors and
+    warnings raised are those of the plain loop. Every child is reaped
+    before this returns or raises.
     """
     # no CPU affinity outside Linux: the loop runs here alone
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     w = min(len(cpus), len(items))
     if w < 2:
         return [func(x) for x in items]
+    claims, run = _claims_pipe(len(items))
     children = {}
     try:
         for j in range(1, w):
@@ -129,7 +161,7 @@ def _map_on_cpus(func, items) -> list:
             try:
                 pid = os.fork()
             except OSError:
-                # no process to spare: this process computes the rest
+                # no process to spare: this process claims the rest
                 os.close(read_fd)
                 os.close(write_fd)
                 break
@@ -138,9 +170,9 @@ def _map_on_cpus(func, items) -> list:
                 try:
                     os.close(read_fd)
                     # a child starts on its parent's CPU, and the scheduler
-                    # can take longer than the whole share to move it
+                    # can take longer than a whole item to move it
                     os.sched_setaffinity(0, {cpus[j]})
-                    share = _clean_results(func, items, range(j, len(items), w))
+                    share = _claimed_results(func, items, claims, run)
                     with os.fdopen(write_fd, "wb") as pipe:
                         pickle.dump(share, pipe)
                     code = 0
@@ -149,7 +181,7 @@ def _map_on_cpus(func, items) -> list:
             os.close(write_fd)
             children[pid] = os.fdopen(read_fd, "rb")
         os.sched_setaffinity(0, {cpus[0]})
-        done = _clean_results(func, items, range(0, len(items), w))
+        done = _claimed_results(func, items, claims, run)
         for pid in list(children):
             with children[pid] as pipe:
                 data = pipe.read()
@@ -158,6 +190,7 @@ def _map_on_cpus(func, items) -> list:
             if status == 0:
                 done.update(pickle.loads(data))
     finally:
+        os.close(claims)
         os.sched_setaffinity(0, cpus)
         for pid, pipe in children.items():
             pipe.close()
@@ -167,7 +200,8 @@ def _map_on_cpus(func, items) -> list:
 
 
 def _load_estimates(paths, kind: str):
-    """One estimate per CSV, each file read once, the files spread across CPUs.
+    """One estimate per CSV and each CSV's SHA-256 by its path, the files
+    spread across CPUs; each is parsed once and hashed by the same worker.
 
     ``kind="auto"`` takes a single-column file as pointwise elpds and any
     wider one as a draws-by-observations log-likelihood matrix. A file's
@@ -178,11 +212,11 @@ def _load_estimates(paths, kind: str):
         if stems.count(model_id) > 1:
             same = ", ".join(str(p) for p in paths if Path(p).stem == model_id)
             raise SchemaMismatch(f"model id {model_id!r} names several inputs: {same}")
-    estimates = _map_on_cpus(functools.partial(_estimate, kind=kind), paths)
+    estimates, digests = zip(*_map_on_cpus(functools.partial(_estimate, kind=kind), paths))
     n_obs = {e.n_obs for e in estimates}
     if len(n_obs) != 1:
         raise SchemaMismatch(f"inputs disagree on observation count: {sorted(n_obs)}")
-    return estimates
+    return list(estimates), dict(zip(paths, digests))
 
 
 def cmd_compare(args) -> None:
@@ -193,7 +227,7 @@ def cmd_compare(args) -> None:
     if args.output and not Path(args.output).parent.is_dir():
         # an unusable output fails before the inputs are read and scored
         raise FileNotFoundError("no such directory")
-    estimates = _load_estimates(args.inputs, args.kind)
+    estimates, digests = _load_estimates(args.inputs, args.kind)
     comparison = build_comparison(
         estimates,
         baseline=args.baseline,
@@ -237,7 +271,7 @@ def cmd_compare(args) -> None:
         "comparison": comparison.to_dict(),
         "weights": weights,
         "diagnostics": diagnostics,
-        "provenance": _provenance(args, args.inputs),
+        "provenance": _provenance(args, digests),
     }
     if args.format == "csv":
         write_rows_csv(args.output or sys.stdout, weights)
@@ -267,6 +301,8 @@ def _made_dir(path: Path):
 
 
 def cmd_forward(args) -> None:
+    from .search import correct_path, forward_search, stopping_rules
+
     # the search runs long before correct_path would reject these
     check_alpha(args.alpha)
     check_multiplier(args.multiplier)
@@ -292,7 +328,7 @@ def cmd_forward(args) -> None:
             "verdicts": verdicts.to_dict(),
             "path": rows,
             "selected_predictors": [names[i] for i in path.predictors()],
-            "provenance": _provenance(args, inputs),
+            "provenance": _provenance(args, {p: sha256_file(p) for p in inputs}),
         }
         if args.output:
             write_rows_csv(f"{args.output}.path.csv", rows)
@@ -429,7 +465,7 @@ def cmd_simulate(args) -> None:
         bundle = {
             "report": "simulate",
             "result": result,
-            "provenance": _provenance(args, [path]),
+            "provenance": _provenance(args, {path: sha256_file(path)}),
         }
         (out_dir / "summary.json").write_text(dump_json(bundle) + "\n", encoding="utf-8")
     print(dump_json({"output": args.output, "result": result}))

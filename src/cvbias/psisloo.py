@@ -93,17 +93,28 @@ def mlpd(pointwise) -> float:
     return float(x.mean())
 
 
+def _sum_and_se(pointwise: np.ndarray) -> tuple[float, float]:
+    """The sum of a finite pointwise elpd vector and its standard error;
+    NonFiniteInput if either leaves the float range."""
+    try:
+        total = math.fsum(pointwise)
+    except OverflowError:
+        raise NonFiniteInput("pointwise elpd overflows when summed") from None
+    # finite squares can still overflow once centred and scaled
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = elpd_se(pointwise)
+    if not math.isfinite(se):
+        raise NonFiniteInput("pointwise elpd overflows when squared")
+    return total, se
+
+
 def from_pointwise(pointwise, model_id: str = "model") -> ElpdEstimate:
     """Wrap an exact pointwise elpd vector into an ElpdEstimate."""
     x = np.asarray(pointwise, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("pointwise elpd contains non-finite entries")
-    return ElpdEstimate(
-        pointwise=x,
-        estimate=float(math.fsum(x)),
-        se=elpd_se(x),
-        model_id=model_id,
-    )
+    estimate, se = _sum_and_se(x)
+    return ElpdEstimate(pointwise=x, estimate=estimate, se=se, model_id=model_id)
 
 
 def elpd_diff(a: ElpdEstimate, b: ElpdEstimate) -> ElpdDiff:
@@ -221,10 +232,11 @@ def elpd_loo_psis(loglik, model_id: str = "model") -> ElpdEstimate:
         khat[lo + const] = -np.inf
     if not np.all(np.isfinite(pointwise)):
         raise DegenerateWeights("importance weights failed to normalize")
+    estimate, se = _sum_and_se(pointwise)
     return ElpdEstimate(
         pointwise=pointwise,
-        estimate=float(math.fsum(pointwise)),
-        se=elpd_se(pointwise),
+        estimate=estimate,
+        se=se,
         model_id=model_id,
         khat_per_obs=khat,
         n_draws=S,

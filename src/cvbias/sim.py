@@ -31,7 +31,6 @@ from .conjlm import (
 from .errors import InvalidBlocking, InvalidParameter
 from .orderstats import DEFAULT_ALPHA, DEFAULT_MULTIPLIER, threshold
 from .psisloo import _BLOCK, elpd_se
-from .search import correct_path, forward_search, stopping_rules
 
 # desk-scale guard for the forward experiment: one replication at the
 # limits (n=1000, p=60) takes about 0.2 s on 2 CPUs
@@ -430,6 +429,8 @@ def summarize_many_k(rows: list[dict]) -> list[dict]:
 def _forward_rows(task, multipliers, alpha: float):
     """``(run_rows, path_rows)`` of one (spec, prior name, replication) task,
     for every multiplier in order."""
+    from .search import correct_path, forward_search, stopping_rules
+
     spec, prior_name, rep = task
     seed = derive_seed("forward", spec.seed, spec.n, spec.p, spec.rho, prior_name, rep)
     cell = dc_replace(spec, seed=seed)
@@ -535,6 +536,10 @@ def run_forward_experiment(
         for prior_name in priors
         for rep in range(replications)
     ]
+    # ``_forward_rows`` imports it too; loaded here, before ``map_fn`` can
+    # fork, no worker compiles it again, and a many-K run never loads it
+    from . import search  # noqa: F401
+
     rows_of = functools.partial(_forward_rows, multipliers=multipliers, alpha=alpha)
     results = list(map_fn(rows_of, tasks))
     run_rows = [row for runs, _ in results for row in runs]

@@ -3,8 +3,10 @@ import gc
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -16,6 +18,7 @@ import cvbias
 from cvbias import cli, io, search, sim
 from cvbias.cli import main
 from cvbias.conjlm import Dataset, NigPrior, draw_posterior, fit, pointwise_loglik
+from cvbias.errors import InvalidParameter, SchemaMismatch
 from cvbias.sim import BlockDgpSpec, gen_block
 
 
@@ -172,20 +175,24 @@ class TestCompare:
         assert main(["compare", *map(str, paths), *flags]) == 1
         assert_one_line_error(capsys, f"{paths[1]}: {word}")
 
-    @pytest.mark.parametrize("kind", ["pointwise", "loglik"])
+    @pytest.mark.parametrize("kind", ["pointwise", "loglik", "pointwise_se"])
     def test_input_overflowing_when_squared_fails_without_warning(
         self, tmp_path, capsys, kind
     ):
         # squaring -1e200 overflows: the standard errors and the half-normal
-        # scale would be infinite and the bias not finite
+        # scale would be infinite and the bias not finite; ±9.3e153 square
+        # to a finite sum that overflows only in the standard error's n/(n-1)
         rng = np.random.default_rng(0)
-        if kind == "pointwise":
+        if kind.startswith("pointwise"):
             paths = [
                 write_pointwise(tmp_path / f"m{i}.csv", rng.standard_normal(20) - 1.0)
                 for i in range(3)
             ]
             values = rng.standard_normal(20) - 1.0
-            values[0] = -1e200
+            if kind == "pointwise":
+                values[0] = -1e200
+            else:
+                values[:2] = 9.3e153, -9.3e153
             write_pointwise(paths[0], values)
             word = "pointwise elpd overflows when squared"
         else:
@@ -350,34 +357,130 @@ def write_logliks(tmp_path: Path, count: int, seed: int = 0) -> list[Path]:
     return paths
 
 
+class Claims:
+    """The tasks of one ``_map_on_cpus`` call on ``workers`` CPUs, seen from inside.
+
+    Each task calls ``start(key)`` first. It logs this process's pid, then
+    waits until ``workers`` processes have started a task: on two CPUs the
+    child and this process then claim at least one task each, whatever the
+    timing. ``start`` returns whether the task is picked: the first task
+    that ``pick`` ("here" or "child") starts, or that key again later (in
+    this process's in-order recompute).
+    """
+
+    def __init__(self, where: Path, workers: int, pick: str | None = None):
+        self.here = str(os.getpid())
+        self.workers = workers
+        self.pick = pick
+        self.started = where / "started.txt"
+        self.picked = where / "picked.txt"
+        self.started.write_text("")
+        self.picked.write_text("")
+
+    def start(self, key: str) -> bool:
+        pid = str(os.getpid())
+        with open(self.started, "a") as fh:
+            fh.write(f"{pid}\n")
+        deadline = time.monotonic() + 30
+        while len(set(self.starts())) < self.workers and time.monotonic() < deadline:
+            time.sleep(0.001)
+        picked = [line.split(" ", 1) for line in self.picked.read_text().splitlines()]
+        if picked:
+            hit = picked[0][1] == key
+        else:
+            hit = self.pick == ("here" if pid == self.here else "child")
+        if hit:
+            with open(self.picked, "a") as fh:
+                fh.write(f"{pid} {key}\n")
+        return hit
+
+    def starts(self) -> list[str]:
+        """The pid of each task started so far."""
+        return self.started.read_text().split()
+
+    def picks(self) -> list[str]:
+        """The pid of each picked task."""
+        return [line.split(" ", 1)[0] for line in self.picked.read_text().splitlines()]
+
+
+class TestMapOnCpus:
+    """Workers claim items on demand from one pipe."""
+
+    def test_a_slow_item_leaves_the_rest_to_the_other_worker(self, tmp_path, usable_cpus):
+        usable_cpus(2)
+        log = tmp_path / "done.txt"
+        log.write_text("")
+
+        def square(x):
+            # item 0 is held until the other worker has done all nine others;
+            # a fixed share of them would leave it waiting on its own
+            deadline = time.monotonic() + 30
+            while x == 0 and log.read_text().count("\n") < 9 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            with open(log, "a") as fh:
+                fh.write(f"{x} {os.getpid()}\n")
+            return x * x
+
+        assert cli._map_on_cpus(square, list(range(10))) == [x * x for x in range(10)]
+        lines = log.read_text().splitlines()
+        done_by = dict(line.split() for line in lines)
+        assert len(lines) == 10 and lines[-1].startswith("0 ")
+        assert {done_by[str(x)] for x in range(1, 10)} == {done_by["1"]} != {done_by["0"]}
+
+    def test_more_items_than_a_pipe_holds(self, tmp_path, usable_cpus):
+        # more workers than CPUs, and more claims than one pipe buffer holds
+        # one by one: each claim then names a run of items
+        usable_cpus(4)
+        log = tmp_path / "done.txt"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        items = list(range(20_000))
+
+        def negate(x):
+            os.write(fd, f"{x}\n".encode())
+            return -x
+
+        def hung(signum, frame):
+            raise TimeoutError("_map_on_cpus hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            assert cli._map_on_cpus(negate, items) == list(map(negate, items))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            os.close(fd)
+        # each item once in the call, and once more in the plain loop
+        assert Counter(map(int, log.read_text().split())) == Counter(items + items)
+
+
 class TestCompareAcrossCpus:
     """``compare`` loads its inputs in forked children and in this process."""
 
     def test_report_identical_on_one_and_two_cpus(self, tmp_path, monkeypatch, usable_cpus):
         paths = write_logliks(tmp_path, 5)
-        readers_log = tmp_path / "readers.txt"
         original = cli.read_matrix_csv
-
-        def spy(path):
-            with open(readers_log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return original(path)
-
-        monkeypatch.setattr(cli, "read_matrix_csv", spy)
         out = tmp_path / "compare.json"
         reports, readers = [], []
         for cpus in (1, 2):
             usable_cpus(cpus)
-            readers_log.write_text("")
+            claims = Claims(tmp_path, cpus)
+
+            def spy(path):
+                claims.start(str(path))
+                return original(path)
+
+            monkeypatch.setattr(cli, "read_matrix_csv", spy)
             assert main(["compare", *map(str, paths), "--output", str(out)]) == 0
             reports.append(out.read_bytes())
-            readers.append(set(readers_log.read_text().split()))
+            readers.append(claims.starts())
         assert reports[0] == reports[1]
-        assert readers[0] == {str(os.getpid())}
-        assert len(readers[1]) == 2 and str(os.getpid()) in readers[1]
+        assert set(readers[0]) == {str(os.getpid())}
+        assert len(set(readers[1])) == 2 and str(os.getpid()) in readers[1]
+        assert len(readers[0]) == len(readers[1]) == 5
 
     def test_first_bad_file_in_argument_order_is_named(self, tmp_path, usable_cpus, capsys):
-        # with two CPUs, m1 is in the child's share and m2 in this process's
+        # whichever process claims m1 and m2, m1 is named
         usable_cpus(2)
         paths = write_logliks(tmp_path, 4)
         paths[1].write_text("a,b\n1,x\n")
@@ -387,14 +490,27 @@ class TestCompareAcrossCpus:
         assert err.startswith("cvbias: error:") and err.count("\n") == 1
         assert str(paths[1]) in err and str(paths[2]) not in err
 
-    def test_warning_in_a_childs_share_reaches_the_caller(self, tmp_path, usable_cpus):
+    def test_warning_in_a_childs_share_reaches_the_caller(
+        self, tmp_path, monkeypatch, usable_cpus
+    ):
+        # the first file the child reads has 50 draws, as it has when read here
         usable_cpus(2)
         paths = write_logliks(tmp_path, 3)
-        rng = np.random.default_rng(1)
-        write_loglik(paths[1], rng.normal(-1.0, 0.3, (50, 8)))
-        with pytest.warns(UserWarning, match="PSIS with 50 draws"):
+        claims = Claims(tmp_path, 2, pick="child")
+        original = cli.read_matrix_csv
+
+        def spy(path):
+            short = claims.start(str(path))
+            values, header = original(path)
+            return (values[:50] if short else values), header
+
+        monkeypatch.setattr(cli, "read_matrix_csv", spy)
+        with pytest.warns(UserWarning, match="PSIS with 50 draws") as caught:
             rc = main(["compare", *map(str, paths), "--output", str(tmp_path / "c.json")])
-        assert rc == 0
+        assert rc == 0 and len(caught) == 1
+        # raised first in the child, then once more here
+        picks = claims.picks()
+        assert len(set(picks)) == 2 and picks[-1] == str(os.getpid())
 
     def test_affinity_restored_after_compare(self, tmp_path):
         before = os.sched_getaffinity(0)
@@ -402,14 +518,26 @@ class TestCompareAcrossCpus:
         assert main(["compare", *map(str, paths), "--output", str(tmp_path / "c.json")]) == 0
         assert os.sched_getaffinity(0) == before
 
-    @pytest.mark.parametrize("bad", [None, 0, 1], ids=["ok", "own_share", "childs_share"])
-    def test_no_child_process_outlives_compare(self, tmp_path, usable_cpus, capsys, bad):
+    @pytest.mark.parametrize("pick", [None, "here", "child"], ids=["ok", "own_share", "childs_share"])
+    def test_no_child_process_outlives_compare(
+        self, tmp_path, monkeypatch, usable_cpus, capsys, pick
+    ):
+        # the first file this process or the child reads fails, as it does when read again
         usable_cpus(2)
         paths = write_logliks(tmp_path, 4)
-        if bad is not None:
-            paths[bad].write_text("x\n")
+        claims = Claims(tmp_path, 2, pick)
+        original = cli.read_matrix_csv
+
+        def spy(path):
+            if claims.start(str(path)):
+                raise SchemaMismatch(f"{path}: this file fails")
+            return original(path)
+
+        monkeypatch.setattr(cli, "read_matrix_csv", spy)
         rc = main(["compare", *map(str, paths), "--output", str(tmp_path / "c.json")])
-        assert rc == (0 if bad is None else 1)
+        assert rc == (0 if pick is None else 1)
+        if pick is not None:
+            assert_one_line_error(capsys, "this file fails")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -499,7 +627,7 @@ class TestForward:
         self, toy_block, monkeypatch, capsys, flags, word
     ):
         calls = []
-        monkeypatch.setattr(cli, "forward_search", lambda *a, **k: calls.append("search"))
+        monkeypatch.setattr(search, "forward_search", lambda *a, **k: calls.append("search"))
         monkeypatch.setattr(cli, "read_dataset_csv", lambda *a, **k: calls.append("read"))
         train, _ = toy_block
         assert main(["forward", str(train), "--target", "y", *flags]) == 1
@@ -511,7 +639,7 @@ class TestForward:
         self, toy_block, tmp_path, monkeypatch, capsys, bad_test
     ):
         calls = []
-        monkeypatch.setattr(cli, "forward_search", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(search, "forward_search", lambda *a, **k: calls.append(a))
         train, test = toy_block
         test = tmp_path / f"{bad_test}.csv"
         if bad_test == "no_target":
@@ -1090,7 +1218,7 @@ def write_simulate_config(tmp_path: Path, experiment: str) -> Path:
 
     The many-K grid runs in three blocks (one of K = 3, then three and one
     replications of K = 200) and the forward one as four replications over
-    two priors. With two CPUs the child takes tasks 1, 3, ...
+    two priors.
     """
     if experiment == "many_k":
         config = {"experiment": "many_k", "base_seed": 11, "n": 50, "k_grid": [3, 200],
@@ -1105,10 +1233,6 @@ def write_simulate_config(tmp_path: Path, experiment: str) -> Path:
 
 
 TASK_ROWS = {"many_k": "_many_k_rows", "forward": "_forward_rows"}
-IS_TASK_1 = {
-    "many_k": lambda task: task.spec.K == 200 and task.lo == 0,
-    "forward": lambda task: task[1:] == ("diffuse", 1),
-}
 
 
 class TestSimulateAcrossCpus:
@@ -1119,25 +1243,23 @@ class TestSimulateAcrossCpus:
         self, tmp_path, monkeypatch, usable_cpus, experiment
     ):
         cfg = write_simulate_config(tmp_path, experiment)
-        log = tmp_path / "pids.txt"
         original = getattr(sim, TASK_ROWS[experiment])
-
-        def spy(*args, **kwargs):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(sim, TASK_ROWS[experiment], spy)
         outputs, pids = [], []
         for cpus in (1, 2):
             usable_cpus(cpus)
-            log.write_text("")
+            claims = Claims(tmp_path, cpus)
+
+            def spy(task, **kwargs):
+                claims.start(repr(task))
+                return original(task, **kwargs)
+
+            monkeypatch.setattr(sim, TASK_ROWS[experiment], spy)
             out = tmp_path / f"out{cpus}"
             assert main(["simulate", str(cfg), "--output", str(out)]) == 0
             outputs.append(
                 {p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"}
             )
-            pids.append(log.read_text().split())
+            pids.append(claims.starts())
         assert outputs[0] == outputs[1] and len(outputs[0]) >= 2
         assert set(pids[0]) == {str(os.getpid())} and len(pids[0]) >= 3
         assert len(set(pids[1])) == 2 and len(pids[1]) == len(pids[0])
@@ -1148,46 +1270,41 @@ class TestSimulateAcrossCpus:
     ):
         usable_cpus(2)
         cfg = write_simulate_config(tmp_path, experiment)
-        log = tmp_path / "warned.txt"
+        claims = Claims(tmp_path, 2, pick="child")
         original = getattr(sim, TASK_ROWS[experiment])
 
         def spy(task, **kwargs):
-            if IS_TASK_1[experiment](task):
-                with open(log, "a") as fh:
-                    fh.write(f"{os.getpid()}\n")
-                warnings.warn("task 1 warns")
+            if claims.start(repr(task)):
+                warnings.warn("the child's first task warns")
             return original(task, **kwargs)
 
         monkeypatch.setattr(sim, TASK_ROWS[experiment], spy)
-        with pytest.warns(UserWarning, match="task 1 warns") as caught:
+        with pytest.warns(UserWarning, match="the child's first task warns") as caught:
             rc = main(["simulate", str(cfg), "--output", str(tmp_path / "o")])
         assert rc == 0 and len(caught) == 1
         # raised first in the child, then once more here
-        warned = log.read_text().split()
-        assert len(set(warned)) == 2 and warned[-1] == str(os.getpid())
+        picks = claims.picks()
+        assert len(set(picks)) == 2 and picks[-1] == str(os.getpid())
 
-    @pytest.mark.parametrize("bad", ["ok", "own_share", "childs_share"])
+    @pytest.mark.parametrize("pick", [None, "here", "child"], ids=["ok", "own_share", "childs_share"])
     def test_no_child_process_outlives_simulate(
-        self, tmp_path, monkeypatch, usable_cpus, capsys, bad
+        self, tmp_path, monkeypatch, usable_cpus, capsys, pick
     ):
+        # the first block this process or the child runs fails, as it does when run again
         usable_cpus(2)
         cfg = write_simulate_config(tmp_path, "many_k")
-        fails = {
-            "ok": lambda task: False,
-            "own_share": lambda task: task.spec.K == 3,
-            "childs_share": IS_TASK_1["many_k"],
-        }[bad]
+        claims = Claims(tmp_path, 2, pick)
         original = sim._many_k_rows
 
         def spy(task, **kwargs):
-            if fails(task):
-                raise cvbias.errors.InvalidParameter("this block fails")
+            if claims.start(repr(task)):
+                raise InvalidParameter("this block fails")
             return original(task, **kwargs)
 
         monkeypatch.setattr(sim, "_many_k_rows", spy)
         rc = main(["simulate", str(cfg), "--output", str(tmp_path / "o")])
-        assert rc == (0 if bad == "ok" else 1)
-        if bad != "ok":
+        assert rc == (0 if pick is None else 1)
+        if pick is not None:
             assert_one_line_error(capsys, "this block fails")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

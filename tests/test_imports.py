@@ -100,14 +100,37 @@ def test_cli_pins_one_blas_thread_unless_set(given, expected):
     assert out == expected
 
 
+PER_COMMAND_MODULES = ("cvbias.search", "cvbias.sim", "cvbias.weights")
+
+
 def test_cli_import_leaves_the_per_command_modules_unloaded():
-    # simulate imports sim and compare imports weights when they run
+    # forward imports search, simulate sim and compare weights when they run
     out = run_python(
         "import json, sys\n"
         "import cvbias.cli\n"
-        "print(json.dumps([m in sys.modules for m in ('cvbias.sim', 'cvbias.weights')]))"
+        f"print(json.dumps([m in sys.modules for m in {PER_COMMAND_MODULES!r}]))"
     )
-    assert json.loads(out) == [False, False]
+    assert json.loads(out) == [False, False, False]
+
+
+@pytest.mark.parametrize("command", ["compare", "simulate_many_k"])
+def test_runs_that_search_nothing_leave_search_unloaded(tmp_path, command):
+    if command == "compare":
+        for i, name in enumerate("abc"):
+            (tmp_path / f"{name}.csv").write_text(f"elpd\n-1.5\n-0.5\n{-i}\n")
+        argv = ["compare", "a.csv", "b.csv", "c.csv", "--kind", "pointwise"]
+    else:
+        config = {"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2}
+        (tmp_path / "mk.json").write_text(json.dumps(config))
+        argv = ["simulate", "mk.json", "--output", "o"]
+    out = run_python(
+        "import json, os, sys\n"
+        "from cvbias.cli import main\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, 'cvbias.search' in sys.modules]))"
+    )
+    assert json.loads(out) == [0, False]
 
 
 def test_cli_import_freezes_nothing():

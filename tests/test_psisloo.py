@@ -212,6 +212,36 @@ class TestElpdDiff:
             elpd_diff(a, b)
 
 
+class TestTotalsLeavingTheFloatRange:
+    """Finite pointwise elpds whose sum or standard error overflows."""
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda: from_pointwise([1e308, 1e308]),
+            lambda: elpd_loo_psis(np.full((200, 2), -1e308)),
+        ],
+        ids=["from_pointwise", "elpd_loo_psis"],
+    )
+    def test_sum_overflowing_is_non_finite_input(self, estimate):
+        # math.fsum raised a bare OverflowError here
+        with pytest.raises(NonFiniteInput, match="pointwise elpd overflows when summed"):
+            estimate()
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda: from_pointwise([9e153, -9e153]),
+            lambda: elpd_loo_psis(np.tile([-1e200, 1e200, 0.0], (200, 1))),
+        ],
+        ids=["from_pointwise", "elpd_loo_psis"],
+    )
+    def test_standard_error_overflowing_is_non_finite_input(self, estimate):
+        # each square is finite; the scaled sum of the centred ones is not
+        with pytest.raises(NonFiniteInput, match="pointwise elpd overflows when squared"):
+            estimate()
+
+
 class TestLogLikMatrix:
     """The checks ``elpd_loo_psis`` makes of its draws-by-observations input."""
 
