@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import gc
 import io
@@ -44,6 +45,7 @@ from .orderstats import (
     DEFAULT_MULTIPLIER,
     build_comparison,
     check_alpha,
+    check_baseline,
     check_multiplier,
 )
 from .psisloo import elpd_loo_psis, from_pointwise
@@ -224,9 +226,15 @@ def cmd_compare(args) -> None:
 
     check_alpha(args.alpha)
     check_multiplier(args.multiplier)
-    if args.output and not Path(args.output).parent.is_dir():
-        # an unusable output fails before the inputs are read and scored
-        raise FileNotFoundError("no such directory")
+    # an unusable output or baseline fails before the inputs are read and scored
+    if args.output:
+        out = Path(args.output)
+        if not out.parent.is_dir():
+            raise FileNotFoundError("no such directory")
+        # a name ending in a separator names a directory too, made or not
+        if out.is_dir() or not os.path.basename(args.output):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+    check_baseline([Path(p).stem for p in args.inputs], args.baseline)
     estimates, digests = _load_estimates(args.inputs, args.kind)
     comparison = build_comparison(
         estimates,

@@ -54,7 +54,7 @@ class IncompletePath(CvBiasError, ValueError):
 
 
 class EmptyCandidateSet(CvBiasError, ValueError):
-    """Forward search was asked for more steps than there are predictors."""
+    """Forward search has no predictors, or fewer than the steps asked for."""
 
 
 class SchemaMismatch(CvBiasError, ValueError):

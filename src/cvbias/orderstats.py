@@ -58,6 +58,19 @@ def check_finite(value: float, what: str, multiplier: float) -> float:
     return value
 
 
+def check_baseline(model_ids: Sequence[str], baseline: str) -> None:
+    """Raise TooFewModels unless ``baseline`` can be taken over ``model_ids``:
+    at least 2 models, at least 3 under ``"median"``, and any other baseline
+    one of the ids. The command line checks this before it reads a file."""
+    if len(model_ids) < 2:
+        raise TooFewModels("comparison needs at least 2 models")
+    if baseline == "median":
+        if len(model_ids) < 3:
+            raise TooFewModels("median baseline needs at least 3 models")
+    elif baseline not in model_ids:
+        raise TooFewModels(f"baseline model {baseline!r} not among inputs")
+
+
 def blom_max(K: int, alpha: float = DEFAULT_ALPHA) -> float:
     """Approximate expected maximum of K iid standard normal draws.
 
@@ -163,8 +176,7 @@ def median_baseline(estimates: Sequence[ElpdEstimate]):
     Ties at the median resolve to the lowest model index. Returns
     ``(baseline_id, diffs)`` with diffs in the original model order.
     """
-    if len(estimates) < 3:
-        raise TooFewModels("median baseline needs at least 3 models")
+    check_baseline([e.model_id for e in estimates], "median")
     order = np.argsort([e.estimate for e in estimates], kind="stable")
     base = estimates[int(order[(len(estimates) - 1) // 2])]
     diffs = [elpd_diff(e, base) for e in estimates if e is not base]
@@ -223,16 +235,12 @@ def build_comparison(
     ``blom_max(1) = 0``, so a zero threshold: only a non-positive maximum
     counts as equivalent.
     """
-    if len(estimates) < 2:
-        raise TooFewModels("comparison needs at least 2 models")
+    check_baseline([e.model_id for e in estimates], baseline)
     check_multiplier(multiplier)
     if baseline == "median":
         baseline_id, diffs = median_baseline(estimates)
     else:
-        by_id = {e.model_id: e for e in estimates}
-        if baseline not in by_id:
-            raise TooFewModels(f"baseline model {baseline!r} not among inputs")
-        base = by_id[baseline]
+        base = {e.model_id: e for e in estimates}[baseline]
         baseline_id = baseline
         diffs = [elpd_diff(e, base) for e in estimates if e is not base]
 

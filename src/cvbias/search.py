@@ -199,6 +199,9 @@ def forward_search(
     or predicts them from the model fit afresh.
     """
     p = data.p
+    if p == 0:
+        # else the default max_size of the command line, p, fails as a size
+        raise EmptyCandidateSet("training data has no predictor columns")
     if test is not None:
         if test.p != p:
             raise SchemaMismatch(f"test data has {test.p} predictors, training had {p}")

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace as dc_replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -251,30 +250,26 @@ def _many_k_test_elpds(
     return out
 
 
-class _ManyKTask(NamedTuple):
-    """One block of a many-K cell: its replications from ``lo`` on, with the
-    training and test specs of each."""
-
-    spec: NestedDgpSpec
-    lo: int
-    cells: list[NestedDgpSpec]
-    tests: list[NestedDgpSpec]
-
-
-def _many_k_rows(task: _ManyKTask, alpha: float, prior: NigPrior) -> list[dict]:
-    """The run rows of one many-K block, one per replication."""
-    spec, lo, cells, tests = task
+def _many_k_rows(task, alpha: float, prior: NigPrior, n_test: int) -> list[dict]:
+    """The run rows of one many-K task ``(spec, lo, hi)``: the cell ``spec``
+    and its replications ``lo`` to ``hi - 1``, one row each. Each
+    replication's training and test specs are derived here, from the cell
+    and the replication's index."""
+    spec, lo, hi = task
+    key = (spec.seed, spec.n, spec.K, spec.beta_delta)
+    cells = [dc_replace(spec, seed=derive_seed("many_k", *key, rep)) for rep in range(lo, hi)]
     datasets = [gen_nested(cell) for cell in cells]
     block = _score_many_k(datasets, prior)
     estimates = block[1]
     diffs = estimates[:, 1:] - estimates[:, :1]
     selected = np.argmax(diffs, axis=1)
     m = len(datasets)
-    n_test = tests[0].n
     y_test = np.empty((m, n_test))
     x_true = np.empty((m, n_test))
     x_selected = np.empty((m, n_test))
-    for r, test in enumerate(map(gen_nested, tests)):
+    for r, cell in enumerate(cells):
+        seed = derive_seed("many_k_test", *key, lo + r)
+        test = gen_nested(dc_replace(cell, n=n_test, seed=seed))
         y_test[r] = test.y
         x_true[r] = test.X[:, 0]
         x_selected[r] = test.X[:, selected[r]]
@@ -334,11 +329,13 @@ def run_many_k(
     after the block is scored and only their response, first predictor and
     selected predictor are kept.
 
-    Each block is one task of ``map_fn(func, tasks)``, whose results are
-    taken in task order; the blocks share nothing, so any map that returns
-    ``func(task)`` for every task gives the same rows. The default is the
-    plain loop; the command line passes one that spreads the blocks over
-    the usable CPUs.
+    Each block is one task of ``map_fn(func, tasks)``: the tuple
+    ``(spec, lo, hi)`` of its cell and its half-open range of
+    replications, whose specs and seeds the task derives itself. The
+    results are taken in task order; the blocks share nothing, so any map
+    that returns ``func(task)`` for every task gives the same rows. The
+    default is the plain loop; the command line passes one that spreads
+    the blocks over the usable CPUs.
 
     The threshold counts K models (baseline included) although it is taken
     over the K - 1 differences, whereas ``build_comparison`` counts the
@@ -350,30 +347,20 @@ def run_many_k(
     """
     if replications < 2:
         raise InvalidParameter("replications must be >= 2")
-    # the test specs below are the cells with n = n_test, whose own checks
-    # would name n
+    # a test spec is its replication's cell with n = n_test, whose own
+    # checks would name n
     if n_test < 2:
         raise InvalidParameter(f"n_test must be >= 2, got {n_test}")
     prior = prior or NigPrior.diffuse()
     tasks = []
     for spec in specs:
         _check_indexable(n_test=n_test, K=spec.K)
-        key = (spec.seed, spec.n, spec.K, spec.beta_delta)
-        cells = [
-            dc_replace(spec, seed=derive_seed("many_k", *key, rep))
-            for rep in range(replications)
-        ]
-        tests = [
-            dc_replace(cell, n=n_test, seed=derive_seed("many_k_test", *key, rep))
-            for rep, cell in enumerate(cells)
-        ]
         # the test arrays are replications x n_test, so they bound the block too
         width = max(1, _BLOCK // max(spec.n * spec.K, n_test))
-        for lo in range(0, replications, width):
-            tasks.append(
-                _ManyKTask(spec, lo, cells[lo : lo + width], tests[lo : lo + width])
-            )
-    rows_of = functools.partial(_many_k_rows, alpha=alpha, prior=prior)
+        tasks += [
+            (spec, lo, min(lo + width, replications)) for lo in range(0, replications, width)
+        ]
+    rows_of = functools.partial(_many_k_rows, alpha=alpha, prior=prior, n_test=n_test)
     return [row for rows in map_fn(rows_of, tasks) for row in rows]
 
 

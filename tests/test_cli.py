@@ -1,8 +1,10 @@
+import argparse
 import csv
 import gc
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import pytest
 import cvbias
 from cvbias import cli, io, search, sim
 from cvbias.cli import main
-from cvbias.conjlm import Dataset, NigPrior, draw_posterior, fit, pointwise_loglik
+from cvbias.conjlm import PRIOR_PRESETS, Dataset, NigPrior, draw_posterior, fit, pointwise_loglik
 from cvbias.errors import InvalidParameter, SchemaMismatch
 from cvbias.sim import BlockDgpSpec, gen_block
 
@@ -145,7 +147,8 @@ class TestCompare:
         assert main(["compare", *map(str, paths), "--baseline", "pw"]) == 0
         reads = log.read_text().splitlines()
         assert sorted(reads) == sorted(map(str, paths))
-        assert main(["compare", *map(str, paths), "--kind", "pointwise"]) == 1
+        # two models need a named baseline, or the median check fails first
+        assert main(["compare", *map(str, paths), "--kind", "pointwise", "--baseline", "pw"]) == 1
         assert_one_line_error(capsys, "exactly 1 column")
 
     @pytest.mark.parametrize(
@@ -227,6 +230,21 @@ class TestCompare:
         a = write_pointwise(tmp_path / "a.csv", np.zeros(5))
         assert main(["compare", str(a)]) == 1
         assert_one_line_error(capsys, "at least 2 models")
+
+    @pytest.mark.parametrize(
+        "names, flags, message",
+        [
+            (["a", "b"], ["--baseline", "zzz"], "baseline model 'zzz' not among inputs"),
+            (["a"], [], "comparison needs at least 2 models"),
+            (["a", "b"], [], "median baseline needs at least 3 models"),
+        ],
+        ids=["unknown_baseline", "single_input", "median_of_two"],
+    )
+    def test_baseline_checked_before_any_read(self, tmp_path, capsys, names, flags, message):
+        # the inputs do not exist, so a read would fail with "cannot read"
+        paths = [str(tmp_path / f"{name}.csv") for name in names]
+        assert main(["compare", *paths, *flags]) == 1
+        assert_one_line_error(capsys, message)
 
     def test_inconsistent_lengths_fail(self, tmp_path, capsys):
         a = write_pointwise(tmp_path / "a.csv", np.zeros(10))
@@ -599,6 +617,13 @@ class TestForward:
                 w.writerow([repr(float(v)) for v in (row[0], yv, row[1], yv)])
         assert main(["forward", str(data_csv), "--target", "y"]) == 1
         assert_one_line_error(capsys, "duplicate column names: y")
+
+    def test_no_predictor_column_names_the_cause(self, tmp_path, capsys):
+        # without --max-size the search size defaults to the predictor count, 0
+        data = tmp_path / "y_only.csv"
+        data.write_text("y\n" + "\n".join(map(str, range(6))) + "\n")
+        assert main(["forward", str(data), "--target", "y"]) == 1
+        assert_one_line_error(capsys, "training data has no predictor columns")
 
     def test_missing_target_column(self, toy_block, capsys):
         train, _ = toy_block
@@ -1339,10 +1364,15 @@ class TestSimulateAcrossCpus:
         (["compare", "a.csv", "b.csv", "c.csv"], "nodir/x.json", "nodir/x.json"),
         (["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"], "nodir/x.csv",
          "nodir/x.csv"),
+        (["compare", "a.csv", "b.csv", "c.csv"], "adir", "adir: Is a directory"),
+        (["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"], "adir",
+         "adir: Is a directory"),
+        (["compare", "a.csv", "b.csv", "c.csv"], "newdir/", "newdir/: Is a directory"),
         (["simulate", "mk.json"], "afile/x", "afile/x"),
         (["forward", "d.csv", "--target", "y"], "afile/run", "afile"),
     ],
-    ids=["compare_json", "compare_csv", "simulate", "forward"],
+    ids=["compare_json", "compare_csv", "compare_json_directory", "compare_csv_directory",
+         "compare_json_separator", "simulate", "forward"],
 )
 def test_unwritable_output_fails_with_one_line(
     tmp_path, monkeypatch, capsys, argv, output, where
@@ -1359,6 +1389,7 @@ def test_unwritable_output_fails_with_one_line(
         json.dumps({"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2})
     )
     (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
     started = []
     for module, name in (
         (cli, "read_matrix_csv"), (cli, "read_dataset_csv"), (sim, "run_many_k")
@@ -1367,6 +1398,7 @@ def test_unwritable_output_fails_with_one_line(
     assert main(argv + ["--output", output]) == 1
     assert_one_line_error(capsys, f"cannot write {where}")
     assert started == []
+    assert not (tmp_path / "newdir").exists()
 
 
 def cli_env(unbuffered: bool = False) -> dict:
@@ -1660,3 +1692,72 @@ def test_commands_never_import_numpy_ma(toy_block, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+README = Path(cvbias.__file__).resolve().parents[2] / "README.md"
+
+
+def readme_section(title: str) -> str:
+    """The text of README's ``### title`` section."""
+    text = README.read_text(encoding="utf-8")
+    return re.split(r"\n##+ ", text.split(f"\n### {title}\n", 1)[1], maxsplit=1)[0]
+
+
+def subparsers() -> dict:
+    """The parser of each subcommand, by its name."""
+    [action] = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+class TestReadmeTables:
+    """README's option lists and config table say what the parser and the
+    config reader take."""
+
+    @pytest.mark.parametrize("command", ["compare", "forward"])
+    def test_options_paragraph_names_the_flags(self, command):
+        [options] = [
+            " ".join(par.split())
+            for par in readme_section(command).split("\n\n")
+            if par.startswith("Options:")
+        ]
+        # a flag's choices follow it in its code span: `--kind auto|pointwise|loglik`
+        written = dict(re.findall(r"`(--[\w-]+)(?: ([\w|]+))?`", options))
+        flags = {
+            a.option_strings[-1]: "|".join(a.choices or ())
+            for a in subparsers()[command]._actions
+            if a.option_strings and a.option_strings != ["-h", "--help"]
+        }
+        assert written == flags
+
+    def test_simulate_key_table_matches_the_config_keys(self):
+        def readme_kind(text):
+            if text.startswith("list of "):
+                return [readme_kind(text.removeprefix("list of "))]
+            names = re.findall(r'`"(\w+)"`', text)
+            return sorted(names) if names else text.removesuffix("s")
+
+        def code_kind(kind, key):
+            if isinstance(kind, list):
+                return [code_kind(kind[0], key)]
+            # the experiment and prior strings are checked against these names
+            if key == "experiment":
+                return sorted(cli._CONFIG_KEYS)
+            return sorted(PRIOR_PRESETS) if kind == cli._PRIOR else kind
+
+        table = readme_section("simulate").split("\n| key |", 1)[1].split("\n\n", 1)[0]
+        written = {}
+        for line in table.splitlines()[2:]:
+            key, experiment, kind, default = (cell.strip() for cell in line.strip("|").split("|"))
+            for exp in cli._CONFIG_KEYS if experiment == "both" else [experiment.strip("`")]:
+                written[exp, key.strip("`")] = readme_kind(kind), default == "required"
+        # "experiment" is required of every config before its keys are known
+        code = {
+            (exp, key): (
+                code_kind(kind, key), key == "experiment" or key in cli._REQUIRED_KEYS[exp]
+            )
+            for exp, kinds in cli._CONFIG_KEYS.items()
+            for key, kind in kinds.items()
+        }
+        assert written == code

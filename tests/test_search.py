@@ -132,6 +132,12 @@ class TestForwardSearch:
         with pytest.raises(EmptyCandidateSet):
             forward_search(data, PRIOR, max_size=3)
 
+    @pytest.mark.parametrize("max_size", [0, 1])
+    def test_no_predictor_column_is_named_before_max_size(self, max_size):
+        data = Dataset(np.empty((6, 0)), np.arange(6.0))
+        with pytest.raises(EmptyCandidateSet, match="training data has no predictor columns"):
+            forward_search(data, PRIOR, max_size=max_size)
+
     def test_column_permutation_relabels_but_preserves_diffs(self):
         spec = NestedDgpSpec(n=60, K=6, beta_delta=0.6, seed=33)
         data = gen_nested(spec)

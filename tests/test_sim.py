@@ -177,6 +177,33 @@ class TestRunManyK:
         )
         assert rows == rerun
 
+    def test_tasks_are_a_cell_and_a_replication_range(self, monkeypatch):
+        # sim._BLOCK // max(30 * K, 1000) = 32 replications per block: 70
+        # leave a partial last block
+        specs = [NestedDgpSpec(n=30, K=k, beta_delta=0.0, seed=26) for k in (3, 4)]
+        plain = run_many_k(specs, 70, n_test=1000)
+        original = NestedDgpSpec.__post_init__
+        built = []
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        def recording(func, tasks):
+            calls.append((len(built), list(tasks), func))
+            return []
+
+        calls = []
+        monkeypatch.setattr(NestedDgpSpec, "__post_init__", counting)
+        assert run_many_k(specs, 70, n_test=1000, map_fn=recording) == []
+        [(n_built, tasks, func)] = calls
+        assert n_built == 0
+        ranges = [(0, 32), (32, 64), (64, 70)]
+        assert tasks == [(spec, lo, hi) for spec in specs for lo, hi in ranges]
+        # the task derives its replications' specs: the rows of the plain run
+        assert func(tasks[-1]) == plain[-6:]
+        assert len(built) == 12
+
 
 def many_k_reference(specs, replications, prior, n_test, alpha=0.5):
     """``run_many_k`` rows, one replication and one model at a time: an
