@@ -148,17 +148,18 @@ def _map_on_cpus(func, items) -> list:
     the children send theirs back through a pipe each. This process then
     computes every item left without a result, in order, so the errors and
     warnings raised are those of the plain loop. Every child is reaped
-    before this returns or raises.
+    before this returns or raises. No CPU affinity is set: the scheduler
+    places the processes, and the calling process is left as it was.
     """
-    # no CPU affinity outside Linux: the loop runs here alone
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    w = min(len(cpus), len(items))
+    # no sched_getaffinity outside Linux: the loop runs here alone
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    w = min(cpus, len(items))
     if w < 2:
         return [func(x) for x in items]
     claims, run = _claims_pipe(len(items))
     children = {}
     try:
-        for j in range(1, w):
+        for _ in range(1, w):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -171,9 +172,6 @@ def _map_on_cpus(func, items) -> list:
                 code = 1
                 try:
                     os.close(read_fd)
-                    # a child starts on its parent's CPU, and the scheduler
-                    # can take longer than a whole item to move it
-                    os.sched_setaffinity(0, {cpus[j]})
                     share = _claimed_results(func, items, claims, run)
                     with os.fdopen(write_fd, "wb") as pipe:
                         pickle.dump(share, pipe)
@@ -182,7 +180,6 @@ def _map_on_cpus(func, items) -> list:
                     os._exit(code)
             os.close(write_fd)
             children[pid] = os.fdopen(read_fd, "rb")
-        os.sched_setaffinity(0, {cpus[0]})
         done = _claimed_results(func, items, claims, run)
         for pid in list(children):
             with children[pid] as pipe:
@@ -193,7 +190,6 @@ def _map_on_cpus(func, items) -> list:
                 done.update(pickle.loads(data))
     finally:
         os.close(claims)
-        os.sched_setaffinity(0, cpus)
         for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
@@ -590,6 +586,11 @@ def _fix_heap_thresholds() -> None:
     mallopt(-1, 8 << 20)
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as the one line ``cvbias: warning: <message>``."""
+    return f"cvbias: warning: {message}\n"
+
+
 def entry() -> int:
     """The program entry of ``python -m cvbias.cli`` and the ``cvbias`` script.
 
@@ -609,11 +610,16 @@ def entry() -> int:
     leave what only reference cycles hold to the operating system; the
     collections in the children ``_map_on_cpus`` forks skip them too.
 
-    The children ``_map_on_cpus`` forks inherit both settings. ``main``
-    itself leaves the allocator and the collector as it found them.
+    A warning prints as one ``cvbias: warning: <message>`` line, without
+    the source file, line and code that Python's own format adds.
+
+    The children ``_map_on_cpus`` forks inherit these settings. ``main``
+    itself leaves the allocator, the collector and the warning format as
+    it found them.
     """
     _fix_heap_thresholds()
     gc.freeze()
+    warnings.formatwarning = _format_warning
     return main()
 
 

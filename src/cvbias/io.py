@@ -115,12 +115,9 @@ def dump_json(obj) -> str:
 
 
 def sha256_file(path) -> str:
-    """Hex SHA-256 of the file at ``path``, read through one reused 64 KiB
-    buffer: no chunk becomes a bytes object of its own."""
+    """Hex SHA-256 of the file at ``path``, read in 64 KiB chunks."""
     digest = hashlib.sha256()
-    buf = bytearray(1 << 16)
-    view = memoryview(buf)
     with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(buf):
-            digest.update(view[:size])
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
     return digest.hexdigest()

@@ -5,8 +5,12 @@ Inputs are driven through ``cli.main`` in-process. For ``forward`` they are
 small datasets with a few cells set to extreme values; for ``simulate``,
 small valid ``many_k`` and ``forward`` configs with up to two keys dropped,
 added or set to a wrong or extreme value. A ``simulate`` run that exits 1
-leaves no output directory behind. ``compare`` and the
-``--alpha``, ``--multiplier`` and ``--max-size`` flags are not covered yet.
+leaves no output directory behind. For ``compare`` they are 1-12 small
+pointwise and log-likelihood files with extreme cells and constant columns,
+stems that may repeat, and each ``--kind``, ``--baseline`` and
+``--alpha``/``--multiplier`` in or out of range; its one allowed warning is
+PSIS's on fewer than 100 draws. ``forward``'s ``--alpha``, ``--multiplier``
+and ``--max-size`` flags are not covered yet.
 """
 
 import contextlib
@@ -14,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -172,3 +177,102 @@ def test_simulate_exits_clean_or_with_one_error_line(tmp_path_factory, config):
         assert code == 1 and out == ""
         assert err.startswith("cvbias: error:") and err.count("\n") == 1
         assert not out_dir.exists()
+
+
+@st.composite
+def compare_runs(draw):
+    """The (stem, cells, header) of each input file, and the flags of one run.
+
+    A run has at most one twist (a repeated stem, a file whose observation
+    count disagrees, one or two files, one observation) and two extreme
+    cells, so that most runs get to be scored.
+    """
+    twist = draw(st.sampled_from(["none"] * 6 + ["twin", "disagree", "one_file", "two_files",
+                                                 "one_obs"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    count = {"one_file": 1, "two_files": 2}.get(twist) or int(rng.integers(3, 13))
+    n_obs = 1 if twist == "one_obs" else draw(st.integers(2, 5))
+    odd = draw(st.integers(0, count - 1))
+    files = []
+    for i in range(count):
+        cols = n_obs + (twist == "disagree" and i == odd)
+        if draw(st.booleans()):  # pointwise elpds, one column of cols values
+            shape, header = (cols, 1), "elpd"
+        else:  # draws x observations, under 100 draws with PSIS's warning
+            shape, header = (draw(st.sampled_from([5, 12, 40, 120])), cols), None
+        values = rng.normal(-1.0, 0.5, shape)
+        if draw(st.integers(0, 3)) == 0:
+            values[:, draw(st.integers(0, values.shape[1] - 1))] = draw(
+                st.sampled_from([-1.0, 0.0, -0.0, 1e-300, 1e-310, -1e154]))
+        files.append([f"m{i}", values, header])
+    if twist == "twin":
+        files[odd][0] = files[odd - 1][0]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        values = files[draw(st.integers(0, count - 1))][1]
+        i, j = draw(st.integers(0, values.shape[0] - 1)), draw(st.integers(0, values.shape[1] - 1))
+        values[i, j] = draw(st.sampled_from([*EXTREMES, *(-v for v in EXTREMES)]))
+    stems = [stem for stem, _, _ in files]
+    # the flags are drawn by rng, so that most runs keep the valid ones
+    flags = ["--kind", rng.choice(["auto"] * 4 + ["pointwise", "loglik"]),
+             "--baseline", rng.choice(["median"] * 3 + [stems[0], stems[-1], "zz"]),
+             "--format", rng.choice(["json", "csv"])]
+    # "--flag=value", as argparse takes "-inf" on its own for an option
+    alpha = rng.choice([None] * 9 + ["0.39", "0.5", "0.38", "0.6", "nan", "-inf"])
+    multiplier = rng.choice([None] * 9 + ["0", "3", "1e300", "-0.5", "inf", "nan"])
+    flags += [f"--alpha={alpha}"] * (alpha is not None)
+    flags += [f"--multiplier={multiplier}"] * (multiplier is not None)
+    return files, [str(flag) for flag in flags]
+
+
+# the only warning a compare run may raise: PSIS on too few draws
+FEW_DRAWS = re.compile(r"PSIS with \d+ draws is unreliable; use at least 100")
+
+
+def null_places(value, where: str = "") -> set[str]:
+    """The place of each null in a JSON value; a list item is named by its
+    "name" up to any ":" (a diagnostic), else by its index."""
+    if value is None:
+        return {where}
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = ((v.get("name", str(i)).split(":")[0] if isinstance(v, dict) else i, v)
+                 for i, v in enumerate(value))
+    else:
+        return set()
+    return {place for key, v in items for place in null_places(v, f"{where}/{key}")}
+
+
+# README: the tail k-hat with under 10 candidates or an unfittable tail, and
+# a model's PSIS k-hat when it is not finite, are written as null
+REPORT_NULLS = {"/comparison/khat_tail", "/diagnostics/tail_khat/value",
+                "/diagnostics/psis_khat/value"}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(run=compare_runs())
+def test_compare_exits_clean_or_with_one_error_line(tmp_path_factory, run):
+    files, flags = run
+    where = tmp_path_factory.mktemp("compare")
+    paths = []
+    for i, (stem, values, header) in enumerate(files):
+        path = where / f"d{i}" / f"{stem}.csv"
+        path.parent.mkdir()
+        rows = [",".join(repr(v) for v in row) for row in values.tolist()]
+        path.write_text("\n".join([header, *rows] if header else rows) + "\n")
+        paths.append(str(path))
+    code, out, err, caught = run_main(["compare", *paths, *flags])
+    assert all(FEW_DRAWS.fullmatch(message) for message in caught), caught
+    if code == 0:
+        assert err == ""
+        if flags[5] == "csv":
+            cells = [c for line in out.splitlines()[1:] for c in line.split(",")[1:]]
+            assert all(math.isfinite(float(c)) for c in cells if c not in ("true", "false"))
+        else:
+            report = json.loads(out)
+            del report["provenance"]  # the flags as given, and the paths
+            assert all(map(math.isfinite, json_numbers(json.dumps(report))))
+            assert null_places(report) <= REPORT_NULLS
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("cvbias: error:") and err.count("\n") == 1
