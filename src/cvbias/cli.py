@@ -43,6 +43,7 @@ from .io import (
 from .orderstats import (
     DEFAULT_ALPHA,
     DEFAULT_MULTIPLIER,
+    MIN_MODELS_FOR_DIAGNOSTIC,
     build_comparison,
     check_alpha,
     check_baseline,
@@ -251,10 +252,12 @@ def cmd_compare(args) -> None:
         {
             "name": "tail_khat",
             "value": comparison.khat_tail,
+            # a null value under 10 differences is a diagnostic not run;
+            # from 10 on, it is a tail that could not be fitted
             "status": (
-                "pass"
-                if comparison.reliable
-                else ("unavailable" if comparison.khat_tail is None else "fail")
+                "unavailable"
+                if comparison.K < MIN_MODELS_FOR_DIAGNOSTIC
+                else ("pass" if comparison.reliable else "fail")
             ),
         },
     ]
@@ -515,6 +518,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flags that take a number, which may be negative
+_NUMBER_FLAGS = ("--alpha", "--multiplier", "--max-size", "--seed")
+
+
+def _is_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined_negative_numbers(argv) -> list[str]:
+    """``argv`` with each negative number that follows a number flag joined
+    to the flag by ``=``, up to any ``--``.
+
+    Argparse takes only plain decimals such as -0.5 for negative numbers:
+    it would read -inf, -nan or -1e5 after a space as an option, and the
+    flag as lacking its value. A flag may be abbreviated, as argparse allows.
+    """
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    out = []
+    for arg in argv[:end]:
+        flag = out[-1] if out else ""
+        if (
+            arg.startswith("-")
+            and _is_number(arg)
+            and flag.startswith("--")
+            and any(f.startswith(flag) for f in _NUMBER_FLAGS)
+        ):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out + argv[end:]
+
+
 def main(argv=None) -> int:
     """Run one command; its exit code.
 
@@ -526,7 +566,8 @@ def main(argv=None) -> int:
     code = 0
     with contextlib.redirect_stdout(collected):
         try:
-            args = build_parser().parse_args(argv)
+            argv = sys.argv[1:] if argv is None else argv
+            args = build_parser().parse_args(_joined_negative_numbers(argv))
             args.func(args)
         except SystemExit as exc:
             code = exc

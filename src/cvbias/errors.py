@@ -49,10 +49,6 @@ class DegenerateWeights(CvBiasError, ValueError):
     """Importance weights could not be normalized."""
 
 
-class IncompletePath(CvBiasError, ValueError):
-    """Stopping rule requires a search path run to its full size."""
-
-
 class EmptyCandidateSet(CvBiasError, ValueError):
     """Forward search has no predictors, or fewer than the steps asked for."""
 

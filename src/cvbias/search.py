@@ -27,7 +27,6 @@ from .conjlm import (
 )
 from .errors import (
     EmptyCandidateSet,
-    IncompletePath,
     InvalidParameter,
     NonFiniteInput,
     SchemaMismatch,
@@ -69,7 +68,6 @@ class SearchPath:
     steps: tuple[SearchStep, ...]
     base_elpd: float
     base_pointwise: np.ndarray
-    max_size: int
     test_mlpd_base: float | None = None
 
     @property
@@ -287,7 +285,6 @@ def forward_search(
         steps=tuple(steps),
         base_elpd=base.estimate,
         base_pointwise=base.pointwise,
-        max_size=max_size,
         test_mlpd_base=base_test_mlpd,
     )
 
@@ -346,17 +343,13 @@ def correct_path(
 
 
 def stopping_rules(path: SearchPath) -> StopVerdicts:
-    """Evaluate all stopping rules on a completed path.
+    """Evaluate all stopping rules on the steps a path holds.
 
     bulge: argmax of the raw cumulative elpd. 2-sigma: smallest size whose
     raw elpd is within two paired standard errors of the bulge. corrected
     max: argmax of the corrected path. The incremental sigma-delta rules
     stop at the first size where no candidate's gain clears m * se(gain).
     """
-    if len(path.steps) < path.max_size:
-        raise IncompletePath(
-            f"path has {len(path.steps)} steps, expected {path.max_size}"
-        )
     raw = path.raw_elpds()
     bulge_size = int(np.argmax(raw))
     corrected_max_size = int(np.argmax(path.corrected_elpds()))

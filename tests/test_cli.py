@@ -349,6 +349,24 @@ class TestCompare:
         assert diags["psis_khat:a"] == {"name": "psis_khat:a", "value": None, "status": "fail"}
         assert diags["psis_khat:b"]["status"] == "pass"
 
+    @pytest.mark.parametrize("count, status", [(12, "fail"), (10, "unavailable")])
+    def test_null_tail_khat_is_unavailable_only_below_ten_differences(
+        self, tmp_path, capsys, count, status
+    ):
+        # all but three models identical; those three have row 0 raised:
+        # from 10 differences on, the tail has too few exceedances to fit
+        paths = []
+        for i in range(count):
+            values = np.zeros(50)
+            values[0] = max(0, i - count + 4) / 10
+            paths.append(str(write_pointwise(tmp_path / f"m{i:02d}.csv", values)))
+        assert main(["compare", *paths]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["comparison"]["K"] == count - 1
+        assert report["comparison"]["reliable"] is False
+        diags = {d["name"]: d for d in report["diagnostics"]}
+        assert diags["tail_khat"] == {"name": "tail_khat", "value": None, "status": status}
+
     def test_csv_output(self, tmp_path):
         rng = np.random.default_rng(94)
         paths = [
@@ -1617,6 +1635,37 @@ def test_seed_flag_rejected_by_compare_and_forward(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: cvbias") and "unrecognized arguments: --seed 1" in err
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-infinity", "-1e5", "-1E-3"])
+@pytest.mark.parametrize("flag", ["--alpha", "--multiplier"])
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "a.csv", "b.csv", "c.csv"], ["forward", "d.csv", "--target", "y"]],
+    ids=["compare", "forward"],
+)
+def test_negative_value_after_a_space_reads_as_after_equals(capsys, argv, flag, value):
+    # argparse alone takes these after a space for an option, and the flag
+    # for one without its value; the range checks run before any read
+    errors = []
+    for spelled in ([flag, value], [f"{flag}={value}"]):
+        assert main(argv + spelled) == 1
+        errors.append(capsys.readouterr().err)
+    name = flag.removeprefix("--")
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"cvbias: error: {name} must ")
+    assert errors[0].endswith(f", got {float(value)}\n") and errors[0].count("\n") == 1
+
+
+def test_number_flags_are_the_parsers_int_and_float_flags():
+    # a number flag missing from the list would still take -inf for an option
+    flags = {
+        a.option_strings[-1]
+        for parser in subparsers().values()
+        for a in parser._actions
+        if a.type in (int, float)
+    }
+    assert flags == set(cli._NUMBER_FLAGS)
 
 
 NO_SCIPY_SCRIPT = """

@@ -9,8 +9,9 @@ leaves no output directory behind. For ``compare`` they are 1-12 small
 pointwise and log-likelihood files with extreme cells and constant columns,
 stems that may repeat, and each ``--kind``, ``--baseline`` and
 ``--alpha``/``--multiplier`` in or out of range; its one allowed warning is
-PSIS's on fewer than 100 draws. ``forward``'s ``--alpha``, ``--multiplier``
-and ``--max-size`` flags are not covered yet.
+PSIS's on fewer than 100 draws. ``forward`` draws the same ``--alpha`` and
+``--multiplier`` values, and ``--max-size`` at and past its limits. Each
+number flag is given as ``--flag=value`` or as two arguments.
 """
 
 import contextlib
@@ -29,6 +30,21 @@ from cvbias.cli import main
 
 # signed zeros, values whose squares or products overflow, and subnormals
 EXTREMES = [0.0, -0.0, 1e300, -1e300, 1e200, 1e154, 1e-300, 1e-310]
+# --alpha and --multiplier in and out of range, negative ones among them
+ALPHAS = ["0.39", "0.5", "0.38", "0.6", "nan", "-inf"]
+MULTIPLIERS = ["0", "3", "1e300", "-0.5", "inf", "nan"]
+
+
+def number_flags(draw, **choices) -> list[str]:
+    """Each flag ``--<name>`` left out or given one of its values, as
+    ``--<name>=value`` or as the flag and the value."""
+    flags = []
+    for name, values in choices.items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            flag = f"--{name.replace('_', '-')}"
+            flags += [f"{flag}={value}"] if draw(st.booleans()) else [flag, str(value)]
+    return flags
 
 
 def cells(draw, n: int, p: int) -> np.ndarray:
@@ -53,8 +69,10 @@ def forward_runs(draw):
     n, p = draw(st.integers(3, 11)), draw(st.integers(1, 4))
     train = cells(draw, n, p)
     test = cells(draw, draw(st.integers(1, 11)), p) if draw(st.booleans()) else None
-    flags = ["--prior", draw(st.sampled_from(["diffuse", "tight"])),
-             "--format", draw(st.sampled_from(["json", "csv"]))]
+    flags = number_flags(draw, alpha=ALPHAS, multiplier=MULTIPLIERS,
+                         max_size=[0, -1, 1, p, p + 1, 10**30])
+    flags += ["--prior", draw(st.sampled_from(["diffuse", "tight"])),
+              "--format", draw(st.sampled_from(["json", "csv"]))]
     return train, test, flags
 
 
@@ -216,11 +234,7 @@ def compare_runs(draw):
     flags = ["--kind", rng.choice(["auto"] * 4 + ["pointwise", "loglik"]),
              "--baseline", rng.choice(["median"] * 3 + [stems[0], stems[-1], "zz"]),
              "--format", rng.choice(["json", "csv"])]
-    # "--flag=value", as argparse takes "-inf" on its own for an option
-    alpha = rng.choice([None] * 9 + ["0.39", "0.5", "0.38", "0.6", "nan", "-inf"])
-    multiplier = rng.choice([None] * 9 + ["0", "3", "1e300", "-0.5", "inf", "nan"])
-    flags += [f"--alpha={alpha}"] * (alpha is not None)
-    flags += [f"--multiplier={multiplier}"] * (multiplier is not None)
+    flags += number_flags(draw, alpha=ALPHAS, multiplier=MULTIPLIERS)
     return files, [str(flag) for flag in flags]
 
 

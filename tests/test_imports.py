@@ -327,3 +327,22 @@ def test_private_conjlm_names_stay_pinned():
     for path in package.glob("*.py"):
         if path.stem != "conjlm":
             assert conjlm_names(path) & KERNEL_INTERNALS == set(), path.name
+
+
+def test_every_error_class_is_raised():
+    """Each exception class in ``cvbias/errors.py`` but the base
+    ``CvBiasError`` has a ``raise`` in the package: a class goes with its
+    last raise site."""
+    package = Path(cvbias.__file__).resolve().parent
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    assert sorted(classes - raised - {"CvBiasError"}) == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred
 from cvbias.errors import (
     EmptyCandidateSet,
-    IncompletePath,
     InvalidParameter,
     SchemaMismatch,
     TooFewObservations,
@@ -60,7 +60,6 @@ def synthetic_path(raw_diffs, candidate_diffs, base=0.0, ses=None):
         steps=tuple(steps),
         base_elpd=base,
         base_pointwise=np.full(n_obs, base / n_obs),
-        max_size=len(raw_diffs),
     )
 
 
@@ -102,7 +101,6 @@ def refit_search(data, prior, max_size):
         steps=tuple(steps),
         base_elpd=base.estimate,
         base_pointwise=base.pointwise,
-        max_size=max_size,
     )
 
 
@@ -450,13 +448,12 @@ class TestStoppingRules:
         v = stopping_rules(path)
         assert v.two_sigma_delta_size == v.three_sigma_delta_size == 2
 
-    def test_incomplete_path_rejected(self, block_path):
-        path, _, _ = block_path
-        from dataclasses import replace
-
-        truncated = replace(path, steps=path.steps[:3])
-        with pytest.raises(IncompletePath):
-            stopping_rules(truncated)
+    def test_prefix_verdicts_match_a_search_of_its_length(self, block_path):
+        # the rules read the steps a path holds, whatever length it ran to
+        path, train, test = block_path
+        prefix = replace(path, steps=path.steps[:3])
+        short = forward_search(train, PRIOR, max_size=3, test=test)
+        assert stopping_rules(correct_path(prefix)) == stopping_rules(correct_path(short))
 
 
 class TestEvaluateTest:
