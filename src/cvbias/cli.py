@@ -226,7 +226,7 @@ def cmd_compare(args) -> None:
     # an unusable output or baseline fails before the inputs are read and scored
     if args.output:
         out = Path(args.output)
-        if not out.parent.is_dir():
+        if _missing_dirs(out.parent, args.output):
             raise FileNotFoundError("no such directory")
         # a name ending in a separator names a directory too, made or not
         if out.is_dir() or not os.path.basename(args.output):
@@ -288,15 +288,31 @@ def cmd_compare(args) -> None:
         print(dump_json(bundle))
 
 
+def _missing_dirs(path: Path, name) -> list[Path]:
+    """The parts of the directory path ``path`` that do not exist, deepest
+    first. Raises ``NotADirectoryError``, naming ``name``, where the
+    deepest part that exists is not a directory."""
+    missing = []
+    for d in (path, *path.parents):
+        if d.is_dir():
+            break
+        if d.exists():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(name))
+        missing.append(d)
+    return missing
+
+
 @contextlib.contextmanager
 def _made_dir(path: Path):
     """Make the directory ``path`` and its missing parents for the block.
 
-    If the block fails, the directories made here are removed, deepest
-    first, while they are empty: the first one that is not ends it, and the
-    files written so far stay. A directory that was there before is kept.
+    A part of ``path`` that exists and is not a directory fails with
+    ``NotADirectoryError`` before anything is made. If the block fails, the
+    directories made here are removed, deepest first, while they are empty:
+    the first one that is not ends it, and the files written so far stay. A
+    directory that was there before is kept.
     """
-    made = [d for d in (path, *path.parents) if not d.exists()]
+    made = _missing_dirs(path, path)
     try:
         path.mkdir(parents=True, exist_ok=True)
         yield

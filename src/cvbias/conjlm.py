@@ -26,7 +26,9 @@ share the intercept-only baseline, go through the same pass. A forward search
 carries the chosen extension's ``PosteriorFit`` to the next step by
 bordering P^-1 with that column's terms, so only its starting model is
 fit; ``_border_rows`` moves any design rows of a bordered model, training
-or held-out, one replication or many.
+or held-out, one replication or many. Only an extension that breaches the
+closed form's guard is fit on its own, once, by ``_fit_loo``; that fit
+travels with its bordering terms and stands in for the bordered model.
 
 ``draw_posterior`` and ``pointwise_loglik`` turn a conjugate fit into a
 draws-by-observations log-likelihood matrix, the input that
@@ -247,10 +249,7 @@ def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> E
     refits of ``_loo_refit`` stand in when the closed form's guard breaks.
     """
     _require_loo_rows(data.n)
-    post = fit(data, prior)
-    pointwise, ok = _loo_closed_form(post.resid, 1.0 - post.h, post.b_n, post.a_n)
-    if not ok:
-        pointwise = _loo_refit(data, prior)
+    _, pointwise = _fit_loo(data, prior)
     # fsum over Python floats: the same correctly rounded sum, without one
     # numpy scalar per element
     return ElpdEstimate(
@@ -259,6 +258,18 @@ def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> E
         se=elpd_se(pointwise),
         model_id=model_id,
     )
+
+
+def _fit_loo(data: Dataset, prior: NigPrior):
+    """The fit of ``data`` and its exact-LOO pointwise elpds: rows removed
+    in closed form, or by the n refits of ``_loo_refit`` where the closed
+    form's guard breaks."""
+    post = fit(data, prior)
+    # the closed form overwrites the residuals it is given
+    pointwise, ok = _loo_closed_form(post.resid.copy(), 1.0 - post.h, post.b_n, post.a_n)
+    if not ok:
+        pointwise = _loo_refit(data, prior)
+    return post, pointwise
 
 
 def _border_terms(post: PosteriorFit, X: np.ndarray, xx: np.ndarray, prior: NigPrior):
@@ -281,13 +292,17 @@ def _border_terms(post: PosteriorFit, X: np.ndarray, xx: np.ndarray, prior: NigP
     return U, E, s, noise
 
 
-def _border(post: PosteriorFit, x: np.ndarray, u, s, ey) -> PosteriorFit:
-    """``post`` extended by the predictor column ``x``, by bordering.
+def _border(post: PosteriorFit, x: np.ndarray, u, s, ey, refit=None) -> PosteriorFit:
+    """``post`` extended by the predictor column ``x``, by bordering, or
+    ``refit``, the extended model's own fit, where there is one
+    (``_score_extensions``).
 
     With u = P^-1 A'x and g = e'y/s: P^-1 gains u u'/s, -u/s and 1/s and
     the mean becomes (mean_n - u g, g); ``_border_rows`` moves the training
     rows and b_n.
     """
+    if refit is not None:
+        return refit
     # the residuals y - A mean_n move against the locations A mean_n
     neg_resid, h, b_n = _border_rows(post.A, x, -post.resid, post.h, post.b_n, u, s, ey)
     g = ey / s
@@ -309,7 +324,7 @@ def _border(post: PosteriorFit, x: np.ndarray, u, s, ey) -> PosteriorFit:
     )
 
 
-def _border_rows(A, x, loc, lev, b_n, u, s, ey, refits=()):
+def _border_rows(A, x, loc, lev, b_n, u, s, ey, refits=None):
     """Locations ``loc`` and leverages ``lev`` of the design rows ``A``, and
     the scale ``b_n`` of their model, once the model is bordered by a column
     whose values at the rows are ``x`` and whose terms are u, s and e'y
@@ -317,18 +332,21 @@ def _border_rows(A, x, loc, lev, b_n, u, s, ey, refits=()):
 
     With e = x - A u and g = e'y/s, each location moves to loc + e g, each
     leverage to lev + e^2/s and b_n to b_n - (e'y)^2/(2s). A leading axis
-    on every argument holds replications, each with its own model. A model
-    whose closed form broke is fit on its own: ``refits`` pairs its index
-    with that fit, whose b_n it takes and from which its rows are predicted.
+    on every argument holds replications, each with its own model.
+    ``refits``, shaped like ``s``, holds the extended model's own fit where
+    its closed form broke (``_score_extensions``) and None elsewhere; a
+    model with a fit takes its b_n and has its rows predicted from it.
     """
     e = x - (A @ u[..., None])[..., 0]
     loc = loc + e * np.asarray(ey / s)[..., None]
     lev = lev + e**2 / np.asarray(s)[..., None]
     # halved after the division: 2s can overflow where s does not
     b_n = np.asarray(b_n - ey**2 / s / 2.0)
-    for i, post in refits:
-        loc[i], lev[i] = _predict(post, np.column_stack([A[i], x[i]]))
-        b_n[i] = post.b_n
+    # ndenumerate, as one model's fit is a scalar, not a 0-d array
+    for i, post in np.ndenumerate(refits):
+        if post is not None:
+            loc[i], lev[i] = _predict(post, np.column_stack([A[i], x[i]]))
+            b_n[i] = post.b_n
     return loc, lev, b_n
 
 
@@ -342,17 +360,19 @@ def _score_extensions(
     response. For m replications that share the design of ``post`` (its
     P^-1, A and h) but not their responses, ``X`` is m x c x n, ``xx`` m x
     c, ``y`` m x n, and ``post``'s ``resid`` m x n and ``b_n`` length m.
-    Returns ``(pointwise, estimates, U, s, ey, ok)``: the block of
+    Returns ``(pointwise, estimates, U, s, ey, refits)``: the block of
     pointwise elpds, shaped as ``X``, its row sums and, per candidate,
-    ``_border_terms``' u (U is [m x] c x d) and s, e'y and whether the
-    closed form held. All candidates go through one BLAS-3 pass and
+    ``_border_terms``' u (U is [m x] c x d) and s, e'y and the extended
+    model's own fit or None. All candidates go through one BLAS-3 pass and
     ``_extension_loo``. Only a candidate whose extended model breaches the
     closed form's guard (leverage >= 1 - 1e-10, a downdated scale <= 0, or
-    s rounding noise) is scored on its own, by ``elpd_loo_exact`` on the
-    dataset ``model(*index)`` of its extended model. The row sums are
-    numpy's, taken once that candidate's row is in the block, so every
-    total is formed the same way: identical rows give equal totals, and a
-    caller's argmax breaks their tie to the lowest index.
+    s rounding noise) is fit and scored on its own, by ``_fit_loo`` on the
+    dataset ``model(*index)`` of its extended model; ``refits`` holds that
+    fit, for ``_border`` and ``_border_rows`` to carry, so no caller fits
+    the model again. The row sums are numpy's, taken once that candidate's
+    row is in the block, so every total is formed the same way: identical
+    rows give equal totals, and a caller's argmax breaks their tie to the
+    lowest index.
     """
     *shape, n = X.shape
     _require_loo_rows(n)
@@ -370,10 +390,11 @@ def _score_extensions(
     )
     ok &= ~noise
     del E
+    refits = np.full(shape, None, dtype=object)
     for index in zip(*np.nonzero(~ok)):
-        pointwise[index] = elpd_loo_exact(model(*index), prior).pointwise
+        refits[index], pointwise[index] = _fit_loo(model(*index), prior)
     estimates = pointwise.sum(axis=-1)
-    return pointwise, estimates, U, s, ey, ok
+    return pointwise, estimates, U, s, ey, refits
 
 
 def _extension_loo(resid, omh, b_n, a_n, E, s, ey):
@@ -424,8 +445,8 @@ def _loo_closed_form(resid, omh, b_n, a_n):
 
 
 def _loo_refit(data: Dataset, prior: NigPrior) -> np.ndarray:
-    """Exact-LOO pointwise elpd by n refits: ``elpd_loo_exact``'s fallback
-    and the slow reference of the tests."""
+    """Exact-LOO pointwise elpd by n refits: ``_fit_loo``'s fallback and
+    the slow reference of the tests."""
     n = data.n
     pointwise = np.empty(n)
     X_full = data.design()

@@ -181,9 +181,10 @@ def forward_search(
     ``PosteriorFit`` in one BLAS-3 pass (``conjlm._score_extensions``) over
     a candidate-major block, one contiguous row of n values per candidate,
     giving the diffs and paired standard errors; only the chosen row is
-    kept. The chosen column's u = P^-1 A'x, s and e'y border that fit; only
-    the starting model and a chosen candidate that breached the closed
-    form's guard are fit afresh. Ties break to the lowest predictor index.
+    kept. The chosen column's u = P^-1 A'x, s and e'y border that fit, or
+    the kernel's own fit of the extended model takes its place where that
+    model breached the closed form's guard; only the starting model is fit
+    here. Ties break to the lowest predictor index.
     Each step's corrected fields hold its raw values until ``correct_path``.
     A predictor or response of ``data`` or ``test`` whose sum of squares
     overflows is rejected before any fit. Squares that fit can still
@@ -194,7 +195,8 @@ def forward_search(
     A ``test`` set, matched to ``data`` by predictor position (and by name,
     when both have names), is scored at every size from the same posterior:
     ``conjlm._border_rows`` moves its rows with the chosen column's terms,
-    or predicts them from the model fit afresh.
+    or predicts them from the kernel's fit of a model that breached the
+    guard.
     """
     p = data.p
     if p == 0:
@@ -235,7 +237,7 @@ def forward_search(
     for _ in range(max_size):
         cands = [j for j in range(p) if j not in cols]
         # each candidate's column gathered into one contiguous row
-        pointwise, estimates, U, s, ey, ok = _score_extensions(
+        pointwise, estimates, U, s, ey, refits = _score_extensions(
             post, data.X.T[cands], squares[cands], data.y, prior,
             lambda k: data.subset(cols + (cands[k],)),
         )
@@ -254,17 +256,16 @@ def forward_search(
         elpd_after = float(estimates[best])
         j = cands[best]
         cols += (j,)
-        terms = U[best], s[best], ey[best]
-        refits = [] if ok[best] else [((), fit(data.subset(cols), prior))]
+        terms = U[best], s[best], ey[best], refits[best]
         if test is not None:
             x = test.X[:, j]
-            loc, lev, b_n = _border_rows(At, x, loc, lev, post.b_n, *terms, refits)
+            loc, lev, b_n = _border_rows(At, x, loc, lev, post.b_n, *terms)
             At = np.column_stack([At, x])
             test_mlpd = mlpd(_predictive_logpdf(test.y, loc, lev, post.a_n, b_n))
             if not math.isfinite(test_mlpd):
                 name = _predictor(test, j)
                 raise NonFiniteInput(f"test predictor {name} overflows the mlpd at size {len(cols)}")
-        post = refits[0][1] if refits else _border(post, data.X[:, j], *terms)
+        post = _border(post, data.X[:, j], *terms)
         steps.append(
             SearchStep(
                 predictor_added=j,

@@ -185,9 +185,10 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior):
     returned first. Each dataset's columns follow a zero column, which
     extends the baseline to itself, so the baselines and all candidates go
     through one ``conjlm._score_extensions`` pass on an m x K x n block,
-    whose estimates, U, s, e'y and ok follow, with a replication axis
-    before the model axis: model 0 is the baseline and model k the one
-    with predictor k - 1.
+    whose estimates, U, s, e'y and refits (a model's own fit where its
+    closed form broke, else None) follow, with a replication axis before
+    the model axis: model 0 is the baseline and model k the one with
+    predictor k - 1.
     """
     m = len(datasets)
     n, K = datasets[0].n, datasets[0].p + 1
@@ -201,21 +202,19 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior):
     R = Y - mean[:, None]
     b_n = prior.b0 + 0.5 * (np.einsum("ij,ij->i", R, R) + mean**2 / prior.v0)
     base = dc_replace(base, mean_n=mean[None], b_n=b_n, resid=R)
-    _, estimates, U, s, ey, ok = _score_extensions(
+    _, estimates, U, s, ey, refits = _score_extensions(
         base, X, np.einsum("rki,rki->rk", X, X), Y, prior,
         lambda r, k: datasets[r].subset(() if k == 0 else (k - 1,)),
     )
-    return base, estimates, U, s, ey, ok
+    return base, estimates, U, s, ey, refits
 
 
 def _many_k_test_elpds(
     block,
-    datasets: list[Dataset],
     selected: np.ndarray,
     y_test: np.ndarray,
     x_true: np.ndarray,
     x_selected: np.ndarray,
-    prior: NigPrior,
 ):
     """Test elpds, scaled to n, of each dataset's baseline, selected and
     true (predictor 0) models; ``block`` is what ``_score_many_k`` returns,
@@ -223,12 +222,12 @@ def _many_k_test_elpds(
     r's test responses and predictor values.
 
     ``conjlm._border_rows`` borders the baseline posterior by the model's
-    column; a model whose closed form broke is fit on its own instead, and
-    so fails as ``fit`` does.
+    column, or predicts the rows from the block's own fit of a model whose
+    closed form broke; no model is fit here.
     """
-    base, _, U, s, ey, ok = block
-    n = datasets[0].n
-    rows = np.arange(len(datasets))
+    base, _, U, s, ey, refits = block
+    m, n = base.resid.shape
+    rows = np.arange(m)
     mean, h = base.mean_n[0][:, None], base.h[0]
     ones = np.ones(y_test.shape + (1,))
 
@@ -240,12 +239,8 @@ def _many_k_test_elpds(
     out = [scaled_mean(mean, h, base.b_n)]
     for cols, x in ((selected, x_selected), (np.zeros_like(selected), x_true)):
         k = cols + 1
-        refits = [
-            (r, fit(datasets[r].subset((cols[r],)), prior))
-            for r in np.flatnonzero(~ok[rows, k])
-        ]
-        terms = U[rows, k], s[rows, k], ey[rows, k]
-        loc, lev, b_n = _border_rows(ones, x, mean, h, base.b_n, *terms, refits)
+        terms = U[rows, k], s[rows, k], ey[rows, k], refits[rows, k]
+        loc, lev, b_n = _border_rows(ones, x, mean, h, base.b_n, *terms)
         out.append(scaled_mean(loc, lev, b_n))
     return out
 
@@ -274,7 +269,7 @@ def _many_k_rows(task, alpha: float, prior: NigPrior, n_test: int) -> list[dict]
         x_true[r] = test.X[:, 0]
         x_selected[r] = test.X[:, selected[r]]
     base_test, sel_test, true_test = _many_k_test_elpds(
-        block, datasets, selected, y_test, x_true, x_selected, prior
+        block, selected, y_test, x_true, x_selected
     )
     rows = []
     for r, cell in enumerate(cells):
@@ -322,12 +317,13 @@ def run_many_k(
     A cell's replications are scored together (``_score_many_k``), in
     blocks whose training block (n x K values per replication) and test
     arrays (n_test values per replication) hold up to 2^15 values, from one
-    shared baseline factorization; no model is fit on its own unless the
-    closed form's guard breaks. Test elpds border the same baseline posterior with the
-    chosen column (``_many_k_test_elpds``). Each replication's training
-    and test sets have seeds of their own, so the test sets are drawn
-    after the block is scored and only their response, first predictor and
-    selected predictor are kept.
+    shared baseline factorization. Test elpds border the same baseline
+    posterior with the chosen column (``_many_k_test_elpds``). Only a model
+    whose closed form's guard breaks is fit on its own, once, as the block
+    is scored; its test rows are predicted from that fit. Each
+    replication's training and test sets have seeds of their own, so the
+    test sets are drawn after the block is scored and only their response,
+    first predictor and selected predictor are kept.
 
     Each block is one task of ``map_fn(func, tasks)``: the tuple
     ``(spec, lo, hi)`` of its cell and its half-open range of

@@ -1381,18 +1381,26 @@ class TestSimulateAcrossCpus:
 @pytest.mark.parametrize(
     "argv, output, where",
     [
-        (["compare", "a.csv", "b.csv", "c.csv"], "nodir/x.json", "nodir/x.json"),
+        (["compare", "a.csv", "b.csv", "c.csv"], "nodir/x.json",
+         "nodir/x.json: no such directory"),
         (["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"], "nodir/x.csv",
-         "nodir/x.csv"),
+         "nodir/x.csv: no such directory"),
         (["compare", "a.csv", "b.csv", "c.csv"], "adir", "adir: Is a directory"),
         (["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"], "adir",
          "adir: Is a directory"),
         (["compare", "a.csv", "b.csv", "c.csv"], "newdir/", "newdir/: Is a directory"),
-        (["simulate", "mk.json"], "afile/x", "afile/x"),
-        (["forward", "d.csv", "--target", "y"], "afile/run", "afile"),
+        (["compare", "a.csv", "b.csv", "c.csv"], "afile/x.json",
+         "afile/x.json: Not a directory"),
+        (["compare", "a.csv", "b.csv", "c.csv"], "afile/sub/x.json",
+         "afile/sub/x.json: Not a directory"),
+        (["simulate", "mk.json"], "afile/x", "afile/x: Not a directory"),
+        (["simulate", "mk.json"], "afile", "afile: Not a directory"),
+        (["forward", "d.csv", "--target", "y"], "afile/run", "afile: Not a directory"),
+        (["forward", "d.csv", "--target", "y"], "afile/sub/run", "afile/sub: Not a directory"),
     ],
     ids=["compare_json", "compare_csv", "compare_json_directory", "compare_csv_directory",
-         "compare_json_separator", "simulate", "forward"],
+         "compare_json_separator", "compare_through_file", "compare_below_file",
+         "simulate", "simulate_on_file", "forward", "forward_below_file"],
 )
 def test_unwritable_output_fails_with_one_line(
     tmp_path, monkeypatch, capsys, argv, output, where

@@ -286,7 +286,7 @@ class TestElpdLooExtensions:
         for a, b in zip(inputs, before):
             assert np.array_equal(a, b)
 
-    def test_leverage_guard_scores_through_elpd_loo_exact(self, monkeypatch):
+    def test_leverage_guard_fits_and_scores_the_model_on_its_own(self, monkeypatch):
         # a column that singles out row 0 gives that row leverage ~1 under a
         # near-flat prior: the closed form cannot hold there
         rng = np.random.default_rng(29)
@@ -294,22 +294,28 @@ class TestElpdLooExtensions:
         data = Dataset(X, rng.standard_normal(12), columns=("x", "spike"))
         prior = NigPrior(v0=1e12)
         scored = []
-        original = conjlm.elpd_loo_exact
+        original = conjlm._fit_loo
 
-        def spy(sub, prior_, *args, **kwargs):
+        def spy(sub, prior_):
             scored.append(sub.columns)
-            return original(sub, prior_, *args, **kwargs)
+            return original(sub, prior_)
 
-        monkeypatch.setattr(conjlm, "elpd_loo_exact", spy)
+        monkeypatch.setattr(conjlm, "_fit_loo", spy)
         post = fit(data.subset(()), prior)
         X = data.X.T.copy()
-        pointwise, estimates, *_ = conjlm._score_extensions(
+        pointwise, estimates, *_, refits = conjlm._score_extensions(
             post, X, _squares(X), data.y, prior, lambda k: data.subset((k,))
         )
         assert scored == [("spike",)]
         ref = conjlm._loo_refit(data.subset((1,)), prior)
         assert np.max(np.abs(pointwise[1] - ref)) <= 1e-9
         assert estimates[1] == pointwise[1].sum()
+        # the model's own fit comes back whole: its residuals are not the
+        # closed form's scratch space
+        assert refits[0] is None
+        want = fit(data.subset((1,)), prior)
+        for name in ("mean_n", "cov", "a_n", "b_n", "A", "h", "resid"):
+            assert np.array_equal(getattr(refits[1], name), getattr(want, name)), name
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -326,7 +332,7 @@ class TestElpdLooExtensions:
     ):
         # m responses and candidate blocks over one shared design; the last
         # replication's first candidate has a 1e8 entry that puts its row's
-        # leverage at 1, so that model is scored on its own
+        # leverage at 1, so that model is fit and scored on its own
         rng = np.random.default_rng(seed)
         prior = NigPrior.tight() if tight else NigPrior.diffuse()
         Z = rng.standard_normal((n, shared))
@@ -346,15 +352,15 @@ class TestElpdLooExtensions:
             stacked, X, _squares(X), Y, prior,
             lambda r, k: datasets[r].subset(current + (shared + k,)),
         )
-        pointwise, estimates, U, s, ey, ok = got
+        pointwise, estimates, U, s, ey, refits = got
         assert pointwise.shape == (m, c, n) and U.shape == (m, c, shared + 1)
-        assert not ok[-1, 0]
+        assert refits.shape == (m, c) and refits[-1, 0] is not None
         for r, (ds, post) in enumerate(zip(datasets, fits)):
             want = conjlm._score_extensions(
                 post, X[r], _squares(X[r]), ds.y, prior,
                 lambda k: ds.subset(current + (shared + k,)),
             )
-            assert np.array_equal(ok[r], want[-1])
+            assert [f is None for f in refits[r]] == [f is None for f in want[-1]]
             # the stacked products may round otherwise: a relative bound,
             # with a floor of a few ulps of the replication's largest entry
             # for values that cancel to near zero
@@ -363,19 +369,21 @@ class TestElpdLooExtensions:
                 np.testing.assert_allclose(block, one, rtol=1e-12, atol=floor)
 
         # the test rows of each replication's model, bordered by its first
-        # candidate; the last replication's is refit
+        # candidate; the last replication's are predicted from its own fit
         At = np.concatenate([np.ones((m, n_test, 1)), rng.standard_normal((m, n_test, shared))], 2)
         xt = rng.standard_normal((m, n_test))
         refit = fit(datasets[-1].subset(current + (shared,)), prior)
+        assert np.array_equal(refits[-1, 0].mean_n, refit.mean_n)
+        assert refits[-1, 0].b_n == refit.b_n
         rows = [conjlm._predict(post, At[r]) for r, post in enumerate(fits)]
         loc, lev = (np.array(v) for v in zip(*rows))
         b_n = stacked.b_n
-        terms = U[:, 0], s[:, 0], ey[:, 0]
-        moved = conjlm._border_rows(At, xt, loc, lev, b_n, *terms, [(m - 1, refit)])
+        terms = U[:, 0], s[:, 0], ey[:, 0], refits[:, 0]
+        moved = conjlm._border_rows(At, xt, loc, lev, b_n, *terms)
         for r in range(m):
-            refits = [((), refit)] if r == m - 1 else []
+            # one replication's fit is a scalar, not a 0-d array
             one = conjlm._border_rows(
-                At[r], xt[r], loc[r], lev[r], b_n[r], *(v[r] for v in terms), refits
+                At[r], xt[r], loc[r], lev[r], b_n[r], *(v[r] for v in terms)
             )
             for block, want in zip(moved, one):
                 assert np.array_equal(block[r], want)

@@ -16,6 +16,7 @@ number flag is given as ``--flag=value`` or as two arguments.
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -47,25 +48,58 @@ def number_flags(draw, **choices) -> list[str]:
     return flags
 
 
-def cells(draw, n: int, p: int) -> np.ndarray:
+class Draws:
+    """A composite strategy's ``draw`` that keeps every value it draws."""
+
+    def __init__(self, draw):
+        self._draw, self.drawn = draw, []
+
+    def __call__(self, strategy):
+        value = self._draw(strategy)
+        self.drawn.append(value)
+        return value
+
+    def rng(self) -> np.random.Generator:
+        """A numpy generator seeded by a fresh 64-bit draw and by every
+        value drawn before it.
+
+        Hypothesis makes most examples by changing a few draws of an
+        earlier one, so a seed drawn on its own repeats across them: under
+        ``derandomize`` the forward property drew 216 seeds of which 47
+        were distinct. Seeded so, examples that differ in any earlier draw
+        differ in their random values too.
+        """
+        self(st.integers(0, 2**64 - 1))
+        digest = hashlib.sha256(repr(self.drawn).encode()).digest()
+        return np.random.default_rng(np.frombuffer(digest, np.uint32).tolist())
+
+
+def cells(draw: Draws, n: int, p: int) -> np.ndarray:
     """n rows of p predictors and a response, some cells extreme."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    values = rng.standard_normal((n, p + 1))
-    for _ in range(draw(st.integers(0, 3))):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, p))
-        values[i, j] = draw(st.sampled_from(EXTREMES))
-    last = draw(st.sampled_from(["plain", "constant", "twin"]))
+    extreme = [
+        (draw(st.integers(0, n - 1)), draw(st.integers(0, p)), draw(st.sampled_from(EXTREMES)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    last, value = draw(st.sampled_from(["plain", "constant", "twin"])), None
     if last == "constant":
-        values[:, p - 1] = draw(st.sampled_from([1.0, *EXTREMES]))
+        value = draw(st.sampled_from([1.0, *EXTREMES]))
     elif last == "twin" and p >= 2:
+        value = draw(st.sampled_from([1.0, -1.0, 1e150, 1e-150]))
+    values = draw.rng().standard_normal((n, p + 1))
+    for i, j, v in extreme:
+        values[i, j] = v
+    if last == "constant":
+        values[:, p - 1] = value
+    elif value is not None:
         with np.errstate(over="ignore"):
-            values[:, p - 1] = values[:, 0] * draw(st.sampled_from([1.0, -1.0, 1e150, 1e-150]))
+            values[:, p - 1] = values[:, 0] * value
     return values
 
 
 @st.composite
 def forward_runs(draw):
     """The training cells, the test cells or None, and the flags of one run."""
+    draw = Draws(draw)
     n, p = draw(st.integers(3, 11)), draw(st.integers(1, 4))
     train = cells(draw, n, p)
     test = cells(draw, draw(st.integers(1, 11)), p) if draw(st.booleans()) else None
@@ -205,10 +239,10 @@ def compare_runs(draw):
     count disagrees, one or two files, one observation) and two extreme
     cells, so that most runs get to be scored.
     """
+    draw = Draws(draw)
     twist = draw(st.sampled_from(["none"] * 6 + ["twin", "disagree", "one_file", "two_files",
                                                  "one_obs"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    count = {"one_file": 1, "two_files": 2}.get(twist) or int(rng.integers(3, 13))
+    count = {"one_file": 1, "two_files": 2}.get(twist) or draw(st.integers(3, 12))
     n_obs = 1 if twist == "one_obs" else draw(st.integers(2, 5))
     odd = draw(st.integers(0, count - 1))
     files = []
@@ -218,7 +252,7 @@ def compare_runs(draw):
             shape, header = (cols, 1), "elpd"
         else:  # draws x observations, under 100 draws with PSIS's warning
             shape, header = (draw(st.sampled_from([5, 12, 40, 120])), cols), None
-        values = rng.normal(-1.0, 0.5, shape)
+        values = draw.rng().normal(-1.0, 0.5, shape)
         if draw(st.integers(0, 3)) == 0:
             values[:, draw(st.integers(0, values.shape[1] - 1))] = draw(
                 st.sampled_from([-1.0, 0.0, -0.0, 1e-300, 1e-310, -1e154]))
@@ -231,6 +265,7 @@ def compare_runs(draw):
         values[i, j] = draw(st.sampled_from([*EXTREMES, *(-v for v in EXTREMES)]))
     stems = [stem for stem, _, _ in files]
     # the flags are drawn by rng, so that most runs keep the valid ones
+    rng = draw.rng()
     flags = ["--kind", rng.choice(["auto"] * 4 + ["pointwise", "loglik"]),
              "--baseline", rng.choice(["median"] * 3 + [stems[0], stems[-1], "zz"]),
              "--format", rng.choice(["json", "csv"])]

@@ -225,11 +225,10 @@ def test_many_k_block(prior_name):
     estimates = block[1]
     selected = np.argmax(estimates[:, 1:] - estimates[:, :1], axis=1)
     elpds = sim._many_k_test_elpds(
-        block, datasets, selected,
+        block, selected,
         np.array([t.y for t in tests]),
         np.array([t.X[:, 0] for t in tests]),
         np.array([t.X[:, s] for t, s in zip(tests, selected)]),
-        prior,
     )
     for r, (data, test) in enumerate(zip(datasets, tests)):
         models = [(), (int(selected[r]),), (0,)]

@@ -284,7 +284,8 @@ class TestCarriedPosterior:
     def test_refactorized_steps_score_the_test_set_afresh(self, monkeypatch):
         # column 2 is zero but for a spike in row 0, so every model that holds
         # it puts that row's leverage within 1e-10 of 1: the search chooses it
-        # last, breaching the closed form's guard, and refactorizes that model
+        # last, breaching the closed form's guard; the kernel refactorizes
+        # that model once, and the search carries that fit
         rng = np.random.default_rng(7)
         X = rng.standard_normal((40, 3))
         X[:20, 2] = 0.0
@@ -292,18 +293,26 @@ class TestCarriedPosterior:
         y = X[:, 0] - 0.5 * X[:, 1] + rng.standard_normal(40)
         train = Dataset(X[:20], y[:20])
         test = Dataset(X[20:], y[20:])
-        factorized = []
-        original = search.fit
+        factorized, everywhere = [], []
+        original = conjlm.fit
 
         def spy(data, prior):
             factorized.append(data.X)
             return original(data, prior)
 
+        def kernel_spy(data, prior):
+            everywhere.append(data.X)
+            return original(data, prior)
+
         monkeypatch.setattr(search, "fit", spy)
+        monkeypatch.setattr(conjlm, "fit", kernel_spy)
         out = forward_search(train, PRIOR, max_size=3, test=test)
         assert out.predictors()[-1] == 2
-        assert [X.shape[1] for X in factorized] == [0, 3]
-        assert np.array_equal(factorized[1], train.X[:, out.predictors()])
+        # the search itself fits only its start model
+        assert [X.shape[1] for X in factorized] == [0]
+        full = train.X[:, out.predictors()]
+        fits_of_full = [X for X in factorized + everywhere if X.shape == full.shape]
+        assert len(fits_of_full) == 1 and np.array_equal(fits_of_full[0], full)
         assert_test_mlpds_match_refits(out, train, test, PRIOR)
 
     def test_noise_level_duplicate_fails_as_fit_does(self):

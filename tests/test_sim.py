@@ -307,39 +307,51 @@ class TestManyKBlocks:
         prior, datasets, rng = crafted_block()
         X0, X1 = (ds.X for ds in datasets)
         calls = []
+        fit_loo = conjlm._fit_loo
 
         def recording(data, prior_):
             calls.append(data)
-            return elpd_loo_exact(data, prior_)
+            return fit_loo(data, prior_)
 
-        monkeypatch.setattr(conjlm, "elpd_loo_exact", recording)
+        monkeypatch.setattr(conjlm, "_fit_loo", recording)
         block = sim._score_many_k(datasets, prior)
-        _, estimates, _, _, _, ok = block
+        _, estimates, _, _, _, refits = block
         assert [(c.X.tolist(), c.y.tolist()) for c in calls] == [
             (X0[:, [1]].tolist(), datasets[0].y.tolist()),
             (X1[:, [0]].tolist(), datasets[1].y.tolist()),
         ]
-        assert ok.tolist() == [[True, True, False, True], [True, False, True, True]]
+        assert [[f is None for f in row] for row in refits] == [
+            [True, True, False, True], [True, False, True, True]
+        ]
         want = [
             [elpd_loo_exact(ds.subset(c), prior).estimate for c in [(), (0,), (1,), (2,)]]
             for ds in datasets
         ]
         assert estimates == pytest.approx(np.array(want), rel=1e-12, abs=0)
-        # the two fallbacks are elpd_loo_exact itself
+        # the two fallbacks score as elpd_loo_exact does
         assert estimates[0, 2] == want[0][2] and estimates[1, 1] == want[1][1]
 
         y_test = rng.standard_normal((2, 30))
         x_true, x_sel = rng.standard_normal((2, 2, 30))
-        elpds = sim._many_k_test_elpds(
-            block, datasets, np.array([2, 2]), y_test, x_true, x_sel, prior
-        )
+        fitted = []
+
+        def fit_spy(data, prior_):
+            fitted.append(data)
+            return fit(data, prior_)
+
+        # the test elpds carry the block's fits: no model is fit again
+        monkeypatch.setattr(conjlm, "fit", fit_spy)
+        monkeypatch.setattr(sim, "fit", fit_spy)
+        elpds = sim._many_k_test_elpds(block, np.array([2, 2]), y_test, x_true, x_sel)
+        assert fitted == []
         for r, ds in enumerate(datasets):
             test = Dataset(np.column_stack([x_true[r], x_sel[r], x_sel[r]]), y_test[r])
             for got, cols in zip(elpds, [(), (2,), (0,)]):
                 fit_ = fit(ds.subset(cols), prior)
                 want = 8 * float(np.mean(log_pred(fit_, test.subset(cols).design(), test.y)))
                 if r == 1 and cols == (0,):
-                    # the noise column is refit: the same arithmetic as fit
+                    # the noise column's rows come from the block's own fit
+                    # of it: the same arithmetic as fit
                     assert got[r] == want
                 else:
                     assert got[r] == pytest.approx(want, rel=1e-9, abs=0)
@@ -351,9 +363,7 @@ class TestManyKBlocks:
         block = sim._score_many_k(datasets, prior)
         y_test = rng.standard_normal((2, 30))
         x_true, x_sel = rng.standard_normal((2, 2, 30))
-        _, sel_test, _ = sim._many_k_test_elpds(
-            block, datasets, np.array([1, 2]), y_test, x_true, x_sel, prior
-        )
+        _, sel_test, _ = sim._many_k_test_elpds(block, np.array([1, 2]), y_test, x_true, x_sel)
         test = Dataset(np.column_stack([x_true[0], x_sel[0]]), y_test[0])
         fit_ = fit(datasets[0].subset((1,)), prior)
         assert sel_test[0] == 8 * float(np.mean(log_pred(fit_, test.subset((1,)).design(), test.y)))
