@@ -34,6 +34,7 @@ from . import __version__
 from .conjlm import PRIOR_PRESETS
 from .errors import ConfigError, CvBiasError, NonFiniteInput, SchemaMismatch
 from .io import (
+    _is_float,
     dump_json,
     read_dataset_csv,
     read_matrix_csv,
@@ -538,14 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
 _NUMBER_FLAGS = ("--alpha", "--multiplier", "--max-size", "--seed")
 
 
-def _is_number(arg: str) -> bool:
-    try:
-        float(arg)
-    except ValueError:
-        return False
-    return True
-
-
 def _joined_negative_numbers(argv) -> list[str]:
     """``argv`` with each negative number that follows a number flag joined
     to the flag by ``=``, up to any ``--``.
@@ -561,7 +554,7 @@ def _joined_negative_numbers(argv) -> list[str]:
         flag = out[-1] if out else ""
         if (
             arg.startswith("-")
-            and _is_number(arg)
+            and _is_float(arg)
             and flag.startswith("--")
             and any(f.startswith(flag) for f in _NUMBER_FLAGS)
         ):

@@ -57,7 +57,11 @@ TIGHT_V0 = 0.25
 
 @dataclass(frozen=True)
 class Dataset:
-    """Predictor matrix and response; the intercept column is implicit."""
+    """Predictor matrix and response; the intercept column is implicit.
+
+    Every dataset is built through ``__post_init__``, which makes ``X`` and
+    ``y`` float arrays and checks their shapes and finiteness.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -88,18 +92,12 @@ class Dataset:
     def design(self) -> np.ndarray:
         return np.hstack([np.ones((self.n, 1)), self.X])
 
-    @classmethod
-    def _trusted(cls, X, y, columns=None) -> "Dataset":
-        """A dataset from float arrays known to be finite and well shaped,
-        built without ``__post_init__``'s checks."""
-        data = object.__new__(cls)
-        data.__dict__.update(X=X, y=y, columns=columns)
-        return data
-
     def subset(self, cols: Sequence[int]) -> "Dataset":
+        """The dataset of columns ``cols``, in that order, checked like any
+        other; it shares ``y`` with this one."""
         cols = tuple(cols)
         names = tuple(self.columns[c] for c in cols) if self.columns else None
-        return Dataset._trusted(self.X[:, cols], self.y, names)
+        return Dataset(self.X[:, cols], self.y, names)
 
 
 @dataclass(frozen=True)

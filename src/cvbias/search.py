@@ -44,10 +44,13 @@ from .psisloo import elpd_se, mlpd
 
 @dataclass(frozen=True)
 class SearchStep:
-    """One forward-search step (model size = step index + 1)."""
+    """One forward-search step (model size = step index + 1).
+
+    ``candidate_diffs`` and ``candidate_ses`` hold one entry per candidate
+    scored at this step, so their size is the step's candidate count.
+    """
 
     predictor_added: int
-    candidates_evaluated: int
     raw_diff: float
     elpd_after: float
     corrected_diff: float
@@ -59,6 +62,10 @@ class SearchStep:
     bias_at_step: float = 0.0
     test_mlpd_after: float | None = None
     post_bulge: bool = False
+
+    @property
+    def candidates_evaluated(self) -> int:
+        return self.candidate_diffs.size
 
 
 @dataclass(frozen=True)
@@ -269,7 +276,6 @@ def forward_search(
         steps.append(
             SearchStep(
                 predictor_added=j,
-                candidates_evaluated=len(cands),
                 raw_diff=float(diffs[best]),
                 elpd_after=elpd_after,
                 corrected_diff=float(diffs[best]),
@@ -359,7 +365,7 @@ def stopping_rules(path: SearchPath) -> StopVerdicts:
     bulge_pw = pointwise[bulge_size]
     two_sigma_size = bulge_size
     for size in range(bulge_size + 1):
-        se = 0.0 if size == bulge_size else elpd_se(pointwise[size] - bulge_pw)
+        se = elpd_se(pointwise[size] - bulge_pw)
         if raw[size] >= raw[bulge_size] - 2.0 * se:
             two_sigma_size = size
             break

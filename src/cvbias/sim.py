@@ -92,13 +92,13 @@ class NestedDgpSpec:
 
 
 def gen_nested(spec: NestedDgpSpec) -> Dataset:
-    """Draw one dataset from the nested design (byte-identical per seed)."""
+    """Draw one dataset from the nested design (byte-identical per seed),
+    built through ``Dataset``'s checks."""
     rng = np.random.default_rng(spec.seed)
     Z = rng.standard_normal((spec.n, spec.K - 1))
     eps = rng.standard_normal(spec.n) * math.sqrt(spec.sigma2)
     y = 1.0 + spec.beta_delta * Z[:, 0] + eps
-    # beta_delta lies in [0, 1), so normal draws give finite X and y
-    return Dataset._trusted(Z, y)
+    return Dataset(Z, y)
 
 
 @dataclass(frozen=True)

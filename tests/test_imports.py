@@ -3,6 +3,7 @@ and which public names the package keeps."""
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -346,3 +347,15 @@ def test_every_error_class_is_raised():
                 elif isinstance(exc, ast.Attribute):
                     raised.add(exc.attr)
     assert sorted(classes - raised - {"CvBiasError"}) == []
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's example, run as written, so the docs cannot drift from
+    # the API; any warning it raises fails the test
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("{'bulge_size': ")
+    assert math.isfinite(float(lines[-1]))

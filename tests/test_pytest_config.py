@@ -1,11 +1,13 @@
 """The suite's own pytest settings, as ``pyproject.toml`` gives them."""
 
+import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+REPO = Path(__file__).resolve().parents[1]
+PYPROJECT = REPO / "pyproject.toml"
 
 
 def test_a_failing_property_ends_only_its_own_test(tmp_path):
@@ -31,3 +33,14 @@ def test_a_failing_property_ends_only_its_own_test(tmp_path):
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_the_suite_imports_the_package_from_the_checkout():
+    # with no PYTHONPATH and no install, the settings put src on the path
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--collect-only",
+         "tests/test_imports.py"],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -46,7 +46,6 @@ def synthetic_path(raw_diffs, candidate_diffs, base=0.0, ses=None):
         steps.append(
             SearchStep(
                 predictor_added=k,
-                candidates_evaluated=cd.size,
                 raw_diff=float(rd),
                 elpd_after=cum,
                 corrected_diff=float(rd),
@@ -86,7 +85,6 @@ def refit_search(data, prior, max_size):
         steps.append(
             SearchStep(
                 predictor_added=cands[best],
-                candidates_evaluated=len(cands),
                 raw_diff=float(diffs[best]),
                 elpd_after=prev.estimate,
                 corrected_diff=float(diffs[best]),
@@ -116,6 +114,22 @@ class TestForwardSearch:
         full = elpd_loo_exact(data, PRIOR)
         assert path.steps[0].raw_diff == pytest.approx(full.estimate - base.estimate)
         assert path.steps[0].candidates_evaluated == 1
+
+    def test_step_counts_its_candidate_diffs(self, block_path):
+        step = SearchStep(
+            predictor_added=0,
+            raw_diff=1.0,
+            elpd_after=1.0,
+            corrected_diff=1.0,
+            corrected_elpd_after=1.0,
+            candidate_diffs=np.array([1.0, 0.5, -0.2]),
+            candidate_ses=np.ones(3),
+            pointwise=np.zeros(4),
+        )
+        assert step.candidates_evaluated == 3
+        path, train, _ = block_path
+        counts = [row["candidates_evaluated"] for row in path.to_rows()]
+        assert counts == [None] + [train.p - k for k in range(len(path.steps))]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_too_few_rows_for_exact_loo(self, n):
@@ -425,6 +439,8 @@ class TestStoppingRules:
         )
         v = stopping_rules(correct_path(path))
         assert v.bulge_size == 3
+        # the bulge's paired SE with itself is 0, so it is its own 2-sigma size
+        assert v.two_sigma_size == 3
 
     def test_flat_path_stops_immediately(self):
         path = synthetic_path(
