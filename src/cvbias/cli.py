@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import functools
 import gc
 import io
 import json
@@ -71,16 +70,15 @@ def _provenance(args, digests: dict) -> dict:
     }
 
 
-def _estimate(path, kind: str):
+def _estimate(path):
     """The elpd estimate of one input CSV, its stem the model id, and the
-    file's SHA-256: the worker that reads a file also hashes it."""
+    file's SHA-256: the worker that reads a file also hashes it.
+
+    A single-column file holds pointwise elpds, and any wider one a
+    draws-by-observations log-likelihood matrix.
+    """
     values, _ = read_matrix_csv(path)
-    cols = values.shape[1]
-    if kind == "pointwise" and cols != 1:
-        raise SchemaMismatch(
-            f"{path}: pointwise input must have exactly 1 column, got {cols}"
-        )
-    pointwise = kind == "pointwise" or (kind == "auto" and cols == 1)
+    pointwise = values.shape[1] == 1
     with np.errstate(over="ignore"):
         squares = np.einsum("ij,ij->", values, values)
     # a non-finite cell is left to the scoring's own message; each PSIS elpd
@@ -199,20 +197,18 @@ def _map_on_cpus(func, items) -> list:
     return [done[i] if i in done else func(x) for i, x in enumerate(items)]
 
 
-def _load_estimates(paths, kind: str):
+def _load_estimates(paths):
     """One estimate per CSV and each CSV's SHA-256 by its path, the files
     spread across CPUs; each is parsed once and hashed by the same worker.
 
-    ``kind="auto"`` takes a single-column file as pointwise elpds and any
-    wider one as a draws-by-observations log-likelihood matrix. A file's
-    stem is its model id, so stems must be unique.
+    A file's stem is its model id, so stems must be unique.
     """
     stems = [Path(p).stem for p in paths]
     for model_id in stems:
         if stems.count(model_id) > 1:
             same = ", ".join(str(p) for p in paths if Path(p).stem == model_id)
             raise SchemaMismatch(f"model id {model_id!r} names several inputs: {same}")
-    estimates, digests = zip(*_map_on_cpus(functools.partial(_estimate, kind=kind), paths))
+    estimates, digests = zip(*_map_on_cpus(_estimate, paths))
     n_obs = {e.n_obs for e in estimates}
     if len(n_obs) != 1:
         raise SchemaMismatch(f"inputs disagree on observation count: {sorted(n_obs)}")
@@ -224,83 +220,66 @@ def cmd_compare(args) -> None:
 
     check_alpha(args.alpha)
     check_multiplier(args.multiplier)
-    # an unusable output or baseline fails before the inputs are read and scored
-    if args.output:
-        out = Path(args.output)
-        if _missing_dirs(out.parent, args.output):
-            raise FileNotFoundError("no such directory")
-        # a name ending in a separator names a directory too, made or not
-        if out.is_dir() or not os.path.basename(args.output):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+    # an unusable output or baseline fails before the inputs are read and
+    # scored; a name ending in a separator names a directory too, made or not
+    if args.output and (Path(args.output).is_dir() or not os.path.basename(args.output)):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
     check_baseline([Path(p).stem for p in args.inputs], args.baseline)
-    estimates, digests = _load_estimates(args.inputs, args.kind)
-    comparison = build_comparison(
-        estimates,
-        baseline=args.baseline,
-        alpha=args.alpha,
-        multiplier=args.multiplier,
-    )
-    weights = [
-        {"model": d.model_a, **weight_report(d.estimate, d.se_diff).to_dict()}
-        for d in comparison.diffs
-    ]
-    diagnostics = [
-        {
-            "name": "all_equivalent",
-            "value": comparison.all_equivalent,
-            "status": "pass",
-        },
-        {
-            "name": "tail_khat",
-            "value": comparison.khat_tail,
-            # a null value under 10 differences is a diagnostic not run;
-            # from 10 on, it is a tail that could not be fitted
-            "status": (
-                "unavailable"
-                if comparison.K < MIN_MODELS_FOR_DIAGNOSTIC
-                else ("pass" if comparison.reliable else "fail")
-            ),
-        },
-    ]
-    for e in estimates:
-        if e.khat_per_obs is not None:
-            # JSON has no infinities: an unfittable tail (+inf, "fail") or an
-            # all-constant model (-inf, "pass") is written as null
-            khat = float(np.max(e.khat_per_obs))
-            diagnostics.append(
-                {
-                    "name": f"psis_khat:{e.model_id}",
-                    "value": khat if math.isfinite(khat) else None,
-                    "status": "pass" if e.reliable else "fail",
-                }
-            )
-    bundle = {
-        "report": "compare",
-        "comparison": comparison.to_dict(),
-        "weights": weights,
-        "diagnostics": diagnostics,
-        "provenance": _provenance(args, digests),
-    }
-    if args.format == "csv":
-        write_rows_csv(args.output or sys.stdout, weights)
-    elif args.output:
-        Path(args.output).write_text(dump_json(bundle) + "\n", encoding="utf-8")
-    else:
-        print(dump_json(bundle))
-
-
-def _missing_dirs(path: Path, name) -> list[Path]:
-    """The parts of the directory path ``path`` that do not exist, deepest
-    first. Raises ``NotADirectoryError``, naming ``name``, where the
-    deepest part that exists is not a directory."""
-    missing = []
-    for d in (path, *path.parents):
-        if d.is_dir():
-            break
-        if d.exists():
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(name))
-        missing.append(d)
-    return missing
+    with _made_dir(Path(args.output).parent) if args.output else contextlib.nullcontext():
+        estimates, digests = _load_estimates(args.inputs)
+        comparison = build_comparison(
+            estimates,
+            baseline=args.baseline,
+            alpha=args.alpha,
+            multiplier=args.multiplier,
+        )
+        weights = [
+            {"model": d.model_a, **weight_report(d.estimate, d.se_diff).to_dict()}
+            for d in comparison.diffs
+        ]
+        diagnostics = [
+            {
+                "name": "all_equivalent",
+                "value": comparison.all_equivalent,
+                "status": "pass",
+            },
+            {
+                "name": "tail_khat",
+                "value": comparison.khat_tail,
+                # a null value under 10 differences is a diagnostic not run;
+                # from 10 on, it is a tail that could not be fitted
+                "status": (
+                    "unavailable"
+                    if comparison.K < MIN_MODELS_FOR_DIAGNOSTIC
+                    else ("pass" if comparison.reliable else "fail")
+                ),
+            },
+        ]
+        for e in estimates:
+            if e.khat_per_obs is not None:
+                # JSON has no infinities: an unfittable tail (+inf, "fail") or an
+                # all-constant model (-inf, "pass") is written as null
+                khat = float(np.max(e.khat_per_obs))
+                diagnostics.append(
+                    {
+                        "name": f"psis_khat:{e.model_id}",
+                        "value": khat if math.isfinite(khat) else None,
+                        "status": "pass" if e.reliable else "fail",
+                    }
+                )
+        bundle = {
+            "report": "compare",
+            "comparison": comparison.to_dict(),
+            "weights": weights,
+            "diagnostics": diagnostics,
+            "provenance": _provenance(args, digests),
+        }
+        if args.format == "csv":
+            write_rows_csv(args.output or sys.stdout, weights)
+        elif args.output:
+            Path(args.output).write_text(dump_json(bundle) + "\n", encoding="utf-8")
+        else:
+            print(dump_json(bundle))
 
 
 @contextlib.contextmanager
@@ -308,12 +287,18 @@ def _made_dir(path: Path):
     """Make the directory ``path`` and its missing parents for the block.
 
     A part of ``path`` that exists and is not a directory fails with
-    ``NotADirectoryError`` before anything is made. If the block fails, the
-    directories made here are removed, deepest first, while they are empty:
-    the first one that is not ends it, and the files written so far stay. A
-    directory that was there before is kept.
+    ``NotADirectoryError``, naming ``path``, before anything is made. If the
+    block fails, the directories made here are removed, deepest first,
+    while they are empty: the first one that is not ends it, and the files
+    written so far stay. A directory that was there before is kept.
     """
-    made = _missing_dirs(path, path)
+    made = []
+    for d in (path, *path.parents):
+        if d.is_dir():
+            break
+        if d.exists():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+        made.append(d)
     try:
         path.mkdir(parents=True, exist_ok=True)
         yield
@@ -506,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="compare models against a baseline")
     c.add_argument("inputs", nargs="+", help="one CSV per model")
-    c.add_argument("--kind", choices=["auto", "pointwise", "loglik"], default="auto")
     c.add_argument("--baseline", default="median", help="'median' or a model id")
     c.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     c.add_argument("--multiplier", type=float, default=DEFAULT_MULTIPLIER)
@@ -577,6 +561,9 @@ def main(argv=None) -> int:
         try:
             argv = sys.argv[1:] if argv is None else argv
             args = build_parser().parse_args(_joined_negative_numbers(argv))
+            if args.output == "":
+                # Path("") is the working directory, and "" reads as no --output
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "''")
             args.func(args)
         except SystemExit as exc:
             code = exc

@@ -38,6 +38,10 @@ GUARD_MAX_N = 1000
 GUARD_MAX_REPS = 20
 _GUARD_OVERRIDE = '(pass guard=False, or "guard": false in a config, to override)'
 
+# rows of one many-K run: each holds ~880 bytes until the run returns, so
+# the rows of a run at the limit hold ~0.9 GB
+MANY_K_MAX_ROWS = 10**6
+
 
 # the largest array numpy can index, in bytes
 _MAX_BYTES = np.iinfo(np.intp).max
@@ -333,6 +337,9 @@ def run_many_k(
     default is the plain loop; the command line passes one that spreads
     the blocks over the usable CPUs.
 
+    A run of more than ``MANY_K_MAX_ROWS`` rows (replications x cells)
+    fails with ``InvalidParameter`` before any task is built.
+
     The threshold counts K models (baseline included) although it is taken
     over the K - 1 differences, whereas ``build_comparison`` counts the
     differences. It also assumes differences centred at zero, which this
@@ -343,6 +350,13 @@ def run_many_k(
     """
     if replications < 2:
         raise InvalidParameter("replications must be >= 2")
+    specs = list(specs)
+    rows = replications * len(specs)
+    if rows > MANY_K_MAX_ROWS:
+        raise InvalidParameter(
+            f"replications x cells = {replications} x {len(specs)} = {rows} rows; "
+            f"a many-K run holds at most {MANY_K_MAX_ROWS} rows"
+        )
     # a test spec is its replication's cell with n = n_test, whose own
     # checks would name n
     if n_test < 2:

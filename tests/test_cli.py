@@ -126,7 +126,7 @@ class TestCompare:
         names = {d["name"] for d in report["diagnostics"]}
         assert "psis_khat:m2" in names
 
-    def test_each_input_read_once(self, tmp_path, monkeypatch, capsys):
+    def test_each_input_read_once(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(94)
         paths = [write_pointwise(tmp_path / "pw.csv", rng.standard_normal(10))]
         ll = tmp_path / "ll.csv"
@@ -144,23 +144,20 @@ class TestCompare:
 
         monkeypatch.setattr(io, "read_matrix_csv", spy)
         monkeypatch.setattr(cli, "read_matrix_csv", spy)
+        # two models need a named baseline, or the median check fails first
         assert main(["compare", *map(str, paths), "--baseline", "pw"]) == 0
         reads = log.read_text().splitlines()
         assert sorted(reads) == sorted(map(str, paths))
-        # two models need a named baseline, or the median check fails first
-        assert main(["compare", *map(str, paths), "--kind", "pointwise", "--baseline", "pw"]) == 1
-        assert_one_line_error(capsys, "exactly 1 column")
 
     @pytest.mark.parametrize(
-        "bad, flags, word",
+        "bad, word",
         [
-            ("nan_loglik", [], "log-likelihood matrix contains non-finite"),
-            ("inf_pointwise", [], "pointwise elpd contains non-finite"),
-            ("one_column_loglik", ["--kind", "loglik"], "need at least 2 observations"),
+            ("nan_loglik", "log-likelihood matrix contains non-finite"),
+            ("inf_pointwise", "pointwise elpd contains non-finite"),
         ],
-        ids=["nan_loglik", "inf_pointwise", "one_column_loglik"],
+        ids=["nan_loglik", "inf_pointwise"],
     )
-    def test_scoring_error_names_the_file(self, tmp_path, capsys, bad, flags, word):
+    def test_scoring_error_names_the_file(self, tmp_path, capsys, bad, word):
         if bad == "inf_pointwise":
             paths = [
                 write_pointwise(tmp_path / f"m{i}.csv", np.full(8, -1.0 - i))
@@ -169,13 +166,10 @@ class TestCompare:
             write_pointwise(paths[1], [-1.0] * 7 + [float("-inf")])
         else:
             paths = write_logliks(tmp_path, 3)
-        if bad == "nan_loglik":
             ll = np.full((200, 8), -1.0)
             ll[5, 3] = np.nan
             write_loglik(paths[1], ll)
-        elif bad == "one_column_loglik":
-            write_pointwise(paths[1], np.full(8, -1.0))
-        assert main(["compare", *map(str, paths), *flags]) == 1
+        assert main(["compare", *map(str, paths)]) == 1
         assert_one_line_error(capsys, f"{paths[1]}: {word}")
 
     @pytest.mark.parametrize("kind", ["pointwise", "loglik", "pointwise_se"])
@@ -381,6 +375,42 @@ class TestCompare:
         rows = read_rows(out)
         assert len(rows) == 2
         assert set(rows[0]) >= {"model", "delta", "pseudo_bma"}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_makes_its_directory(self, tmp_path, monkeypatch, capsys, fmt):
+        # as forward and simulate make theirs
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(93)
+        for name in ("a", "b", "c"):
+            write_pointwise(tmp_path / f"{name}.csv", rng.standard_normal(20))
+        out = f"nodir/sub/x.{fmt}"
+        argv = ["compare", "a.csv", "b.csv", "c.csv", "--format", fmt, "--output", out]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        if fmt == "csv":
+            assert len(read_rows(tmp_path / out)) == 2
+        else:
+            report = json.loads((tmp_path / out).read_text())
+            assert report["provenance"]["config"]["output"] == out
+
+    def test_failed_run_leaves_no_directory_it_made(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        paths = write_logliks(tmp_path, 3)
+        ll = np.full((200, 8), -1.0)
+        ll[5, 3] = np.nan
+        write_loglik(paths[1], ll)
+        argv = ["compare", *(p.name for p in paths)]
+        word = "m1.csv: log-likelihood matrix contains non-finite"
+        for output in ("o/x.json", "a/b/x.json"):
+            assert main([*argv, "--output", output]) == 1
+            assert_one_line_error(capsys, word)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["m0.csv", "m1.csv", "m2.csv"]
+        # a directory that was there before the run stays, with what it holds
+        (tmp_path / "o").mkdir()
+        (tmp_path / "o" / "keep").write_text("")
+        assert main([*argv, "--output", "o/new/x.json"]) == 1
+        assert_one_line_error(capsys, word)
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["keep"]
 
 
 def write_logliks(tmp_path: Path, count: int, seed: int = 0) -> list[Path]:
@@ -1197,8 +1227,10 @@ class TestSimulate:
              "n_test must be >= 2, got 1"),
             ({"experiment": "forward", "p": 65, "n_grid": [40], "rho_grid": [0.0],
               "replications": 1, "n_test": 40}, "desk-scale guard"),
+            ({"experiment": "many_k", "n": 30, "k_grid": [3, 4], "replications": 10**12},
+             f"{10**12} x 2 = {2 * 10**12} rows"),
         ],
-        ids=["replications", "n_test", "guard"],
+        ids=["replications", "n_test", "guard", "many_k_rows"],
     )
     def test_failed_run_leaves_no_directory_it_made(self, tmp_path, capsys, config, word):
         cfg = tmp_path / "bad.json"
@@ -1381,32 +1413,27 @@ class TestSimulateAcrossCpus:
 @pytest.mark.parametrize(
     "argv, output, where",
     [
-        (["compare", "a.csv", "b.csv", "c.csv"], "nodir/x.json",
-         "nodir/x.json: no such directory"),
-        (["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"], "nodir/x.csv",
-         "nodir/x.csv: no such directory"),
         (["compare", "a.csv", "b.csv", "c.csv"], "adir", "adir: Is a directory"),
         (["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"], "adir",
          "adir: Is a directory"),
         (["compare", "a.csv", "b.csv", "c.csv"], "newdir/", "newdir/: Is a directory"),
-        (["compare", "a.csv", "b.csv", "c.csv"], "afile/x.json",
-         "afile/x.json: Not a directory"),
+        (["compare", "a.csv", "b.csv", "c.csv"], "afile/x.json", "afile: Not a directory"),
         (["compare", "a.csv", "b.csv", "c.csv"], "afile/sub/x.json",
-         "afile/sub/x.json: Not a directory"),
+         "afile/sub: Not a directory"),
         (["simulate", "mk.json"], "afile/x", "afile/x: Not a directory"),
         (["simulate", "mk.json"], "afile", "afile: Not a directory"),
         (["forward", "d.csv", "--target", "y"], "afile/run", "afile: Not a directory"),
         (["forward", "d.csv", "--target", "y"], "afile/sub/run", "afile/sub: Not a directory"),
     ],
-    ids=["compare_json", "compare_csv", "compare_json_directory", "compare_csv_directory",
+    ids=["compare_json_directory", "compare_csv_directory",
          "compare_json_separator", "compare_through_file", "compare_below_file",
          "simulate", "simulate_on_file", "forward", "forward_below_file"],
 )
 def test_unwritable_output_fails_with_one_line(
     tmp_path, monkeypatch, capsys, argv, output, where
 ):
-    # a missing parent directory, or a regular file where a directory must
-    # be, is found before any input is read or any work is done
+    # an existing directory as compare's file, or a regular file where a
+    # directory must be, is found before any input is read or any work is done
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(93)
     for name in ("a", "b", "c"):
@@ -1427,6 +1454,27 @@ def test_unwritable_output_fails_with_one_line(
     assert_one_line_error(capsys, f"cannot write {where}")
     assert started == []
     assert not (tmp_path / "newdir").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "a.csv", "b.csv", "c.csv"],
+        ["compare", "a.csv", "b.csv", "c.csv", "--format", "csv"],
+        ["forward", "d.csv", "--target", "y"],
+        ["simulate", "mk.json"],
+    ],
+    ids=["compare_json", "compare_csv", "forward", "simulate"],
+)
+def test_empty_output_fails_before_any_read(tmp_path, monkeypatch, capsys, argv):
+    # Path("") is the working directory, and "" read as no --output
+    monkeypatch.chdir(tmp_path)
+    started = []
+    for name in ("read_matrix_csv", "read_dataset_csv", "_read_config"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: started.append(name))
+    assert main(argv + ["--output", ""]) == 1
+    assert_one_line_error(capsys, "cannot write '': No such file or directory")
+    assert started == [] and list(tmp_path.iterdir()) == []
 
 
 def cli_env(unbuffered: bool = False) -> dict:

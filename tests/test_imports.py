@@ -119,7 +119,7 @@ def test_runs_that_search_nothing_leave_search_unloaded(tmp_path, command):
     if command == "compare":
         for i, name in enumerate("abc"):
             (tmp_path / f"{name}.csv").write_text(f"elpd\n-1.5\n-0.5\n{-i}\n")
-        argv = ["compare", "a.csv", "b.csv", "c.csv", "--kind", "pointwise"]
+        argv = ["compare", "a.csv", "b.csv", "c.csv"]
     else:
         config = {"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2}
         (tmp_path / "mk.json").write_text(json.dumps(config))

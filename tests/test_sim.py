@@ -198,6 +198,21 @@ class TestRunManyK:
         assert func(tasks[-1]) == plain[-6:]
         assert len(built) == 12
 
+    def test_rows_past_the_bound_fail_before_any_task(self):
+        def never(func, tasks):
+            raise AssertionError("no task may be built or run")
+
+        specs = [NestedDgpSpec(n=30, K=k, beta_delta=0.0, seed=26) for k in (3, 4)]
+        limit = sim.MANY_K_MAX_ROWS
+        with pytest.raises(InvalidParameter, match=rf"{10**12} x 2 = {2 * 10**12} rows.*{limit}"):
+            run_many_k(specs, 10**12, map_fn=never)
+        with pytest.raises(InvalidParameter, match=rf"= {limit + 2} rows"):
+            run_many_k(specs, limit // 2 + 1, map_fn=never)
+        # at the bound every replication has its task
+        tasks = []
+        assert run_many_k(specs, limit // 2, map_fn=lambda f, t: tasks.extend(t) or []) == []
+        assert sum(hi - lo for _, lo, hi in tasks) == limit
+
 
 def many_k_reference(specs, replications, prior, n_test, alpha=0.5):
     """``run_many_k`` rows, one replication and one model at a time: an
