@@ -7,12 +7,13 @@ zero Monte-Carlo error at negligible cost.
 
 The prior is centred at zero with scale ``v0 * I``, so every model has one
 posterior representation, ``PosteriorFit``: the d x d inverse P^-1 of its
-posterior precision P = A'A + I/v0, formed once by ``fit``, with the
-posterior mean and scale and the training design, leverages and residuals
-that exact LOO reads. The predictive density, exact LOO, the bordered
-extensions and ``draw_posterior`` all read that one fit; no other module
-touches P^-1. Every log density, exact LOO or held out, ends in the one
-Student-t kernel ``_student_t_logpdf``.
+posterior precision P = A'A + I/v0, formed only by ``_fit`` (of a design
+and one response, or m responses that share it), with the posterior mean
+and scale and the training design, leverages and residuals that exact LOO
+reads. The predictive density, exact LOO, the bordered extensions and
+``draw_posterior`` all read that one fit; no other module touches P^-1 or
+the prior's a0, b0 and v0. Every log density, exact LOO or held out, ends
+in the one Student-t kernel ``_student_t_logpdf``.
 
 ``_score_extensions`` scores every one-column extension of a model, as a
 forward-search step needs: one BLAS-3 pass over the current model's P^-1
@@ -22,13 +23,14 @@ block. The block is candidate-major: each candidate is one contiguous row
 of n observations, so every per-candidate reduction and broadcast runs
 along a row. A replication axis makes the block m x c x n: m responses
 that share the model's design, as the many-candidate null's replications
-share the intercept-only baseline, go through the same pass. A forward search
-carries the chosen extension's ``PosteriorFit`` to the next step by
-bordering P^-1 with that column's terms, so only its starting model is
-fit; ``_border_rows`` moves any design rows of a bordered model, training
-or held-out, one replication or many. Only an extension that breaches the
-closed form's guard is fit on its own, once, by ``_fit_loo``; that fit
-travels with its bordering terms and stands in for the bordered model.
+share the intercept-only baseline (one stacked ``_fit``), go through the
+same pass. A forward search carries the chosen extension's
+``PosteriorFit`` to the next step by bordering P^-1 with that column's
+terms, so only its starting model is fit; ``_border_rows`` moves any
+design rows of a bordered model, training or held-out, one replication or
+many. Only an extension that breaches the closed form's guard is fit on
+its own, once, by ``_fit_loo`` on its design; that fit travels with its
+bordering terms and stands in for the bordered model.
 
 ``draw_posterior`` and ``pointwise_loglik`` turn a conjugate fit into a
 draws-by-observations log-likelihood matrix, the input that
@@ -60,7 +62,7 @@ class Dataset:
     """Predictor matrix and response; the intercept column is implicit.
 
     Every dataset is built through ``__post_init__``, which makes ``X`` and
-    ``y`` float arrays and checks their shapes and finiteness.
+    ``y`` float arrays and checks their shapes, finiteness and names.
     """
 
     X: np.ndarray
@@ -74,6 +76,8 @@ class Dataset:
             X = X[:, None]
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
             raise DimensionMismatch("X must be (n, p) and y length n")
+        if self.columns is not None and len(self.columns) != X.shape[1]:
+            raise DimensionMismatch(f"{len(self.columns)} column names for {X.shape[1]} predictors")
         if y.size < 1:
             raise TooFewObservations("dataset needs at least 1 observation")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
@@ -156,15 +160,22 @@ class PosteriorFit:
 
 
 def fit(data: Dataset, prior: NigPrior) -> PosteriorFit:
-    """Conjugate update of the normal-inverse-gamma prior on ``data``.
+    """Conjugate update of the normal-inverse-gamma prior on ``data``: ``_fit`` of its design."""
+    return _fit(data.design(), data.y, prior)
 
-    Inverts the posterior precision P = A'A + I/v0 once. Raises
-    ``InvalidParameter`` when P is singular in floating point, as with
-    duplicate predictor columns so large that 1/v0 is lost beside A'A.
+
+def _fit(A: np.ndarray, y: np.ndarray, prior: NigPrior) -> PosteriorFit:
+    """The posterior of the design ``A`` and response ``y``, or of the m
+    responses, rows of an m x n ``y``, that share ``A``: then ``mean_n`` is
+    m x d, ``b_n`` length m and ``resid`` m x n, and as every product runs
+    per response, row r is bit for bit the fit of ``y[r]`` alone.
+
+    Inverts P = A'A + I/v0 once. Raises ``InvalidParameter`` when P is
+    singular in floating point, as with duplicate predictor columns so
+    large that 1/v0 is lost beside A'A.
     """
-    if data.n < 2:
+    if A.shape[0] < 2:
         raise TooFewObservations("fitting needs at least 2 observations")
-    A = data.design()
     P = A.T @ A
     P[np.diag_indices_from(P)] += 1.0 / prior.v0
     try:
@@ -174,13 +185,15 @@ def fit(data: Dataset, prior: NigPrior) -> PosteriorFit:
             "posterior precision is singular: predictors are collinear or too "
             "large in scale for the prior"
         ) from None
-    mean_n = cov @ (A.T @ data.y)
-    resid = data.y - A @ mean_n
+    mean_n = (cov @ (A.T @ y[..., None]))[..., 0]
+    resid = y - (A @ mean_n[..., None])[..., 0]
+    rr, mm = ((v[..., None, :] @ v[..., None])[..., 0, 0] for v in (resid, mean_n))
+    b_n = prior.b0 + 0.5 * (rr + mm / prior.v0)
     return PosteriorFit(
         mean_n=mean_n,
         cov=cov,
-        a_n=float(prior.a0 + data.n / 2.0),
-        b_n=float(prior.b0 + 0.5 * (resid @ resid + mean_n @ mean_n / prior.v0)),
+        a_n=float(prior.a0 + A.shape[0] / 2.0),
+        b_n=float(b_n) if y.ndim == 1 else b_n,
         A=A,
         h=np.einsum("ij,ij->i", A @ cov, A),
         resid=resid,
@@ -247,7 +260,7 @@ def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> E
     refits of ``_loo_refit`` stand in when the closed form's guard breaks.
     """
     _require_loo_rows(data.n)
-    _, pointwise = _fit_loo(data, prior)
+    _, pointwise = _fit_loo(data.design(), data.y, prior)
     # fsum over Python floats: the same correctly rounded sum, without one
     # numpy scalar per element
     return ElpdEstimate(
@@ -258,15 +271,15 @@ def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> E
     )
 
 
-def _fit_loo(data: Dataset, prior: NigPrior):
-    """The fit of ``data`` and its exact-LOO pointwise elpds: rows removed
-    in closed form, or by the n refits of ``_loo_refit`` where the closed
-    form's guard breaks."""
-    post = fit(data, prior)
+def _fit_loo(A: np.ndarray, y: np.ndarray, prior: NigPrior):
+    """The fit of the design ``A`` to ``y`` and its exact-LOO pointwise
+    elpds: rows removed in closed form, or by the n refits of
+    ``_loo_refit`` where the closed form's guard breaks."""
+    post = _fit(A, y, prior)
     # the closed form overwrites the residuals it is given
     pointwise, ok = _loo_closed_form(post.resid.copy(), 1.0 - post.h, post.b_n, post.a_n)
     if not ok:
-        pointwise = _loo_refit(data, prior)
+        pointwise = _loo_refit(A, y, prior)
     return post, pointwise
 
 
@@ -348,9 +361,7 @@ def _border_rows(A, x, loc, lev, b_n, u, s, ey, refits=None):
     return loc, lev, b_n
 
 
-def _score_extensions(
-    post: PosteriorFit, X: np.ndarray, xx: np.ndarray, y: np.ndarray, prior: NigPrior, model
-):
+def _score_extensions(post, X, xx, y, prior):
     """Exact LOO of the model fit as ``post`` extended by each candidate
     column, a row of ``X``, from its P^-1.
 
@@ -364,22 +375,18 @@ def _score_extensions(
     model's own fit or None. All candidates go through one BLAS-3 pass and
     ``_extension_loo``. Only a candidate whose extended model breaches the
     closed form's guard (leverage >= 1 - 1e-10, a downdated scale <= 0, or
-    s rounding noise) is fit and scored on its own, by ``_fit_loo`` on the
-    dataset ``model(*index)`` of its extended model; ``refits`` holds that
-    fit, for ``_border`` and ``_border_rows`` to carry, so no caller fits
-    the model again. The row sums are numpy's, taken once that candidate's
-    row is in the block, so every total is formed the same way: identical
-    rows give equal totals, and a caller's argmax breaks their tie to the
-    lowest index.
+    s rounding noise) is fit and scored on its own, by ``_fit_loo`` of its
+    design (``post``'s A with the candidate's row of ``X`` appended) and its
+    replication's response; ``refits`` holds that fit, for ``_border`` and
+    ``_border_rows`` to carry, so no caller fits the model again. The row
+    sums are numpy's, taken once that candidate's row is in the block, so
+    every total is formed the same way: identical rows give equal totals,
+    and a caller's argmax breaks their tie to the lowest index.
     """
     *shape, n = X.shape
     _require_loo_rows(n)
     U, E, s, noise = _border_terms(post, X.reshape(-1, n), xx.reshape(-1), prior)
     U, E = U.reshape(*shape, -1), E.reshape(X.shape)
-    # X is dead from here on: a block the caller built in the call itself
-    # (as forward_search's gathered rows) is freed before the closed
-    # form's blocks are made
-    del X
     s, noise = s.reshape(shape), noise.reshape(shape)
     ey = (E @ y[..., None])[..., 0]
     pointwise, ok = _extension_loo(
@@ -390,7 +397,8 @@ def _score_extensions(
     del E
     refits = np.full(shape, None, dtype=object)
     for index in zip(*np.nonzero(~ok)):
-        refits[index], pointwise[index] = _fit_loo(model(*index), prior)
+        A = np.column_stack([post.A, X[index]])
+        refits[index], pointwise[index] = _fit_loo(A, y[index[:-1]], prior)
     estimates = pointwise.sum(axis=-1)
     return pointwise, estimates, U, s, ey, refits
 
@@ -442,16 +450,16 @@ def _loo_closed_form(resid, omh, b_n, a_n):
         return _student_t_logpdf(q, b_i, a_n - 0.5), ok
 
 
-def _loo_refit(data: Dataset, prior: NigPrior) -> np.ndarray:
-    """Exact-LOO pointwise elpd by n refits: ``_fit_loo``'s fallback and
-    the slow reference of the tests."""
-    n = data.n
+def _loo_refit(A: np.ndarray, y: np.ndarray, prior: NigPrior) -> np.ndarray:
+    """Exact-LOO pointwise elpd of the design ``A`` and response ``y`` by n
+    refits: ``_fit_loo``'s fallback and the slow reference of the tests."""
+    n = y.size
     pointwise = np.empty(n)
-    X_full = data.design()
     for i in range(n):
         keep = np.arange(n) != i
-        sub = Dataset(data.X[keep], data.y[keep], columns=data.columns)
-        pointwise[i] = log_pred(fit(sub, prior), X_full[i], data.y[i])
+        post = _fit(A[keep], y[keep], prior)
+        loc, lev = _predict(post, A[i : i + 1])
+        pointwise[i] = _predictive_logpdf(y[i], loc, lev, post.a_n, post.b_n)[0]
     return pointwise
 
 

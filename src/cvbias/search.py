@@ -245,8 +245,7 @@ def forward_search(
         cands = [j for j in range(p) if j not in cols]
         # each candidate's column gathered into one contiguous row
         pointwise, estimates, U, s, ey, refits = _score_extensions(
-            post, data.X.T[cands], squares[cands], data.y, prior,
-            lambda k: data.subset(cols + (cands[k],)),
+            post, data.X.T[cands], squares[cands], data.y, prior
         )
         diffs = estimates - prev_elpd
         best = int(np.argmax(diffs))

@@ -22,6 +22,7 @@ from .conjlm import (
     Dataset,
     NigPrior,
     _border_rows,
+    _fit,
     _predictive_logpdf,
     _score_extensions,
     fit,
@@ -183,16 +184,15 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior):
     """Exact LOO of the baseline and every single-predictor model of each
     dataset, all with the same n and predictor count.
 
-    The baseline design is the intercept column for every dataset, so the
-    P^-1 and leverage of one ``fit`` of it serve the block; its means,
-    residuals and b_n are per dataset, in the stacked baseline fit that is
-    returned first. Each dataset's columns follow a zero column, which
-    extends the baseline to itself, so the baselines and all candidates go
-    through one ``conjlm._score_extensions`` pass on an m x K x n block,
-    whose estimates, U, s, e'y and refits (a model's own fit where its
-    closed form broke, else None) follow, with a replication axis before
-    the model axis: model 0 is the baseline and model k the one with
-    predictor k - 1.
+    Every baseline design is the intercept column, so one ``conjlm._fit``
+    of it to all the responses, returned first, serves the block: its P^-1
+    and leverages are shared, its means, residuals and b_n have a row per
+    dataset. Each dataset's columns follow a zero column, which extends the
+    baseline to itself, so all models go through one
+    ``conjlm._score_extensions`` pass on an m x K x n block, whose
+    estimates, U, s, e'y and refits (a model's own fit where its closed
+    form broke, else None) follow, replication axis first: model 0 is the
+    baseline and model k the one with predictor k - 1.
     """
     m = len(datasets)
     n, K = datasets[0].n, datasets[0].p + 1
@@ -201,16 +201,9 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior):
     for r, ds in enumerate(datasets):
         X[r, 1:] = ds.X.T
         Y[r] = ds.y
-    base = fit(datasets[0].subset(()), prior)
-    mean = base.h[0] * Y.sum(axis=1)
-    R = Y - mean[:, None]
-    b_n = prior.b0 + 0.5 * (np.einsum("ij,ij->i", R, R) + mean**2 / prior.v0)
-    base = dc_replace(base, mean_n=mean[None], b_n=b_n, resid=R)
-    _, estimates, U, s, ey, refits = _score_extensions(
-        base, X, np.einsum("rki,rki->rk", X, X), Y, prior,
-        lambda r, k: datasets[r].subset(() if k == 0 else (k - 1,)),
-    )
-    return base, estimates, U, s, ey, refits
+    base = _fit(np.ones((n, 1)), Y, prior)
+    block = _score_extensions(base, X, np.einsum("rki,rki->rk", X, X), Y, prior)
+    return (base, *block[1:])
 
 
 def _many_k_test_elpds(
@@ -232,7 +225,7 @@ def _many_k_test_elpds(
     base, _, U, s, ey, refits = block
     m, n = base.resid.shape
     rows = np.arange(m)
-    mean, h = base.mean_n[0][:, None], base.h[0]
+    mean, h = base.mean_n, base.h[0]
     ones = np.ones(y_test.shape + (1,))
 
     def scaled_mean(loc, lev, b_n):

@@ -3,6 +3,8 @@ import os
 import pytest
 from hypothesis import settings
 
+from cvbias import conjlm
+
 # every run draws the same examples, so a tier-1 result is a fact, not a
 # draw; a test's own @settings keeps its example count and deadline
 settings.register_profile("derandomized", derandomize=True, database=None)
@@ -33,3 +35,10 @@ def usable_cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
     return set_count
+
+
+def loo_refit(data, prior):
+    """Exact-LOO pointwise elpd of ``data`` by n refits
+    (``conjlm._loo_refit`` of its design): the slow reference the fast
+    paths are checked against. Test modules import it from here."""
+    return conjlm._loo_refit(data.design(), data.y, prior)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import t as student_t
 
+from conftest import loo_refit
 from cvbias import conjlm
 from cvbias.conjlm import (
     Dataset,
@@ -63,6 +63,13 @@ class TestDataset:
     def test_empty_subset_is_intercept_only(self):
         d = Dataset(np.ones((3, 2)), np.zeros(3))
         assert d.subset(()).design().shape == (3, 1)
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "b", "c", "d"), ()])
+    def test_column_names_must_match_the_predictors(self, names):
+        # one name per predictor column, or a one-line error naming both counts
+        X = np.random.default_rng(0).standard_normal((20, 3))
+        with pytest.raises(DimensionMismatch, match=f"{len(names)} column names for 3 predictor"):
+            Dataset(X, np.zeros(20), columns=names)
 
     def test_subset_keeps_column_names(self):
         d = Dataset(np.ones((3, 3)), np.zeros(3), columns=("a", "b", "c"))
@@ -120,6 +127,24 @@ class TestFit:
     def test_posterior_a_n(self, small_data):
         post = fit(small_data, NigPrior(a0=1.5))
         assert post.a_n == 1.5 + small_data.n / 2
+
+    @pytest.mark.parametrize("prior", ["diffuse", "tight"])
+    @pytest.mark.parametrize("n, p", [(30, 0), (100, 3), (1000, 3)])
+    def test_stacked_fit_is_one_fit_per_response(self, n, p, prior):
+        # m responses on one design: row r of the stacked fit is bit for bit
+        # the fit of response r alone, and the shared parts are that fit's
+        rng = np.random.default_rng(n + p)
+        X = rng.standard_normal((n, p))
+        Y = 1.0 + rng.standard_normal((5, n))
+        prior = conjlm.PRIOR_PRESETS[prior]()
+        stacked = conjlm._fit(Dataset(X, Y[0]).design(), Y, prior)
+        assert stacked.mean_n.shape == (5, p + 1) and stacked.b_n.shape == (5,)
+        for r, y in enumerate(Y):
+            one = fit(Dataset(X, y), prior)
+            for name in ("mean_n", "resid", "b_n"):
+                assert np.array_equal(getattr(stacked, name)[r], getattr(one, name)), name
+            for name in ("cov", "a_n", "A", "h"):
+                assert np.array_equal(getattr(stacked, name), getattr(one, name)), name
 
 
 class TestLogPred:
@@ -183,7 +208,7 @@ class TestElpdLooExact:
     def test_downdate_matches_refit(self, small_data):
         prior = NigPrior.diffuse()
         dd = elpd_loo_exact(small_data, prior)
-        rf = conjlm._loo_refit(small_data, prior)
+        rf = loo_refit(small_data, prior)
         assert dd.pointwise == pytest.approx(rf, abs=1e-8)
 
     def test_duplicated_rows_have_equal_pointwise(self):
@@ -263,13 +288,11 @@ class TestElpdLooExtensions:
         cands = [j for j in range(p) if j not in current]
         post = fit(data.subset(current), prior)
         X = data.X.T[cands]
-        pointwise, estimates, *_ = conjlm._score_extensions(
-            post, X, _squares(X), data.y, prior, lambda k: data.subset(current + (cands[k],))
-        )
+        pointwise, estimates, *_ = conjlm._score_extensions(post, X, _squares(X), data.y, prior)
         assert pointwise.shape == (len(cands), n)
         assert estimates.shape == (len(cands),)
         for k, j in enumerate(cands):
-            ref = conjlm._loo_refit(data.subset(current + (j,)), prior)
+            ref = loo_refit(data.subset(current + (j,)), prior)
             assert np.max(np.abs(pointwise[k] - ref)) <= 1e-9
             assert estimates[k] == pointwise[k].sum()
 
@@ -283,7 +306,7 @@ class TestElpdLooExtensions:
         xx, y = _squares(X), data.y.copy()
         inputs = [X, xx, y, post.mean_n, post.cov, post.A, post.h, post.resid]
         before = [a.copy() for a in inputs]
-        conjlm._score_extensions(post, X, xx, y, prior, lambda k: data.subset((0, k + 1)))
+        conjlm._score_extensions(post, X, xx, y, prior)
         for a, b in zip(inputs, before):
             assert np.array_equal(a, b)
 
@@ -297,18 +320,20 @@ class TestElpdLooExtensions:
         scored = []
         original = conjlm._fit_loo
 
-        def spy(sub, prior_):
-            scored.append(sub.columns)
-            return original(sub, prior_)
+        def spy(A, y, prior_):
+            scored.append((A, y))
+            return original(A, y, prior_)
 
         monkeypatch.setattr(conjlm, "_fit_loo", spy)
         post = fit(data.subset(()), prior)
         X = data.X.T.copy()
         pointwise, estimates, *_, refits = conjlm._score_extensions(
-            post, X, _squares(X), data.y, prior, lambda k: data.subset((k,))
+            post, X, _squares(X), data.y, prior
         )
-        assert scored == [("spike",)]
-        ref = conjlm._loo_refit(data.subset((1,)), prior)
+        # the kernel fits the spike's model, [1, spike], to the response
+        [(A, y)] = scored
+        assert np.array_equal(A, data.subset((1,)).design()) and np.array_equal(y, data.y)
+        ref = loo_refit(data.subset((1,)), prior)
         assert np.max(np.abs(pointwise[1] - ref)) <= 1e-9
         assert estimates[1] == pointwise[1].sum()
         # the model's own fit comes back whole: its residuals are not the
@@ -343,24 +368,13 @@ class TestElpdLooExtensions:
         datasets = [Dataset(np.column_stack([Z, X[r].T]), Y[r]) for r in range(m)]
         current = tuple(range(shared))
         fits = [fit(ds.subset(current), prior) for ds in datasets]
-        stacked = replace(
-            fits[0],
-            mean_n=np.column_stack([f.mean_n for f in fits]),
-            b_n=np.array([f.b_n for f in fits]),
-            resid=np.array([f.resid for f in fits]),
-        )
-        got = conjlm._score_extensions(
-            stacked, X, _squares(X), Y, prior,
-            lambda r, k: datasets[r].subset(current + (shared + k,)),
-        )
+        stacked = conjlm._fit(fits[0].A, Y, prior)
+        got = conjlm._score_extensions(stacked, X, _squares(X), Y, prior)
         pointwise, estimates, U, s, ey, refits = got
         assert pointwise.shape == (m, c, n) and U.shape == (m, c, shared + 1)
         assert refits.shape == (m, c) and refits[-1, 0] is not None
         for r, (ds, post) in enumerate(zip(datasets, fits)):
-            want = conjlm._score_extensions(
-                post, X[r], _squares(X[r]), ds.y, prior,
-                lambda k: ds.subset(current + (shared + k,)),
-            )
+            want = conjlm._score_extensions(post, X[r], _squares(X[r]), ds.y, prior)
             assert [f is None for f in refits[r]] == [f is None for f in want[-1]]
             # the stacked products may round otherwise: a relative bound,
             # with a floor of a few ulps of the replication's largest entry
@@ -373,7 +387,10 @@ class TestElpdLooExtensions:
         # candidate; the last replication's are predicted from its own fit
         At = np.concatenate([np.ones((m, n_test, 1)), rng.standard_normal((m, n_test, shared))], 2)
         xt = rng.standard_normal((m, n_test))
-        refit = fit(datasets[-1].subset(current + (shared,)), prior)
+        # the kernel's fit of that model is the fit of the shared design
+        # with the candidate's column appended (built as the kernel builds
+        # it: a copy of other memory layout may sum in another order)
+        refit = conjlm._fit(np.column_stack([stacked.A, X[-1, 0]]), Y[-1], prior)
         assert np.array_equal(refits[-1, 0].mean_n, refit.mean_n)
         assert refits[-1, 0].b_n == refit.b_n
         rows = [conjlm._predict(post, At[r]) for r, post in enumerate(fits)]

@@ -294,7 +294,7 @@ def test_every_public_name_is_used_or_shown():
 # internals that only conjlm may use
 PRIVATE_CONJLM_IMPORTS = {
     "search": ["_border", "_border_rows", "_predictive_logpdf", "_score_extensions"],
-    "sim": ["_border_rows", "_predictive_logpdf", "_score_extensions"],
+    "sim": ["_border_rows", "_fit", "_predictive_logpdf", "_score_extensions"],
 }
 KERNEL_INTERNALS = {
     "_border_terms",
@@ -328,6 +328,21 @@ def test_private_conjlm_names_stay_pinned():
     for path in package.glob("*.py"):
         if path.stem != "conjlm":
             assert conjlm_names(path) & KERNEL_INTERNALS == set(), path.name
+
+
+def test_only_conjlm_reads_the_prior_hyperparameters():
+    # a0, b0 and v0 enter the posterior in conjlm alone: another module
+    # that read them would be forming a posterior of its own
+    package = Path(cvbias.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        if path.stem != "conjlm":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = {
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("a0", "b0", "v0")
+            }
+            assert read == set(), path.name
 
 
 def test_every_error_class_is_raised():

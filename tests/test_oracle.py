@@ -119,21 +119,26 @@ def assert_within(got, ref, tol):
     assert np.all(np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref)))
 
 
-def design(n, p, seed, twin_scale=None) -> Dataset:
+def design(n, p, seed, twin_scale=None, row_scale=None) -> Dataset:
     """Correlated predictors and a response with two active columns; with
     ``twin_scale``, the last column is x0 plus 1e-7 noise and every predictor
-    row is scaled by ``twin_scale`` after the response is drawn."""
+    row is scaled by ``twin_scale`` after the response is drawn. With
+    ``row_scale``, row 0 of the predictors alone is scaled by it then."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p)) + 0.5 * rng.standard_normal((n, 1))
     if twin_scale:
         X[:, -1] = X[:, 0] + 1e-7 * rng.standard_normal(n)
     y = X[:, 0] - 0.5 * X[:, min(1, p - 1)] + rng.standard_normal(n)
-    return Dataset(twin_scale * X if twin_scale else X, y)
+    if twin_scale:
+        X *= twin_scale
+    if row_scale:
+        X[0] *= row_scale
+    return Dataset(X, y)
 
 
 @functools.lru_cache(maxsize=None)
-def cached_loo(n, p, seed, prior_name, cols=None, twin_scale=None):
-    data = design(n, p, seed, twin_scale)
+def cached_loo(n, p, seed, prior_name, cols=None, twin_scale=None, row_scale=None):
+    data = design(n, p, seed, twin_scale, row_scale)
     return mp_loo(data if cols is None else data.subset(cols), PRIORS[prior_name])
 
 
@@ -170,8 +175,7 @@ def test_score_extensions_candidates(prior_name):
     cands = [1, 2, 3]
     X = data.X.T[cands]
     pointwise, estimates, *_ = conjlm._score_extensions(
-        fit(data.subset((0,)), prior), X, np.einsum("ij,ij->i", X, X), data.y, prior,
-        lambda k: data.subset((0, cands[k])),
+        fit(data.subset((0,)), prior), X, np.einsum("ij,ij->i", X, X), data.y, prior
     )
     for k, j in enumerate(cands):
         ref_pointwise, ref_total = cached_loo(20, 4, 5, prior_name, (0, j))
@@ -255,4 +259,34 @@ HARD_TARGET = 1e-7
 def test_hard_designs(n, p, seed, scale, prior_name):
     _, total = cached_loo(n, p, seed, prior_name, twin_scale=scale)
     got = elpd_loo_exact(design(n, p, seed, scale), PRIORS[prior_name]).estimate
+    assert_within(got, total, HARD_TARGET)
+
+
+# (n, p, seed, scale of row 0): the scaled row's leverage nears 1. Where a
+# case misses, today's relative error of the elpd_loo_exact total: at x1e5
+# the closed form's guard holds (1 - h reads ~4e-9) and the closed form
+# misses by 3.4e-2 (diffuse) and 1.0e-2 (tight); at x1e8, 1 - h is lost
+# to rounding: diffuse reads it below 0, and its n refits, all but one
+# still holding the scaled row, miss by 3.7e-3; tight reads 8.1e-4, and
+# the closed form misses by 0.47. With one predictor, the x1e8 cases go
+# through the refits under both priors, and every case is within 1e-9.
+_CANCELS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="1 - h cancels beside a row of leverage near 1",
+)
+LEVERAGE = [
+    pytest.param(8, 2, 0, 1e3, id="n8p2-x1e3"),
+    pytest.param(8, 2, 0, 1e5, id="n8p2-x1e5", marks=_CANCELS),
+    pytest.param(8, 2, 0, 1e8, id="n8p2-x1e8", marks=_CANCELS),
+    pytest.param(10, 1, 2, 1e3, id="n10p1-x1e3"),
+    pytest.param(10, 1, 2, 1e5, id="n10p1-x1e5"),
+    pytest.param(10, 1, 2, 1e8, id="n10p1-x1e8"),
+]
+
+
+@pytest.mark.parametrize("prior_name", sorted(PRIORS))
+@pytest.mark.parametrize("n, p, seed, scale", LEVERAGE)
+def test_leverage_near_one(n, p, seed, scale, prior_name):
+    _, total = cached_loo(n, p, seed, prior_name, row_scale=scale)
+    got = elpd_loo_exact(design(n, p, seed, row_scale=scale), PRIORS[prior_name]).estimate
     assert_within(got, total, HARD_TARGET)

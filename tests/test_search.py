@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import loo_refit
 from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred
 from cvbias.errors import (
     EmptyCandidateSet,
@@ -67,11 +68,11 @@ def refit_search(data, prior, max_size):
 
     Every candidate model is scored on its own by ``conjlm._loo_refit`` (n
     refits each), so nothing here shares code with the batched kernel
-    beyond ``fit`` and ``log_pred``.
+    beyond the conjugate update ``_fit`` and the predictive density.
     """
 
     def refit_loo(cols):
-        return from_pointwise(conjlm._loo_refit(data.subset(cols), prior))
+        return from_pointwise(loo_refit(data.subset(cols), prior))
 
     prev = refit_loo(())
     base, current, steps = prev, (), []
@@ -308,24 +309,26 @@ class TestCarriedPosterior:
         train = Dataset(X[:20], y[:20])
         test = Dataset(X[20:], y[20:])
         factorized, everywhere = [], []
-        original = conjlm.fit
+        original, original_kernel = conjlm.fit, conjlm._fit
 
         def spy(data, prior):
             factorized.append(data.X)
             return original(data, prior)
 
-        def kernel_spy(data, prior):
-            everywhere.append(data.X)
-            return original(data, prior)
+        def kernel_spy(A, y, prior):
+            everywhere.append(A)
+            return original_kernel(A, y, prior)
 
         monkeypatch.setattr(search, "fit", spy)
-        monkeypatch.setattr(conjlm, "fit", kernel_spy)
+        monkeypatch.setattr(conjlm, "_fit", kernel_spy)
         out = forward_search(train, PRIOR, max_size=3, test=test)
         assert out.predictors()[-1] == 2
         # the search itself fits only its start model
         assert [X.shape[1] for X in factorized] == [0]
-        full = train.X[:, out.predictors()]
-        fits_of_full = [X for X in factorized + everywhere if X.shape == full.shape]
+        # every fit of the full training rows is of a design; the full
+        # model's is made once (the n - 1 row fits of its LOO refits are not)
+        full = train.subset(out.predictors()).design()
+        fits_of_full = [A for A in everywhere if A.shape == full.shape]
         assert len(fits_of_full) == 1 and np.array_equal(fits_of_full[0], full)
         assert_test_mlpds_match_refits(out, train, test, PRIOR)
 

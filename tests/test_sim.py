@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import loo_refit
 from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred
 from cvbias.errors import InvalidBlocking, InvalidParameter, TooFewObservations
 from cvbias.orderstats import blom_max, halfnormal_sigma
@@ -314,20 +315,19 @@ class TestManyKBlocks:
 
     def test_crafted_block_falls_back_per_model(self, monkeypatch):
         prior, datasets, rng = crafted_block()
-        X0, X1 = (ds.X for ds in datasets)
         calls = []
         fit_loo = conjlm._fit_loo
 
-        def recording(data, prior_):
-            calls.append(data)
-            return fit_loo(data, prior_)
+        def recording(A, y, prior_):
+            calls.append((A, y))
+            return fit_loo(A, y, prior_)
 
         monkeypatch.setattr(conjlm, "_fit_loo", recording)
         block = sim._score_many_k(datasets, prior)
         _, estimates, _, _, _, refits = block
-        assert [(c.X.tolist(), c.y.tolist()) for c in calls] == [
-            (X0[:, [1]].tolist(), datasets[0].y.tolist()),
-            (X1[:, [0]].tolist(), datasets[1].y.tolist()),
+        assert [(A.tolist(), y.tolist()) for A, y in calls] == [
+            (datasets[0].subset((1,)).design().tolist(), datasets[0].y.tolist()),
+            (datasets[1].subset((0,)).design().tolist(), datasets[1].y.tolist()),
         ]
         assert [[f is None for f in row] for row in refits] == [
             [True, True, False, True], [True, False, True, True]
@@ -342,15 +342,15 @@ class TestManyKBlocks:
 
         y_test = rng.standard_normal((2, 30))
         x_true, x_sel = rng.standard_normal((2, 2, 30))
-        fitted = []
+        fitted, original = [], conjlm._fit
 
-        def fit_spy(data, prior_):
-            fitted.append(data)
-            return fit(data, prior_)
+        def fit_spy(A, y, prior_):
+            fitted.append(A)
+            return original(A, y, prior_)
 
         # the test elpds carry the block's fits: no model is fit again
-        monkeypatch.setattr(conjlm, "fit", fit_spy)
-        monkeypatch.setattr(sim, "fit", fit_spy)
+        monkeypatch.setattr(conjlm, "_fit", fit_spy)
+        monkeypatch.setattr(sim, "_fit", fit_spy)
         elpds = sim._many_k_test_elpds(block, np.array([2, 2]), y_test, x_true, x_sel)
         assert fitted == []
         for r, ds in enumerate(datasets):
@@ -408,7 +408,7 @@ class TestRunForwardExperiment:
             train, _ = gen_block(dc_replace(spec, seed=r["seed"]))
             path = forward_search(train, NigPrior.diffuse(), max_size=10)
             cols = tuple(path.predictors()[: r["corrected_max_size"]])
-            loo = conjlm._loo_refit(train.subset(cols), NigPrior.diffuse())
+            loo = loo_refit(train.subset(cols), NigPrior.diffuse())
             assert r["corrected_max_loo_se"] == pytest.approx(elpd_se(loo) / 50, rel=1e-9)
 
     def test_zero_replications_rejected(self):
