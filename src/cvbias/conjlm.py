@@ -7,10 +7,10 @@ zero Monte-Carlo error at negligible cost.
 
 The prior is centred at zero with scale ``v0 * I``, so every model has one
 posterior representation, ``PosteriorFit``: the d x d inverse P^-1 of its
-posterior precision P = A'A + I/v0, formed only by ``_fit`` (of a design
-and one response, or m responses that share it), with the posterior mean
-and scale and the training design, leverages and residuals that exact LOO
-reads. The predictive density, exact LOO, the bordered extensions and
+posterior precision P = A'A + I/v0, formed only by ``_fit`` (of one or m
+responses on a design), with the posterior mean and scale and the
+training design, leverages and residuals that exact LOO reads. The
+predictive density, exact LOO, the bordered extensions and
 ``draw_posterior`` all read that one fit; no other module touches P^-1 or
 the prior's a0, b0 and v0. Every log density, exact LOO or held out, ends
 in the one Student-t kernel ``_student_t_logpdf``.
@@ -29,8 +29,8 @@ same pass. A forward search carries the chosen extension's
 terms, so only its starting model is fit; ``_border_rows`` moves any
 design rows of a bordered model, training or held-out, one replication or
 many. Only an extension that breaches the closed form's guard is fit on
-its own, once, by ``_fit_loo`` on its design; that fit travels with its
-bordering terms and stands in for the bordered model.
+its own, once, by ``_fit`` of its design and scored by ``_loo``; that fit
+travels with its bordering terms and stands in for the bordered model.
 
 ``draw_posterior`` and ``pointwise_loglik`` turn a conjugate fit into a
 draws-by-observations log-likelihood matrix, the input that
@@ -143,7 +143,8 @@ class PosteriorFit:
     ``cov`` is the inverse P^-1 of the posterior precision P, so the
     coefficients' posterior covariance given s2 is ``s2 * cov``. ``A`` is
     the training design, ``h`` its leverages diag(A P^-1 A') and ``resid``
-    the residuals y - A mean_n, which exact LOO and bordering read.
+    the residuals y - A mean_n, which exact LOO and bordering read; a
+    ``_fit`` of m responses has m rows of ``resid``, ``mean_n`` and b_n.
     """
 
     mean_n: np.ndarray
@@ -156,7 +157,7 @@ class PosteriorFit:
 
     @property
     def dim(self) -> int:
-        return self.mean_n.size
+        return self.cov.shape[0]
 
 
 def fit(data: Dataset, prior: NigPrior) -> PosteriorFit:
@@ -166,9 +167,8 @@ def fit(data: Dataset, prior: NigPrior) -> PosteriorFit:
 
 def _fit(A: np.ndarray, y: np.ndarray, prior: NigPrior) -> PosteriorFit:
     """The posterior of the design ``A`` and response ``y``, or of the m
-    responses, rows of an m x n ``y``, that share ``A``: then ``mean_n`` is
-    m x d, ``b_n`` length m and ``resid`` m x n, and as every product runs
-    per response, row r is bit for bit the fit of ``y[r]`` alone.
+    responses, rows of an m x n ``y``, that share ``A``: every product runs
+    per response, so row r is bit for bit the fit of ``y[r]`` alone.
 
     Inverts P = A'A + I/v0 once. Raises ``InvalidParameter`` when P is
     singular in floating point, as with duplicate predictor columns so
@@ -260,7 +260,7 @@ def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> E
     refits of ``_loo_refit`` stand in when the closed form's guard breaks.
     """
     _require_loo_rows(data.n)
-    _, pointwise = _fit_loo(data.design(), data.y, prior)
+    pointwise = _loo(fit(data, prior), data.y, prior)
     # fsum over Python floats: the same correctly rounded sum, without one
     # numpy scalar per element
     return ElpdEstimate(
@@ -271,16 +271,15 @@ def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> E
     )
 
 
-def _fit_loo(A: np.ndarray, y: np.ndarray, prior: NigPrior):
-    """The fit of the design ``A`` to ``y`` and its exact-LOO pointwise
-    elpds: rows removed in closed form, or by the n refits of
-    ``_loo_refit`` where the closed form's guard breaks."""
-    post = _fit(A, y, prior)
+def _loo(post: PosteriorFit, y: np.ndarray, prior: NigPrior) -> np.ndarray:
+    """Exact-LOO pointwise elpds of the fit ``post`` of the response ``y``:
+    rows removed in closed form, or by the n refits of ``_loo_refit`` of
+    its design where the closed form's guard breaks."""
     # the closed form overwrites the residuals it is given
     pointwise, ok = _loo_closed_form(post.resid.copy(), 1.0 - post.h, post.b_n, post.a_n)
     if not ok:
-        pointwise = _loo_refit(A, y, prior)
-    return post, pointwise
+        pointwise = _loo_refit(post.A, y, prior)
+    return pointwise
 
 
 def _border_terms(post: PosteriorFit, X: np.ndarray, xx: np.ndarray, prior: NigPrior):
@@ -375,9 +374,10 @@ def _score_extensions(post, X, xx, y, prior):
     model's own fit or None. All candidates go through one BLAS-3 pass and
     ``_extension_loo``. Only a candidate whose extended model breaches the
     closed form's guard (leverage >= 1 - 1e-10, a downdated scale <= 0, or
-    s rounding noise) is fit and scored on its own, by ``_fit_loo`` of its
-    design (``post``'s A with the candidate's row of ``X`` appended) and its
-    replication's response; ``refits`` holds that fit, for ``_border`` and
+    s rounding noise) is fit on its own by ``_fit``, of ``post``'s A with
+    the candidate's row appended (a zero row too: the fit has the extended
+    model's dimension) and its replication's response, and scored by
+    ``_loo``; ``refits`` holds that fit, for ``_border`` and
     ``_border_rows`` to carry, so no caller fits the model again. The row
     sums are numpy's, taken once that candidate's row is in the block, so
     every total is formed the same way: identical rows give equal totals,
@@ -397,8 +397,11 @@ def _score_extensions(post, X, xx, y, prior):
     del E
     refits = np.full(shape, None, dtype=object)
     for index in zip(*np.nonzero(~ok)):
-        A = np.column_stack([post.A, X[index]])
-        refits[index], pointwise[index] = _fit_loo(A, y[index[:-1]], prior)
+        # predictors column-major, as in a subset's design(): the fit rounds alike
+        cols = np.asfortranarray(np.column_stack([post.A[:, 1:], X[index]]))
+        y_r = y[index[:-1]]
+        refits[index] = _fit(np.hstack([np.ones((n, 1)), cols]), y_r, prior)
+        pointwise[index] = _loo(refits[index], y_r, prior)
     estimates = pointwise.sum(axis=-1)
     return pointwise, estimates, U, s, ey, refits
 
@@ -452,7 +455,7 @@ def _loo_closed_form(resid, omh, b_n, a_n):
 
 def _loo_refit(A: np.ndarray, y: np.ndarray, prior: NigPrior) -> np.ndarray:
     """Exact-LOO pointwise elpd of the design ``A`` and response ``y`` by n
-    refits: ``_fit_loo``'s fallback and the slow reference of the tests."""
+    refits: ``_loo``'s fallback and the slow reference of the tests."""
     n = y.size
     pointwise = np.empty(n)
     for i in range(n):

@@ -185,25 +185,22 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior):
     dataset, all with the same n and predictor count.
 
     Every baseline design is the intercept column, so one ``conjlm._fit``
-    of it to all the responses, returned first, serves the block: its P^-1
-    and leverages are shared, its means, residuals and b_n have a row per
-    dataset. Each dataset's columns follow a zero column, which extends the
-    baseline to itself, so all models go through one
-    ``conjlm._score_extensions`` pass on an m x K x n block, whose
-    estimates, U, s, e'y and refits (a model's own fit where its closed
-    form broke, else None) follow, replication axis first: model 0 is the
-    baseline and model k the one with predictor k - 1.
+    of it to all the responses, returned first, serves the block. Each
+    dataset's columns follow a zero column, which extends the baseline to
+    itself, so all models go through one ``conjlm._score_extensions`` pass
+    on an m x K x n block, whose estimates, U, s, e'y and refits (a model's
+    own fit where its closed form broke, else None; model 0's keeps the
+    zero column) follow, replication axis first: model 0 is the baseline
+    and model k the one with predictor k - 1.
     """
     m = len(datasets)
     n, K = datasets[0].n, datasets[0].p + 1
     X = np.zeros((m, K, n))
-    Y = np.empty((m, n))
     for r, ds in enumerate(datasets):
         X[r, 1:] = ds.X.T
-        Y[r] = ds.y
+    Y = np.array([ds.y for ds in datasets])
     base = _fit(np.ones((n, 1)), Y, prior)
-    block = _score_extensions(base, X, np.einsum("rki,rki->rk", X, X), Y, prior)
-    return (base, *block[1:])
+    return (base, *_score_extensions(base, X, np.einsum("rki,rki->rk", X, X), Y, prior)[1:])
 
 
 def _many_k_test_elpds(

@@ -318,13 +318,13 @@ class TestElpdLooExtensions:
         data = Dataset(X, rng.standard_normal(12), columns=("x", "spike"))
         prior = NigPrior(v0=1e12)
         scored = []
-        original = conjlm._fit_loo
+        original = conjlm._loo
 
-        def spy(A, y, prior_):
-            scored.append((A, y))
-            return original(A, y, prior_)
+        def spy(post_, y, prior_):
+            scored.append((post_.A, y))
+            return original(post_, y, prior_)
 
-        monkeypatch.setattr(conjlm, "_fit_loo", spy)
+        monkeypatch.setattr(conjlm, "_loo", spy)
         post = fit(data.subset(()), prior)
         X = data.X.T.copy()
         pointwise, estimates, *_, refits = conjlm._score_extensions(
@@ -387,10 +387,7 @@ class TestElpdLooExtensions:
         # candidate; the last replication's are predicted from its own fit
         At = np.concatenate([np.ones((m, n_test, 1)), rng.standard_normal((m, n_test, shared))], 2)
         xt = rng.standard_normal((m, n_test))
-        # the kernel's fit of that model is the fit of the shared design
-        # with the candidate's column appended (built as the kernel builds
-        # it: a copy of other memory layout may sum in another order)
-        refit = conjlm._fit(np.column_stack([stacked.A, X[-1, 0]]), Y[-1], prior)
+        refit = fit(datasets[-1].subset(current + (shared,)), prior)
         assert np.array_equal(refits[-1, 0].mean_n, refit.mean_n)
         assert refits[-1, 0].b_n == refit.b_n
         rows = [conjlm._predict(post, At[r]) for r, post in enumerate(fits)]

@@ -326,10 +326,12 @@ class TestCarriedPosterior:
         # the search itself fits only its start model
         assert [X.shape[1] for X in factorized] == [0]
         # every fit of the full training rows is of a design; the full
-        # model's is made once (the n - 1 row fits of its LOO refits are not)
+        # model's is made once (the n - 1 row fits of its LOO refits are
+        # not), laid out in memory as its dataset's design, so it rounds alike
         full = train.subset(out.predictors()).design()
         fits_of_full = [A for A in everywhere if A.shape == full.shape]
         assert len(fits_of_full) == 1 and np.array_equal(fits_of_full[0], full)
+        assert fits_of_full[0].strides == full.strides
         assert_test_mlpds_match_refits(out, train, test, PRIOR)
 
     def test_noise_level_duplicate_fails_as_fit_does(self):

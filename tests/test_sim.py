@@ -316,13 +316,13 @@ class TestManyKBlocks:
     def test_crafted_block_falls_back_per_model(self, monkeypatch):
         prior, datasets, rng = crafted_block()
         calls = []
-        fit_loo = conjlm._fit_loo
+        loo = conjlm._loo
 
-        def recording(A, y, prior_):
-            calls.append((A, y))
-            return fit_loo(A, y, prior_)
+        def recording(post, y, prior_):
+            calls.append((post.A, y))
+            return loo(post, y, prior_)
 
-        monkeypatch.setattr(conjlm, "_fit_loo", recording)
+        monkeypatch.setattr(conjlm, "_loo", recording)
         block = sim._score_many_k(datasets, prior)
         _, estimates, _, _, _, refits = block
         assert [(A.tolist(), y.tolist()) for A, y in calls] == [
@@ -376,6 +376,32 @@ class TestManyKBlocks:
         test = Dataset(np.column_stack([x_true[0], x_sel[0]]), y_test[0])
         fit_ = fit(datasets[0].subset((1,)), prior)
         assert sel_test[0] == 8 * float(np.mean(log_pred(fit_, test.subset((1,)).design(), test.y)))
+
+    def test_breaching_baseline_is_fit_with_its_zero_column(self):
+        # a response of 1e9 in row 0 leaves the second dataset's baseline
+        # with a downdated scale at rounding level: model 0 is fit as the
+        # baseline extended by its zero column, [1, 0], which has the
+        # extended model's dimension and scores as elpd_loo_exact scores the
+        # intercept-only model; the baseline's test elpd still comes from
+        # the stacked fit
+        prior = NigPrior(v0=1e16)
+        rng = np.random.default_rng(3)
+        X, Y = rng.standard_normal((2, 8, 3)), rng.standard_normal((2, 8))
+        Y[1, 0] = 1e9
+        datasets = [Dataset(X[r], Y[r]) for r in range(2)]
+        block = sim._score_many_k(datasets, prior)
+        base, estimates, *_, refits = block
+        assert [f is None for f in refits[:, 0]] == [True, False]
+        assert np.array_equal(refits[1, 0].A, np.column_stack([np.ones(8), np.zeros(8)]))
+        assert refits[1, 0].dim == 2
+        want = elpd_loo_exact(datasets[1].subset(()), prior).pointwise
+        assert estimates[1, 0] == want.sum()
+        y_test, x_true, x_sel = rng.standard_normal((3, 2, 30))
+        base_test, *_ = sim._many_k_test_elpds(block, np.array([1, 2]), y_test, x_true, x_sel)
+        fit_ = fit(datasets[1].subset(()), prior)
+        assert base_test[1] == pytest.approx(
+            8 * float(np.mean(log_pred(fit_, np.ones((30, 1)), y_test[1]))), rel=1e-12, abs=0
+        )
 
     @pytest.mark.parametrize(
         "n, n_test, error, match",
