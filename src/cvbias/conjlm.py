@@ -19,7 +19,8 @@ in the one Student-t kernel ``_student_t_logpdf``.
 forward-search step needs: one BLAS-3 pass over the current model's P^-1
 that updates leverages, fitted values and scale for all candidate columns
 at once (block-inverse identity), and the closed-form LOO on the c x n
-block. The block is candidate-major: each candidate is one contiguous row
+block, ``_loo_guard`` on every row before ``_loo_density`` forms any
+density. The block is candidate-major: each candidate is one contiguous row
 of n observations, so every per-candidate reduction and broadcast runs
 along a row. A replication axis makes the block m x c x n: m responses
 that share the model's design, as the many-candidate null's replications
@@ -232,15 +233,14 @@ def _predictive_logpdf(y, loc, leverage, a_n, b_n):
 def log_pred(fit_: PosteriorFit, x_new, y_new):
     """Log posterior predictive density at (x_new, y_new).
 
-    ``x_new`` is a design row (intercept included) or a matrix of rows, in
-    which case ``y_new`` is the matching vector.
+    ``x_new`` is a design row (intercept included), or a matrix of rows
+    whose ``y_new`` is the matching vector; one row takes a scalar too.
     """
     x = np.atleast_2d(np.asarray(x_new, dtype=float))
-    if x.shape[1] != fit_.dim:
-        raise DimensionMismatch(
-            f"x_new has {x.shape[1]} columns, fit expects {fit_.dim}"
-        )
     y = np.asarray(y_new, dtype=float)
+    shapes = {x.shape[:1], ()} if len(x) == 1 else {x.shape[:1]}
+    if x.shape[1:] != (fit_.dim,) or y.shape not in shapes:
+        raise DimensionMismatch(f"x_new {x.shape} and y_new {y.shape} for dimension {fit_.dim}")
     loc, lev = _predict(fit_, x)
     out = _predictive_logpdf(y, loc, lev, fit_.a_n, fit_.b_n)
     if np.ndim(y_new) == 0 and np.ndim(x_new) == 1:
@@ -275,11 +275,11 @@ def _loo(post: PosteriorFit, y: np.ndarray, prior: NigPrior) -> np.ndarray:
     """Exact-LOO pointwise elpds of the fit ``post`` of the response ``y``:
     rows removed in closed form, or by the n refits of ``_loo_refit`` of
     its design where the closed form's guard breaks."""
-    # the closed form overwrites the residuals it is given
-    pointwise, ok = _loo_closed_form(post.resid.copy(), 1.0 - post.h, post.b_n, post.a_n)
-    if not ok:
-        pointwise = _loo_refit(post.A, y, prior)
-    return pointwise
+    # the guard overwrites the residuals it is given
+    q, omh = post.resid.copy(), 1.0 - post.h
+    if not _loo_guard(q, omh, post.b_n).all():
+        return _loo_refit(post.A, y, prior)
+    return _loo_density(q, omh, post.b_n, post.a_n)
 
 
 def _border_terms(post: PosteriorFit, X: np.ndarray, xx: np.ndarray, prior: NigPrior):
@@ -371,13 +371,16 @@ def _score_extensions(post, X, xx, y, prior):
     Returns ``(pointwise, estimates, U, s, ey, refits)``: the block of
     pointwise elpds, shaped as ``X``, its row sums and, per candidate,
     ``_border_terms``' u (U is [m x] c x d) and s, e'y and the extended
-    model's own fit or None. All candidates go through one BLAS-3 pass and
-    ``_extension_loo``. Only a candidate whose extended model breaches the
-    closed form's guard (leverage >= 1 - 1e-10, a downdated scale <= 0, or
-    s rounding noise) is fit on its own by ``_fit``, of ``post``'s A with
-    the candidate's row appended (a zero row too: the fit has the extended
-    model's dimension) and its replication's response, and scored by
-    ``_loo``; ``refits`` holds that fit, for ``_border`` and
+    model's own fit or None. All candidates go through one BLAS-3 pass,
+    which moves residuals, leverages and b_n to r - e (e'y)/s, h + e^2/s
+    and b_n - (e'y)^2/(2s) in place on E (at most three arrays of E's size
+    are alive at once), then ``_loo_guard`` and ``_loo_density``. A
+    candidate whose extended model breaches the guard in some row, or
+    whose s is rounding noise, has its row copied out before ``X`` is
+    dropped and any density formed; it is fit on its own by ``_fit``, of
+    ``post``'s A with that row appended (a zero row too: the fit has the
+    extended model's dimension) and its replication's response, and scored
+    by ``_loo``; ``refits`` holds that fit, for ``_border`` and
     ``_border_rows`` to carry, so no caller fits the model again. The row
     sums are numpy's, taken once that candidate's row is in the block, so
     every total is formed the same way: identical rows give equal totals,
@@ -389,16 +392,20 @@ def _score_extensions(post, X, xx, y, prior):
     U, E = U.reshape(*shape, -1), E.reshape(X.shape)
     s, noise = s.reshape(shape), noise.reshape(shape)
     ey = (E @ y[..., None])[..., 0]
-    pointwise, ok = _extension_loo(
-        post.resid[..., None, :], 1.0 - post.h, np.asarray(post.b_n)[..., None],
-        post.a_n, E, s, ey,
-    )
-    ok &= ~noise
-    del E
+    q = E * (ey / s)[..., None]
+    np.subtract(post.resid[..., None, :], q, out=q)
+    omh = np.square(E, out=E)
+    omh /= s[..., None]
+    np.subtract(1.0 - post.h, omh, out=omh)
+    b_n = (np.asarray(post.b_n)[..., None] - ey**2 / s / 2.0)[..., None]
+    breach = ~_loo_guard(q, omh, b_n).all(axis=-1) | noise
+    rows = X[breach]
+    del X
+    pointwise = _loo_density(q, omh, b_n, post.a_n)
     refits = np.full(shape, None, dtype=object)
-    for index in zip(*np.nonzero(~ok)):
+    for index, x in zip(zip(*np.nonzero(breach)), rows):
         # predictors column-major, as in a subset's design(): the fit rounds alike
-        cols = np.asfortranarray(np.column_stack([post.A[:, 1:], X[index]]))
+        cols = np.asfortranarray(np.column_stack([post.A[:, 1:], x]))
         y_r = y[index[:-1]]
         refits[index] = _fit(np.hstack([np.ones((n, 1)), cols]), y_r, prior)
         pointwise[index] = _loo(refits[index], y_r, prior)
@@ -406,51 +413,34 @@ def _score_extensions(post, X, xx, y, prior):
     return pointwise, estimates, U, s, ey, refits
 
 
-def _extension_loo(resid, omh, b_n, a_n, E, s, ey):
-    """Closed-form exact LOO of a model extended by each candidate column,
-    whose e is a row of ``E``.
-
-    ``resid``, ``omh`` (1 - h) and ``b_n`` are the model's, shaped to
-    broadcast against ``E`` (observations on its last axis) and, for
-    ``b_n``, against ``s`` and ``ey`` (e'y). Adding a column moves the
-    residuals to r - e (e'y)/s, the leverages to h + e^2/s and b_n to
-    b_n - (e'y)^2/(2s). Returns ``_loo_closed_form``'s densities and guard,
-    and overwrites ``E``: with in-place updates at most three arrays of E's
-    size are alive at once, so peak memory stays near that of a
-    single-candidate fit.
-    """
-    resid_ext = E * (ey / s)[..., None]
-    np.subtract(resid, resid_ext, out=resid_ext)
-    omh_ext = np.square(E, out=E)
-    omh_ext /= s[..., None]
-    np.subtract(omh, omh_ext, out=omh_ext)
-    return _loo_closed_form(resid_ext, omh_ext, (b_n - ey**2 / s / 2.0)[..., None], a_n)
-
-
-def _loo_closed_form(resid, omh, b_n, a_n):
-    """Exact-LOO log predictive density of every observation, in closed form.
-
-    ``resid`` holds the full-data residuals y - mu, ``omh`` the complements
-    1 - h of the leverages, ``b_n`` and ``a_n`` the full-data posterior;
-    observations run along the last axis, and the leading axes of a block
-    hold one model per row. Without row i the posterior has
-    shape a_n - 1/2 and scale b_i = b_n - r_i^2 / (2 (1 - h_i)), and y_i is
-    Student-t with location y_i - r_i / (1 - h_i) and squared scale
-    (b_i / (a_n - 1/2)) / (1 - h_i), which ``_student_t_logpdf`` scores.
-    Overwrites ``resid``.
-
-    Returns the densities and, per model, whether the closed form holds:
-    False where some leverage reaches 1 - 1e-10 or some b_i <= 0.
+def _loo_guard(q, omh, b_n):
+    """Where exact LOO's closed form holds, per observation: ``q`` holds
+    the full-data residuals r and ``omh`` the 1 - h, observations last,
+    and ``b_n`` the scale, broadcast against them. Squares ``q`` in place
+    to r^2 / (2 (1 - h)) and flags the rows whose 1 - h clears the cut and
+    whose downdated scale b_n - q is > 0, tested as ``q < b_n``, the same
+    test in floating point, so no b_i is formed.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.square(resid, out=resid)
+        np.square(q, out=q)
         q /= omh
         q *= 0.5
+        return (omh > 1e-10) & (q < b_n)
+
+
+def _loo_density(q, omh, b_n, a_n):
+    """Exact-LOO log predictive densities from ``_loo_guard``'s ``q``; a
+    leading axis of a block holds one model per row. Without row i the
+    posterior has shape a_n - 1/2 and scale b_i = b_n - q_i, and y_i is
+    Student-t with location y_i - r_i / (1 - h_i) and squared scale
+    (b_i / (a_n - 1/2)) / (1 - h_i), which ``_student_t_logpdf`` scores.
+    Overwrites ``q``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
         b_i = b_n - q
-        ok = (np.min(omh, axis=-1) > 1e-10) & (np.min(b_i, axis=-1) > 0)
         q /= b_i
         b_i /= omh
-        return _student_t_logpdf(q, b_i, a_n - 0.5), ok
+        return _student_t_logpdf(q, b_i, a_n - 0.5)
 
 
 def _loo_refit(A: np.ndarray, y: np.ndarray, prior: NigPrior) -> np.ndarray:

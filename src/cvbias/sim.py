@@ -56,6 +56,13 @@ def _check_indexable(**sizes: int) -> None:
         raise InvalidParameter(f"{named} is too large: numpy cannot index an array of that size")
 
 
+def _check_loo_rows(specs) -> None:
+    """InvalidParameter, naming n, for a cell with fewer rows than exact LOO's 3."""
+    for spec in specs:
+        if spec.n < 3:
+            raise InvalidParameter(f"n must be >= 3 for exact LOO, got {spec.n}")
+
+
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed from string-able parts (platform independent)."""
     digest = hashlib.sha256("|".join(map(str, parts)).encode()).digest()
@@ -327,8 +334,8 @@ def run_many_k(
     default is the plain loop; the command line passes one that spreads
     the blocks over the usable CPUs.
 
-    A run of more than ``MANY_K_MAX_ROWS`` rows (replications x cells)
-    fails with ``InvalidParameter`` before any task is built.
+    A run of more than ``MANY_K_MAX_ROWS`` rows (replications x cells) or
+    a cell of n < 3 fails with ``InvalidParameter`` before any task.
 
     The threshold counts K models (baseline included) although it is taken
     over the K - 1 differences, whereas ``build_comparison`` counts the
@@ -351,6 +358,7 @@ def run_many_k(
     # checks would name n
     if n_test < 2:
         raise InvalidParameter(f"n_test must be >= 2, got {n_test}")
+    _check_loo_rows(specs)
     prior = prior or NigPrior.diffuse()
     tasks = []
     for spec in specs:
@@ -516,6 +524,7 @@ def run_forward_experiment(
     for name in priors:
         if name not in PRIOR_PRESETS:
             raise InvalidParameter(f"unknown prior preset {name!r}")
+    _check_loo_rows(specs)
 
     tasks = [
         (spec, prior_name, rep)

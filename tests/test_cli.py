@@ -1177,6 +1177,29 @@ class TestSimulate:
         assert_one_line_error(capsys, word, "numpy cannot index")
         assert drew == [] and not out.exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "many_k", "n": 2, "k_grid": [3], "replications": 2},
+            {"experiment": "forward", "p": 10, "n_grid": [1000, 2], "rho_grid": [0.0],
+             "replications": 1},
+        ],
+        ids=["many_k", "forward"],
+    )
+    def test_too_few_rows_for_loo_fail_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, config
+    ):
+        # an n too small for exact LOO is named before any cell is drawn
+        drew = []
+        monkeypatch.setattr(sim, "gen_nested", lambda *a: drew.append(a))
+        monkeypatch.setattr(sim, "gen_block", lambda *a: drew.append(a))
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--output", str(out)]) == 1
+        assert_one_line_error(capsys, "n must be >= 3 for exact LOO, got 2")
+        assert drew == [] and not out.exists()
+
     def test_out_of_memory_fails_with_one_line(self, tmp_path, monkeypatch, capsys):
         # a size numpy can index may still be more than the machine holds
         def exhaust(*args, **kwargs):

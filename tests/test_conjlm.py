@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -200,8 +201,28 @@ class TestLogPred:
 
     def test_dimension_mismatch(self, small_data):
         post = fit(small_data, NigPrior.diffuse())
-        with pytest.raises(DimensionMismatch):
-            log_pred(post, np.ones(2), 0.0)
+        cases = [
+            (np.ones(2), 0.0, r"x_new \(1, 2\) and y_new \(\) for dimension 4"),
+            (np.ones((2, 4, 4)), np.zeros(2), r"x_new \(2, 4, 4\) and y_new \(2,\)"),
+            # a response that does not match the rows one for one is not
+            # broadcast against them
+            (np.ones((5, 4)), [0.3], r"x_new \(5, 4\) and y_new \(1,\)"),
+            (np.ones((5, 4)), 0.3, r"x_new \(5, 4\) and y_new \(\)"),
+            (np.ones(4), [0.1, 0.2], r"x_new \(1, 4\) and y_new \(2,\)"),
+            (np.ones((5, 4)), np.zeros((5, 5)), r"x_new \(5, 4\) and y_new \(5, 5\)"),
+            (np.ones((5, 4)), np.zeros(3), r"x_new \(5, 4\) and y_new \(3,\)"),
+        ]
+        for x_new, y_new, match in cases:
+            with pytest.raises(DimensionMismatch, match=match):
+                log_pred(post, x_new, y_new)
+
+    def test_one_row_takes_a_scalar_or_a_vector_of_one(self, small_data):
+        post = fit(small_data, NigPrior.diffuse())
+        x = np.array([1.0, 0.3, -0.2, 0.8])
+        one = log_pred(post, x, 0.5)
+        assert isinstance(one, float)
+        assert log_pred(post, x, [0.5]).tolist() == [one]
+        assert log_pred(post, x[None], 0.5).tolist() == [one]
 
 
 class TestElpdLooExact:
@@ -343,6 +364,31 @@ class TestElpdLooExtensions:
         for name in ("mean_n", "cov", "a_n", "b_n", "A", "h", "resid"):
             assert np.array_equal(getattr(refits[1], name), getattr(want, name)), name
 
+    def test_candidate_block_is_freed_before_any_density(self, monkeypatch):
+        # a block passed straight in is dropped, its breaching spike row
+        # copied out, before the densities are formed; the spike's model is
+        # still fit from that copy
+        rng = np.random.default_rng(29)
+        data = Dataset(np.column_stack([rng.standard_normal(12), np.eye(12)[0]]),
+                       rng.standard_normal(12))
+        prior = NigPrior(v0=1e12)
+        post = fit(data.subset(()), prior)
+        blocks = [data.X.T.copy()]
+        xx = _squares(blocks[0])
+        block = weakref.ref(blocks[0])
+        alive = []
+        original = conjlm._loo_density
+
+        def spy(*args):
+            alive.append(block() is not None)
+            return original(*args)
+
+        monkeypatch.setattr(conjlm, "_loo_density", spy)
+        *_, refits = conjlm._score_extensions(post, blocks.pop(), xx, data.y, prior)
+        assert alive and not any(alive)
+        assert refits[0] is None
+        assert np.array_equal(refits[1].A, data.subset((1,)).design())
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         n=st.integers(5, 30),
@@ -416,6 +462,44 @@ class TestElpdLooExtensions:
             bordered = conjlm._border(post, x, U[0], s[0], E[0] @ data.y)
         assert s[0] > np.finfo(float).max / 2.0
         assert bordered.b_n == pytest.approx(fit(data, prior).b_n, rel=1e-12)
+
+
+class TestLooGuard:
+    """``conjlm._loo_guard``: where exact LOO's closed form holds, per row."""
+
+    def test_matches_the_downdated_scale_rule(self):
+        # q < b_n is b_n - q > 0 under gradual underflow, at signed zeros,
+        # the smallest subnormal, infinities and NaN alike
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array(
+            [0.0, -0.0, tiny, -tiny, 2 * tiny, 1e-160, 1e-10, 0.5, 1.0, -1.0, 2.0,
+             np.inf, -np.inf, np.nan]
+        )
+        r, omh = (v.reshape(-1, 1) for v in np.meshgrid(values, values))
+        # scales at, just above and just below every finite downdate
+        with np.errstate(all="ignore"):
+            q = 0.5 * (r**2 / omh)
+            finite = q[np.isfinite(q)]
+            b_n = np.concatenate(
+                [values, finite, np.nextafter(finite, np.inf), np.nextafter(finite, -np.inf)]
+            )
+            got = r.copy()
+            flags = conjlm._loo_guard(got, omh, b_n)
+            assert np.array_equal(got, q, equal_nan=True)
+            assert np.array_equal(flags, (omh > 1e-10) & (b_n - q > 0))
+
+    @pytest.mark.parametrize(
+        "model, flagged", [((), []), ((0,), [0]), ((1,), []), ((2,), [0])]
+    )
+    def test_flags_the_rows_whose_downdated_scale_cancels(self, model, flagged):
+        # a response of 1e9 in row 0 leaves b_n - q at rounding level there
+        # for some models of the same data, and only there
+        rng = np.random.default_rng(3)
+        X, Y = rng.standard_normal((2, 8, 3)), rng.standard_normal((2, 8))
+        Y[1, 0] = 1e9
+        post = fit(Dataset(X[1], Y[1]).subset(model), NigPrior.diffuse())
+        ok = conjlm._loo_guard(post.resid.copy(), 1.0 - post.h, post.b_n)
+        assert np.flatnonzero(~ok).tolist() == flagged
 
 
 class TestDrawPosterior:

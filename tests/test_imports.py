@@ -298,8 +298,8 @@ PRIVATE_CONJLM_IMPORTS = {
 }
 KERNEL_INTERNALS = {
     "_border_terms",
-    "_extension_loo",
-    "_loo_closed_form",
+    "_loo_density",
+    "_loo_guard",
     "_student_t_logpdf",
 }
 
@@ -328,6 +328,16 @@ def test_private_conjlm_names_stay_pinned():
     for path in package.glob("*.py"):
         if path.stem != "conjlm":
             assert conjlm_names(path) & KERNEL_INTERNALS == set(), path.name
+
+
+def test_pinned_conjlm_names_are_defined():
+    # a name deleted from conjlm but left pinned would pass the check above
+    # without checking anything
+    path = Path(cvbias.__file__).resolve().parent / "conjlm.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    pinned = KERNEL_INTERNALS.union(*PRIVATE_CONJLM_IMPORTS.values())
+    assert sorted(pinned - defined) == []
 
 
 def test_only_conjlm_reads_the_prior_hyperparameters():

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import loo_refit
 from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred
-from cvbias.errors import InvalidBlocking, InvalidParameter, TooFewObservations
+from cvbias.errors import InvalidBlocking, InvalidParameter
 from cvbias.orderstats import blom_max, halfnormal_sigma
 from cvbias.psisloo import elpd_se
 from cvbias.search import forward_search
@@ -408,11 +408,12 @@ class TestManyKBlocks:
         [
             (30, 1, InvalidParameter, "n_test must be >= 2"),
             (2, 1, InvalidParameter, "n_test must be >= 2"),
-            (2, 50, TooFewObservations, "at least 3 observations"),
+            (2, 50, InvalidParameter, "n must be >= 3 for exact LOO, got 2"),
         ],
     )
     def test_invalid_sizes_fail_as_before(self, n, n_test, error, match):
-        # the test set's spec is checked before the training set is scored
+        # the test set's spec is checked before the training set's n, and
+        # both before any task is built
         with pytest.raises(error, match=match):
             run_many_k(
                 [NestedDgpSpec(n=n, K=3, beta_delta=0.0, seed=25)], 2, n_test=n_test
