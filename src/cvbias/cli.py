@@ -35,9 +35,9 @@ from .errors import ConfigError, CvBiasError, NonFiniteInput, SchemaMismatch
 from .io import (
     _is_float,
     dump_json,
+    open_hashed,
     read_dataset_csv,
     read_matrix_csv,
-    sha256_file,
     write_rows_csv,
 )
 from .orderstats import (
@@ -72,12 +72,12 @@ def _provenance(args, digests: dict) -> dict:
 
 def _estimate(path):
     """The elpd estimate of one input CSV, its stem the model id, and the
-    file's SHA-256: the worker that reads a file also hashes it.
+    SHA-256 of the bytes it was parsed from.
 
     A single-column file holds pointwise elpds, and any wider one a
     draws-by-observations log-likelihood matrix.
     """
-    values, _ = read_matrix_csv(path)
+    values, _, digest = read_matrix_csv(path)
     pointwise = values.shape[1] == 1
     with np.errstate(over="ignore"):
         squares = np.einsum("ij,ij->", values, values)
@@ -96,7 +96,7 @@ def _estimate(path):
     except CvBiasError as exc:
         # read errors name the file already; scoring errors do not
         raise type(exc)(f"{path}: {exc}") from None
-    return estimate, sha256_file(path)
+    return estimate, digest
 
 
 # a claim is one record in the claims pipe: the first index of a run of items
@@ -199,7 +199,7 @@ def _map_on_cpus(func, items) -> list:
 
 def _load_estimates(paths):
     """One estimate per CSV and each CSV's SHA-256 by its path, the files
-    spread across CPUs; each is parsed once and hashed by the same worker.
+    spread across CPUs; each is read once, and hashed as it is parsed.
 
     A file's stem is its model id, so stems must be unique.
     """
@@ -319,14 +319,16 @@ def cmd_forward(args) -> None:
     # fails before any read; a prefix that ends in a separator names it
     where = Path(f"{args.output}.path.csv").parent if args.output else None
     with _made_dir(where) if where else contextlib.nullcontext():
-        data = read_dataset_csv(args.data, args.target)
-        test = read_dataset_csv(args.test, args.target) if args.test else None
+        data, digest = read_dataset_csv(args.data, args.target)
+        digests = {args.data: digest}
+        test = None
+        if args.test:
+            test, digests[args.test] = read_dataset_csv(args.test, args.target)
         prior = PRIOR_PRESETS[args.prior]()
         max_size = args.max_size if args.max_size is not None else data.p
         path = forward_search(data, prior, max_size=max_size, test=test)
         path = correct_path(path, multiplier=args.multiplier, alpha=args.alpha)
         verdicts = stopping_rules(path)
-        inputs = [args.data] + ([args.test] if args.test else [])
         names = data.columns
         rows = path.to_rows()
         for row in rows:
@@ -337,7 +339,7 @@ def cmd_forward(args) -> None:
             "verdicts": verdicts.to_dict(),
             "path": rows,
             "selected_predictors": [names[i] for i in path.predictors()],
-            "provenance": _provenance(args, {p: sha256_file(p) for p in inputs}),
+            "provenance": _provenance(args, digests),
         }
         if args.output:
             write_rows_csv(f"{args.output}.path.csv", rows)
@@ -401,14 +403,19 @@ def _checked(value, kind, key: str, path):
     return float(value) if kind == "number" else value
 
 
-def _read_config(path) -> dict:
-    """The simulate config at ``path``, each value checked against its key's kind."""
+def _read_config(path) -> tuple[dict, str]:
+    """The simulate config at ``path``, each value checked against its key's
+    kind, and the SHA-256 of the bytes it was decoded from."""
     try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+        fh, sha256 = open_hashed(path, "utf-8", None)
+        with fh:
+            config = json.loads(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     if not isinstance(config, dict) or not config:
         raise ConfigError(f"{path}: config must be a non-empty JSON object")
     if "experiment" not in config:
@@ -423,7 +430,8 @@ def _read_config(path) -> dict:
     for key in _REQUIRED_KEYS[experiment]:
         if key not in config:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    return {key: _checked(value, kinds[key], key, path) for key, value in config.items()}
+    checked = {key: _checked(value, kinds[key], key, path) for key, value in config.items()}
+    return checked, sha256.hexdigest()
 
 
 def _given(config: dict, *keys) -> dict:
@@ -435,7 +443,7 @@ def cmd_simulate(args) -> None:
     from . import sim
 
     path = args.config
-    config = _read_config(path)
+    config, digest = _read_config(path)
     experiment = config["experiment"]
     if args.seed is not None:
         config["base_seed"] = args.seed
@@ -474,7 +482,7 @@ def cmd_simulate(args) -> None:
         bundle = {
             "report": "simulate",
             "result": result,
-            "provenance": _provenance(args, {path: sha256_file(path)}),
+            "provenance": _provenance(args, {path: digest}),
         }
         (out_dir / "summary.json").write_text(dump_json(bundle) + "\n", encoding="utf-8")
     print(dump_json({"output": args.output, "result": result}))

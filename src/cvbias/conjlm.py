@@ -171,10 +171,12 @@ def _fit(A: np.ndarray, y: np.ndarray, prior: NigPrior) -> PosteriorFit:
     responses, rows of an m x n ``y``, that share ``A``: every product runs
     per response, so row r is bit for bit the fit of ``y[r]`` alone.
 
-    Inverts P = A'A + I/v0 once. Raises ``InvalidParameter`` when P is
-    singular in floating point, as with duplicate predictor columns so
-    large that 1/v0 is lost beside A'A.
+    Inverts P = A'A + I/v0 once. ``A`` is laid out row-major first, so a
+    fit rounds alike whatever the layout of the design it was given.
+    Raises ``InvalidParameter`` when P is singular in floating point, as
+    with duplicate predictor columns so large that 1/v0 is lost beside A'A.
     """
+    A = np.ascontiguousarray(A)
     if A.shape[0] < 2:
         raise TooFewObservations("fitting needs at least 2 observations")
     P = A.T @ A
@@ -202,7 +204,9 @@ def _fit(A: np.ndarray, y: np.ndarray, prior: NigPrior) -> PosteriorFit:
 
 
 def _predict(post: PosteriorFit, A: np.ndarray):
-    """Location ``A mean_n`` and leverages diag(A P^-1 A') of design rows ``A``."""
+    """Location ``A mean_n`` and leverages diag(A P^-1 A') of design rows
+    ``A``, laid out row-major as ``_fit`` lays out its design."""
+    A = np.ascontiguousarray(A)
     return A @ post.mean_n, np.einsum("ij,ij->i", A @ post.cov, A)
 
 
@@ -404,10 +408,8 @@ def _score_extensions(post, X, xx, y, prior):
     pointwise = _loo_density(q, omh, b_n, post.a_n)
     refits = np.full(shape, None, dtype=object)
     for index, x in zip(zip(*np.nonzero(breach)), rows):
-        # predictors column-major, as in a subset's design(): the fit rounds alike
-        cols = np.asfortranarray(np.column_stack([post.A[:, 1:], x]))
         y_r = y[index[:-1]]
-        refits[index] = _fit(np.hstack([np.ones((n, 1)), cols]), y_r, prior)
+        refits[index] = _fit(np.column_stack([post.A, x]), y_r, prior)
         pointwise[index] = _loo(refits[index], y_r, prior)
     estimates = pointwise.sum(axis=-1)
     return pointwise, estimates, U, s, ey, refits

@@ -1,6 +1,8 @@
 import argparse
+import builtins
 import csv
 import gc
+import hashlib
 import json
 import math
 import os
@@ -581,8 +583,8 @@ class TestCompareAcrossCpus:
 
         def spy(path):
             short = claims.start(str(path))
-            values, header = original(path)
-            return (values[:50] if short else values), header
+            values, header, digest = original(path)
+            return (values[:50] if short else values), header, digest
 
         monkeypatch.setattr(cli, "read_matrix_csv", spy)
         with pytest.warns(UserWarning, match="PSIS with 50 draws") as caught:
@@ -894,6 +896,21 @@ class TestSimulate:
             cfg.mkdir()
         assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
         assert_one_line_error(capsys, f"cannot read config {cfg}")
+
+    @pytest.mark.parametrize(
+        "data, word",
+        [
+            (b'{"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2, "x": "\xff"}',
+             "can't decode byte 0xff"),
+            (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+        ],
+        ids=["not_utf8", "too_deep"],
+    )
+    def test_undecodable_config_fails_with_one_line(self, tmp_path, capsys, data, word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        assert_one_line_error(capsys, str(cfg), word)
 
     def test_unknown_experiment(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -1336,6 +1353,72 @@ def write_simulate_config(tmp_path: Path, experiment: str) -> Path:
     path = tmp_path / f"{experiment}.json"
     path.write_text(json.dumps(config))
     return path
+
+
+class TestEachInputReadOnce:
+    """Every input is opened once, and the report's digest is that of the
+    bytes parsed, even when the file is rewritten afterwards."""
+
+    def test_compare_and_forward_open_each_input_once(self, tmp_path, monkeypatch, toy_block):
+        log = tmp_path / "opens.txt"
+        original = builtins.open
+
+        def spy(file, *args, **kwargs):
+            # a file, not a list, so that opens made in a forked child count
+            if str(file) != str(log):
+                with original(log, "a") as fh:
+                    fh.write(f"{file}\n")
+            return original(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        paths = [str(p) for p in write_logliks(tmp_path, 3)]
+        assert main(["compare", *paths]) == 0
+        assert sorted(log.read_text().splitlines()) == sorted(paths)
+        log.unlink()
+        train, test = map(str, toy_block)
+        assert main(["forward", train, "--target", "y", "--test", test, "--max-size", "2"]) == 0
+        assert log.read_text().splitlines() == [train, test]
+
+    def test_compare_digest_is_of_the_bytes_parsed(self, tmp_path, monkeypatch, capsys):
+        paths = write_logliks(tmp_path, 3)
+        original = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+        score = cli.elpd_loo_psis
+
+        def rewriting(values, model_id):
+            (tmp_path / f"{model_id}.csv").write_text("1,2\n3,4\n")
+            return score(values, model_id)
+
+        monkeypatch.setattr(cli, "elpd_loo_psis", rewriting)
+        assert main(["compare", *map(str, paths)]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["inputs"] == original
+
+    def test_forward_digest_is_of_the_bytes_parsed(self, toy_block, monkeypatch, capsys):
+        original = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in toy_block}
+        search_ = search.forward_search
+
+        def rewriting(*args, **kwargs):
+            for p in toy_block:
+                p.write_text("x0,y\n1,2\n")
+            return search_(*args, **kwargs)
+
+        monkeypatch.setattr(search, "forward_search", rewriting)
+        train, test = map(str, toy_block)
+        assert main(["forward", train, "--target", "y", "--test", test, "--max-size", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["inputs"] == original
+
+    def test_simulate_digest_is_of_the_bytes_parsed(self, tmp_path, monkeypatch):
+        cfg = write_simulate_config(tmp_path, "many_k")
+        original = hashlib.sha256(cfg.read_bytes()).hexdigest()
+        run = sim.run_many_k
+
+        def rewriting(*args, **kwargs):
+            cfg.write_text("{}")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "run_many_k", rewriting)
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["provenance"]["inputs"] == {str(cfg): original}
 
 
 TASK_ROWS = {"many_k": "_many_k_rows", "forward": "_forward_rows"}

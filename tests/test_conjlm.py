@@ -147,6 +147,20 @@ class TestFit:
             for name in ("cov", "a_n", "A", "h"):
                 assert np.array_equal(getattr(stacked, name), getattr(one, name)), name
 
+    @pytest.mark.parametrize("prior", ["diffuse", "tight"])
+    def test_fit_does_not_depend_on_the_designs_layout(self, prior):
+        # a subset's design() is column-major and the full design() row-major:
+        # the two fits of the same columns are equal bit for bit
+        prior = conjlm.PRIOR_PRESETS[prior]()
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            data = Dataset(rng.standard_normal((200, 6)), rng.standard_normal(200))
+            subset = data.subset(range(6))
+            assert not subset.design().flags.c_contiguous
+            whole, part = fit(data, prior), fit(subset, prior)
+            for name in ("mean_n", "cov", "a_n", "b_n", "A", "h", "resid"):
+                assert np.array_equal(getattr(whole, name), getattr(part, name)), (seed, name)
+
 
 class TestLogPred:
     def test_density_normalizes(self, small_data):
@@ -215,6 +229,16 @@ class TestLogPred:
         for x_new, y_new, match in cases:
             with pytest.raises(DimensionMismatch, match=match):
                 log_pred(post, x_new, y_new)
+
+    def test_rows_score_alike_in_either_layout(self, small_data):
+        post = fit(small_data, NigPrior.diffuse())
+        rng = np.random.default_rng(22)
+        rows = np.column_stack([np.ones(30), rng.standard_normal((30, 3))])
+        y = rng.standard_normal(30)
+        by_row, by_column = np.ascontiguousarray(rows), np.asfortranarray(rows)
+        assert not by_column.flags.c_contiguous
+        got = log_pred(post, by_row, y)
+        assert np.array_equal(got.view(np.uint64), log_pred(post, by_column, y).view(np.uint64))
 
     def test_one_row_takes_a_scalar_or_a_vector_of_one(self, small_data):
         post = fit(small_data, NigPrior.diffuse())

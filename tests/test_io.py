@@ -1,4 +1,5 @@
 import hashlib
+import io
 import warnings
 
 import numpy as np
@@ -8,14 +9,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cvbias.errors import SchemaMismatch, UnreadableInput
-from cvbias.io import read_dataset_csv, read_matrix_csv, sha256_file
+from cvbias.io import _Sha256Reader, read_dataset_csv, read_matrix_csv
 
 
 def read_text(tmp_path, text, newline=None):
+    """The values and header of ``text`` written to ``m.csv``."""
     path = tmp_path / "m.csv"
     with open(path, "w", encoding="utf-8", newline=newline) as fh:
         fh.write(text)
-    return read_matrix_csv(path)
+    return read_matrix_csv(path)[:2]
 
 
 class TestReadMatrixCsv:
@@ -66,6 +68,32 @@ class TestReadMatrixCsv:
         with pytest.raises(UnreadableInput, match="m.csv"):
             read_text(tmp_path, "a,b\n1,2\n3\n")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("a,b,c\n\n1,2,3\n1,x,3\n", "line 4, column 2: 'x' is not a number"),
+            ("a,b,c\r\n\r\n1,2,3\r\n\r\n4,5,\r\n", "line 5, column 3: '' is not a number"),
+            ('a,b\n\n"1.5",2\n\n"1_0",3\n', "line 5, column 1: '1_0' is not a number"),
+            ("a,b\n\n1,2\n\n3,4,5\n", "line 5 has 3 cells where line 1 has 2 cells"),
+            ("a,b\n1,2\n\n3\n", "line 4 has 1 cell where line 1 has 2 cells"),
+            ("\n1,2\n3,4,5\n", "line 3 has 3 cells where line 2 has 2 cells"),
+            # the cell count is checked first, as the parser checks it
+            ("a,b\n1,2\n3,x,5\n", "line 3 has 3 cells where line 1 has 2 cells"),
+            # rows that agree with each other but not with their header
+            ("\na,y\n1,2,9\n3,5,9\n", "line 3 has 3 cells where line 2 has 2 cells"),
+            ("a,b,y\n\n1,2\n3,5\n", "line 3 has 2 cells where line 1 has 3 cells"),
+        ],
+        ids=["cell", "empty_cell_crlf", "quoted", "ragged", "short", "no_header", "both",
+             "wider_than_header", "narrower_than_header"],
+    )
+    def test_malformed_line_is_named_by_its_file_line(self, tmp_path, text, where):
+        # a byte-order mark is not a line of its own
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8-sig"))
+        with pytest.raises(UnreadableInput) as caught:
+            read_matrix_csv(path)
+        assert str(caught.value) == f"{path}: {where}"
+
     @pytest.mark.parametrize("text", ["", "\n\n", "a,b\n", "a,b\n\n\n"])
     def test_no_data_rows(self, tmp_path, text):
         with pytest.raises(UnreadableInput, match="m.csv"):
@@ -74,7 +102,7 @@ class TestReadMatrixCsv:
     def test_byte_order_mark_keeps_first_row(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,4\n5,6\n")
-        values, header = read_matrix_csv(path)
+        values, header, _ = read_matrix_csv(path)
         assert header is None
         assert values.tolist() == [[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
@@ -107,7 +135,7 @@ class TestReadMatrixCsv:
         header = ",".join(f"c{j}" for j in range(values.shape[1]))
         rows = "\n".join(",".join(repr(float(v)) for v in row) for row in values)
         path.write_text(header + "\n" + rows + "\n", encoding="utf-8")
-        got, _ = read_matrix_csv(path)
+        got, _, _ = read_matrix_csv(path)
         assert got.shape == values.shape
         assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
 
@@ -116,7 +144,8 @@ class TestReadDatasetCsv:
     def test_byte_order_mark_before_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes("x,y\n1,2\n3,5\n4,4\n".encode("utf-8-sig"))
-        data = read_dataset_csv(path, "x")
+        data, digest = read_dataset_csv(path, "x")
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         assert data.columns == ("y",)
         assert data.y.tolist() == [1.0, 3.0, 4.0]
 
@@ -133,8 +162,31 @@ class TestReadDatasetCsv:
     [0, 1, 65535, 65536, 65537, (5 << 19) + 3],
     ids=["empty", "one_byte", "one_short", "one_buffer", "one_over", "several_chunks"],
 )
-def test_sha256_file_streams_the_whole_file(tmp_path, size):
+def test_reader_hashes_every_byte_it_returns(tmp_path, size):
     data = np.random.default_rng(size).bytes(size)
     path = tmp_path / "blob"
     path.write_bytes(data)
-    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+    raw = _Sha256Reader(open(path, "rb", buffering=0))
+    with io.BufferedReader(raw, 1 << 16) as fh:
+        assert fh.read() == data
+    assert raw.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"a,b\n1,2\n3,4\n",
+        b"\n\na,b\n\n1,2\n\n3,4\n\n",
+        b"a,b\r\n1,2\r\n\r\n3,4\r\n",
+        b"a,b\r1,2\r3,4\r",
+        b"\xef\xbb\xbf1.5,2\n3,4\n",
+        b'"a","b"\n"1.5",2\n3,"-4e-3"',
+        "\n".join(["c0,c1", *(f"{i},{i / 7!r}" for i in range(20000))]).encode(),
+    ],
+    ids=["plain", "blank_lines", "crlf", "bare_cr", "bom", "quoted_no_final_newline", "chunks"],
+)
+def test_digest_is_of_the_bytes_parsed(tmp_path, data):
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    values, _, digest = read_matrix_csv(path)
+    assert values.size and digest == hashlib.sha256(data).hexdigest()

@@ -316,8 +316,9 @@ class TestCarriedPosterior:
             return original(data, prior)
 
         def kernel_spy(A, y, prior):
-            everywhere.append(A)
-            return original_kernel(A, y, prior)
+            post = original_kernel(A, y, prior)
+            everywhere.append(post)
+            return post
 
         monkeypatch.setattr(search, "fit", spy)
         monkeypatch.setattr(conjlm, "_fit", kernel_spy)
@@ -327,11 +328,13 @@ class TestCarriedPosterior:
         assert [X.shape[1] for X in factorized] == [0]
         # every fit of the full training rows is of a design; the full
         # model's is made once (the n - 1 row fits of its LOO refits are
-        # not), laid out in memory as its dataset's design, so it rounds alike
-        full = train.subset(out.predictors()).design()
-        fits_of_full = [A for A in everywhere if A.shape == full.shape]
-        assert len(fits_of_full) == 1 and np.array_equal(fits_of_full[0], full)
-        assert fits_of_full[0].strides == full.strides
+        # not), and the fit the search carries is bit for bit its dataset's
+        shape = (train.n, len(out.predictors()) + 1)
+        fits_of_full = [post for post in everywhere if post.A.shape == shape]
+        assert len(fits_of_full) == 1
+        full = original(train.subset(out.predictors()), PRIOR)
+        for name in ("mean_n", "cov", "a_n", "b_n", "A", "h", "resid"):
+            assert np.array_equal(getattr(fits_of_full[0], name), getattr(full, name)), name
         assert_test_mlpds_match_refits(out, train, test, PRIOR)
 
     def test_noise_level_duplicate_fails_as_fit_does(self):
