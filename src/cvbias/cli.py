@@ -405,9 +405,10 @@ def _checked(value, kind, key: str, path):
 
 def _read_config(path) -> tuple[dict, str]:
     """The simulate config at ``path``, each value checked against its key's
-    kind, and the SHA-256 of the bytes it was decoded from."""
+    kind, and the SHA-256 of the bytes it was decoded from. A leading
+    byte-order mark is dropped, as every CSV reader drops it."""
     try:
-        fh, sha256 = open_hashed(path, "utf-8", None)
+        fh, sha256 = open_hashed(path, "utf-8-sig", None)
         with fh:
             config = json.loads(fh.read())
     except (OSError, UnicodeDecodeError) as exc:

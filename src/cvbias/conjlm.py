@@ -8,26 +8,28 @@ zero Monte-Carlo error at negligible cost.
 The prior is centred at zero with scale ``v0 * I``, so every model has one
 posterior representation, ``PosteriorFit``: the d x d inverse P^-1 of its
 posterior precision P = A'A + I/v0, formed only by ``_fit`` (of one or m
-responses on a design), with the posterior mean and scale and the
-training design, leverages and residuals that exact LOO reads. The
-predictive density, exact LOO, the bordered extensions and
-``draw_posterior`` all read that one fit; no other module touches P^-1 or
-the prior's a0, b0 and v0. Every log density, exact LOO or held out, ends
-in the one Student-t kernel ``_student_t_logpdf``.
+responses on a design), with the posterior mean and scale, the training
+design, leverages and residuals that exact LOO reads, and the response
+and prior it was fit with. The predictive density, exact LOO, the
+bordered extensions and ``draw_posterior`` all read that one fit; no
+other module touches P^-1 or the prior's a0, b0 and v0. Every log
+density, exact LOO or held out, ends in the one Student-t kernel
+``_student_t_logpdf``.
 
 ``_score_extensions`` scores every one-column extension of a model, as a
 forward-search step needs: one BLAS-3 pass over the current model's P^-1
 that updates leverages, fitted values and scale for all candidate columns
 at once (block-inverse identity), and the closed-form LOO on the c x n
 block, ``_loo_guard`` on every row before ``_loo_density`` forms any
-density. The block is candidate-major: each candidate is one contiguous row
-of n observations, so every per-candidate reduction and broadcast runs
-along a row. A replication axis makes the block m x c x n: m responses
-that share the model's design, as the many-candidate null's replications
-share the intercept-only baseline (one stacked ``_fit``), go through the
-same pass. A forward search carries the chosen extension's
-``PosteriorFit`` to the next step by bordering P^-1 with that column's
-terms, so only its starting model is fit; ``_border_rows`` moves any
+density. The block is candidate-major, and the kernel lays it out
+row-major: each candidate is one contiguous row of n observations, so
+every per-candidate reduction and broadcast runs along a row. A
+replication axis makes the block m x c x n: m responses that share the
+model's design, as the many-candidate null's replications share the
+intercept-only baseline (one stacked ``_fit``), go through the same
+pass. A forward search carries the chosen extension's ``PosteriorFit``
+to the next step by bordering P^-1 with that column's terms, so only its
+starting model is fit; ``_border_rows`` moves any
 design rows of a bordered model, training or held-out, one replication or
 many. Only an extension that breaches the closed form's guard is fit on
 its own, once, by ``_fit`` of its design and scored by ``_loo``; that fit
@@ -41,7 +43,7 @@ draws-by-observations log-likelihood matrix, the input that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -144,8 +146,9 @@ class PosteriorFit:
     ``cov`` is the inverse P^-1 of the posterior precision P, so the
     coefficients' posterior covariance given s2 is ``s2 * cov``. ``A`` is
     the training design, ``h`` its leverages diag(A P^-1 A') and ``resid``
-    the residuals y - A mean_n, which exact LOO and bordering read; a
-    ``_fit`` of m responses has m rows of ``resid``, ``mean_n`` and b_n.
+    the residuals y - A mean_n, which exact LOO and bordering read, with
+    the response ``y`` and the ``prior`` of the fit; a ``_fit`` of m
+    responses has m rows of ``y``, ``resid``, ``mean_n`` and b_n.
     """
 
     mean_n: np.ndarray
@@ -155,6 +158,8 @@ class PosteriorFit:
     A: np.ndarray
     h: np.ndarray
     resid: np.ndarray
+    y: np.ndarray
+    prior: NigPrior
 
     @property
     def dim(self) -> int:
@@ -200,6 +205,8 @@ def _fit(A: np.ndarray, y: np.ndarray, prior: NigPrior) -> PosteriorFit:
         A=A,
         h=np.einsum("ij,ij->i", A @ cov, A),
         resid=resid,
+        y=y,
+        prior=prior,
     )
 
 
@@ -264,7 +271,7 @@ def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> E
     refits of ``_loo_refit`` stand in when the closed form's guard breaks.
     """
     _require_loo_rows(data.n)
-    pointwise = _loo(fit(data, prior), data.y, prior)
+    pointwise = _loo(fit(data, prior))
     # fsum over Python floats: the same correctly rounded sum, without one
     # numpy scalar per element
     return ElpdEstimate(
@@ -275,20 +282,20 @@ def elpd_loo_exact(data: Dataset, prior: NigPrior, model_id: str = "model") -> E
     )
 
 
-def _loo(post: PosteriorFit, y: np.ndarray, prior: NigPrior) -> np.ndarray:
-    """Exact-LOO pointwise elpds of the fit ``post`` of the response ``y``:
-    rows removed in closed form, or by the n refits of ``_loo_refit`` of
-    its design where the closed form's guard breaks."""
+def _loo(post: PosteriorFit) -> np.ndarray:
+    """Exact-LOO pointwise elpds of the fit ``post``: rows removed in
+    closed form, or by the n refits of ``_loo_refit`` of its design and
+    response where the closed form's guard breaks."""
     # the guard overwrites the residuals it is given
     q, omh = post.resid.copy(), 1.0 - post.h
     if not _loo_guard(q, omh, post.b_n).all():
-        return _loo_refit(post.A, y, prior)
+        return _loo_refit(post.A, post.y, post.prior)
     return _loo_density(q, omh, post.b_n, post.a_n)
 
 
-def _border_terms(post: PosteriorFit, X: np.ndarray, xx: np.ndarray, prior: NigPrior):
+def _border_terms(post: PosteriorFit, X: np.ndarray):
     """Terms of extending the model fit ``post`` by each candidate column x,
-    a row of the c x n ``X`` whose sums of squares x'x are ``xx``.
+    a row of the c x n ``X``.
 
     Returns U (rows u' for u = P^-1 A'x), E (rows e = x - H x for the hat
     matrix H), s = x'e + 1/v0, and where s is rounding noise: s >= 1/v0 in
@@ -301,8 +308,8 @@ def _border_terms(post: PosteriorFit, X: np.ndarray, xx: np.ndarray, prior: NigP
     U = (post.cov @ (post.A.T @ X.T)).T
     E = U @ post.A.T
     np.subtract(X, E, out=E)
-    s = np.einsum("ij,ij->i", X, E) + 1.0 / prior.v0
-    noise = s <= X.shape[1] * np.finfo(float).eps * xx
+    s = np.einsum("ij,ij->i", X, E) + 1.0 / post.prior.v0
+    noise = s <= X.shape[1] * np.finfo(float).eps * np.einsum("ij,ij->i", X, X)
     return U, E, s, noise
 
 
@@ -327,10 +334,10 @@ def _border(post: PosteriorFit, x: np.ndarray, u, s, ey, refit=None) -> Posterio
     cov[:d, :d] += post.cov
     cov[:d, d] = cov[d, :d] = -u / s
     cov[d, d] = 1.0 / s
-    return PosteriorFit(
+    return replace(
+        post,
         mean_n=np.append(post.mean_n - u * g, g),
         cov=cov,
-        a_n=post.a_n,
         b_n=float(b_n),
         A=np.column_stack([post.A, x]),
         h=h,
@@ -364,14 +371,14 @@ def _border_rows(A, x, loc, lev, b_n, u, s, ey, refits=None):
     return loc, lev, b_n
 
 
-def _score_extensions(post, X, xx, y, prior):
+def _score_extensions(post, X):
     """Exact LOO of the model fit as ``post`` extended by each candidate
     column, a row of ``X``, from its P^-1.
 
-    ``X`` is c x n, ``xx`` its rows' sums of squares and ``y`` the
-    response. For m replications that share the design of ``post`` (its
-    P^-1, A and h) but not their responses, ``X`` is m x c x n, ``xx`` m x
-    c, ``y`` m x n, and ``post``'s ``resid`` m x n and ``b_n`` length m.
+    ``X`` is c x n. For m replications that share the design of ``post``
+    (its P^-1, A and h) but not their responses, ``post`` is a ``_fit`` of
+    the m x n responses and ``X`` is m x c x n. ``X`` is laid out row-major
+    first, so the results do not depend on the layout it came in.
     Returns ``(pointwise, estimates, U, s, ey, refits)``: the block of
     pointwise elpds, shaped as ``X``, its row sums and, per candidate,
     ``_border_terms``' u (U is [m x] c x d) and s, e'y and the extended
@@ -381,21 +388,23 @@ def _score_extensions(post, X, xx, y, prior):
     are alive at once), then ``_loo_guard`` and ``_loo_density``. A
     candidate whose extended model breaches the guard in some row, or
     whose s is rounding noise, has its row copied out before ``X`` is
-    dropped and any density formed; it is fit on its own by ``_fit``, of
-    ``post``'s A with that row appended (a zero row too: the fit has the
-    extended model's dimension) and its replication's response, and scored
-    by ``_loo``; ``refits`` holds that fit, for ``_border`` and
-    ``_border_rows`` to carry, so no caller fits the model again. The row
-    sums are numpy's, taken once that candidate's row is in the block, so
-    every total is formed the same way: identical rows give equal totals,
-    and a caller's argmax breaks their tie to the lowest index.
+    dropped and any density formed, so a block handed straight in is freed
+    by then; it is fit on its own by ``_fit``, of ``post``'s A with that
+    row appended (a zero row too: the fit has the extended model's
+    dimension) and its replication's response, and scored by ``_loo``;
+    ``refits`` holds that fit, for ``_border`` and ``_border_rows`` to
+    carry, so no caller fits the model again. The row sums are numpy's,
+    taken once that candidate's row is in the block, so every total is
+    formed the same way: identical rows give equal totals, and a caller's
+    argmax breaks their tie to the lowest index.
     """
+    X = np.ascontiguousarray(X)
     *shape, n = X.shape
     _require_loo_rows(n)
-    U, E, s, noise = _border_terms(post, X.reshape(-1, n), xx.reshape(-1), prior)
+    U, E, s, noise = _border_terms(post, X.reshape(-1, n))
     U, E = U.reshape(*shape, -1), E.reshape(X.shape)
     s, noise = s.reshape(shape), noise.reshape(shape)
-    ey = (E @ y[..., None])[..., 0]
+    ey = (E @ post.y[..., None])[..., 0]
     q = E * (ey / s)[..., None]
     np.subtract(post.resid[..., None, :], q, out=q)
     omh = np.square(E, out=E)
@@ -408,9 +417,8 @@ def _score_extensions(post, X, xx, y, prior):
     pointwise = _loo_density(q, omh, b_n, post.a_n)
     refits = np.full(shape, None, dtype=object)
     for index, x in zip(zip(*np.nonzero(breach)), rows):
-        y_r = y[index[:-1]]
-        refits[index] = _fit(np.column_stack([post.A, x]), y_r, prior)
-        pointwise[index] = _loo(refits[index], y_r, prior)
+        refits[index] = _fit(np.column_stack([post.A, x]), post.y[index[:-1]], post.prior)
+        pointwise[index] = _loo(refits[index])
     estimates = pointwise.sum(axis=-1)
     return pointwise, estimates, U, s, ey, refits
 

@@ -34,13 +34,11 @@ _GRID_BUFFER = 1 << 14
 class GpdFit:
     """Generalized Pareto fit to exceedances above a tail cutoff.
 
-    ``sigma_hat`` is the scale, ``k_hat`` the shape (positive = heavy tail),
-    ``tail_size`` the number of exceedances used.
+    ``sigma_hat`` is the scale, ``k_hat`` the shape (positive = heavy tail).
     """
 
     k_hat: float
     sigma_hat: float
-    tail_size: int
 
 
 def fit_gpd(exceedances) -> GpdFit:
@@ -71,11 +69,7 @@ def fit_gpd(exceedances) -> GpdFit:
     if x[0] <= 0 or not np.isfinite(x[-1]):
         raise NonPositiveExceedance("exceedances must be finite and > 0")
     k_hat, sigma_hat = _fit_rows(x[None, :])
-    return GpdFit(
-        k_hat=float(k_hat[0]),
-        sigma_hat=float(sigma_hat[0]),
-        tail_size=int(n),
-    )
+    return GpdFit(k_hat=float(k_hat[0]), sigma_hat=float(sigma_hat[0]))
 
 
 def _fit_rows(x: np.ndarray):

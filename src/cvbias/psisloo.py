@@ -64,7 +64,6 @@ class ElpdDiff:
 
     model_a: str
     model_b: str
-    pointwise_diff: np.ndarray
     estimate: float
     se_diff: float
 
@@ -134,7 +133,6 @@ def elpd_diff(a: ElpdEstimate, b: ElpdEstimate) -> ElpdDiff:
     return ElpdDiff(
         model_a=a.model_id,
         model_b=b.model_id,
-        pointwise_diff=d,
         estimate=float(math.fsum(d)),
         se_diff=se,
     )

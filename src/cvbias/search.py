@@ -102,42 +102,36 @@ class SearchPath:
     def to_rows(self) -> list[dict]:
         """Long-format rows (one per model size, size 0 included)."""
         n = self.n_obs
-        rows = [
+        # size 0 as a step that adds nothing and scores no candidate
+        base = SearchStep(
+            predictor_added=None,
+            raw_diff=0.0,
+            elpd_after=self.base_elpd,
+            corrected_diff=0.0,
+            corrected_elpd_after=self.base_elpd,
+            candidate_diffs=np.empty(0),
+            candidate_ses=np.empty(0),
+            pointwise=self.base_pointwise,
+            test_mlpd_after=self.test_mlpd_base,
+        )
+        return [
             {
-                "size": 0,
-                "predictor_added": None,
-                "candidates_evaluated": None,
-                "raw_diff": 0.0,
-                "corrected_diff": 0.0,
-                "threshold": 0.0,
-                "bias": 0.0,
-                "elpd": self.base_elpd,
-                "corrected_elpd": self.base_elpd,
-                "mlpd": self.base_elpd / n,
-                "corrected_mlpd": self.base_elpd / n,
-                "test_mlpd": self.test_mlpd_base,
-                "post_bulge": False,
+                "size": k,
+                "predictor_added": s.predictor_added,
+                "candidates_evaluated": s.candidates_evaluated or None,
+                "raw_diff": s.raw_diff,
+                "corrected_diff": s.corrected_diff,
+                "threshold": s.threshold_at_step,
+                "bias": s.bias_at_step,
+                "elpd": s.elpd_after,
+                "corrected_elpd": s.corrected_elpd_after,
+                "mlpd": s.elpd_after / n,
+                "corrected_mlpd": s.corrected_elpd_after / n,
+                "test_mlpd": s.test_mlpd_after,
+                "post_bulge": s.post_bulge,
             }
+            for k, s in enumerate((base, *self.steps))
         ]
-        for k, s in enumerate(self.steps, start=1):
-            rows.append(
-                {
-                    "size": k,
-                    "predictor_added": s.predictor_added,
-                    "candidates_evaluated": s.candidates_evaluated,
-                    "raw_diff": s.raw_diff,
-                    "corrected_diff": s.corrected_diff,
-                    "threshold": s.threshold_at_step,
-                    "bias": s.bias_at_step,
-                    "elpd": s.elpd_after,
-                    "corrected_elpd": s.corrected_elpd_after,
-                    "mlpd": s.elpd_after / n,
-                    "corrected_mlpd": s.corrected_elpd_after / n,
-                    "test_mlpd": s.test_mlpd_after,
-                    "post_bulge": s.post_bulge,
-                }
-            )
-        return rows
 
 
 @dataclass(frozen=True)
@@ -159,9 +153,9 @@ def _predictor(data: Dataset, j: int) -> str:
     return repr(data.columns[j]) if data.columns else str(j + 1)
 
 
-def _require_finite_squares(data: Dataset, which: str) -> np.ndarray:
-    """The predictors' sums of squares; NonFiniteInput naming the first
-    column whose sum of squares overflows.
+def _require_finite_squares(data: Dataset, which: str) -> None:
+    """Raise NonFiniteInput naming the first column of ``data``, or its
+    response, whose sum of squares overflows.
 
     Every fit squares the predictors and the response; an overflow there
     makes the elpds NaN, infinite or silently wrong.
@@ -175,7 +169,6 @@ def _require_finite_squares(data: Dataset, which: str) -> np.ndarray:
         raise NonFiniteInput(f"{which} predictor {name} overflows when squared")
     if not np.isfinite(y_squares):
         raise NonFiniteInput(f"{which} response overflows when squared")
-    return squares
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -222,7 +215,7 @@ def forward_search(
         raise EmptyCandidateSet(f"max_size {max_size} exceeds {p} predictors")
     if max_size < 1:
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
-    squares = _require_finite_squares(data, "training")
+    _require_finite_squares(data, "training")
     if test is not None:
         _require_finite_squares(test, "test")
 
@@ -243,10 +236,9 @@ def forward_search(
     steps: list[SearchStep] = []
     for _ in range(max_size):
         cands = [j for j in range(p) if j not in cols]
-        # each candidate's column gathered into one contiguous row
-        pointwise, estimates, U, s, ey, refits = _score_extensions(
-            post, data.X.T[cands], squares[cands], data.y, prior
-        )
+        # each candidate's column gathered into one contiguous row; the
+        # kernel holds the block's only reference and frees it early
+        pointwise, estimates, U, s, ey, refits = _score_extensions(post, data.X.T[cands])
         diffs = estimates - prev_elpd
         best = int(np.argmax(diffs))
         # a copy, so that no step keeps the c x n block alive

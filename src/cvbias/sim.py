@@ -198,16 +198,15 @@ def _score_many_k(datasets: list[Dataset], prior: NigPrior):
     on an m x K x n block, whose estimates, U, s, e'y and refits (a model's
     own fit where its closed form broke, else None; model 0's keeps the
     zero column) follow, replication axis first: model 0 is the baseline
-    and model k the one with predictor k - 1.
+    and model k the one with predictor k - 1. The block is built in the
+    call, so the kernel holds its only reference and frees it before any
+    density is formed.
     """
-    m = len(datasets)
-    n, K = datasets[0].n, datasets[0].p + 1
-    X = np.zeros((m, K, n))
-    for r, ds in enumerate(datasets):
-        X[r, 1:] = ds.X.T
-    Y = np.array([ds.y for ds in datasets])
-    base = _fit(np.ones((n, 1)), Y, prior)
-    return (base, *_score_extensions(base, X, np.einsum("rki,rki->rk", X, X), Y, prior)[1:])
+    n = datasets[0].n
+    base = _fit(np.ones((n, 1)), np.array([ds.y for ds in datasets]), prior)
+    zero = np.zeros((n, 1))
+    scored = _score_extensions(base, np.array([np.hstack([zero, ds.X]).T for ds in datasets]))
+    return (base, *scored[1:])
 
 
 def _many_k_test_elpds(

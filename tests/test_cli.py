@@ -912,6 +912,17 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 1
         assert_one_line_error(capsys, str(cfg), word)
 
+    def test_config_with_a_byte_order_mark_runs(self, tmp_path):
+        # the mark is dropped, as the CSV readers drop it, and the digest is
+        # that of every byte read, the mark included
+        cfg = tmp_path / "cfg.json"
+        config = {"experiment": "many_k", "n": 30, "k_grid": [3], "replications": 2}
+        cfg.write_bytes(json.dumps(config).encode("utf-8-sig"))
+        assert main(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        digest = hashlib.sha256(cfg.read_bytes()).hexdigest()
+        assert summary["provenance"]["inputs"] == {str(cfg): digest}
+
     def test_unknown_experiment(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"experiment": "bogus"}')

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import t as student_t
 
 from conftest import loo_refit
-from cvbias import conjlm
+from cvbias import conjlm, sim
 from cvbias.conjlm import (
     Dataset,
     NigPrior,
@@ -161,6 +161,20 @@ class TestFit:
             for name in ("mean_n", "cov", "a_n", "b_n", "A", "h", "resid"):
                 assert np.array_equal(getattr(whole, name), getattr(part, name)), (seed, name)
 
+    @pytest.mark.parametrize("prior", ["diffuse", "tight"])
+    def test_fit_carries_its_response_and_prior(self, small_data, prior):
+        # exact LOO and the kernel read them from the fit, bordered or stacked
+        prior = conjlm.PRIOR_PRESETS[prior]()
+        post = fit(small_data.subset((0,)), prior)
+        assert post.y is small_data.y and post.prior == prior
+        x = small_data.X[:, 1]
+        U, E, s, _ = conjlm._border_terms(post, x[None])
+        bordered = conjlm._border(post, x, U[0], s[0], E[0] @ post.y)
+        assert bordered.y is small_data.y and bordered.prior == prior
+        Y = np.array([small_data.y, -small_data.y])
+        stacked = conjlm._fit(post.A, Y, prior)
+        assert stacked.y is Y and stacked.prior == prior
+
 
 class TestLogPred:
     def test_density_normalizes(self, small_data):
@@ -309,11 +323,6 @@ def _dataset(n, p, seed, duplicate):
     return Dataset(X, y)
 
 
-def _squares(X):
-    """Each candidate row's sum of squares, the kernel's noise floor input."""
-    return np.einsum("...i,...i->...", X, X)
-
-
 class TestElpdLooExtensions:
     """Exact LOO of each one-column extension, by ``conjlm._score_extensions``."""
 
@@ -333,7 +342,7 @@ class TestElpdLooExtensions:
         cands = [j for j in range(p) if j not in current]
         post = fit(data.subset(current), prior)
         X = data.X.T[cands]
-        pointwise, estimates, *_ = conjlm._score_extensions(post, X, _squares(X), data.y, prior)
+        pointwise, estimates, *_ = conjlm._score_extensions(post, X)
         assert pointwise.shape == (len(cands), n)
         assert estimates.shape == (len(cands),)
         for k, j in enumerate(cands):
@@ -342,16 +351,15 @@ class TestElpdLooExtensions:
             assert estimates[k] == pointwise[k].sum()
 
     def test_leaves_its_inputs_unchanged(self):
-        # the kernel works in blocks of its own: the candidate rows, their
-        # squares, the response and the carried fit are read, never written
+        # the kernel works in blocks of its own: the candidate rows and the
+        # carried fit, its response included, are read, never written
         data = _dataset(20, 5, 4, False)
         prior = NigPrior.diffuse()
         post = fit(data.subset((0,)), prior)
         X = data.X.T[1:]
-        xx, y = _squares(X), data.y.copy()
-        inputs = [X, xx, y, post.mean_n, post.cov, post.A, post.h, post.resid]
+        inputs = [X, post.y, post.mean_n, post.cov, post.A, post.h, post.resid]
         before = [a.copy() for a in inputs]
-        conjlm._score_extensions(post, X, xx, y, prior)
+        conjlm._score_extensions(post, X)
         for a, b in zip(inputs, before):
             assert np.array_equal(a, b)
 
@@ -365,16 +373,13 @@ class TestElpdLooExtensions:
         scored = []
         original = conjlm._loo
 
-        def spy(post_, y, prior_):
-            scored.append((post_.A, y))
-            return original(post_, y, prior_)
+        def spy(post_):
+            scored.append((post_.A, post_.y))
+            return original(post_)
 
         monkeypatch.setattr(conjlm, "_loo", spy)
         post = fit(data.subset(()), prior)
-        X = data.X.T.copy()
-        pointwise, estimates, *_, refits = conjlm._score_extensions(
-            post, X, _squares(X), data.y, prior
-        )
+        pointwise, estimates, *_, refits = conjlm._score_extensions(post, data.X.T.copy())
         # the kernel fits the spike's model, [1, spike], to the response
         [(A, y)] = scored
         assert np.array_equal(A, data.subset((1,)).design()) and np.array_equal(y, data.y)
@@ -385,8 +390,9 @@ class TestElpdLooExtensions:
         # closed form's scratch space
         assert refits[0] is None
         want = fit(data.subset((1,)), prior)
-        for name in ("mean_n", "cov", "a_n", "b_n", "A", "h", "resid"):
+        for name in ("mean_n", "cov", "a_n", "b_n", "A", "h", "resid", "y"):
             assert np.array_equal(getattr(refits[1], name), getattr(want, name)), name
+        assert refits[1].prior == prior
 
     def test_candidate_block_is_freed_before_any_density(self, monkeypatch):
         # a block passed straight in is dropped, its breaching spike row
@@ -398,7 +404,6 @@ class TestElpdLooExtensions:
         prior = NigPrior(v0=1e12)
         post = fit(data.subset(()), prior)
         blocks = [data.X.T.copy()]
-        xx = _squares(blocks[0])
         block = weakref.ref(blocks[0])
         alive = []
         original = conjlm._loo_density
@@ -408,10 +413,30 @@ class TestElpdLooExtensions:
             return original(*args)
 
         monkeypatch.setattr(conjlm, "_loo_density", spy)
-        *_, refits = conjlm._score_extensions(post, blocks.pop(), xx, data.y, prior)
+        *_, refits = conjlm._score_extensions(post, blocks.pop())
         assert alive and not any(alive)
         assert refits[0] is None
         assert np.array_equal(refits[1].A, data.subset((1,)).design())
+
+    @pytest.mark.parametrize("prior", ["diffuse", "tight"])
+    def test_block_layout_does_not_move_the_results(self, prior):
+        # forward-search step blocks at n = 1000 and p = 40, and a one-
+        # replication many-K block: a column-major copy scores bit for bit
+        # as the block itself
+        prior = conjlm.PRIOR_PRESETS[prior]()
+        train, _ = sim.gen_block(sim.BlockDgpSpec(n=1000, p=40, rho=0.5, seed=1))
+        blocks = [(fit(train.subset(range(k)), prior), train.X.T[k:].copy()) for k in (0, 3, 6)]
+        ds = sim.gen_nested(sim.NestedDgpSpec(n=100, K=50, seed=1))
+        base = conjlm._fit(np.ones((100, 1)), ds.y[None], prior)
+        many_k = np.zeros((1, 50, 100))
+        many_k[0, 1:] = ds.X.T
+        blocks.append((base, many_k))
+        for post, X in blocks:
+            assert X.flags.c_contiguous
+            got = conjlm._score_extensions(post, X)
+            want = conjlm._score_extensions(post, np.asfortranarray(X))
+            for a, b in zip(got[:-1], want[:-1]):
+                assert np.array_equal(a, b)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -439,12 +464,12 @@ class TestElpdLooExtensions:
         current = tuple(range(shared))
         fits = [fit(ds.subset(current), prior) for ds in datasets]
         stacked = conjlm._fit(fits[0].A, Y, prior)
-        got = conjlm._score_extensions(stacked, X, _squares(X), Y, prior)
+        got = conjlm._score_extensions(stacked, X)
         pointwise, estimates, U, s, ey, refits = got
         assert pointwise.shape == (m, c, n) and U.shape == (m, c, shared + 1)
         assert refits.shape == (m, c) and refits[-1, 0] is not None
         for r, (ds, post) in enumerate(zip(datasets, fits)):
-            want = conjlm._score_extensions(post, X[r], _squares(X[r]), ds.y, prior)
+            want = conjlm._score_extensions(post, X[r])
             assert [f is None for f in refits[r]] == [f is None for f in want[-1]]
             # the stacked products may round otherwise: a relative bound,
             # with a floor of a few ulps of the replication's largest entry
@@ -482,7 +507,7 @@ class TestElpdLooExtensions:
         prior = conjlm.PRIOR_PRESETS[prior]()
         post = fit(data.subset(()), prior)
         with np.errstate(over="raise"):
-            U, E, s, _ = conjlm._border_terms(post, x[None], _squares(x[None]), prior)
+            U, E, s, _ = conjlm._border_terms(post, x[None])
             bordered = conjlm._border(post, x, U[0], s[0], E[0] @ data.y)
         assert s[0] > np.finfo(float).max / 2.0
         assert bordered.b_n == pytest.approx(fit(data, prior).b_n, rel=1e-12)

@@ -145,7 +145,7 @@ class TestFitGpd:
     def test_records_tail_size(self):
         x = sample_gpd(0.1, 1.0, 50, seed=5)
         fit = fit_gpd(x)
-        assert fit == GpdFit(fit.k_hat, fit.sigma_hat, 50)
+        assert fit == GpdFit(fit.k_hat, fit.sigma_hat)
 
 
 class TestTailCutoff:

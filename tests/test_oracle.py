@@ -173,9 +173,8 @@ def test_score_extensions_candidates(prior_name):
     # the model (0,) extended by each of the other columns, in one pass
     data, prior = design(20, 4, 5), PRIORS[prior_name]
     cands = [1, 2, 3]
-    X = data.X.T[cands]
     pointwise, estimates, *_ = conjlm._score_extensions(
-        fit(data.subset((0,)), prior), X, np.einsum("ij,ij->i", X, X), data.y, prior
+        fit(data.subset((0,)), prior), data.X.T[cands]
     )
     for k, j in enumerate(cands):
         ref_pointwise, ref_total = cached_loo(20, 4, 5, prior_name, (0, j))

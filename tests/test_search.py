@@ -244,7 +244,7 @@ class TestCarriedPosterior:
         for k in range(p):
             post = fit(data.subset(range(k)), prior)
             x = data.X[:, k]
-            U, E, s, _ = conjlm._border_terms(post, x[None], np.array([x @ x]), prior)
+            U, E, s, _ = conjlm._border_terms(post, x[None])
             got = conjlm._border(post, x, U[0], s[0], E[0] @ data.y)
             want = fit(data.subset(range(k + 1)), prior)
             for field in ("mean_n", "cov", "b_n", "A", "h", "resid"):

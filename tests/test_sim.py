@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -318,9 +319,9 @@ class TestManyKBlocks:
         calls = []
         loo = conjlm._loo
 
-        def recording(post, y, prior_):
-            calls.append((post.A, y))
-            return loo(post, y, prior_)
+        def recording(post):
+            calls.append((post.A, post.y))
+            return loo(post)
 
         monkeypatch.setattr(conjlm, "_loo", recording)
         block = sim._score_many_k(datasets, prior)
@@ -364,6 +365,29 @@ class TestManyKBlocks:
                     assert got[r] == want
                 else:
                     assert got[r] == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_block_is_freed_before_any_density(self, monkeypatch):
+        # the block is built in the kernel's call: handed on by a spy that
+        # keeps no reference, it is dead whenever a density is formed, the
+        # fallback fits' included
+        prior, datasets, _ = crafted_block()
+        refs, alive = [], []
+        score, density = conjlm._score_extensions, conjlm._loo_density
+
+        def kernel(post, X):
+            box = [X]
+            del X
+            refs.append(weakref.ref(box[0]))
+            return score(post, box.pop())
+
+        def spy(*args):
+            alive.extend(ref() is not None for ref in refs)
+            return density(*args)
+
+        monkeypatch.setattr(sim, "_score_extensions", kernel)
+        monkeypatch.setattr(conjlm, "_loo_density", spy)
+        sim._score_many_k(datasets, prior)
+        assert len(refs) == 1 and alive and not any(alive)
 
     def test_selected_leverage_breach_is_refit_for_its_test_elpd(self):
         # the first dataset's model (1,) breaks only the leverage guard: its s
