@@ -450,8 +450,6 @@ def cmd_simulate(args) -> None:
         config["base_seed"] = args.seed
     if "base_seed" in config:
         config["seed"] = config.pop("base_seed")
-    if "alpha" in config:  # checked, as the specs below, before any task runs
-        check_alpha(config["alpha"])
     out_dir = Path(args.output)
     # made before any task runs, so that an unusable path fails first
     with _made_dir(out_dir):
@@ -472,8 +470,6 @@ def cmd_simulate(args) -> None:
                 for n in config["n_grid"]
                 for rho in config["rho_grid"]
             ]
-            for m in config.get("multipliers", ()):
-                check_multiplier(m)
             run_args = _given(config, "multipliers", "priors", "replications", "alpha", "guard")
             run_rows, path_rows = sim.run_forward_experiment(specs, **run_args, map_fn=_map_on_cpus)
             write_rows_csv(out_dir / "forward_runs.csv", run_rows)

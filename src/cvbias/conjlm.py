@@ -48,12 +48,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NonFiniteInput,
-    TooFewObservations,
-)
+from .errors import InvalidParameter, NonFiniteInput, ShapeMismatch, TooFewObservations
 from .psisloo import ElpdEstimate, elpd_se
 
 DIFFUSE_V0 = 100.0
@@ -78,9 +73,9 @@ class Dataset:
         if X.ndim == 1:
             X = X[:, None]
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
-            raise DimensionMismatch("X must be (n, p) and y length n")
+            raise ShapeMismatch("X must be (n, p) and y length n")
         if self.columns is not None and len(self.columns) != X.shape[1]:
-            raise DimensionMismatch(f"{len(self.columns)} column names for {X.shape[1]} predictors")
+            raise ShapeMismatch(f"{len(self.columns)} column names for {X.shape[1]} predictors")
         if y.size < 1:
             raise TooFewObservations("dataset needs at least 1 observation")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
@@ -251,7 +246,7 @@ def log_pred(fit_: PosteriorFit, x_new, y_new):
     y = np.asarray(y_new, dtype=float)
     shapes = {x.shape[:1], ()} if len(x) == 1 else {x.shape[:1]}
     if x.shape[1:] != (fit_.dim,) or y.shape not in shapes:
-        raise DimensionMismatch(f"x_new {x.shape} and y_new {y.shape} for dimension {fit_.dim}")
+        raise ShapeMismatch(f"x_new {x.shape} and y_new {y.shape} for dimension {fit_.dim}")
     loc, lev = _predict(fit_, x)
     out = _predictive_logpdf(y, loc, lev, fit_.a_n, fit_.b_n)
     if np.ndim(y_new) == 0 and np.ndim(x_new) == 1:

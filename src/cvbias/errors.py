@@ -1,60 +1,29 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package: one class per kind of fault."""
 
 
 class CvBiasError(Exception):
     """Base class for all cvbias errors."""
 
 
-class TooFewTailSamples(CvBiasError, ValueError):
-    """Fewer than the minimum tail samples needed for a GPD fit."""
-
-
-class NonPositiveExceedance(CvBiasError, ValueError):
-    """Exceedances passed to the GPD fitter must be strictly positive."""
-
-
-class TooFewSamples(CvBiasError, ValueError):
-    """Sample too small to locate a tail cutoff."""
+class InvalidParameter(CvBiasError, ValueError):
+    """A parameter lies outside its admissible domain."""
 
 
 class TooFewObservations(CvBiasError, ValueError):
-    """Not enough observations for the requested estimate."""
-
-
-class TooFewModels(CvBiasError, ValueError):
-    """Not enough models / difference points for the requested operation."""
+    """Fewer rows, draws, tail exceedances, models or differences than an
+    estimate needs."""
 
 
 class ShapeMismatch(CvBiasError, ValueError):
-    """Pointwise vectors have incompatible shapes or orderings."""
+    """Arrays handed to a library call disagree in shape or ordering."""
 
 
-class EmptyVector(CvBiasError, ValueError):
-    """An operation received an empty vector."""
-
-
-class NonPositiveSE(CvBiasError, ValueError):
-    """Standard error must be strictly positive."""
-
-
-class DimensionMismatch(CvBiasError, ValueError):
-    """Predictor vector does not match the fitted dimension."""
+class SchemaMismatch(CvBiasError, ValueError):
+    """Input files' columns, names or sizes disagree."""
 
 
 class NonFiniteInput(CvBiasError, ValueError):
     """Input data contain NaN or infinite entries, or overflow when squared."""
-
-
-class DegenerateWeights(CvBiasError, ValueError):
-    """Importance weights could not be normalized."""
-
-
-class EmptyCandidateSet(CvBiasError, ValueError):
-    """Forward search has no predictors, or fewer than the steps asked for."""
-
-
-class SchemaMismatch(CvBiasError, ValueError):
-    """Input table does not match the expected schema."""
 
 
 class UnreadableInput(CvBiasError, ValueError):
@@ -63,11 +32,3 @@ class UnreadableInput(CvBiasError, ValueError):
 
 class ConfigError(CvBiasError, ValueError):
     """Experiment config file is missing or malformed."""
-
-
-class InvalidBlocking(CvBiasError, ValueError):
-    """Predictor count is not compatible with the block structure."""
-
-
-class InvalidParameter(CvBiasError, ValueError):
-    """A parameter lies outside its admissible domain."""

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidParameter,
-    NonPositiveExceedance,
-    TooFewSamples,
-    TooFewTailSamples,
-)
+from .errors import InvalidParameter, TooFewObservations
 
 MIN_TAIL_SIZE = 5
 KHAT_CAP = 0.7
@@ -55,19 +50,19 @@ def fit_gpd(exceedances) -> GpdFit:
 
     Raises
     ------
-    TooFewTailSamples
+    TooFewObservations
         If fewer than ``MIN_TAIL_SIZE`` exceedances are supplied.
-    NonPositiveExceedance
+    InvalidParameter
         If any exceedance is not strictly positive.
     """
     x = np.sort(np.asarray(exceedances, dtype=float))
     n = x.size
     if n < MIN_TAIL_SIZE:
-        raise TooFewTailSamples(
+        raise TooFewObservations(
             f"need at least {MIN_TAIL_SIZE} exceedances, got {n}"
         )
     if x[0] <= 0 or not np.isfinite(x[-1]):
-        raise NonPositiveExceedance("exceedances must be finite and > 0")
+        raise InvalidParameter("exceedances must be finite and > 0")
     k_hat, sigma_hat = _fit_rows(x[None, :])
     return GpdFit(k_hat=float(k_hat[0]), sigma_hat=float(sigma_hat[0]))
 
@@ -144,7 +139,7 @@ def tail_cutoff(sample, max_tail_fraction: float = 0.2):
     s = np.asarray(sample, dtype=float)
     n = s.size
     if n < 10:
-        raise TooFewSamples(f"need at least 10 samples for a tail cutoff, got {n}")
+        raise TooFewObservations(f"need at least 10 samples for a tail cutoff, got {n}")
     m = math.ceil(min(max_tail_fraction * n, 3.0 * math.sqrt(n)))
     srt = np.sort(s)
     cutoff = float(srt[n - m - 1])

@@ -14,7 +14,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .conjlm import Dataset
-from .errors import SchemaMismatch, UnreadableInput
+from .errors import CvBiasError, SchemaMismatch, UnreadableInput
 
 
 def _is_float(cell: str) -> bool:
@@ -135,7 +135,8 @@ def read_matrix_csv(path):
 
 def read_dataset_csv(path, target: str) -> tuple[Dataset, str]:
     """Dataset CSV with a header row, ``target`` naming the response column,
-    and the hex SHA-256 of the bytes parsed (``read_matrix_csv``)."""
+    and the hex SHA-256 of the bytes parsed (``read_matrix_csv``). Every
+    error it raises names ``path``, the ``Dataset`` checks' included."""
     values, header, digest = read_matrix_csv(path)
     if header is None:
         raise SchemaMismatch(f"{path}: dataset CSV needs a header row")
@@ -150,7 +151,10 @@ def read_dataset_csv(path, target: str) -> tuple[Dataset, str]:
     keep = [i for i in range(len(header)) if i != ti]
     # the response is copied too: a view of it would keep the whole parsed
     # matrix alive for as long as the dataset
-    data = Dataset(values[:, keep], values[:, ti].copy(), columns=tuple(header[i] for i in keep))
+    try:
+        data = Dataset(values[:, keep], values[:, ti].copy(), columns=tuple(header[i] for i in keep))
+    except CvBiasError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return data, digest
 
 

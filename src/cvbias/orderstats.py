@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import gpd
-from .errors import InvalidParameter, TooFewModels
+from .errors import InvalidParameter, TooFewObservations
 from .psisloo import ElpdDiff, ElpdEstimate, elpd_diff
 
 DEFAULT_ALPHA = 0.5
@@ -59,16 +59,16 @@ def check_finite(value: float, what: str, multiplier: float) -> float:
 
 
 def check_baseline(model_ids: Sequence[str], baseline: str) -> None:
-    """Raise TooFewModels unless ``baseline`` can be taken over ``model_ids``:
-    at least 2 models, at least 3 under ``"median"``, and any other baseline
+    """Raise TooFewObservations unless there are at least 2 models, at least
+    3 under ``"median"``, and InvalidParameter unless any other baseline is
     one of the ids. The command line checks this before it reads a file."""
     if len(model_ids) < 2:
-        raise TooFewModels("comparison needs at least 2 models")
+        raise TooFewObservations("comparison needs at least 2 models")
     if baseline == "median":
         if len(model_ids) < 3:
-            raise TooFewModels("median baseline needs at least 3 models")
+            raise TooFewObservations("median baseline needs at least 3 models")
     elif baseline not in model_ids:
-        raise TooFewModels(f"baseline model {baseline!r} not among inputs")
+        raise InvalidParameter(f"baseline model {baseline!r} not among inputs")
 
 
 def blom_max(K: int, alpha: float = DEFAULT_ALPHA) -> float:
@@ -97,7 +97,7 @@ def halfnormal_sigma(diff_points) -> HalfNormalFit:
     d = np.asarray(diff_points, dtype=float)
     K = d.size
     if K < 1:
-        raise TooFewModels("half-normal scale needs at least 1 difference point")
+        raise TooFewObservations("half-normal scale needs at least 1 difference point")
     # np.median's value, summed from +0.0 as its mean is, by sorting:
     # np.median would import numpy.ma
     srt = np.sort(d)
@@ -159,7 +159,7 @@ def diagnose_tail(diff_points) -> TailDiagnostic:
     d = np.asarray(diff_points, dtype=float)
     K = d.size
     if K < MIN_MODELS_FOR_DIAGNOSTIC:
-        raise TooFewModels(
+        raise TooFewObservations(
             f"tail diagnostic needs at least {MIN_MODELS_FOR_DIAGNOSTIC} "
             f"difference points, got {K}"
         )

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gpd
-from .errors import (
-    DegenerateWeights,
-    EmptyVector,
-    NonFiniteInput,
-    ShapeMismatch,
-    TooFewObservations,
-)
+from .errors import NonFiniteInput, ShapeMismatch, TooFewObservations
 
 MIN_DRAWS_FOR_PSIS = 100
 
@@ -88,7 +82,7 @@ def mlpd(pointwise) -> float:
     """Mean log predictive density of a pointwise vector."""
     x = np.asarray(pointwise, dtype=float)
     if x.size == 0:
-        raise EmptyVector("mlpd of an empty vector")
+        raise TooFewObservations("mlpd of an empty vector")
     return float(x.mean())
 
 
@@ -201,7 +195,7 @@ def elpd_loo_psis(loglik, model_id: str = "model") -> ElpdEstimate:
     if values.ndim != 2:
         raise ShapeMismatch("log-likelihood matrix must be 2-d (draws x obs)")
     if values.shape[1] < 2:
-        raise ShapeMismatch("need at least 2 observations")
+        raise TooFewObservations("need at least 2 observations")
     if not np.all(np.isfinite(values)):
         raise NonFiniteInput("log-likelihood matrix contains non-finite entries")
     S, n = values.shape
@@ -229,7 +223,7 @@ def elpd_loo_psis(loglik, model_id: str = "model") -> ElpdEstimate:
         pointwise[lo + const] = exact
         khat[lo + const] = -np.inf
     if not np.all(np.isfinite(pointwise)):
-        raise DegenerateWeights("importance weights failed to normalize")
+        raise NonFiniteInput("importance weights failed to normalize")
     estimate, se = _sum_and_se(pointwise)
     return ElpdEstimate(
         pointwise=pointwise,

@@ -25,12 +25,7 @@ from .conjlm import (
     fit,
     log_pred,
 )
-from .errors import (
-    EmptyCandidateSet,
-    InvalidParameter,
-    NonFiniteInput,
-    SchemaMismatch,
-)
+from .errors import InvalidParameter, NonFiniteInput, SchemaMismatch
 from .orderstats import (
     DEFAULT_ALPHA,
     DEFAULT_MULTIPLIER,
@@ -201,7 +196,7 @@ def forward_search(
     p = data.p
     if p == 0:
         # else the default max_size of the command line, p, fails as a size
-        raise EmptyCandidateSet("training data has no predictor columns")
+        raise SchemaMismatch("training data has no predictor columns")
     if test is not None:
         if test.p != p:
             raise SchemaMismatch(f"test data has {test.p} predictors, training had {p}")
@@ -212,7 +207,7 @@ def forward_search(
                     f"test predictor {i} is {b!r} where training has {a!r}"
                 )
     if max_size > p:
-        raise EmptyCandidateSet(f"max_size {max_size} exceeds {p} predictors")
+        raise InvalidParameter(f"max_size {max_size} exceeds {p} predictors")
     if max_size < 1:
         raise InvalidParameter(f"max_size must be >= 1, got {max_size}")
     _require_finite_squares(data, "training")

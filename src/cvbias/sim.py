@@ -28,8 +28,14 @@ from .conjlm import (
     fit,
     log_pred,
 )
-from .errors import InvalidBlocking, InvalidParameter
-from .orderstats import DEFAULT_ALPHA, DEFAULT_MULTIPLIER, threshold
+from .errors import InvalidParameter
+from .orderstats import (
+    DEFAULT_ALPHA,
+    DEFAULT_MULTIPLIER,
+    check_alpha,
+    check_multiplier,
+    threshold,
+)
 from .psisloo import _BLOCK, elpd_se
 
 # desk-scale guard for the forward experiment: one replication at the
@@ -139,7 +145,7 @@ class BlockDgpSpec:
         if not self.block_size >= 1:
             raise InvalidParameter(f"block_size must be >= 1, got {self.block_size}")
         if self.p % self.block_size != 0:
-            raise InvalidBlocking(
+            raise InvalidParameter(
                 f"p={self.p} is not divisible by block_size={self.block_size}"
             )
         if not 0.0 <= self.rho < 1.0:
@@ -333,8 +339,9 @@ def run_many_k(
     default is the plain loop; the command line passes one that spreads
     the blocks over the usable CPUs.
 
-    A run of more than ``MANY_K_MAX_ROWS`` rows (replications x cells) or
-    a cell of n < 3 fails with ``InvalidParameter`` before any task.
+    An alpha outside [0.39, 0.5], a run of more than ``MANY_K_MAX_ROWS``
+    rows (replications x cells) or a cell of n < 3 fails with
+    ``InvalidParameter`` before any task.
 
     The threshold counts K models (baseline included) although it is taken
     over the K - 1 differences, whereas ``build_comparison`` counts the
@@ -344,6 +351,7 @@ def run_many_k(
     (see ``cvbias.orderstats``). ``median_diff`` and the summary's
     ``mean_recentred_max`` show the recentred picture.
     """
+    check_alpha(alpha)
     if replications < 2:
         raise InvalidParameter("replications must be >= 2")
     specs = list(specs)
@@ -506,6 +514,10 @@ def run_forward_experiment(
     Returns ``(run_rows, path_rows)``: one summary row per run/multiplier
     and one long-format row per model size.
     """
+    check_alpha(alpha)
+    multipliers = tuple(multipliers)  # read by every task, not only the first
+    for m in multipliers:
+        check_multiplier(m)
     if replications < 1:
         raise InvalidParameter("replications must be >= 1")
     specs = list(specs)

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NonPositiveSE
+from .errors import InvalidParameter
 
 RULE_OF_FOUR_CUTOFF = 4.0
 # the trapezoidal rule needs ~36 se nodes; above this se the large-se
@@ -22,7 +22,7 @@ def prob_better_normal(delta: float, se: float) -> float:
     Mass of N(delta, se^2) above zero: Phi(delta / se).
     """
     if se <= 0:
-        raise NonPositiveSE("se must be > 0")
+        raise InvalidParameter("se must be > 0")
     return 0.5 * math.erfc(-delta / (se * math.sqrt(2.0)))
 
 
@@ -50,7 +50,7 @@ def pseudo_bma_plus(delta: float, se: float) -> float:
     error falls like se^-4 from about 1e-12 at the switch.
     """
     if se <= 0:
-        raise NonPositiveSE("se must be > 0")
+        raise InvalidParameter("se must be > 0")
     if se > TRAPEZOID_SE_MAX:
         t = delta / se
         phi = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
@@ -89,7 +89,7 @@ def weight_report(delta: float, se: float) -> WeightReport:
     indicator (0.5 at delta = 0) and pseudo-BMA+ collapses to pseudo-BMA.
     """
     if se < 0:
-        raise NonPositiveSE("se must be >= 0")
+        raise InvalidParameter("se must be >= 0")
     if se == 0:
         prob = 0.5 if delta == 0 else float(delta > 0)
         pbp = pseudo_bma(delta)

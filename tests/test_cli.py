@@ -871,6 +871,18 @@ class TestForward:
         assert_one_line_error(capsys, word)
         assert [p.name for p in (tmp_path / "o").iterdir()] == ["keep"]
 
+    @pytest.mark.parametrize("bad, cell", [("train.csv", "nan"), ("test.csv", "inf")])
+    def test_nonfinite_cell_names_its_csv(
+        self, tmp_path, monkeypatch, capsys, toy_block, bad, cell
+    ):
+        monkeypatch.chdir(tmp_path)
+        lines = (tmp_path / bad).read_text().splitlines()
+        lines[3] = ",".join([cell, *lines[3].split(",")[1:]])
+        (tmp_path / bad).write_text("\n".join(lines) + "\n")
+        assert main(["forward", "train.csv", "--target", "y", "--test", "test.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"cvbias: error: {bad}: dataset contains non-finite entries\n"
+
     def test_prefix_ending_in_a_separator_names_the_directory(self, tmp_path, capsys):
         # the directory is made before the search, not missed by the writes after it
         rng = np.random.default_rng(99)
@@ -1157,9 +1169,10 @@ class TestSimulate:
     def test_bad_values_fail_before_any_work(
         self, tmp_path, monkeypatch, capsys, config, word
     ):
+        # the runners check alpha and the multipliers themselves, so they
+        # run; the map they are handed records every task it is given
         ran = []
-        monkeypatch.setattr(sim, "run_forward_experiment", lambda *a, **k: ran.append(a))
-        monkeypatch.setattr(sim, "run_many_k", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(cli, "_map_on_cpus", lambda func, tasks: ran.extend(tasks) or [])
         cfg = tmp_path / "bad.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         out = tmp_path / "o"

@@ -21,9 +21,9 @@ from cvbias.conjlm import (
 )
 from cvbias.errors import (
     CvBiasError,
-    DimensionMismatch,
     InvalidParameter,
     NonFiniteInput,
+    ShapeMismatch,
     TooFewObservations,
 )
 
@@ -69,7 +69,7 @@ class TestDataset:
     def test_column_names_must_match_the_predictors(self, names):
         # one name per predictor column, or a one-line error naming both counts
         X = np.random.default_rng(0).standard_normal((20, 3))
-        with pytest.raises(DimensionMismatch, match=f"{len(names)} column names for 3 predictor"):
+        with pytest.raises(ShapeMismatch, match=f"{len(names)} column names for 3 predictor"):
             Dataset(X, np.zeros(20), columns=names)
 
     def test_subset_keeps_column_names(self):
@@ -241,7 +241,7 @@ class TestLogPred:
             (np.ones((5, 4)), np.zeros(3), r"x_new \(5, 4\) and y_new \(3,\)"),
         ]
         for x_new, y_new, match in cases:
-            with pytest.raises(DimensionMismatch, match=match):
+            with pytest.raises(ShapeMismatch, match=match):
                 log_pred(post, x_new, y_new)
 
     def test_rows_score_alike_in_either_layout(self, small_data):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvbias import gpd
-from cvbias.errors import NonPositiveExceedance, TooFewSamples, TooFewTailSamples
+from cvbias.errors import InvalidParameter, TooFewObservations
 from cvbias.gpd import (
     GpdFit,
     fit_gpd,
@@ -59,13 +59,13 @@ class TestFitGpd:
         assert 0.9 <= fit.sigma_hat <= 1.1
 
     def test_too_few_tail_samples(self):
-        with pytest.raises(TooFewTailSamples):
+        with pytest.raises(TooFewObservations, match="need at least 5 exceedances, got 4"):
             fit_gpd([1.0, 2.0, 3.0, 4.0])
 
     def test_nonpositive_exceedance(self):
-        with pytest.raises(NonPositiveExceedance):
+        with pytest.raises(InvalidParameter, match="exceedances must be finite and > 0"):
             fit_gpd([1.0, 2.0, 0.0, 3.0, 4.0])
-        with pytest.raises(NonPositiveExceedance):
+        with pytest.raises(InvalidParameter, match="exceedances must be finite and > 0"):
             fit_gpd([1.0, 2.0, -0.5, 3.0, 4.0])
 
     def test_deterministic(self):
@@ -174,7 +174,7 @@ class TestTailCutoff:
         assert cutoff == 3.0
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(TooFewObservations, match="at least 10 samples for a tail cutoff"):
             tail_cutoff(np.arange(9.0))
 
 

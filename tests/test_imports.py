@@ -2,6 +2,7 @@
 and which public names the package keeps."""
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -372,6 +373,32 @@ def test_every_error_class_is_raised():
                 elif isinstance(exc, ast.Attribute):
                     raised.add(exc.attr)
     assert sorted(classes - raised - {"CvBiasError"}) == []
+
+
+def test_errors_are_defined_in_errors_py_alone():
+    """Only ``cvbias/errors.py`` defines exception classes, and each of its
+    classes derives from ``CvBiasError`` and ``ValueError``: a new kind of
+    fault is added there, where the others are, or not at all."""
+    from cvbias import errors
+
+    package = Path(cvbias.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        module = importlib.import_module(
+            "cvbias" if path.stem == "__init__" else f"cvbias.{path.stem}"
+        )
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name, None)
+                is_error = isinstance(cls, type) and issubclass(cls, BaseException)
+                assert not is_error, f"{path.name} defines {node.name}"
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    names = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert names[0] == "CvBiasError"
+    for name in names[1:]:
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.CvBiasError) and issubclass(cls, ValueError), name
 
 
 def test_readme_library_example_runs(capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtri
 
-from cvbias.errors import InvalidParameter, TooFewModels
+from cvbias.errors import InvalidParameter, TooFewObservations
 from cvbias.gpd import khat_threshold
 from cvbias.orderstats import (
     blom_max,
@@ -64,7 +64,7 @@ class TestHalfnormalSigma:
         assert 0.95 <= fit.sigma_hat <= 1.05
 
     def test_too_few(self):
-        with pytest.raises(TooFewModels):
+        with pytest.raises(TooFewObservations, match="at least 1 difference point"):
             halfnormal_sigma([])
 
     def test_single_point_is_its_own_median(self):
@@ -153,7 +153,7 @@ class TestDiagnoseTail:
         assert not diag.reliable
 
     def test_minimum_models(self):
-        with pytest.raises(TooFewModels):
+        with pytest.raises(TooFewObservations, match="at least 10 difference points, got 9"):
             diagnose_tail(np.arange(9.0))
         # exactly 10 points yields the 5-exceedance minimum
         rng = np.random.default_rng(12)
@@ -191,7 +191,7 @@ class TestMedianBaseline:
         assert base_id == "m0"
 
     def test_too_few(self):
-        with pytest.raises(TooFewModels):
+        with pytest.raises(TooFewObservations, match="median baseline needs at least 3 models"):
             median_baseline(self._estimates([1.0, 2.0]))
 
 
@@ -239,7 +239,7 @@ class TestBuildComparison:
 
     def test_unknown_baseline(self):
         ests = [from_pointwise([1.0, 2.0], f"m{i}") for i in range(3)]
-        with pytest.raises(TooFewModels):
+        with pytest.raises(InvalidParameter, match="baseline model 'nope' not among inputs"):
             build_comparison(ests, baseline="nope")
 
     def test_null_simulation_rarely_exceeds_threshold(self):

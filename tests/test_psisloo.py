@@ -10,12 +10,9 @@ from scipy.special import logsumexp
 
 from cvbias import conjlm, gpd, psisloo
 from cvbias.errors import (
-    DegenerateWeights,
-    EmptyVector,
     NonFiniteInput,
     ShapeMismatch,
     TooFewObservations,
-    TooFewSamples,
 )
 from cvbias.psisloo import (
     elpd_diff,
@@ -32,7 +29,7 @@ def oracle_smooth(lr):
     w = np.exp(lw)
     try:
         cutoff, exceedances = gpd.tail_cutoff(w)
-    except TooFewSamples:
+    except TooFewObservations:
         return lw, float("inf")
     m = exceedances.size
     if m < gpd.MIN_TAIL_SIZE:
@@ -61,7 +58,7 @@ def oracle_column(ll):
     lw, khat = oracle_smooth(-ll_sorted)
     value = float(oracle_logsumexp(lw + ll_sorted) - oracle_logsumexp(lw))
     if not np.isfinite(value):
-        raise DegenerateWeights("importance weights failed to normalize")
+        raise NonFiniteInput("importance weights failed to normalize")
     return value, khat
 
 
@@ -87,8 +84,8 @@ def assert_matches_oracle(ll):
     with np.errstate(all="ignore"):
         try:
             pointwise, khat = oracle_psis(ll)
-        except DegenerateWeights:
-            with pytest.raises(DegenerateWeights):
+        except NonFiniteInput:
+            with pytest.raises(NonFiniteInput, match="failed to normalize"):
                 elpd_loo_psis(ll)
             return None
         est = elpd_loo_psis(ll)
@@ -173,7 +170,7 @@ class TestMlpd:
         assert mlpd(est.pointwise) == pytest.approx(est.estimate / est.n_obs)
 
     def test_empty(self):
-        with pytest.raises(EmptyVector):
+        with pytest.raises(TooFewObservations, match="mlpd of an empty vector"):
             mlpd([])
 
 
@@ -250,7 +247,7 @@ class TestLogLikMatrix:
             elpd_loo_psis(np.array([[0.0, np.inf], [1.0, 2.0]]))
 
     def test_rejects_single_observation(self):
-        with pytest.raises(ShapeMismatch, match="at least 2 observations"):
+        with pytest.raises(TooFewObservations, match="at least 2 observations"):
             elpd_loo_psis(np.zeros((100, 1)))
 
     def test_warns_on_few_draws(self):
@@ -354,8 +351,8 @@ class TestElpdLooPsis:
         with np.errstate(all="ignore"):
             try:
                 base = elpd_loo_psis(ll)
-            except DegenerateWeights:
-                with pytest.raises(DegenerateWeights):
+            except NonFiniteInput:
+                with pytest.raises(NonFiniteInput, match="failed to normalize"):
                     elpd_loo_psis(shuffled)
                 return
             perm = elpd_loo_psis(shuffled)

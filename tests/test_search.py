@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import loo_refit
 from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred
 from cvbias.errors import (
-    EmptyCandidateSet,
     InvalidParameter,
     SchemaMismatch,
     TooFewObservations,
@@ -142,13 +141,13 @@ class TestForwardSearch:
 
     def test_max_size_exceeds_predictors(self):
         data = Dataset(np.ones((5, 2)), np.zeros(5))
-        with pytest.raises(EmptyCandidateSet):
+        with pytest.raises(InvalidParameter, match="max_size 3 exceeds 2 predictors"):
             forward_search(data, PRIOR, max_size=3)
 
     @pytest.mark.parametrize("max_size", [0, 1])
     def test_no_predictor_column_is_named_before_max_size(self, max_size):
         data = Dataset(np.empty((6, 0)), np.arange(6.0))
-        with pytest.raises(EmptyCandidateSet, match="training data has no predictor columns"):
+        with pytest.raises(SchemaMismatch, match="training data has no predictor columns"):
             forward_search(data, PRIOR, max_size=max_size)
 
     def test_column_permutation_relabels_but_preserves_diffs(self):
@@ -286,7 +285,7 @@ class TestCarriedPosterior:
         tight=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_evaluate_test_matches_refits(self, n, n_test, p, tight, seed):
+    def test_test_mlpds_match_refits(self, n, n_test, p, tight, seed):
         # the test mlpd of every size, scored from the carried posterior,
         # against a fit of that model on its own
         data = random_design(n + n_test, p, seed)

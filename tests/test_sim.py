@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import loo_refit
 from cvbias.conjlm import Dataset, NigPrior, elpd_loo_exact, fit, log_pred
-from cvbias.errors import InvalidBlocking, InvalidParameter
+from cvbias.errors import InvalidParameter
 from cvbias.orderstats import blom_max, halfnormal_sigma
 from cvbias.psisloo import elpd_se
 from cvbias.search import forward_search
@@ -25,6 +25,17 @@ from cvbias.sim import (
     spec_hash,
     summarize_many_k,
 )
+
+
+def recording_map(seen: list):
+    """A ``map_fn`` that appends every task to ``seen`` before it runs them."""
+
+    def spying(func, tasks):
+        tasks = list(tasks)
+        seen.extend(tasks)
+        return map(func, tasks)
+
+    return spying
 
 
 class TestGenNested:
@@ -96,7 +107,7 @@ class TestGenBlock:
         assert not np.array_equal(train.X, test.X)
 
     def test_invalid_blocking(self):
-        with pytest.raises(InvalidBlocking):
+        with pytest.raises(InvalidParameter, match="p=21 is not divisible by block_size=5"):
             BlockDgpSpec(n=10, p=21, rho=0.0, seed=0)
 
     def test_noise_free_design_is_valid(self):
@@ -214,6 +225,12 @@ class TestRunManyK:
         tasks = []
         assert run_many_k(specs, limit // 2, map_fn=lambda f, t: tasks.extend(t) or []) == []
         assert sum(hi - lo for _, lo, hi in tasks) == limit
+
+    def test_bad_alpha_fails_before_any_task(self):
+        seen = []
+        with pytest.raises(InvalidParameter, match="alpha must lie"):
+            run_many_k([NestedDgpSpec(n=50, K=5)], 40, alpha=0.7, map_fn=recording_map(seen))
+        assert seen == []
 
 
 def many_k_reference(specs, replications, prior, n_test, alpha=0.5):
@@ -467,6 +484,27 @@ class TestRunForwardExperiment:
             run_forward_experiment(
                 [BlockDgpSpec(n=40, p=10, rho=0.0, seed=0)], replications=0
             )
+
+    @pytest.mark.parametrize(
+        "bad, word",
+        [({"alpha": 0.7}, "alpha must lie"), ({"multipliers": (-1.0,)}, "multiplier must be")],
+        ids=["alpha", "multiplier"],
+    )
+    def test_bad_alpha_or_multiplier_fails_before_any_task(self, bad, word):
+        seen = []
+        with pytest.raises(InvalidParameter, match=word):
+            run_forward_experiment(
+                [BlockDgpSpec(n=60, p=10, rho=0.0)], replications=3,
+                map_fn=recording_map(seen), **bad
+            )
+        assert seen == []
+
+    def test_multipliers_may_be_an_iterator(self):
+        # checked up front, and then read by every replication's task
+        runs, _ = run_forward_experiment(
+            [BlockDgpSpec(n=40, p=10, rho=0.0, seed=0)], iter([1.0, 2.0]), replications=2
+        )
+        assert [r["multiplier"] for r in runs] == [1.0, 2.0, 1.0, 2.0]
 
     def test_desk_scale_guard(self):
         with pytest.raises(ValueError, match="guard"):

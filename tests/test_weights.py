@@ -10,7 +10,7 @@ from scipy.special import expit, ndtr
 from scipy.stats import norm
 
 from cvbias import weights
-from cvbias.errors import NonPositiveSE
+from cvbias.errors import InvalidParameter
 from cvbias.weights import (
     prob_better_normal,
     pseudo_bma,
@@ -31,7 +31,7 @@ class TestProbBetterNormal:
         assert prob_better_normal(-4.0, 2.0) == pytest.approx(0.02275, abs=1e-5)
 
     def test_rejects_nonpositive_se(self):
-        with pytest.raises(NonPositiveSE):
+        with pytest.raises(InvalidParameter, match="se must be > 0"):
             prob_better_normal(1.0, 0.0)
 
     @given(st.floats(-40, 40), st.floats(1e-3, 1e3))
@@ -132,7 +132,7 @@ class TestPseudoBmaPlus:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_rejects_nonpositive_se(self):
-        with pytest.raises(NonPositiveSE):
+        with pytest.raises(InvalidParameter, match="se must be > 0"):
             pseudo_bma_plus(1.0, -1.0)
 
 
