@@ -39,13 +39,15 @@ from .psisloo import elpd_se, mlpd
 
 @dataclass(frozen=True)
 class SearchStep:
-    """One forward-search step (model size = step index + 1).
+    """The model of one size on a forward-search path, and the step that
+    reached it.
 
     ``candidate_diffs`` and ``candidate_ses`` hold one entry per candidate
-    scored at this step, so their size is the step's candidate count.
+    scored at this step, so their size is the step's candidate count. The
+    intercept-only model adds no predictor and scores no candidate.
     """
 
-    predictor_added: int
+    predictor_added: int | None
     raw_diff: float
     elpd_after: float
     corrected_diff: float
@@ -65,50 +67,28 @@ class SearchStep:
 
 @dataclass(frozen=True)
 class SearchPath:
-    """Forward-search trajectory from the intercept-only model."""
+    """Forward-search trajectory: ``steps[k]`` is the model of size k, and
+    ``steps[0]`` the intercept-only model it starts from."""
 
     steps: tuple[SearchStep, ...]
-    base_elpd: float
-    base_pointwise: np.ndarray
-    test_mlpd_base: float | None = None
-
-    @property
-    def n_obs(self) -> int:
-        return self.base_pointwise.size
 
     def raw_elpds(self) -> np.ndarray:
-        return np.array([self.base_elpd] + [s.elpd_after for s in self.steps])
+        return np.array([s.elpd_after for s in self.steps])
 
     def corrected_elpds(self) -> np.ndarray:
-        return np.array(
-            [self.base_elpd] + [s.corrected_elpd_after for s in self.steps]
-        )
+        return np.array([s.corrected_elpd_after for s in self.steps])
 
     def test_mlpds(self) -> np.ndarray | None:
-        if self.test_mlpd_base is None:
+        if self.steps[0].test_mlpd_after is None:
             return None
-        return np.array(
-            [self.test_mlpd_base] + [s.test_mlpd_after for s in self.steps]
-        )
+        return np.array([s.test_mlpd_after for s in self.steps])
 
     def predictors(self) -> list[int]:
-        return [s.predictor_added for s in self.steps]
+        return [s.predictor_added for s in self.steps[1:]]
 
     def to_rows(self) -> list[dict]:
-        """Long-format rows (one per model size, size 0 included)."""
-        n = self.n_obs
-        # size 0 as a step that adds nothing and scores no candidate
-        base = SearchStep(
-            predictor_added=None,
-            raw_diff=0.0,
-            elpd_after=self.base_elpd,
-            corrected_diff=0.0,
-            corrected_elpd_after=self.base_elpd,
-            candidate_diffs=np.empty(0),
-            candidate_ses=np.empty(0),
-            pointwise=self.base_pointwise,
-            test_mlpd_after=self.test_mlpd_base,
-        )
+        """Long-format rows: row k is the model of size k."""
+        n = self.steps[0].pointwise.size
         return [
             {
                 "size": k,
@@ -125,7 +105,7 @@ class SearchPath:
                 "test_mlpd": s.test_mlpd_after,
                 "post_bulge": s.post_bulge,
             }
-            for k, s in enumerate((base, *self.steps))
+            for k, s in enumerate(self.steps)
         ]
 
 
@@ -219,26 +199,38 @@ def forward_search(
     if not math.isfinite(base.estimate):
         raise NonFiniteInput("training response overflows the base model's LOO elpd")
     post = fit(data.subset(cols), prior)
-    test_mlpd = base_test_mlpd = None
+    test_mlpd = None
     if test is not None:
         At = test.subset(cols).design()
-        test_mlpd = base_test_mlpd = mlpd(log_pred(post, At, test.y))
+        test_mlpd = mlpd(log_pred(post, At, test.y))
         if not math.isfinite(test_mlpd):
             raise NonFiniteInput("test response overflows the base model's mlpd")
         # the intercept-only model gives every row one location and leverage
         loc, lev = post.mean_n[0], post.h[0]
-    prev_elpd, prev_pointwise = base.estimate, base.pointwise
-    steps: list[SearchStep] = []
+    steps = [
+        SearchStep(
+            predictor_added=None,
+            raw_diff=0.0,
+            elpd_after=base.estimate,
+            corrected_diff=0.0,
+            corrected_elpd_after=base.estimate,
+            candidate_diffs=np.empty(0),
+            candidate_ses=np.empty(0),
+            pointwise=base.pointwise,
+            test_mlpd_after=test_mlpd,
+        )
+    ]
     for _ in range(max_size):
+        prev = steps[-1]
         cands = [j for j in range(p) if j not in cols]
         # each candidate's column gathered into one contiguous row; the
         # kernel holds the block's only reference and frees it early
         pointwise, estimates, U, s, ey, refits = _score_extensions(post, data.X.T[cands])
-        diffs = estimates - prev_elpd
+        diffs = estimates - prev.elpd_after
         best = int(np.argmax(diffs))
         # a copy, so that no step keeps the c x n block alive
         chosen = pointwise[best].copy()
-        pointwise -= prev_pointwise
+        pointwise -= prev.pointwise
         ses = elpd_se(pointwise)
         # free the block before the next step's kernel builds its own
         del pointwise
@@ -272,14 +264,7 @@ def forward_search(
                 test_mlpd_after=test_mlpd,
             )
         )
-        prev_elpd, prev_pointwise = elpd_after, chosen
-
-    return SearchPath(
-        steps=tuple(steps),
-        base_elpd=base.estimate,
-        base_pointwise=base.pointwise,
-        test_mlpd_base=base_test_mlpd,
-    )
+    return SearchPath(steps=tuple(steps))
 
 
 def correct_path(
@@ -296,7 +281,8 @@ def correct_path(
     over-fitting is already evident.
 
     K is the model size, so the allowance grows as selection decisions
-    compound and the first step is never corrected.
+    compound; sizes 0 and 1 keep a threshold and bias of 0, and their raw
+    diffs.
     """
     check_multiplier(multiplier)
     check_alpha(alpha)
@@ -305,10 +291,10 @@ def correct_path(
 
     new_steps: list[SearchStep] = []
     corrected_diffs: list[float] = []
-    for idx, s in enumerate(path.steps):
-        size = idx + 1
-        # the first step is never corrected: the expected maximum at K = 1
-        # is 0, and 0 times an infinite sigma_hat would be NaN
+    for size, s in enumerate(path.steps):
+        # sizes 0 and 1 are never corrected: size 0 scores no candidate, the
+        # expected maximum at K = 1 is 0, and 0 times an infinite sigma_hat
+        # would be NaN
         thr = threshold(s.candidate_diffs, alpha, size).threshold if size >= 2 else 0.0
         bias = check_finite(multiplier * thr, f"bias at size {size}", multiplier)
         post_bulge = size > bulge_size
@@ -318,7 +304,7 @@ def correct_path(
             corrected = s.raw_diff - bias
         corrected_diffs.append(corrected)
         try:
-            corrected_elpd = math.fsum([path.base_elpd] + corrected_diffs)
+            corrected_elpd = math.fsum([path.steps[0].elpd_after] + corrected_diffs)
         except OverflowError:  # finite terms whose sum leaves the float range
             corrected_elpd = math.inf
         what = f"corrected elpd at size {size}"
@@ -336,31 +322,32 @@ def correct_path(
 
 
 def stopping_rules(path: SearchPath) -> StopVerdicts:
-    """Evaluate all stopping rules on the steps a path holds.
+    """Evaluate all stopping rules on the model sizes a path holds.
 
     bulge: argmax of the raw cumulative elpd. 2-sigma: smallest size whose
     raw elpd is within two paired standard errors of the bulge. corrected
     max: argmax of the corrected path. The incremental sigma-delta rules
-    stop at the first size where no candidate's gain clears m * se(gain).
+    stop at the first size from which no candidate's gain clears
+    m * se(gain); they read the steps from size 1 on, since size 0 scores
+    no candidate.
     """
     raw = path.raw_elpds()
     bulge_size = int(np.argmax(raw))
     corrected_max_size = int(np.argmax(path.corrected_elpds()))
 
-    pointwise = [path.base_pointwise] + [s.pointwise for s in path.steps]
-    bulge_pw = pointwise[bulge_size]
+    bulge_pw = path.steps[bulge_size].pointwise
     two_sigma_size = bulge_size
     for size in range(bulge_size + 1):
-        se = elpd_se(pointwise[size] - bulge_pw)
+        se = elpd_se(path.steps[size].pointwise - bulge_pw)
         if raw[size] >= raw[bulge_size] - 2.0 * se:
             two_sigma_size = size
             break
 
     def first_stop(m: float) -> int:
-        for idx, s in enumerate(path.steps):
+        for size, s in enumerate(path.steps[1:]):
             if not np.any(s.candidate_diffs - m * s.candidate_ses >= 0.0):
-                return idx
-        return len(path.steps)
+                return size
+        return len(path.steps) - 1
 
     return StopVerdicts(
         bulge_size=bulge_size,

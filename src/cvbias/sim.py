@@ -465,7 +465,6 @@ def _forward_rows(task, multipliers, alpha: float):
         test_argmax = int(np.argmax(test_curve))
         b = verdicts.bulge_size
         c = verdicts.corrected_max_size
-        c_pointwise = cp.steps[c - 1].pointwise if c else cp.base_pointwise
         run_rows.append(
             {
                 **ident,
@@ -475,7 +474,7 @@ def _forward_rows(task, multipliers, alpha: float):
                 "raw_mlpd_at_bulge": float(raw_mlpd[b]),
                 "test_mlpd_at_bulge": float(test_curve[b]),
                 "corrected_mlpd_max": float(corr_mlpd[c]),
-                "corrected_max_loo_se": elpd_se(c_pointwise) / spec.n,
+                "corrected_max_loo_se": elpd_se(cp.steps[c].pointwise) / spec.n,
                 "test_mlpd_at_corrected_max": float(test_curve[c]),
                 "test_mlpd_full": float(test_curve[-1]),
                 "raw_mlpd_full": float(raw_mlpd[-1]),

@@ -188,7 +188,7 @@ def test_criterion_6_multiplier_ordering():
             (not s.post_bulge) and abs(s.raw_diff) < s.threshold_at_step
             for s in cp.steps
         ]
-        fired_any[1:] |= np.cumsum(fired) > 0
+        fired_any |= np.cumsum(fired) > 0
     weak = bool(
         np.all(curves[1.0] >= curves[1.5] - 1e-9)
         and np.all(curves[1.5] >= curves[2.0] - 1e-9)
@@ -213,7 +213,7 @@ def test_criterion_7_invariant_suite():
     checks.append(
         all(
             s.corrected_elpd_after
-            == math.fsum([cp.base_elpd] + [t.corrected_diff for t in cp.steps[: i + 1]])
+            == math.fsum([cp.steps[0].elpd_after] + [t.corrected_diff for t in cp.steps[: i + 1]])
             for i, s in enumerate(cp.steps)
         )
     )

@@ -2,6 +2,7 @@
 and which public names the package keeps."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import math
@@ -259,6 +260,11 @@ def test_names_resolve_to_their_modules():
     assert set(PUBLIC_NAMES) <= set(dir(cvbias))
     with pytest.raises(AttributeError, match="no_such_name"):
         cvbias.no_such_name
+
+
+def test_a_search_path_holds_its_steps_alone():
+    # size 0 is steps[0]: no field keeps the intercept-only model apart
+    assert [f.name for f in dataclasses.fields(cvbias.SearchPath)] == ["steps"]
 
 
 def test_every_public_name_is_used_or_shown():

@@ -34,10 +34,24 @@ def block_path():
     return path, train, test
 
 
+def size_zero(elpd, pointwise):
+    """The intercept-only model as ``forward_search`` builds ``steps[0]``."""
+    return SearchStep(
+        predictor_added=None,
+        raw_diff=0.0,
+        elpd_after=elpd,
+        corrected_diff=0.0,
+        corrected_elpd_after=elpd,
+        candidate_diffs=np.empty(0),
+        candidate_ses=np.empty(0),
+        pointwise=pointwise,
+    )
+
+
 def synthetic_path(raw_diffs, candidate_diffs, base=0.0, ses=None):
     """Hand-built SearchPath for rule tests (no data refits needed)."""
     n_obs = 4
-    steps = []
+    steps = [size_zero(base, np.full(n_obs, base / n_obs))]
     cum = base
     for k, (rd, cd) in enumerate(zip(raw_diffs, candidate_diffs)):
         cum += rd
@@ -55,11 +69,7 @@ def synthetic_path(raw_diffs, candidate_diffs, base=0.0, ses=None):
                 pointwise=np.full(n_obs, cum / n_obs),
             )
         )
-    return SearchPath(
-        steps=tuple(steps),
-        base_elpd=base,
-        base_pointwise=np.full(n_obs, base / n_obs),
-    )
+    return SearchPath(steps=tuple(steps))
 
 
 def refit_search(data, prior, max_size):
@@ -74,7 +84,7 @@ def refit_search(data, prior, max_size):
         return from_pointwise(loo_refit(data.subset(cols), prior))
 
     prev = refit_loo(())
-    base, current, steps = prev, (), []
+    current, steps = (), [size_zero(prev.estimate, prev.pointwise)]
     for _ in range(max_size):
         cands = [j for j in range(data.p) if j not in current]
         ests = [refit_loo(current + (j,)) for j in cands]
@@ -95,11 +105,7 @@ def refit_search(data, prior, max_size):
             )
         )
         current += (cands[best],)
-    return SearchPath(
-        steps=tuple(steps),
-        base_elpd=base.estimate,
-        base_pointwise=base.pointwise,
-    )
+    return SearchPath(steps=tuple(steps))
 
 
 class TestForwardSearch:
@@ -109,11 +115,21 @@ class TestForwardSearch:
         y = X[:, 0] + rng.standard_normal(40)
         data = Dataset(X, y)
         path = forward_search(data, PRIOR, max_size=1)
-        assert len(path.steps) == 1
+        assert len(path.steps) == 2
         base = elpd_loo_exact(data.subset(()), PRIOR)
         full = elpd_loo_exact(data, PRIOR)
-        assert path.steps[0].raw_diff == pytest.approx(full.estimate - base.estimate)
-        assert path.steps[0].candidates_evaluated == 1
+        assert path.steps[1].raw_diff == pytest.approx(full.estimate - base.estimate)
+        assert path.steps[1].candidates_evaluated == 1
+
+    def test_size_zero_is_the_intercept_only_model(self, block_path):
+        path, train, _ = block_path
+        base = elpd_loo_exact(train.subset(()), PRIOR)
+        first = path.steps[0]
+        assert first.elpd_after == first.corrected_elpd_after == base.estimate
+        assert np.array_equal(first.pointwise, base.pointwise)
+        assert first.predictor_added is None
+        assert first.raw_diff == first.corrected_diff == 0.0
+        assert first.candidates_evaluated == 0
 
     def test_step_counts_its_candidate_diffs(self, block_path):
         step = SearchStep(
@@ -129,7 +145,7 @@ class TestForwardSearch:
         assert step.candidates_evaluated == 3
         path, train, _ = block_path
         counts = [row["candidates_evaluated"] for row in path.to_rows()]
-        assert counts == [None] + [train.p - k for k in range(len(path.steps))]
+        assert counts == [None] + [train.p - k for k in range(len(path.steps) - 1)]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_too_few_rows_for_exact_loo(self, n):
@@ -160,16 +176,14 @@ class TestForwardSearch:
         assert [s.raw_diff for s in a.steps] == pytest.approx(
             [s.raw_diff for s in b.steps], rel=1e-9
         )
-        assert [perm[s.predictor_added] for s in b.steps] == [
-            s.predictor_added for s in a.steps
-        ]
+        assert [perm[j] for j in b.predictors()] == a.predictors()
 
     def test_strong_signal_found_first(self):
         hits = 0
         for seed in range(20):
             data = gen_nested(NestedDgpSpec(n=100, K=10, beta_delta=0.8, seed=seed))
             path = forward_search(data, PRIOR, max_size=1)
-            hits += path.steps[0].predictor_added == 0
+            hits += path.steps[1].predictor_added == 0
         assert hits >= 19
 
     @pytest.mark.parametrize("prior", [PRIOR, NigPrior.tight()], ids=["diffuse", "tight"])
@@ -188,14 +202,14 @@ class TestForwardSearch:
         )
         for a, b in zip(batched.steps, per_candidate.steps):
             for field in ("candidate_diffs", "candidate_ses", "pointwise"):
-                assert np.max(np.abs(getattr(a, field) - getattr(b, field))) <= 1e-9
+                assert np.all(np.abs(getattr(a, field) - getattr(b, field)) <= 1e-9)
 
     def test_steps_keep_no_view_of_the_candidate_block(self, block_path):
         # a view would keep each step's whole n x c block alive
-        path, _, _ = block_path
+        path, train, _ = block_path
         for s in path.steps:
             assert s.pointwise.base is None
-            assert s.pointwise.shape == (path.n_obs,)
+            assert s.pointwise.shape == (train.n,)
 
 
 def random_design(n, p, seed, kind="plain"):
@@ -264,9 +278,9 @@ class TestCarriedPosterior:
         data = random_design(n, p, seed, kind)
         prior = NigPrior.tight() if tight else PRIOR
         path = forward_search(data, prior, max_size=p)
-        prev = path.base_elpd
+        prev = path.steps[0].elpd_after
         current = ()
-        for step in path.steps:
+        for step in path.steps[1:]:
             cands = [j for j in range(p) if j not in current]
             refs = [elpd_loo_exact(data.subset(current + (j,)), prior) for j in cands]
             estimates = np.array([r.estimate for r in refs])
@@ -351,7 +365,7 @@ class TestCarriedPosterior:
 
 
 def assert_test_mlpds_match_refits(path, train, test, prior):
-    cols = [tuple(path.predictors()[:k]) for k in range(len(path.steps) + 1)]
+    cols = [tuple(path.predictors()[:k]) for k in range(len(path.steps))]
     refits = [
         np.mean(log_pred(fit(train.subset(c), prior), test.subset(c).design(), test.y))
         for c in cols
@@ -366,7 +380,7 @@ class TestCorrectPath:
             candidate_diffs=[[100.0, 1.0, 0.5], [90.0, 0.2]],
         )
         out = correct_path(path, multiplier=1.5)
-        assert [s.corrected_diff for s in out.steps] == [100.0, 90.0]
+        assert [s.corrected_diff for s in out.steps[1:]] == [100.0, 90.0]
 
     def test_multiplier_zero_keeps_raw_diffs(self, block_path):
         path, _, _ = block_path
@@ -379,9 +393,9 @@ class TestCorrectPath:
     def test_cumulative_identity_exact(self, block_path):
         path, _, _ = block_path
         out = correct_path(path, multiplier=1.5)
-        for k, step in enumerate(out.steps, start=1):
+        for k, step in enumerate(out.steps):
             expected = math.fsum(
-                [out.base_elpd] + [s.corrected_diff for s in out.steps[:k]]
+                [out.steps[0].elpd_after] + [s.corrected_diff for s in out.steps[1 : k + 1]]
             )
             assert step.corrected_elpd_after == expected  # bitwise
 
@@ -398,9 +412,17 @@ class TestCorrectPath:
             candidate_diffs=[[5, 0.1, 0, -0.1], [3, 0.1, 0], [-0.1, -0.2], [-0.2]],
         )
         out = correct_path(path, multiplier=1.5)
-        assert [s.post_bulge for s in out.steps] == [False, False, True, True]
-        assert out.steps[2].corrected_diff == -0.1
-        assert out.steps[3].corrected_diff == -0.2
+        assert [s.post_bulge for s in out.steps] == [False, False, False, True, True]
+        assert out.steps[3].corrected_diff == -0.1
+        assert out.steps[4].corrected_diff == -0.2
+
+    @pytest.mark.parametrize("multiplier", [1.0, 1.5, 2.0])
+    def test_size_zero_is_never_corrected(self, block_path, multiplier):
+        path, _, _ = block_path
+        first = correct_path(path, multiplier=multiplier).steps[0]
+        assert first.threshold_at_step == first.bias_at_step == 0.0
+        assert not first.post_bulge
+        assert first.corrected_elpd_after == first.elpd_after == path.steps[0].elpd_after
 
     def test_multiplier_ordering_pointwise(self, block_path):
         path, _, _ = block_path
@@ -434,7 +456,7 @@ class TestCorrectPath:
             data = gen_nested(NestedDgpSpec(n=100, K=11, beta_delta=0.0, seed=seed))
             path = forward_search(data, PRIOR, max_size=10)
             out = correct_path(path, multiplier=1.5)
-            deltas.append(out.corrected_elpds()[-1] - out.base_elpd)
+            deltas.append(out.corrected_elpds()[-1] - out.steps[0].elpd_after)
         assert np.median(deltas) <= 0.0
 
 
@@ -483,17 +505,17 @@ class TestStoppingRules:
     def test_prefix_verdicts_match_a_search_of_its_length(self, block_path):
         # the rules read the steps a path holds, whatever length it ran to
         path, train, test = block_path
-        prefix = replace(path, steps=path.steps[:3])
-        short = forward_search(train, PRIOR, max_size=3, test=test)
+        k = 3
+        prefix = replace(path, steps=path.steps[: k + 1])
+        short = forward_search(train, PRIOR, max_size=k, test=test)
         assert stopping_rules(correct_path(prefix)) == stopping_rules(correct_path(short))
 
 
-class TestEvaluateTest:
+class TestTestScoring:
     """Test-set scoring by ``forward_search(..., test=)``."""
 
     def test_fills_all_sizes(self, block_path):
         path, _, _ = block_path
-        assert path.test_mlpd_base is not None
         assert all(s.test_mlpd_after is not None for s in path.steps)
         assert path.test_mlpds().shape == (11,)
 
@@ -510,7 +532,7 @@ class TestEvaluateTest:
         one = Dataset(test.X[:1], test.y[:1])
         out = forward_search(train, PRIOR, max_size=10, test=one)
         expected = log_pred(fit(train.subset(()), PRIOR), one.subset(()).design(), one.y)
-        assert out.test_mlpd_base == pytest.approx(float(expected[0]))
+        assert out.steps[0].test_mlpd_after == pytest.approx(float(expected[0]))
 
     def test_schema_mismatch(self, block_path, monkeypatch):
         # the schema is checked before the search factorizes anything
@@ -526,10 +548,13 @@ class TestEvaluateTest:
         assert factorized == []
 
     def test_rows_roundtrip(self, block_path):
-        path, _, _ = block_path
+        path, train, _ = block_path
         rows = correct_path(path).to_rows()
-        assert rows[0]["size"] == 0
-        assert len(rows) == 11
+        assert len(rows) == len(path.steps) == 11
+        for k, (row, step) in enumerate(zip(rows, path.steps)):
+            assert row["size"] == k
+            assert row["predictor_added"] == step.predictor_added
+            assert row["elpd"] == step.elpd_after
         assert rows[3]["corrected_mlpd"] == pytest.approx(
-            rows[3]["corrected_elpd"] / path.n_obs
+            rows[3]["corrected_elpd"] / train.n
         )
